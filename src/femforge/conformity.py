@@ -60,6 +60,10 @@ class SameSideApexesError(ValueError):
     """Raised when the two apexes lie on the same side of the shared face."""
 
 
+class SharedChartMismatchError(ValueError):
+    """Raised when the two sides derive different charts for the shared face."""
+
+
 @dataclass
 class Patch:
     left: SimplexFrame
@@ -79,8 +83,8 @@ def build_patch(shared_face_vertices, apex_left, apex_right) -> Patch:
         raise SameSideApexesError("apexes lie on the same side of the shared face")
     shared_left = left.face_opposite(d)
     shared_right = right.face_opposite(d)
-    assert shared_left.origin == shared_right.origin
-    assert shared_left.tangents == shared_right.tangents
+    if shared_left.origin != shared_right.origin or shared_left.tangents != shared_right.tangents:
+        raise SharedChartMismatchError("the two sides chart the shared face differently")
     return Patch(left, right, shared_left, shared_right)
 
 

@@ -522,7 +522,7 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
         cache: dict = {}
         for dof, vals in applied:
             vals.append(apply_dof(frame, dof, member, cache))
-    matrix = Matrix([vals for _, vals in applied]) if dofs else Matrix.zeros(0, len(members))
+    matrix = Matrix([vals for _, vals in applied], len(members))
     return Element(family, frame, k, space, dofs, matrix)
 
 
@@ -595,7 +595,7 @@ def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace."""
     shared_rows = [i for i, dof in enumerate(element.dofs) if dof.shared]
-    sub = Matrix([element.dof_matrix.row(i) for i in shared_rows])
+    sub = Matrix([element.dof_matrix.row(i) for i in shared_rows], element.dof_matrix.cols)
     ker = sub.null_space()
     frame = element.frame
     ctx = {

@@ -1,9 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Every operation here is exact: ranks, kernels and solves are computed by
-integer fraction-free elimination (rows are cleared of denominators first,
-then eliminated by cross-multiplication with gcd reduction to keep entries
-small).  There is no floating-point path anywhere in this module.
+Every operation here is exact and runs on Python integers.  Rows (and, for
+a product, the columns of the right factor) are cleared of denominators
+first; elimination and back-substitution then work by fraction-free
+cross-multiplication with gcd reduction to keep entries small, and a product
+entry is one integer dot product.  ``Fraction``s are created only for the
+entries a method returns.  There is no floating-point path anywhere in this
+module.
 
 Scalars are ``fractions.Fraction`` values, which already guarantee lowest
 terms and a positive denominator.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 ExactScalar = Fraction
@@ -35,16 +39,38 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(l, ints) with ``ints[j] == values[j] * l`` and l the lcm of denominators."""
+    l = 1
+    for x in values:
+        d = x.denominator
+        if l % d:
+            l = l // gcd(l, d) * d
+    return l, [x.numerator * (l // x.denominator) for x in values]
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """Divide an integer row by its content (the gcd of its entries)."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 class Matrix:
-    """Immutable dense matrix with Fraction entries (row-major)."""
+    """Immutable dense matrix with Fraction entries (row-major).
+
+    ``cols`` gives the width of a matrix with no rows; with rows it must
+    match their length.
+    """
 
     __slots__ = ("rows", "cols", "_rows", "_rank", "_rref")
 
-    def __init__(self, data: Iterable[Iterable]):
+    def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = [tuple(_as_fraction(x) for x in row) for row in data]
         self._rows = tuple(rows)
         self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        self.cols = cols
         for row in rows:
             if len(row) != self.cols:
                 raise DimensionMismatchError("ragged rows")
@@ -55,7 +81,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        return cls([[_ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -67,7 +93,7 @@ class Matrix:
         if not columns:
             return cls.zeros(rows or 0, 0)
         n = len(columns[0])
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
+        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)], len(columns))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self._rows)
@@ -92,32 +118,39 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix([[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
-        return Matrix([self._rows[i] + other._rows[i] for i in range(self.rows)])
+        return Matrix([self._rows[i] + other._rows[i] for i in range(self.rows)], self.cols + other.cols)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """Product with one integer dot product per entry.
+
+        Rows of self and columns of other are cleared of denominators (da, db)
+        first, so entry (i, j) is ``Fraction(row_i . col_j, da_i * db_j)``.
+        """
         if self.cols != other.rows:
             raise DimensionMismatchError("matmul shape mismatch")
-        cols = other.transpose()._rows
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col) if a and b), _ZERO) for col in cols] for row in self._rows]
-        )
+        cols = [_cleared(col) for col in zip(*other._rows)] if other.rows else [(1, [])] * other.cols
+        out = []
+        for row in self._rows:
+            da, a = _cleared(row)
+            out.append([Fraction(s, da * db) if (s := sum(map(mul, a, b))) else _ZERO for db, b in cols])
+        return Matrix(out, other.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.matmul(other)
 
     def scale(self, c) -> "Matrix":
         c = _as_fraction(c)
-        return Matrix([[c * x for x in row] for row in self._rows])
+        return Matrix([[c * x for x in row] for row in self._rows], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("subtraction shape mismatch")
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)])
+        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)], self.cols)
 
     def is_zero(self) -> bool:
         return all(not x for row in self._rows for x in row)
@@ -126,20 +159,7 @@ class Matrix:
 
     def _int_rows(self) -> list[list[int]]:
         """Rows scaled to coprime integers (scaling preserves row space)."""
-        out = []
-        for row in self._rows:
-            denom_lcm = 1
-            for x in row:
-                d = x.denominator
-                denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-            ints = [int(x * denom_lcm) for x in row]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            if g > 1:
-                ints = [v // g for v in ints]
-            out.append(ints)
-        return out
+        return [_primitive(_cleared(row)[1]) for row in self._rows]
 
     def rank(self) -> int:
         if self._rank is None:
@@ -154,15 +174,12 @@ class Matrix:
         n = self.rows
         if n == 0:
             return _ONE
-        scale = _ONE
+        scale = 1
         rows = []
         for row in self._rows:
-            denom_lcm = 1
-            for x in row:
-                d = x.denominator
-                denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
+            denom_lcm, ints = _cleared(row)
             scale *= denom_lcm
-            rows.append([int(x * denom_lcm) for x in row])
+            rows.append(ints)
         sign = 1
         prev = 1
         for c in range(n - 1):
@@ -184,29 +201,40 @@ class Matrix:
                 rows[i] = [(p * ri[j] - ric * rc[j]) // prev for j in range(c + 1, n)]
                 rows[i][:0] = [0] * (c + 1)
             prev = p
-        return Fraction(sign * rows[n - 1][n - 1], 1) / scale
+        return Fraction(sign * rows[n - 1][n - 1], scale)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (rational, leading 1s)."""
         if self._rref is None:
             ech, pivots = _int_echelon(self._int_rows(), self.cols)
-            reduced = _back_reduce(ech, pivots)
-            self._rref = (Matrix(reduced) if reduced else Matrix.zeros(0, self.cols), tuple(pivots))
+            reduced = [
+                [Fraction(v, row[pc]) if v else _ZERO for v in row]
+                for row, pc in zip(_back_reduce(ech, pivots), pivots)
+            ]
+            self._rref = (Matrix(reduced, self.cols), tuple(pivots))
             if self._rank is None:
                 self._rank = len(pivots)
         return self._rref
 
     def null_space(self) -> "Matrix":
-        """Columns form a basis of ``{x : Ax = 0}`` (integer, gcd-reduced)."""
+        """Columns form a basis of ``{x : Ax = 0}`` (integer, gcd-reduced,
+        leading entry positive)."""
         red, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
+        pivot_set = set(pivots)
         basis = []
-        for f in free:
-            vec = [_ZERO] * self.cols
-            vec[f] = _ONE
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red[r, f]
-            basis.append(_normalize_vector(vec))
+        for f in range(self.cols):
+            if f in pivot_set:
+                continue
+            # x_f = 1 and x_pc = -red[r, f], scaled by the lcm of the
+            # denominators; that lcm leaves the vector primitive already.
+            den, ints = _cleared(red.column(f))
+            vec = [0] * self.cols
+            vec[f] = den
+            for pc, v in zip(pivots, ints):
+                vec[pc] = -v
+            if next(v for v in vec if v) < 0:
+                vec = [-v for v in vec]
+            basis.append(vec)
         return Matrix.from_columns(basis, rows=self.cols)
 
     def solve(self, b: "Matrix") -> "Matrix":
@@ -249,75 +277,39 @@ def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], lis
         if best < 0:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        piv_row = rows[r]
-        p = piv_row[c]
+        p = rows[r][c]
+        piv_tail = rows[r][c + 1:]
+        lead = [0] * (c + 1)
         for i in range(r + 1, m):
-            a = rows[i][c]
-            if not a:
-                continue
             cur = rows[i]
-            new = [p * cur[j] - a * piv_row[j] for j in range(c + 1, cols)]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [v // g for v in new]
-            rows[i] = [0] * (c + 1) + new
+            a = cur[c]
+            if a:
+                rows[i] = lead + _primitive([p * x - a * y for x, y in zip(cur[c + 1:], piv_tail)])
         pivots.append(c)
         r += 1
     return rows[:r], pivots
 
 
-def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
-    """Turn an integer echelon into the rational RREF (pivot entries 1)."""
-    out = [[Fraction(v) for v in row] for row in ech]
-    for r in range(len(pivots) - 1, -1, -1):
+def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[int]]:
+    """Clear every pivot column above its pivot, in integers and in place.
+
+    Bottom-up, each row above pivot row r with entry f in r's pivot column
+    (pivot p, g = gcd(p, f)) becomes ``(p/g) row - (f/g) row_r``, divided by
+    its content.  Row r divided by its pivot is then row r of the RREF.
+    """
+    for r in range(len(pivots) - 1, 0, -1):
         pc = pivots[r]
-        piv = out[r][pc]
-        if piv != 1:
-            out[r] = [v / piv for v in out[r]]
+        row_r = ech[r]
+        p = row_r[pc]
         for i in range(r):
-            f = out[i][pc]
-            if f:
-                out[i] = [a - f * b for a, b in zip(out[i], out[r])]
-    return out
-
-
-def _normalize_vector(vec: list[Fraction]) -> list[Fraction]:
-    """Scale to coprime integers with positive leading entry."""
-    denom_lcm = 1
-    for x in vec:
-        d = x.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return [Fraction(v) for v in ints]
-
-
-# -- module-level operation aliases -------------------------------------------
-
-
-def rank(a: Matrix) -> int:
-    return a.rank()
-
-
-def null_space_basis(a: Matrix) -> Matrix:
-    return a.null_space()
-
-
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    return a.solve(b)
+            row_i = ech[i]
+            f = row_i[pc]
+            if not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            ech[i] = _primitive([a * x - b * y for x, y in zip(row_i, row_r)])
+    return ech
 
 
 # -- column-space (subspace) operations ----------------------------------------
@@ -334,10 +326,7 @@ def _check_ambient(a: Matrix, b: Matrix) -> None:
 
 def image_basis(a: Matrix) -> Matrix:
     """Canonical basis of the column space (reduced column echelon form)."""
-    red, _ = a.transpose().rref()
-    if red.rows == 0:
-        return Matrix.zeros(a.rows, 0)
-    return red.transpose()
+    return a.transpose().rref()[0].transpose()
 
 
 def subspace_equal(a: Matrix, b: Matrix) -> bool:
@@ -358,15 +347,8 @@ def subspace_contains(a: Matrix, b: Matrix) -> bool:
 
 def subspace_intersection(a: Matrix, b: Matrix) -> Matrix:
     _check_ambient(a, b)
-    if a.cols == 0 or b.cols == 0:
-        return Matrix.zeros(a.rows, 0)
     ker = a.hstack(b.scale(-1)).null_space()
-    vecs = []
-    for jc in range(ker.cols):
-        col = ker.column(jc)
-        vec = [sum((col[j] * a[i, j] for j in range(a.cols) if col[j]), _ZERO) for i in range(a.rows)]
-        vecs.append(vec)
-    return image_basis(Matrix.from_columns(vecs, rows=a.rows))
+    return image_basis(a.matmul(Matrix([ker.row(i) for i in range(a.cols)], ker.cols)))
 
 
 def is_direct_sum(a: Matrix, b: Matrix) -> bool:

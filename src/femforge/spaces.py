@@ -644,15 +644,21 @@ def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolyS
 
     Requires div to be injective on `space` and target to lie inside its
     image (both hold for the complements of divergence-free bubbles); the
-    preimage is found by an exact normal-equation solve and re-verified.
+    preimage is read off one exact elimination of ``[M | tgt]`` and
+    re-verified.
     """
     dm = operator_matrix("div_rowwise" if space.kind == "sym" else "div", space)
     m = dm.matrix
     tgt = target.with_degree(dm.target_k).basis
     if target.dim == 0 or space.dim == 0:
         return empty_space(space.frame, space.kind, space.k, tag)
-    mt = m.transpose()
-    coords = mt.matmul(m).solve(mt.matmul(tgt))
+    n = m.cols
+    red, pivots = m.hstack(tgt).rref()
+    if pivots[:n] != tuple(range(n)):
+        raise exact.SingularMatrixError("divergence is not injective on the space")
+    # A target column outside the image leaves a pivot in the tgt block, and
+    # the check below rejects the coordinates read from the first n rows.
+    coords = Matrix([red.row(i)[n:] for i in range(n)], tgt.cols)
     if not m.matmul(coords) == tgt:
         raise ArithmeticError("divergence preimage fell outside the image")
     return PolySpace(

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from femforge import conformity
 from femforge.conformity import (
     SameSideApexesError,
+    SharedChartMismatchError,
     build_patch,
     conformity_check,
     green_identity_check,
@@ -12,7 +14,7 @@ from femforge.conformity import (
 )
 from femforge.poly import Polynomial, hess, koszul_xxT, divdiv
 from femforge.integrate import pair_simplex
-from femforge.simplex import DegenerateSimplexError, random_frame, reference_simplex
+from femforge.simplex import DegenerateSimplexError, SimplexFrame, random_frame, reference_simplex
 from femforge.spaces import divdiv_splits, split_bubble
 
 
@@ -40,6 +42,19 @@ def test_same_side_apexes_rejected():
 def test_degenerate_apex_rejected():
     with pytest.raises(DegenerateSimplexError):
         build_patch([(0, 0), (1, 0)], (0, 1), (2, 0))
+
+
+def test_mismatched_shared_chart_rejected(monkeypatch):
+    # A right simplex that reports another face as the shared one.
+    class OffsetRight(SimplexFrame):
+        __slots__ = ()
+
+        def face_opposite(self, i):
+            return super().face_opposite(0 if self.vertices[-1] == (1, -1) else i)
+
+    monkeypatch.setattr(conformity, "SimplexFrame", OffsetRight)
+    with pytest.raises(SharedChartMismatchError):
+        build_patch([(0, 0), (1, 0)], (0, 1), (1, -1))
 
 
 def test_build_patch_3d(patch3):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,11 +8,9 @@ from femforge.exact import (
     DimensionMismatchError,
     Matrix,
     SingularMatrixError,
+    _int_echelon,
     image_basis,
     is_direct_sum,
-    null_space_basis,
-    rank,
-    solve,
     subspace_contains,
     subspace_equal,
     subspace_intersection,
@@ -20,24 +19,24 @@ from femforge.exact import (
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(2)) == 2
+    assert Matrix.identity(2).rank() == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix.zeros(3, 4)) == 0
+    assert Matrix.zeros(3, 4).rank() == 0
 
 
 def test_rank_proportional_rows():
-    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert Matrix([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_null_space_identity_empty():
-    ns = null_space_basis(Matrix.identity(3))
+    ns = Matrix.identity(3).null_space()
     assert ns.cols == 0
 
 
 def test_null_space_single_row():
-    ns = null_space_basis(Matrix([[1, 1]]))
+    ns = Matrix([[1, 1]]).null_space()
     assert ns.cols == 1
     v = ns.column(0)
     assert v[0] == -v[1] and v[0] != 0
@@ -45,7 +44,7 @@ def test_null_space_single_row():
 
 def test_null_space_proportional():
     # hand elimination: kernel of [[1,2],[2,4]] spans (2,-1)
-    ns = null_space_basis(Matrix([[1, 2], [2, 4]]))
+    ns = Matrix([[1, 2], [2, 4]]).null_space()
     assert ns.cols == 1
     v = ns.column(0)
     assert v[0] * (-1) == v[1] * 2
@@ -53,19 +52,19 @@ def test_null_space_proportional():
 
 def test_solve_identity():
     b = Matrix([[3], [7]])
-    assert solve(Matrix.identity(2), b) == b
+    assert Matrix.identity(2).solve(b) == b
 
 
 def test_solve_diagonal():
     a = Matrix([[2, 0], [0, 3]])
     b = Matrix([[1], [1]])
-    x = solve(a, b)
+    x = a.solve(b)
     assert x.column(0) == (Fraction(1, 2), Fraction(1, 3))
 
 
 def test_solve_singular_raises():
     with pytest.raises(SingularMatrixError):
-        solve(Matrix([[1, 2], [2, 4]]), Matrix([[1], [1]]))
+        Matrix([[1, 2], [2, 4]]).solve(Matrix([[1], [1]]))
 
 
 def test_subspace_equal_trivial():
@@ -128,7 +127,7 @@ def test_solve_roundtrip_exact(seed):
         if a.rank() == n:
             break
     b = _random_matrix(rng, n, 2)
-    x = solve(a, b)
+    x = a.solve(b)
     assert a.matmul(x) == b
 
 
@@ -154,3 +153,186 @@ def test_subspace_contains():
     c = Matrix([[0], [0], [1]])
     assert subspace_contains(a, b)
     assert not subspace_contains(a, c)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_empty_shapes_are_kept(n):
+    # no constraints on R^n: the whole space is the kernel
+    assert Matrix.zeros(0, n).null_space() == Matrix.identity(n)
+    assert Matrix.zeros(0, n).transpose().rows == n
+    ib = image_basis(Matrix.zeros(n, 0))
+    assert (ib.rows, ib.cols) == (n, 0)
+    prod = Matrix.zeros(2, 0).matmul(Matrix.zeros(0, n))
+    assert (prod.rows, prod.cols) == (2, n) and prod.is_zero()
+    stacked = Matrix.zeros(0, n).hstack(Matrix.zeros(0, 2))
+    assert (stacked.rows, stacked.cols) == (0, n + 2)
+
+
+# -- differential and property tests ------------------------------------------
+#
+# The references below are the previous all-Fraction routines: back-substitution
+# on the rational RREF one Fraction operation at a time, and the entrywise
+# Fraction matrix product.  The integer core must return equal results.
+
+
+def _reference_back_reduce(ech, pivots):
+    out = [[Fraction(v) for v in row] for row in ech]
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        piv = out[r][pc]
+        if piv != 1:
+            out[r] = [v / piv for v in out[r]]
+        for i in range(r):
+            f = out[i][pc]
+            if f:
+                out[i] = [a - f * b for a, b in zip(out[i], out[r])]
+    return out
+
+
+def _reference_rref(a):
+    ech, pivots = _int_echelon(a._int_rows(), a.cols)
+    return Matrix(_reference_back_reduce(ech, pivots), a.cols), tuple(pivots)
+
+
+def _reference_matmul(a, b):
+    zero = Fraction(0)
+    return Matrix(
+        [[sum((x * y for x, y in zip(row, b.column(j)) if x and y), zero) for j in range(b.cols)]
+         for row in (a.row(i) for i in range(a.rows))],
+        b.cols,
+    )
+
+
+def _primitive_column(vec):
+    """Scale a rational vector to coprime integers with a positive leading entry."""
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    ints = [v // g for v in ints] if g > 1 else ints
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
+
+
+def _qq(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _sympy_matrix(a):
+    dm = pytest.importorskip("sympy.polys.matrices")
+    QQ = pytest.importorskip("sympy").QQ
+    return dm.DomainMatrix(
+        [[QQ(x.numerator, x.denominator) for x in a.row(i)] for i in range(a.rows)], (a.rows, a.cols), QQ
+    )
+
+
+def _edge_matrices():
+    f = Fraction
+    return [
+        Matrix.zeros(0, 4),
+        Matrix.zeros(3, 0),
+        Matrix.zeros(3, 4),
+        Matrix([[1, 2, 3], [1, 2, 3], [2, 4, 6]]),  # duplicate rows
+        Matrix([[f(1, 2), f(1, 3), f(-5, 7)], [f(2, 9), 0, f(1, 6)], [f(1, 2), f(1, 3), f(-5, 7)]]),
+        Matrix([[f(3, 4), f(-1, 6), 0, f(10**6, 3)], [0, f(1, 11), f(2, 5), f(-1, 10**4)]]),
+        Matrix([[0, 0, 5], [0, 0, f(1, 3)], [0, 7, 0]]),
+    ]
+
+
+def _random_matrices():
+    rng = random.Random(4242)
+    out = []
+    for _ in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        a = _random_matrix(rng, rows, cols, -30, 30)
+        if rows > 2 and rng.random() < 0.5:  # force a dependent row
+            rows_ = [a.row(i) for i in range(rows)]
+            rows_[2] = tuple(x - 3 * y for x, y in zip(rows_[0], rows_[1]))
+            a = Matrix(rows_)
+        out.append(a)
+    return out
+
+
+_CORPUS = _edge_matrices() + _random_matrices()
+
+
+@pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
+def test_rref_and_null_space_match_fraction_reference(a):
+    red, pivots = a.rref()
+    assert (red, pivots) == _reference_rref(a)
+    assert red.cols == a.cols
+    ns = a.null_space()
+    expected = []
+    for f in (j for j in range(a.cols) if j not in pivots):
+        vec = [Fraction(0)] * a.cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r, f]
+        expected.append(_primitive_column(vec))
+    assert ns == Matrix.from_columns(expected, rows=a.cols)
+
+
+@pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
+def test_matmul_matches_fraction_reference(a):
+    rng = random.Random(a.rows * 31 + a.cols)
+    for cols in (0, 1, 4):
+        b = _random_matrix(rng, a.cols, cols, -40, 40)
+        assert a.matmul(b) == _reference_matmul(a, b)
+    assert a.transpose().matmul(a) == _reference_matmul(a.transpose(), a)
+
+
+@pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
+def test_exact_core_matches_sympy(a):
+    dm = _sympy_matrix(a)
+    red, pivots = a.rref()
+    sred, spivots = dm.rref()
+    assert pivots == tuple(spivots)
+    assert a.rank() == dm.rank()
+    sym_rows = sred.to_list()[: len(pivots)]
+    assert [[_qq(x) for x in row] for row in sym_rows] == [list(red.row(i)) for i in range(red.rows)]
+    sym_kernel = [_primitive_column([_qq(x) for x in row]) for row in dm.nullspace().to_list()]
+    assert a.null_space() == Matrix.from_columns(sym_kernel, rows=a.cols)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solve_matches_sympy(seed):
+    rng = random.Random(500 + seed)
+    n = rng.randint(1, 7)
+    while True:
+        a = _random_matrix(rng, n, n, -50, 50)
+        if a.rank() == n:
+            break
+    b = _random_matrix(rng, n, rng.randint(1, 3), -50, 50)
+    x = a.solve(b)
+    sx = _sympy_matrix(a).lu_solve(_sympy_matrix(b))
+    assert [list(x.row(i)) for i in range(n)] == [[_qq(v) for v in row] for row in sx.to_list()]
+
+
+def _matrices():
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+    )
+    return st.integers(0, 6).flatmap(
+        lambda cols: st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6).map(
+            lambda rows: Matrix(rows, cols)
+        )
+    )
+
+
+def test_rank_nullity_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_matrices())
+    def check(a):
+        ns = a.null_space()
+        assert (ns.rows, ns.cols) == (a.cols, a.cols - a.rank())
+        assert a.rank() == a.transpose().rank()
+        assert a.matmul(ns).is_zero()
+        assert (a.rref(), a.matmul(Matrix.identity(a.cols))) == (_reference_rref(a), a)
+
+    check()

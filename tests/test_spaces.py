@@ -26,6 +26,7 @@ from femforge.spaces import (
     dim_E0perp_vector,
     dim_trace_sym,
     dim_trace_vector,
+    div_preimage_in,
     divdiv_splits,
     image_space,
     ker_mat_x_sym,
@@ -284,6 +285,18 @@ def test_divdiv_splits_dims(tri):
     # the trace of div(Ftr) spans the whole achievable trace space
     tr = trace_matrix(tri, image_space("div_rowwise", ftr), "div_vector")
     assert tr.rank() == ftr.dim == dim_trace_vector(2, 3)
+
+
+def test_div_preimage_in(tri):
+    _, e0perp = split_bubble(tri, "div_sym", 4)
+    f0, _ = divdiv_splits(tri, 4)
+    assert space_equal(div_preimage_in(e0perp, image_space("div_rowwise", f0)), f0)
+    # div E0perp misses the rigid motions, so all of P_3(R^2) has no preimage
+    with pytest.raises(ArithmeticError):
+        div_preimage_in(e0perp, build_standard(tri, "P_vector", 3))
+    # div has a kernel on P_4(S): the preimage is not unique
+    with pytest.raises(exact.SingularMatrixError):
+        div_preimage_in(build_standard(tri, "P_sym", 4), image_space("div_rowwise", f0))
 
 
 def test_e0_pairing_nondegenerate(tri):
