@@ -9,7 +9,10 @@ solved for by matching every right DoF that lives on the shared face (applied
 directly to the left function; all other right DoFs are set to zero).  The
 family's declared traces must then agree exactly as chart polynomials, while
 a designated non-conforming component must jump for at least one pair (the
-negative control that guards against vacuous passes).
+negative control that guards against vacuous passes).  The jumps of all
+members are one product per trace: the shared face's trace matrix times the
+left minus the right shape coefficients.  A failure reports the first
+nonzero jump as a chart polynomial.
 
 All jumps are formed with one fixed covector: the left element's scaled
 normal g.  Since the right element's outward scaled normal is a negative
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import FAMILIES, _vec_dot_g, apply_dof, build_element
+from .elements import FAMILIES, _dof_rows, _first_nonzero_trace, apply_dof, build_element
 from .exact import Matrix
 from .integrate import integrate_face, pair_simplex
 from .poly import Polynomial
@@ -88,63 +91,12 @@ def build_patch(shared_face_vertices, apex_left, apex_right) -> Patch:
     return Patch(left, right, shared_left, shared_right)
 
 
-def _jump_traces(face: Face, g, tau: Polynomial, modes) -> dict[str, list[Polynomial]]:
-    """Trace data of tau on the face, all paired with the fixed covector g."""
-    d = tau.d
-    out = {}
-    for mode in modes:
-        if mode == "vector_normal":
-            out[mode] = [face.restrict(_vec_dot_g(tau, g))]
-        elif mode == "tensor_normal":
-            taug = _taug_fixed(tau, g)
-            out[mode] = [face.restrict(taug.component(t)) for t in range(d)]
-        elif mode == "normal_normal":
-            taug = _taug_fixed(tau, g)
-            out[mode] = [face.restrict(_vec_dot_g(taug, g))]
-        elif mode == "normal_div":
-            w = poly.div_rowwise(tau)
-            out[mode] = [face.restrict(_vec_dot_g(w, g))]
-        elif mode == "combo":
-            w = poly.div_rowwise(tau)
-            out[mode] = [
-                face.restrict(_vec_dot_g(w, g)) + surface_div(face, _taug_fixed(tau, g))
-            ]
-        elif mode == "tangential":
-            if tau.kind == "vector":
-                vals = [
-                    face.restrict(
-                        sum(
-                            (tau.component(t).scale(tan[t]) for t in range(d) if tan[t]),
-                            Polynomial.zero(d),
-                        )
-                    )
-                    for tan in face.tangents
-                ]
-            else:
-                taug = _taug_fixed(tau, g)
-                vals = [
-                    face.restrict(
-                        sum(
-                            (taug.component(t).scale(tan[t]) for t in range(d) if tan[t]),
-                            Polynomial.zero(d),
-                        )
-                    )
-                    for tan in face.tangents
-                ]
-            out[mode] = vals
-        elif mode == "tangential_tangential":
-            tan = face.tangents[0]
-            acc = Polynomial.zero(d)
-            for i in range(d):
-                if not tan[i]:
-                    continue
-                row = Polynomial.zero(d)
-                for j in range(d):
-                    if tan[j]:
-                        row = row + tau.entry(i, j).scale(tan[j])
-                acc = acc + row.scale(tan[i])
-            out[mode] = [face.restrict(acc)]
-    return out
+def _vec_dot_g(v: Polynomial, g) -> Polynomial:
+    acc = Polynomial.zero(v.d)
+    for t in range(v.vdim):
+        if g[t]:
+            acc = acc + v.component(t).scale(g[t])
+    return acc
 
 
 def _taug_fixed(tau: Polynomial, g) -> Polynomial:
@@ -191,41 +143,30 @@ def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
             on_shared.append(i)
 
     members = left_e.space.members()
+    kind, k_frame = left_e.space.kind, left_e.space.k
+    rows = _dof_rows(patch.right, [right_e.dofs[i] for i in on_shared], kind, k_frame)
     rhs_cols = []
     for member in members:
-        cache: dict = {}
         col = [_ZERO] * len(right_e.dofs)
         for i in on_shared:
-            col[i] = apply_dof(patch.right, right_e.dofs[i], member, cache)
+            col[i] = apply_dof(patch.right, right_e.dofs[i], member, rows)
         rhs_cols.append(col)
     rhs = Matrix.from_columns(rhs_cols)
     sol = right_e.dof_matrix.solve(rhs)
-    right_coeffs = right_e.space.basis.matmul(sol)
+    # jumps of every member at once: the traces of left minus right coefficients
+    jumps = left_e.space.basis - right_e.space.basis.matmul(sol)
 
-    g = patch.shared_left.normal_frame[0]
+    face = patch.shared_left
     control_mode = _NEGATIVE_CONTROL[family]
-    modes = tuple(spec.trace_modes) + (control_mode,)
-    control_jumped = False
     ctx = {"family": family, "d": d, "k": k, "members": len(members)}
-    for j, member in enumerate(members):
-        tau_r = poly.from_coeff_vector(
-            d, right_e.space.kind, right_e.space.k, right_coeffs.column(j)
-        )
-        lt = _jump_traces(patch.shared_left, g, member, modes)
-        rt = _jump_traces(patch.shared_left, g, tau_r, modes)
-        for mode in spec.trace_modes:
-            for a, b in zip(lt[mode], rt[mode]):
-                if not (a - b).is_zero():
-                    ctx["jump_mode"] = mode
-                    ctx["member"] = j
-                    return CheckResult(
-                        f"conformity-{family}", False, expected="zero jump", got=mode, context=ctx
-                    )
-        if not control_jumped:
-            for a, b in zip(lt[control_mode], rt[control_mode]):
-                if not (a - b).is_zero():
-                    control_jumped = True
-                    break
+    hit = _first_nonzero_trace([face], kind, k_frame, spec.trace_modes, jumps)
+    if hit is not None:
+        j, mode, jump = hit
+        ctx["jump_mode"] = mode
+        ctx["member"] = j
+        ctx["jump"] = poly.poly_to_json(jump)
+        return CheckResult(f"conformity-{family}", False, expected="zero jump", got=mode, context=ctx)
+    control_jumped = _first_nonzero_trace([face], kind, k_frame, (control_mode,), jumps) is not None
     ctx["negative_control"] = control_mode
     ctx["negative_control_jumped"] = control_jumped
     if not control_jumped:

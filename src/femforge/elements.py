@@ -5,6 +5,13 @@ an ordered list of degree-of-freedom functionals.  The square DoF matrix
 (rows = DoFs, columns = shape basis members) is assembled with exact face and
 cell moments; unisolvence is certified by exact rank.
 
+Every DoF is a row over the shaped monomial frame of the shape space, built
+from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
+matrices of ``integrate``, one product per run of DoFs that share a face and
+a trace; applying a DoF to a polynomial is a sparse dot product with its
+coefficients.  The trace-block check multiplies the same trace matrices with
+the kernel of the shared DoF block.
+
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
 unit-normal counterpart; tangential edge test spaces pair through the chart's
@@ -17,14 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from math import prod
 from typing import Callable, Sequence
 
 from . import exact, poly, spaces
-from .exact import Matrix, SingularMatrixError
-from .integrate import integrate_face, pair_simplex
+from .exact import Matrix, SingularMatrixError, _cleared
+from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
-from .simplex import Face, SimplexFrame, surface_div
+from .simplex import Face, SimplexFrame
 from .spaces import BadDegreeError, PolySpace, UnsupportedTagError
 
 _ZERO = Fraction(0)
@@ -66,147 +75,118 @@ class Element:
         return self.space.dim
 
 
-# -- DoF application ---------------------------------------------------------------
+# -- DoF rows --------------------------------------------------------------------------
+#
+# A DoF is a row over the shaped monomial frame (kind, d, k) of the shape space.
+# Rows are assembled one matrix product per run of DoFs sharing a kind, a face
+# and a component pair:
+#   face moments      tests^T x chart mass x trace matrix (Face.trace/traces)
+#   interior moments  tests^T x frame Gram x operator (identity, div, div div)
+#   vertex values     the evaluation rows of the vertex
+# and kept as integer rows with one denominator each.
+
+_FACE_TRACES = {
+    FACE_SCALAR_NORMAL: "vector_normal",
+    FACE_TN: "tangential",
+    FACE_NORMAL_DIV: "normal_div",
+    FACE_DIVDIV_COMBO: "combo",
+}
 
 
-def _restricted_normal_product(face: Face, tau: Polynomial, ga, gb) -> Polynomial:
-    """restrict(ga^T tau gb) onto the face chart."""
-    d = tau.d
-    acc = Polynomial.zero(d)
-    for i in range(d):
-        if not ga[i]:
-            continue
-        row = Polynomial.zero(d)
-        for j in range(d):
-            if gb[j]:
-                row = row + tau.entry(i, j).scale(gb[j])
-        acc = acc + row.scale(ga[i])
-    return face.restrict(acc)
+class _Row:
+    """One DoF as ``ints / den`` over the frame (kind, d, k)."""
+
+    __slots__ = ("dof", "kind", "k", "den", "ints", "index")
+
+    def __init__(self, dof: DoFDescriptor, kind: str, k: int, values, index: dict):
+        self.dof, self.kind, self.k, self.index = dof, kind, k, index
+        self.den, self.ints = _cleared(values)
+
+    def dot(self, tau: Polynomial) -> Fraction:
+        l, values = _cleared(tau.terms.values())
+        ints, index = self.ints, self.index
+        s = sum(ints[index[key]] * v for key, v in zip(tau.terms, values))
+        return Fraction(s, self.den * l) if s else _ZERO
 
 
-def _tau_g(face: Face, tau: Polynomial) -> Polynomial:
-    """The ambient vector field tau g for the face's scaled normal."""
-    g = face.normal_frame[0]
-    d = tau.d
-    comps = []
-    for i in range(d):
-        acc = Polynomial.zero(d)
-        for j in range(d):
-            if g[j]:
-                acc = acc + tau.entry(i, j).scale(g[j])
-        comps.append(acc)
-    return Polynomial.vector_from(comps)
+def _run_key(dof: DoFDescriptor) -> tuple:
+    return (dof.kind, id(dof.face), dof.vertex, dof.comp if dof.kind == FACE_NN else None)
 
 
-def _vec_dot_g(v: Polynomial, g) -> Polynomial:
-    acc = Polynomial.zero(v.d)
-    for t in range(v.vdim):
-        if g[t]:
-            acc = acc + v.component(t).scale(g[t])
-    return acc
+def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> dict[int, _Row]:
+    """The rows of ``dofs`` over the frame (kind, d, k), keyed by ``id(dof)``."""
+    index = {key: i for i, key in enumerate(poly.frame(kind, frame.d, k))}
+    out = {}
+    for _, run in groupby(dofs, key=_run_key):
+        run = list(run)
+        mat = _run_rows(frame, run, kind, k)
+        for i, dof in enumerate(run):
+            out[id(dof)] = _Row(dof, kind, k, mat.row(i), index)
+    return out
+
+
+def _coeff_rows(tests: Sequence[Polynomial]) -> tuple[Matrix, int]:
+    deg = max(max(q.degree() for q in tests), 0)
+    return Matrix([poly.coeff_vector(q, deg) for q in tests]), deg
+
+
+def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int) -> Matrix:
+    first = run[0]
+    d = frame.d
+    width = len(poly.frame(kind, d, k))
+    if first.kind == VERTEX_EVAL:
+        x = frame.vertices[first.vertex]
+        values = [prod(xt**et for xt, et in zip(x, e)) for e in poly.monomials(d, k)]
+        nc = poly.ncomp(kind, d)
+        rows = []
+        for dof in run:
+            c, sign = poly.entry_comp(kind, d, *dof.comp)
+            row = [_ZERO] * width
+            if sign:
+                row[c::nc] = [sign * v for v in values]
+            rows.append(row)
+        return Matrix(rows, width)
+    tests = [dof.test for dof in run]
+    if first.face is None:
+        q, deg = _coeff_rows(tests)
+        if first.kind == INTERIOR_PAIR:
+            return q.matmul(frame_gram(frame, kind, deg, k))
+        if first.kind == INTERIOR_DIV:
+            name = "div" if kind == "vector" else "div_rowwise"
+        elif first.kind == INTERIOR_DIVDIV:
+            name = "divdiv"
+        else:
+            raise UnsupportedTagError(f"unknown DoF kind {first.kind!r}")
+        op = spaces.operator_matrix(name, spaces.build_standard(frame, f"P_{kind}", k))
+        return q.matmul(frame_gram(frame, op.target_kind, deg, op.target_k)).matmul(op.matrix)
+    face = first.face
+    if first.kind == FACE_NN:
+        a, b = first.comp
+        chart_k, traces = k, [face.trace(kind, k, face.normal_frame[a], face.normal_frame[b])]
+    elif first.kind in _FACE_TRACES:
+        chart_k, traces = face.traces(kind, k, _FACE_TRACES[first.kind])
+    else:
+        raise UnsupportedTagError(f"unknown DoF kind {first.kind!r}")
+    # sum_j (tests_j^T M) T_j over the test components j, as one product
+    lhs = None
+    for j in range(len(traces)):
+        q, deg = _coeff_rows([test if test.kind == "scalar" else test.component(j) for test in tests])
+        block = q.matmul(chart_mass(face.dim, deg, chart_k))
+        lhs = block if lhs is None else lhs.hstack(block)
+    return lhs.matmul(Matrix([t.row(i) for t in traces for i in range(t.rows)], width))
 
 
 def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, cache: dict | None = None) -> Fraction:
-    """Evaluate one DoF functional on any polynomial of the element's shape."""
-    if cache is None:
-        cache = {}
-    kind = dof.kind
-    if kind == VERTEX_EVAL:
-        key = ("vals", dof.vertex)
-        vals = cache.get(key)
-        if vals is None:
-            vals = tau.evaluate(frame.vertices[dof.vertex])
-            cache[key] = vals
-        i, j = dof.comp
-        return vals[i][j]
-    if kind == FACE_SCALAR_NORMAL:
-        face = dof.face
-        key = ("vg", face.vertex_ids)
-        vg = cache.get(key)
-        if vg is None:
-            vg = face.restrict(_vec_dot_g(tau, face.normal_frame[0]))
-            cache[key] = vg
-        return integrate_face(face, poly.dot(vg, dof.test))
-    if kind == FACE_NN:
-        face = dof.face
-        a, b = dof.comp
-        key = ("nn", face.vertex_ids, a, b)
-        s = cache.get(key)
-        if s is None:
-            s = _restricted_normal_product(face, tau, face.normal_frame[a], face.normal_frame[b])
-            cache[key] = s
-        return integrate_face(face, poly.dot(s, dof.test))
-    if kind == FACE_TN:
-        face = dof.face
-        key = ("tn", face.vertex_ids)
-        w = cache.get(key)
-        if w is None:
-            taug = _restricted_tau_g(face, tau, cache)
-            comps = []
-            for m in range(face.dim):
-                acc = Polynomial.zero(face.dim)
-                for t in range(tau.d):
-                    c = face.tangents[m][t]
-                    if c:
-                        acc = acc + taug[t].scale(c)
-                comps.append(acc)
-            w = Polynomial.from_components(face.dim, "vector", comps)
-            cache[key] = w
-        return integrate_face(face, poly.dot(w, dof.test))
-    if kind == FACE_NORMAL_DIV:
-        face = dof.face
-        s = _restricted_normal_div(frame, face, tau, cache)
-        return integrate_face(face, poly.dot(s, dof.test))
-    if kind == FACE_DIVDIV_COMBO:
-        face = dof.face
-        key = ("combo", face.vertex_ids)
-        s = cache.get(key)
-        if s is None:
-            s = _restricted_normal_div(frame, face, tau, cache) + surface_div(face, _tau_g(face, tau))
-            cache[key] = s
-        return integrate_face(face, poly.dot(s, dof.test))
-    if kind == INTERIOR_PAIR:
-        return pair_simplex(frame, tau, dof.test)
-    if kind == INTERIOR_DIV:
-        w = _divergence(tau, cache)
-        return pair_simplex(frame, w, dof.test)
-    if kind == INTERIOR_DIVDIV:
-        key = ("divdiv",)
-        s = cache.get(key)
-        if s is None:
-            s = poly.div(_divergence(tau, cache))
-            cache[key] = s
-        return pair_simplex(frame, s, dof.test)
-    raise UnsupportedTagError(f"unknown DoF kind {kind!r}")
+    """Evaluate one DoF functional on any polynomial of the element's shape.
 
-
-def _divergence(tau: Polynomial, cache: dict) -> Polynomial:
-    key = ("div",)
-    w = cache.get(key)
-    if w is None:
-        w = poly.div_rowwise(tau) if tau.kind in ("sym", "skw", "matrix") else poly.div(tau)
-        cache[key] = w
-    return w
-
-
-def _restricted_tau_g(face: Face, tau: Polynomial, cache: dict) -> list[Polynomial]:
-    key = ("taug", face.vertex_ids)
-    got = cache.get(key)
-    if got is None:
-        taug = _tau_g(face, tau)
-        got = [face.restrict(taug.component(t)) for t in range(tau.d)]
-        cache[key] = got
-    return got
-
-
-def _restricted_normal_div(frame: SimplexFrame, face: Face, tau: Polynomial, cache: dict) -> Polynomial:
-    key = ("ndiv", face.vertex_ids)
-    s = cache.get(key)
-    if s is None:
-        w = _divergence(tau, cache)
-        s = face.restrict(_vec_dot_g(w, face.normal_frame[0]))
-        cache[key] = s
-    return s
+    The value is the DoF's row over tau's monomial frame dotted with tau's
+    coefficients; ``cache`` may hold rows built by ``_dof_rows``, keyed by
+    ``id(dof)``, and a row that does not cover tau is built afresh."""
+    row = cache.get(id(dof)) if cache is not None else None
+    deg = tau.degree()
+    if row is None or row.dof is not dof or row.kind != tau.kind or row.k < deg:
+        row = _dof_rows(frame, [dof], tau.kind, max(deg, 0))[id(dof)]
+    return row.dot(tau)
 
 
 # -- DoF block builders ----------------------------------------------------------------
@@ -302,10 +282,6 @@ def _interior_dofs(kind: str, tests: Sequence[Polynomial], name: str) -> list[Do
     return [
         DoFDescriptor(kind, False, test=q, label=f"{name}:q{t}") for t, q in enumerate(tests)
     ]
-
-
-def _members_or_empty(space_or_none) -> list[Polynomial]:
-    return space_or_none.members() if space_or_none is not None else []
 
 
 # -- interior test spaces ----------------------------------------------------------------
@@ -516,14 +492,12 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
     space = spec.shape(frame, k)
     dofs = spec.dofs(frame, k)
     members = space.members()
-    rows = []
-    applied = [(dof, []) for dof in dofs]
-    for member in members:
-        cache: dict = {}
-        for dof, vals in applied:
-            vals.append(apply_dof(frame, dof, member, cache))
-    matrix = Matrix([vals for _, vals in applied], len(members))
-    return Element(family, frame, k, space, dofs, matrix)
+    values = []
+    for _, run in groupby(dofs, key=_run_key):
+        # one run's rows at a time, released once applied
+        rows = _dof_rows(frame, list(run), space.kind, space.k)
+        values += [[apply_dof(frame, row.dof, m, rows) for m in members] for row in rows.values()]
+    return Element(family, frame, k, space, dofs, Matrix(values, len(members)))
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -561,34 +535,37 @@ def nodal_basis(element: Element) -> list[Polynomial]:
     ]
 
 
-def _declared_traces(element: Element, tau: Polynomial) -> dict[str, list[Polynomial]]:
-    """The family's conforming trace data on every codim-1 face."""
-    frame = element.frame
-    out: dict[str, list[Polynomial]] = {}
-    cache: dict = {}
-    d = frame.d
-    for mode in FAMILIES[element.family].trace_modes:
-        vals = []
-        for face in frame.faces(1):
-            g = face.normal_frame[0]
-            if mode == "vector_normal":
-                vals.append(face.restrict(_vec_dot_g(tau, g)))
-            elif mode == "tensor_normal":
-                taug = _tau_g(face, tau)
-                for t in range(d):
-                    vals.append(face.restrict(taug.component(t)))
-            elif mode == "normal_normal":
-                vals.append(_restricted_normal_product(face, tau, g, g))
-            elif mode == "normal_div":
-                w = _divergence(tau, cache)
-                vals.append(face.restrict(_vec_dot_g(w, g)))
-            elif mode == "combo":
-                w = _divergence(tau, cache)
-                vals.append(
-                    face.restrict(_vec_dot_g(w, g)) + surface_div(face, _tau_g(face, tau))
-                )
-        out[mode] = vals
-    return out
+def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
+    """The first column of ``coeffs`` (shape coefficients over the frame
+    (kind, d, k)) with a nonzero trace of one of ``modes`` on ``faces``, as
+    (column, mode, the trace as a chart polynomial), or None.  Columns come
+    first and modes second, as in a check of one column at a time."""
+    best = None
+    for mode in modes:
+        for face in faces:
+            chart_k, mats = face.traces(kind, k, mode)
+            for t in mats:
+                vals = t.matmul(coeffs)
+                if vals.is_zero():
+                    continue
+                j = next(j for j in range(vals.cols) if any(vals.column(j)))
+                if best is None or j < best[0]:
+                    best = (j, mode, poly.from_coeff_vector(face.dim, "scalar", chart_k, vals.column(j)))
+    return best
+
+
+def _expected_kernel(element: Element) -> PolySpace | None:
+    """The bubble space the shared-DoF kernel must equal, where one is known."""
+    frame, k = element.frame, element.k
+    fam = {"BDM": "div_vector", "RT": "div_RT_minus", "HdivS": "div_sym", "HdivS_split": "div_sym",
+           "HdivS_minus": "div_sym"}.get(element.family)
+    if fam is None:
+        return None
+    bubble = spaces.bubble_space(frame, fam, k)
+    if element.family == "HdivS_minus":
+        # the enrichment consists of degree-(k+1) bubbles
+        return spaces.space_sum(bubble, spaces.bubble_enrichment_sym(frame, k), "bubble_plus_enrichment")
+    return bubble
 
 
 def trace_block_rank(element: Element) -> CheckResult:
@@ -605,34 +582,22 @@ def trace_block_rank(element: Element) -> CheckResult:
         "shared_dofs": len(shared_rows),
         "kernel_dim": ker.cols,
     }
-    coeffs = element.space.basis.matmul(ker)
-    for j in range(ker.cols):
-        tau = poly.from_coeff_vector(frame.d, element.space.kind, element.space.k, coeffs.column(j))
-        for mode, traces in _declared_traces(element, tau).items():
-            for tr in traces:
-                if not tr.is_zero():
-                    ctx["nonzero_trace_mode"] = mode
-                    return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
-    expected_kernel = None
-    if element.family in ("BDM", "RT", "HdivS", "HdivS_split"):
-        fam = {
-            "BDM": "div_vector",
-            "RT": "div_RT_minus",
-            "HdivS": "div_sym",
-            "HdivS_split": "div_sym",
-        }[element.family]
-        bubble = spaces.bubble_space(frame, fam, element.k)
-        kernel_space = PolySpace(
-            frame, element.space.kind, element.space.k, exact.image_basis(coeffs), "shared_kernel"
-        )
-        if not spaces.space_equal(kernel_space, bubble):
-            ctx["bubble_dim"] = bubble.dim
-            return CheckResult(
-                "trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx
-            )
-        expected_kernel = bubble.dim
-        ctx["bubble_dim"] = expected_kernel
-    return CheckResult("trace-block", True, expected=expected_kernel, got=ker.cols, context=ctx)
+    space = element.space
+    coeffs = space.basis.matmul(ker)
+    hit = _first_nonzero_trace(
+        frame.faces(1), space.kind, space.k, FAMILIES[element.family].trace_modes, coeffs
+    )
+    if hit is not None:
+        ctx["nonzero_trace_mode"] = hit[1]
+        return CheckResult("trace-block", False, expected="zero trace", got=hit[1], context=ctx)
+    bubble = _expected_kernel(element)
+    if bubble is None:
+        return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
+    ctx["bubble_dim"] = bubble.dim
+    kernel_space = PolySpace(frame, space.kind, space.k, exact.image_basis(coeffs), "shared_kernel")
+    if not spaces.space_equal(kernel_space, bubble):
+        return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
+    return CheckResult("trace-block", True, expected=bubble.dim, got=ker.cols, context=ctx)
 
 
 # -- export -------------------------------------------------------------------------------

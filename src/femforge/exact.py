@@ -23,6 +23,7 @@ ExactScalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FRACTION = {Fraction}
 
 
 class SingularMatrixError(ArithmeticError):
@@ -65,7 +66,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "_rows", "_rank", "_rref")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = [tuple(_as_fraction(x) for x in row) for row in data]
+        rows = [tuple(row) for row in data]
+        rows = [row if set(map(type, row)) <= _FRACTION else tuple(map(_as_fraction, row)) for row in rows]
         self._rows = tuple(rows)
         self.rows = len(rows)
         if cols is None:
@@ -76,6 +78,18 @@ class Matrix:
                 raise DimensionMismatchError("ragged rows")
         self._rank = None
         self._rref = None
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[Sequence[Fraction]], cols: int) -> "Matrix":
+        """A matrix over rows of ``Fraction``s this module built itself, taken
+        as they are: no entry conversion and no width check."""
+        m = cls.__new__(cls)
+        m._rows = tuple(map(tuple, rows))
+        m.rows = len(m._rows)
+        m.cols = cols
+        m._rank = None
+        m._rref = None
+        return m
 
     # -- construction helpers -------------------------------------------------
 
@@ -118,12 +132,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows)
+        return Matrix._trusted(zip(*self._rows) if self.rows else [()] * self.cols, self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
-        return Matrix([self._rows[i] + other._rows[i] for i in range(self.rows)], self.cols + other.cols)
+        return Matrix._trusted([a + b for a, b in zip(self._rows, other._rows)], self.cols + other.cols)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Product with one integer dot product per entry.
@@ -138,7 +152,7 @@ class Matrix:
         for row in self._rows:
             da, a = _cleared(row)
             out.append([Fraction(s, da * db) if (s := sum(map(mul, a, b))) else _ZERO for db, b in cols])
-        return Matrix(out, other.cols)
+        return Matrix._trusted(out, other.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.matmul(other)
@@ -211,7 +225,7 @@ class Matrix:
                 [Fraction(v, row[pc]) if v else _ZERO for v in row]
                 for row, pc in zip(_back_reduce(ech, pivots), pivots)
             ]
-            self._rref = (Matrix(reduced, self.cols), tuple(pivots))
+            self._rref = (Matrix._trusted(reduced, self.cols), tuple(pivots))
             if self._rank is None:
                 self._rank = len(pivots)
         return self._rref
@@ -247,7 +261,7 @@ class Matrix:
         red, pivots = aug.rref()
         if len(pivots) < self.cols or any(p >= self.cols for p in pivots):
             raise SingularMatrixError(f"matrix rank {self.rank()} < {self.cols}")
-        return Matrix([[red[i, self.cols + j] for j in range(b.cols)] for i in range(self.cols)])
+        return Matrix._trusted([red.row(i)[self.cols:] for i in range(self.cols)], b.cols)
 
 
 def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:

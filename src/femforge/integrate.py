@@ -21,7 +21,8 @@ from math import factorial
 from typing import Sequence
 
 from .exact import Matrix
-from .poly import Polynomial, dot, multiply
+from .poly import Polynomial, dot, frobenius_weight, monomials, multiply
+from .poly import frame as shape_frame
 from .simplex import Face, SimplexFrame
 
 _ZERO = Fraction(0)
@@ -119,8 +120,6 @@ def pair_simplex(frame: SimplexFrame, p: Polynomial, q: Polynomial) -> Fraction:
     """L2 pairing over K: product / dot / Frobenius per shape."""
     if p.kind != q.kind or p.d != q.d or p.vdim != q.vdim:
         return integrate_simplex(frame, dot(p, q))  # let dot raise the shape error
-    from .poly import frobenius_weight
-
     by_comp: dict = {}
     for (c, eb), vb in q.terms.items():
         by_comp.setdefault(c, []).append((eb, vb))
@@ -137,9 +136,27 @@ def pair_simplex(frame: SimplexFrame, p: Polynomial, q: Polynomial) -> Fraction:
     return total
 
 
-def pair_face(face: Face, p: Polynomial, q: Polynomial) -> Fraction:
-    """Chart-measure pairing over a face for chart-variable polynomials."""
-    return integrate_face(face, dot(p, q))
+@lru_cache(maxsize=None)
+def chart_mass(m: int, k1: int, k2: int) -> Matrix:
+    """Chart-measure mass matrix of the chart monomials in m variables: rows of
+    degree <= k1, columns of degree <= k2."""
+    return Matrix(
+        [[reference_monomial_integral(tuple(x + y for x, y in zip(a, b))) for b in monomials(m, k2)]
+         for a in monomials(m, k1)]
+    )
+
+
+def frame_gram(frame: SimplexFrame, kind: str, k1: int, k2: int) -> Matrix:
+    """The ``pair_simplex`` Gram matrix of the shaped monomial frames
+    ``(kind, d, k1)`` (rows) and ``(kind, d, k2)`` (columns)."""
+    d = frame.d
+    cols = shape_frame(kind, d, k2)
+    return Matrix(
+        [[frobenius_weight(kind, d, c) * _monomial_integral(frame, tuple(x + y for x, y in zip(e, e2)))
+          if c == c2 else _ZERO for c2, e2 in cols]
+         for c, e in shape_frame(kind, d, k1)],
+        len(cols),
+    )
 
 
 def gram_matrix(frame: SimplexFrame, polys) -> Matrix:

@@ -6,6 +6,16 @@ rational.  Face charts are canonical: the chart origin is the face vertex of
 lowest index and the tangent frame lists edges to the remaining vertices in
 ascending index order, so two simplices sharing a face derive bit-identical
 charts when they enumerate the shared vertices in the same order.
+
+Every face trace is a linear map from shape coefficients (over the shaped
+monomial frame ``(kind, d, k)`` of ``poly.frame``) to chart coefficients, and
+``Face.trace``/``Face.traces`` return it as an exact matrix.  A column
+``(c, e)`` is assembled from the restricted monomial ``x^e`` (read off
+``Face._restrict_monomial``) with one weight per stored component ``c``:
+pointwise traces ``a^T tau b`` weight the restriction itself, ``g . div tau``
+weights restricted partial derivatives and ``div_F(tau g)`` weights chart
+derivatives of the restriction.  Element DoFs, trace-block and bubble checks
+and patch jumps are all products with these matrices.
 """
 
 from __future__ import annotations
@@ -13,10 +23,11 @@ from __future__ import annotations
 import itertools
 import threading
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exact import Matrix, SingularMatrixError
-from .poly import Polynomial, partial, substitute_affine
+from .exact import Matrix, SingularMatrixError, _cleared
+from .poly import Polynomial, entry_comp, monomials, ncomp, partial, substitute_affine
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -77,10 +88,6 @@ class Face:
             for t in range(self.frame.d)
         )
 
-    def key(self) -> tuple:
-        """Geometric identity: the face's vertex coordinates, sorted."""
-        return tuple(sorted(self.frame.vertices[i] for i in self.vertex_ids))
-
     def _restrict_monomial(self, exps: tuple[int, ...]) -> Polynomial:
         got = self._mono_cache.get(exps)
         if got is None:
@@ -102,6 +109,103 @@ class Face:
             )
             out = out + add
         return out
+
+    # -- trace operators ---------------------------------------------------------
+
+    def trace(self, kind: str, k: int, a, b=None) -> Matrix:
+        """The pointwise trace ``a^T tau b`` (``v . a`` for a vector field) as a
+        matrix from shape coefficients over the frame ``(kind, d, k)`` to chart
+        coefficients of degree <= k."""
+        return self._operator(kind, k, k, [(_weights(kind, self.frame.d, a, b), self._restrict_monomial)])
+
+    def traces(self, kind: str, k: int, mode: str) -> tuple[int, list[Matrix]]:
+        """Chart degree and trace matrices of a named trace, g the face's
+        scaled normal and t_m its chart tangents:
+
+        vector_normal: v . g;  tensor_normal: (tau g)_i for i < d;
+        normal_normal: g^T tau g;  tangential: v . t_m or t_m^T tau g;
+        tangential_tangential: t_1^T tau t_1 (all of chart degree k);
+        normal_div: g . div tau;  combo: g . div tau + div_F(tau g) (degree k-1).
+        """
+        d = self.frame.d
+        g = self.normal_frame[0]
+        if mode == "vector_normal":
+            return k, [self.trace(kind, k, g)]
+        if mode == "tensor_normal":
+            return k, [self.trace(kind, k, _unit(d, i), g) for i in range(d)]
+        if mode == "normal_normal":
+            return k, [self.trace(kind, k, g, g)]
+        if mode == "tangential":
+            return k, [self.trace(kind, k, t, None if kind == "vector" else g) for t in self.tangents]
+        if mode == "tangential_tangential":
+            return k, [self.trace(kind, k, self.tangents[0], self.tangents[0])]
+        if mode not in ("normal_div", "combo"):
+            raise ValueError(f"unknown trace mode {mode!r}")
+        # g . div tau = sum_j d_j (g^T tau e_j): restrictions of partials
+        parts = [(_weights(kind, d, g, _unit(d, j)), self._restricted_partial(j)) for j in range(d)]
+        if mode == "combo":
+            # div_F(tau g) = sum_m d/ds_m restrict(c_m^T tau g), c_m = sum_n Ginv[m, n] t_n
+            for m in range(self.dim):
+                c_m = [sum((self.gram_inv[m, n] * tn[t] for n, tn in enumerate(self.tangents)), _ZERO)
+                       for t in range(d)]
+                parts.append((_weights(kind, d, c_m, g), lambda e, m=m: partial(self._restrict_monomial(e), m)))
+        chart_k = max(k - 1, 0)
+        return chart_k, [self._operator(kind, k, chart_k, parts)]
+
+    def _restricted_partial(self, j: int):
+        """e -> restrict(d/dx_j x^e) as a chart polynomial."""
+
+        def table(e: tuple[int, ...]) -> Polynomial:
+            if not e[j]:
+                return Polynomial(self.dim, "scalar")
+            return self._restrict_monomial(e[:j] + (e[j] - 1,) + e[j + 1:]).scale(e[j])
+
+        return table
+
+    def _operator(self, kind: str, k: int, chart_k: int, parts) -> Matrix:
+        """Column (c, e) of the frame (kind, d, k) holds the chart coefficients
+        (degree <= chart_k) of the sum over ``parts`` of ``w[c] * table(e)``,
+        accumulated in integers over one common denominator."""
+        index = {e: i for i, e in enumerate(monomials(self.dim, chart_k))}
+        nc = ncomp(kind, self.frame.d)
+        exps = monomials(self.frame.d, k)
+        scaled = []
+        for w, table in parts:
+            restricted = [table(e).terms for e in exps]
+            lt, ints = _cleared([v for terms in restricted for v in terms.values()])
+            it = iter(ints)
+            entries = [[(index[se], next(it)) for (_, se) in terms] for terms in restricted]
+            lw, wints = _cleared(w)
+            scaled.append((lw * lt, wints, entries))
+        den = lcm(*(l for l, _, _ in scaled))
+        rows = [[0] * (nc * len(exps)) for _ in index]
+        for l, wints, entries in scaled:
+            f = den // l
+            for ie, terms in enumerate(entries):
+                for c, wc in enumerate(wints):
+                    if wc:
+                        col, m = ie * nc + c, wc * f
+                        for r, v in terms:
+                            rows[r][col] += m * v
+        return Matrix([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], nc * len(exps))
+
+
+def _unit(d: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(_ONE if t == i else _ZERO for t in range(d))
+
+
+def _weights(kind: str, d: int, a, b=None) -> list[Fraction]:
+    """w with ``sum_c w[c] tau_c == a^T tau b`` over the stored components
+    (``v . a`` for a vector field v)."""
+    if kind == "vector":
+        return list(a)
+    w = [_ZERO] * ncomp(kind, d)
+    for i in range(d):
+        for j in range(d):
+            c, sign = entry_comp(kind, d, i, j)
+            if sign and a[i] and b[j]:
+                w[c] += sign * a[i] * b[j]
+    return w
 
 
 class SimplexFrame:

@@ -14,10 +14,10 @@ from typing import Callable
 
 from . import exact, poly
 from .exact import Matrix
-from .integrate import pair_simplex
+from .integrate import frame_gram
 from .poly import Polynomial
 from .report import CheckResult
-from .simplex import Face, SimplexFrame
+from .simplex import SimplexFrame
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -388,71 +388,21 @@ def kernel_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
 # -- traces and bubbles ----------------------------------------------------------------
 
 
-def _face_trace_rows(face: Face, member: Polynomial, mode: str, chart_k: int) -> list[list[Fraction]]:
-    """Coefficient rows of the member's face trace in the chart scalar frame."""
-    g = face.normal_frame[0]
-    d = member.d
-    if mode == "div_vector":
-        vg = sum(
-            (member.component(t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d)
-        )
-        polys = [face.restrict(vg)]
-    elif mode == "div_sym":
-        polys = []
-        for i in range(d):
-            row = sum(
-                (member.entry(i, t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d)
-            )
-            polys.append(face.restrict(row))
-    elif mode == "ndiv":
-        w = poly.div_rowwise(member)
-        gw = sum((w.component(t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d))
-        polys = [face.restrict(gw)]
-    elif mode == "combo":
-        from .simplex import surface_div
-
-        w = poly.div_rowwise(member)
-        gw = sum((w.component(t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d))
-        taug = Polynomial.vector_from(
-            [
-                sum((member.entry(i, t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d))
-                for i in range(d)
-            ]
-        )
-        polys = [face.restrict(gw) + surface_div(face, taug)]
-    else:
-        raise UnsupportedTagError(f"unknown trace mode {mode!r}")
-    rows = []
-    for p in polys:
-        vec = poly.coeff_vector(
-            Polynomial(face.dim, "scalar", {(0, e): v for (_, e), v in p.terms.items()}), chart_k
-        )
-        rows.append(vec)
-    return rows
-
-
-_TRACE_ALIASES = {"trace_div_of_div": "ndiv", "trace_divdiv_combo": "combo"}
+# trace_matrix modes (and their operator-tag aliases) -> Face.traces modes
+_TRACE_MODES = {"div_vector": "vector_normal", "div_sym": "tensor_normal", "ndiv": "normal_div",
+                "combo": "combo", "trace_div_of_div": "normal_div", "trace_divdiv_combo": "combo"}
 
 
 def trace_matrix(frame: SimplexFrame, space: PolySpace, mode: str) -> Matrix:
-    """Stacked face-trace coefficients: rows = (face, chart monomial [, comp])."""
+    """Stacked face-trace coefficients: rows = (face, [comp,] chart monomial)."""
     if mode == "trace_div":
         mode = "div_vector" if space.kind == "vector" else "div_sym"
-    mode = _TRACE_ALIASES.get(mode, mode)
-    chart_k = space.k if mode in ("div_vector", "div_sym") else max(space.k - 1, 0)
-    members = space.members()
-    cols = []
-    for member in members:
-        col: list[Fraction] = []
-        for face in frame.faces(1):
-            for row in _face_trace_rows(face, member, mode, chart_k):
-                col.extend(row)
-        cols.append(col)
-    if not cols:
-        nfaces = len(frame.faces(1))
-        per = len(poly.monomials(frame.d - 1, chart_k)) * (frame.d if mode == "div_sym" else 1)
-        return Matrix.zeros(nfaces * per, 0)
-    return Matrix.from_columns(cols)
+    face_mode = _TRACE_MODES.get(mode)
+    if face_mode is None:
+        raise UnsupportedTagError(f"unknown trace mode {mode!r}")
+    mats = [t for face in frame.faces(1) for t in face.traces(space.kind, space.k, face_mode)[1]]
+    stacked = Matrix([t.row(i) for t in mats for i in range(t.rows)], space.basis.rows)
+    return stacked.matmul(space.basis)
 
 
 _BUBBLE_SHAPES = {
@@ -503,10 +453,8 @@ def orthocomplement_in(parent: PolySpace, sub: PolySpace, tag: str = "") -> Poly
     if sub.dim == 0:
         return PolySpace(parent.frame, parent.kind, parent.k, parent.basis, tag or parent.tag)
     frame = parent.frame
-    subs = sub.members()
-    pars = parent.members()
-    pairing = Matrix([[pair_simplex(frame, s, p) for p in pars] for s in subs])
-    coords = pairing.null_space()
+    gram = frame_gram(frame, parent.kind, sub.k, parent.k)
+    coords = sub.basis.transpose().matmul(gram).matmul(parent.basis).null_space()
     return PolySpace(
         frame, parent.kind, parent.k, exact.image_basis(parent.basis.matmul(coords)), tag
     )
@@ -674,12 +622,18 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     degree-k ones; summing it onto P_k(S) raises the divergence range by one
     degree while keeping every trace.
     """
+    cached = frame._space_cache.get(("enrichment", k))
+    if cached is not None:
+        return cached
     _, e0perp = split_bubble(frame, "div_sym", k + 1)
     rm = build_standard(frame, "RM", 0)
     perp_k = orthocomplement_in(build_standard(frame, "P_vector", k), rm)
     perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
     extension = orthocomplement_in(perp_k, perp_km1.with_degree(k), f"div_extension_{k}")
-    return div_preimage_in(e0perp, extension, f"bubble_enrichment_sym_{k + 1}")
+    space = div_preimage_in(e0perp, extension, f"bubble_enrichment_sym_{k + 1}")
+    with frame._cache_lock:
+        frame._space_cache[("enrichment", k)] = space
+    return space
 
 
 def divdiv_splits(frame: SimplexFrame, k: int) -> tuple[PolySpace, PolySpace]:

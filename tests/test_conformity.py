@@ -155,3 +155,99 @@ def test_skewed_patch_conformity_3d():
         res = conformity_check(patch, family, k)
         assert res.passed, res.as_dict()
         assert res.context["negative_control_jumped"]
+
+
+# -- differential tests against polynomial trace extraction ---------------------
+#
+# The reference restricts each trace of one polynomial to the face; the
+# library multiplies face trace matrices with coefficient vectors.
+
+from femforge import poly  # noqa: E402
+from femforge.elements import FAMILIES, FamilySpec, apply_dof  # noqa: E402
+from femforge.exact import Matrix  # noqa: E402
+from femforge.simplex import surface_div  # noqa: E402
+
+
+def _ref_dot(v, a):
+    d = v.d
+    return sum((v.component(t).scale(a[t]) for t in range(d) if a[t]), Polynomial.zero(d))
+
+
+def _ref_taug(tau, g):
+    d = tau.d
+    return Polynomial.vector_from(
+        [sum((tau.entry(i, j).scale(g[j]) for j in range(d) if g[j]), Polynomial.zero(d))
+         for i in range(d)]
+    )
+
+
+def reference_jump_traces(face, tau, mode):
+    """The traces of tau on the face, paired with the face's scaled normal g."""
+    g = face.normal_frame[0]
+    d = tau.d
+    if mode == "vector_normal":
+        return [face.restrict(_ref_dot(tau, g))]
+    if mode == "tensor_normal":
+        taug = _ref_taug(tau, g)
+        return [face.restrict(taug.component(t)) for t in range(d)]
+    if mode == "normal_normal":
+        return [face.restrict(_ref_dot(_ref_taug(tau, g), g))]
+    if mode == "normal_div":
+        return [face.restrict(_ref_dot(poly.div_rowwise(tau), g))]
+    if mode == "combo":
+        return [face.restrict(_ref_dot(poly.div_rowwise(tau), g)) + surface_div(face, _ref_taug(tau, g))]
+    if mode == "tangential":
+        field = tau if tau.kind == "vector" else _ref_taug(tau, g)
+        return [face.restrict(_ref_dot(field, tan)) for tan in face.tangents]
+    if mode == "tangential_tangential":
+        tan = face.tangents[0]
+        return [face.restrict(_ref_dot(_ref_taug(tau, tan), tan))]
+    raise ValueError(mode)
+
+
+_MODES = {
+    "vector": ("vector_normal", "tangential"),
+    "sym": ("tensor_normal", "normal_normal", "normal_div", "combo", "tangential",
+            "tangential_tangential"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODES))
+@pytest.mark.parametrize("d,k", [(2, 0), (2, 3), (3, 2)])
+def test_face_traces_match_polynomial_reference(kind, d, k):
+    rng = random.Random(17 * d + k)
+    fr = random_frame(d, rng)
+    taus = [conformity._random_poly(rng, d, kind, k) for _ in range(3)]
+    coeffs = poly.coeff_matrix(taus, k)
+    for face in fr.faces(1):
+        for mode in _MODES[kind]:
+            chart_k, mats = face.traces(kind, k, mode)
+            got = [[poly.from_coeff_vector(face.dim, "scalar", chart_k, t.matmul(coeffs).column(j))
+                    for t in mats] for j in range(len(taus))]
+            expected = [[Polynomial(face.dim, "scalar", {(0, e): v for (_, e), v in p.terms.items()})
+                         for p in reference_jump_traces(face, tau, mode)] for tau in taus]
+            assert got == expected, (mode, face.vertex_ids)
+
+
+def test_conformity_failure_carries_a_replayable_jump(patch2, monkeypatch):
+    # declaring the tangential trace conforming for BDM must fail with a witness
+    spec = FAMILIES["BDM"]
+    fake = FamilySpec(spec.name, spec.shape, spec.dofs, spec.floor, ("vector_normal", "tangential"))
+    monkeypatch.setitem(FAMILIES, "BDM", fake)
+    res = conformity_check(patch2, "BDM", 1)
+    assert not res.passed
+    assert res.context["jump_mode"] == "tangential"
+    jump = poly.poly_from_json(res.context["jump"])
+    assert not jump.is_zero()
+    # replay: the left member minus the right function matching its shared
+    # DoFs, traced by the polynomial reference
+    left = conformity.build_element(patch2.left, "BDM", 1)
+    right = conformity.build_element(patch2.right, "BDM", 1)
+    member = left.space.members()[res.context["member"]]
+    rhs = [apply_dof(patch2.right, dof, member) if dof.shared and 2 not in dof.face.vertex_ids else 0
+           for dof in right.dofs]
+    coeffs = right.space.basis.matmul(right.dof_matrix.solve(Matrix.from_columns([rhs])))
+    tau_r = poly.from_coeff_vector(2, right.space.kind, right.space.k, coeffs.column(0))
+    (a,) = reference_jump_traces(patch2.shared_left, member, "tangential")
+    (b,) = reference_jump_traces(patch2.shared_left, tau_r, "tangential")
+    assert jump == Polynomial(1, "scalar", {(0, e): v for (_, e), v in (a - b).terms.items()})

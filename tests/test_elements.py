@@ -279,3 +279,177 @@ def test_unisolvence_failure_reports_kernel_witness(tri):
 
     surviving = [dof for idx, dof in enumerate(e.dofs) if idx != interior[-1]]
     assert all(apply_dof(tri, dof, tau, {}) == 0 for dof in surviving)
+
+
+# -- differential tests against the polynomial DoF evaluator --------------------
+#
+# The reference below evaluates each DoF one polynomial at a time: restrict
+# the trace to the face chart, multiply by the test function and integrate
+# (face moments), pair over the simplex (interior moments) or evaluate
+# (vertex values).  The library assembles the same functionals as rows of
+# trace, mass and Gram matrix products; the two must agree exactly.
+
+from femforge import elements as el  # noqa: E402
+from femforge.integrate import integrate_face, pair_simplex  # noqa: E402
+from femforge.simplex import surface_div  # noqa: E402
+
+
+def _ref_normal_product(face, tau, ga, gb):
+    d = tau.d
+    acc = Polynomial.zero(d)
+    for i in range(d):
+        if not ga[i]:
+            continue
+        row = Polynomial.zero(d)
+        for j in range(d):
+            if gb[j]:
+                row = row + tau.entry(i, j).scale(gb[j])
+        acc = acc + row.scale(ga[i])
+    return face.restrict(acc)
+
+
+def _ref_tau_g(face, tau):
+    g = face.normal_frame[0]
+    comps = []
+    for i in range(tau.d):
+        acc = Polynomial.zero(tau.d)
+        for j in range(tau.d):
+            if g[j]:
+                acc = acc + tau.entry(i, j).scale(g[j])
+        comps.append(acc)
+    return Polynomial.vector_from(comps)
+
+
+def _ref_vec_dot_g(v, g):
+    acc = Polynomial.zero(v.d)
+    for t in range(v.vdim):
+        if g[t]:
+            acc = acc + v.component(t).scale(g[t])
+    return acc
+
+
+def _ref_divergence(tau):
+    return poly.div_rowwise(tau) if tau.kind in ("sym", "skw", "matrix") else poly.div(tau)
+
+
+def _ref_normal_div(face, tau):
+    return face.restrict(_ref_vec_dot_g(_ref_divergence(tau), face.normal_frame[0]))
+
+
+def _ref_face_trace(dof, tau):
+    kind = dof.kind
+    face = dof.face
+    if kind == el.FACE_SCALAR_NORMAL:
+        return face.restrict(_ref_vec_dot_g(tau, face.normal_frame[0]))
+    if kind == el.FACE_NN:
+        a, b = dof.comp
+        return _ref_normal_product(face, tau, face.normal_frame[a], face.normal_frame[b])
+    if kind == el.FACE_TN:
+        taug = _ref_tau_g(face, tau)
+        restricted = [face.restrict(taug.component(t)) for t in range(tau.d)]
+        comps = []
+        for m in range(face.dim):
+            acc = Polynomial.zero(face.dim)
+            for t in range(tau.d):
+                if face.tangents[m][t]:
+                    acc = acc + restricted[t].scale(face.tangents[m][t])
+            comps.append(acc)
+        return Polynomial.from_components(face.dim, "vector", comps)
+    if kind == el.FACE_NORMAL_DIV:
+        return _ref_normal_div(face, tau)
+    if kind == el.FACE_DIVDIV_COMBO:
+        return _ref_normal_div(face, tau) + surface_div(face, _ref_tau_g(face, tau))
+    raise ValueError(kind)
+
+
+def reference_apply_dof(frame, dof, tau, memo=None):
+    """One DoF on one polynomial, by polynomial products and integrals;
+    ``memo`` keeps the traces of one tau across DoFs."""
+    memo = {} if memo is None else memo
+    kind = dof.kind
+    if kind == el.VERTEX_EVAL:
+        i, j = dof.comp
+        return tau.evaluate(frame.vertices[dof.vertex])[i][j]
+    if kind == el.INTERIOR_PAIR:
+        return pair_simplex(frame, tau, dof.test)
+    if kind in (el.INTERIOR_DIV, el.INTERIOR_DIVDIV):
+        w = memo.get("div")
+        if w is None:
+            w = memo["div"] = _ref_divergence(tau)
+        return pair_simplex(frame, w if kind == el.INTERIOR_DIV else poly.div(w), dof.test)
+    key = (kind, id(dof.face), dof.comp)
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = _ref_face_trace(dof, tau)
+    return integrate_face(dof.face, poly.dot(s, dof.test))
+
+
+def reference_dof_matrix(element):
+    members = element.space.members()
+    memos = [{} for _ in members]
+    return Matrix(
+        [[reference_apply_dof(element.frame, dof, m, memo) for m, memo in zip(members, memos)]
+         for dof in element.dofs],
+        len(members),
+    )
+
+
+def _random_shape_poly(rng, d, kind, k):
+    terms = {}
+    for c in range(poly.ncomp(kind, d)):
+        for exps in poly.monomials(d, k):
+            if rng.random() < 0.6:
+                terms[(c, exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return Polynomial(d, kind, terms)
+
+
+_D2_CELLS = [(fam, k) for fam, spec in FAMILIES.items() for k in range(spec.floor(2), 5)]
+
+
+@pytest.mark.parametrize("family,k", _D2_CELLS)
+@pytest.mark.parametrize("where", ["reference", "random"])
+def test_dof_matrix_matches_polynomial_reference_d2(family, k, where):
+    fr = reference_simplex(2) if where == "reference" else random_frame(2, random.Random(31))
+    e = build_element(fr, family, k)
+    assert e.dof_matrix == reference_dof_matrix(e)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("step", [0, 1])
+def test_dof_matrix_matches_polynomial_reference_d3(family, step):
+    fr = random_frame(3, random.Random(5))
+    e = build_element(fr, family, FAMILIES[family].floor(3) + step)
+    assert e.dof_matrix == reference_dof_matrix(e)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_dof_on_random_polynomials_matches_reference(family, d):
+    rng = random.Random(len(family) + 10 * d)
+    fr = random_frame(d, rng)
+    e = build_element(fr, family, FAMILIES[family].floor(d))
+    for _ in range(2):
+        # any degree up to the frame's, so uncached rows are built per call
+        tau = _random_shape_poly(rng, d, e.space.kind, rng.randint(0, e.space.k))
+        for dof in e.dofs:
+            assert apply_dof(fr, dof, tau) == reference_apply_dof(fr, dof, tau)
+
+
+def test_apply_dof_rebuilds_rows_that_do_not_cover_tau(tri):
+    e = build_element(tri, "HdivS", 2)
+    dofs = [dof for dof in e.dofs if dof.kind == el.FACE_NN]
+    cache = el._dof_rows(tri, dofs, "sym", 1)
+    high = _random_shape_poly(random.Random(2), 2, "sym", 3)
+    for dof in dofs:
+        assert apply_dof(tri, dof, high, cache) == reference_apply_dof(tri, dof, high)
+
+
+@pytest.mark.parametrize(
+    "d,k,expected", [(2, 2, 9), (2, 3, 17), (2, 4, 28), (3, 2, 24)]
+)
+def test_hdivs_minus_shared_kernel_is_bubble_plus_enrichment(d, k, expected):
+    fr = reference_simplex(d)
+    res = trace_block_rank(build_element(fr, "HdivS_minus", k))
+    assert res.passed, res.as_dict()
+    assert expected == spaces.dim_bubble_sym(d, k) + d * spaces.dim_H(d, k)
+    assert res.context["kernel_dim"] == res.context["bubble_dim"] == res.expected == expected

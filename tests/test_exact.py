@@ -168,6 +168,22 @@ def test_empty_shapes_are_kept(n):
     assert (stacked.rows, stacked.cols) == (0, n + 2)
 
 
+def test_public_constructor_converts_and_checks_internal_results_are_fractions():
+    m = Matrix([[1, Fraction(1, 2)], (3, 4)])
+    assert all(type(x) is Fraction for i in range(2) for x in m.row(i))
+    assert isinstance(m.row(1), tuple)
+    with pytest.raises(DimensionMismatchError):
+        Matrix([[1, 2], [3]])
+    rng = random.Random(3)
+    a = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)])
+    outputs = [a.transpose(), a.matmul(a.transpose()), a.rref()[0], a.hstack(a),
+               a.matmul(a.transpose()).solve(Matrix.identity(3))]
+    for out in outputs:
+        rows = [out.row(i) for i in range(out.rows)]
+        assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in rows)
+        assert out == Matrix(rows, out.cols)
+
+
 # -- differential and property tests ------------------------------------------
 #
 # The references below are the previous all-Fraction routines: back-substitution

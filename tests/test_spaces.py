@@ -361,3 +361,93 @@ def test_divdiv_splits_dims_3d(tet):
     assert f0.dim + ftr.dim == e0perp.dim
     tr = trace_matrix(tet, image_space("div_rowwise", ftr), "div_vector")
     assert tr.rank() == ftr.dim == dim_trace_vector(3, 3) == 40
+
+
+# -- differential tests against polynomial trace extraction and pairing --------
+#
+# The references restrict each member's trace to every face one polynomial at
+# a time, and pair subspace members one integral at a time; the library uses
+# face trace matrices and a frame Gram product.  Results must be equal.
+
+from femforge.integrate import pair_simplex  # noqa: E402
+from femforge.simplex import surface_div  # noqa: E402
+
+
+def _ref_face_trace_rows(face, member, mode, chart_k):
+    g = face.normal_frame[0]
+    d = member.d
+
+    def dot_g(v):
+        return sum((v.component(t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d))
+
+    def row_g(i):
+        return sum((member.entry(i, t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d))
+
+    if mode == "div_vector":
+        polys = [face.restrict(dot_g(member))]
+    elif mode == "div_sym":
+        polys = [face.restrict(row_g(i)) for i in range(d)]
+    elif mode == "ndiv":
+        polys = [face.restrict(dot_g(poly.div_rowwise(member)))]
+    elif mode == "combo":
+        taug = Polynomial.vector_from([row_g(i) for i in range(d)])
+        polys = [face.restrict(dot_g(poly.div_rowwise(member))) + surface_div(face, taug)]
+    rows = []
+    for p in polys:
+        chart = Polynomial(face.dim, "scalar", {(0, e): v for (_, e), v in p.terms.items()})
+        rows.append(poly.coeff_vector(chart, chart_k))
+    return rows
+
+
+def reference_trace_matrix(frame, space, mode):
+    chart_k = space.k if mode in ("div_vector", "div_sym") else max(space.k - 1, 0)
+    cols = []
+    for member in space.members():
+        col = []
+        for face in frame.faces(1):
+            for row in _ref_face_trace_rows(face, member, mode, chart_k):
+                col.extend(row)
+        cols.append(col)
+    return Matrix.from_columns(cols)
+
+
+_TRACE_CASES = [("P_vector", "div_vector"), ("RT_shape", "div_vector"), ("P_sym", "div_sym"),
+                ("P_sym", "ndiv"), ("P_sym", "combo")]
+
+
+@pytest.mark.parametrize("tag,mode", _TRACE_CASES)
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 2)])
+def test_trace_matrix_matches_polynomial_reference(tag, mode, d, k):
+    fr = random_frame(d, random.Random(40 + d + k))
+    space = build_standard(fr, tag, k)
+    assert trace_matrix(fr, space, mode) == reference_trace_matrix(fr, space, mode)
+
+
+@pytest.mark.parametrize("family", ["div_vector", "div_sym", "div_RT_minus"])
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 4), (3, 3)])
+def test_bubble_spaces_match_polynomial_trace_reference(family, d, k):
+    fr = random_frame(d, random.Random(7 * d + k))
+    tag, mode = spaces._BUBBLE_SHAPES[family]
+    shape = build_standard(fr, tag, k)
+    coords = reference_trace_matrix(fr, shape, mode).null_space()
+    expected = exact.image_basis(shape.basis.matmul(coords))
+    assert bubble_space(fr, family, k).basis == expected
+
+
+def test_trace_matrix_rejects_unknown_mode(tri):
+    with pytest.raises(UnsupportedTagError):
+        trace_matrix(tri, build_standard(tri, "P_sym", 2), "tangential")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_orthocomplement_matches_pairwise_reference(d):
+    fr = random_frame(d, random.Random(60 + d))
+    rm = build_standard(fr, "RM", 0)
+    cases = [
+        (build_standard(fr, "P_vector", 2), rm),
+        (split_bubble(fr, "div_sym", 3)[1], build_standard(fr, "P_sym", 1)),
+    ]
+    for parent, sub in cases:
+        pairing = Matrix([[pair_simplex(fr, s, p) for p in parent.members()] for s in sub.members()])
+        expected = exact.image_basis(parent.basis.matmul(pairing.null_space()))
+        assert orthocomplement_in(parent, sub).basis == expected
