@@ -8,12 +8,12 @@ Exit codes: 0 all checks pass, 1 usage error, 2 at least one falsification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import spaces
@@ -42,13 +42,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _max_k_cap() -> int:
+    """The FEMFORGE_MAX_K degree cap; ValueError unless a non-negative integer."""
     raw = os.environ.get("FEMFORGE_MAX_K")
     if raw is None:
         return DEFAULT_MAX_K
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_MAX_K
+    cap = int(raw)
+    if cap < 0:
+        raise ValueError(f"{raw!r} is negative")
+    return cap
 
 
 def _load_frame_file(path: str) -> SimplexFrame:
@@ -248,66 +249,64 @@ def _emit(text: str, out_path: str | None) -> int:
 # -- subcommands ------------------------------------------------------------------------
 
 
-def _cmd_dims(args) -> int:
-    d_lo, d_hi = args.d
-    k_lo, k_hi = args.k
-    tasks = [(d, k) for d in range(d_lo, d_hi + 1) for k in range(k_lo, k_hi + 1)]
-    results = []
-    t0 = time.monotonic()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(lambda dk: _dims_checks(*dk), tasks):
-                results.extend(chunk)
+def _run_cells(tasks, args) -> list:
+    """The checks of every grid cell, in task order; with --jobs > 1 the cells
+    run in a pool of worker processes."""
+    run = functools.partial(_run_task, args=args)
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run, tasks))
     else:
-        for d, k in tasks:
-            results.extend(_dims_checks(d, k))
+        chunks = map(run, tasks)
+    return [r for chunk in chunks for r in chunk]
+
+
+def _cmd_dims(args) -> int:
+    skips, tasks = _run_family_grid(args, ["dims"])
+    if tasks is None:
+        return 1
+    t0 = time.monotonic()
+    results = _run_cells(tasks, args)
     print(f"dims grid of {len(tasks)} cells in {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    entries = [_entry(*r) for r in results]
+    entries = sorted(skips + [_entry(*r) for r in results], key=lambda e: (e["d"], e["k"]))
     config = {"command": "dims", "d": list(args.d), "k": list(args.k)}
     text = _render_json(config, entries) if args.format == "json" else _render_markdown(config, entries)
     code = _emit(text, args.out)
     if code:
         return code
-    return 0 if all(e["status"] == "pass" for e in entries) else 2
+    return 0 if not any(e["status"] == "fail" for e in entries) else 2
+
+
+# the lowest degree each pseudo-family's checks are stated for
+_PSEUDO_FLOORS = {"decomp": 1, "green": 0, "ops": 0, "dims": 1}
 
 
 def _run_family_grid(args, families):
+    """Skip entries for the cells below a family's degree floor and the tasks
+    of the others; tasks is None (after a message) if a family has none."""
     d_lo, d_hi = args.d
     k_lo, k_hi = args.k
     entries = []
     tasks = []
-    runnable = {fam: 0 for fam in families}
     for fam in families:
         for d in range(d_lo, d_hi + 1):
+            floor = FAMILIES[fam].floor(d) if fam in FAMILIES else _PSEUDO_FLOORS[fam]
             for k in range(k_lo, k_hi + 1):
-                if fam in FAMILIES:
-                    floor = FAMILIES[fam].floor(d)
-                    if k < floor:
-                        entries.append(
-                            {
-                                "id": f"unisolvence-{fam}",
-                                "family": fam,
-                                "d": d,
-                                "k": k,
-                                "status": "skip",
-                                "context": {"reason": f"below degree floor {floor}"},
-                            }
-                        )
-                        continue
-                    runnable[fam] += 1
-                    tasks.append(("elem", fam, d, k))
-                elif fam == "decomp":
-                    if k < 1:
-                        continue
-                    runnable[fam] += 1
-                    tasks.append(("decomp", fam, d, k))
-                elif fam == "green":
-                    runnable[fam] += 1
-                    tasks.append(("green", fam, d, k))
-                elif fam == "ops":
-                    runnable[fam] += 1
-                    tasks.append(("ops", fam, d, k))
-    return entries, tasks, runnable
+                if k >= floor:
+                    tasks.append(("elem" if fam in FAMILIES else fam, fam, d, k))
+                    continue
+                entries.append({"id": f"unisolvence-{fam}" if fam in FAMILIES else fam, "family": fam,
+                                "d": d, "k": k, "status": "skip",
+                                "context": {"reason": f"below degree floor {floor}"}})
+    empty = [fam for fam in families if not any(task[1] == fam for task in tasks)]
+    if empty:
+        print(f"femforge: no runnable (d, k) cells for: {', '.join(empty)} "
+              "(below the degree floor?)", file=sys.stderr)
+        return entries, None
+    return entries, tasks
 
 
 def _run_task(task, args):
@@ -318,6 +317,8 @@ def _run_task(task, args):
         return _cell_checks_decomp(d, k, args.simplex, args.seed)
     if kind == "green":
         return _cell_checks_green(d, k, args.simplex, args.seed)
+    if kind == "dims":
+        return _dims_checks(d, k)
     return _cell_checks_ops(d, k, args.seed)
 
 
@@ -327,24 +328,11 @@ def _cmd_verify(args) -> int:
         if fam not in ELEMENT_FAMILIES and fam not in PSEUDO_FAMILIES:
             print(f"femforge: unknown family {fam!r}", file=sys.stderr)
             return 1
-    skip_entries, tasks, runnable = _run_family_grid(args, families)
-    empty = [fam for fam, n in runnable.items() if n == 0]
-    if empty:
-        print(
-            f"femforge: no runnable (d, k) cells for: {', '.join(empty)} "
-            "(below the family degree floor?)",
-            file=sys.stderr,
-        )
+    skip_entries, tasks = _run_family_grid(args, families)
+    if tasks is None:
         return 1
     t0 = time.monotonic()
-    results = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(lambda t: _run_task(t, args), tasks):
-                results.extend(chunk)
-    else:
-        for task in tasks:
-            results.extend(_run_task(task, args))
+    results = _run_cells(tasks, args)
     print(f"verify grid of {len(tasks)} cells in {time.monotonic() - t0:.1f}s", file=sys.stderr)
     entries = skip_entries + [_entry(*r) for r in results]
     entries.sort(key=lambda e: (e["family"], e["d"], e["k"], e["id"]))
@@ -437,7 +425,12 @@ def main(argv=None) -> int:
     k_lo, k_hi = args.k
     if not (2 <= d_lo <= d_hi <= 4):
         parser.error("dimension range must lie within 2..4")
-    cap = _max_k_cap()
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    try:
+        cap = _max_k_cap()
+    except ValueError as err:
+        parser.error(f"FEMFORGE_MAX_K must be a non-negative integer: {err}")
     if k_lo > k_hi or k_hi > cap:
         parser.error(f"degree range must be increasing and capped at {cap} (FEMFORGE_MAX_K)")
     if args.simplex not in ("ref", "random"):

@@ -38,8 +38,12 @@ analogously one dimension down.  Therefore
     + C * sum_i (g_i . g_i)^-1 int_{chart(F_i)} (g_i^T tau g_i)(g_i . grad v)
     - C * sum_i int_{chart(F_i)} (g_i . div tau + div_F(tau g_i)) v = 0
 
-holds exactly for all symmetric tau and scalar v, and is what this module
-verifies on random rational polynomials.
+holds exactly for all symmetric tau and scalar v.  The left-hand side is
+assembled once as an exact bilinear form B over the shaped monomial frames
+(``green_form``): every term is a trace matrix of ``Face.trace`` (or a volume
+operator matrix) paired through a chart mass (or frame Gram) matrix with a
+trace of v, so the module only multiplies matrices.  The check evaluates B on
+random rational polynomials; B == 0 is the identity itself.
 """
 
 from __future__ import annotations
@@ -51,10 +55,11 @@ from fractions import Fraction
 from . import poly
 from .elements import FAMILIES, _dof_rows, _first_nonzero_trace, apply_dof, build_element
 from .exact import Matrix
-from .integrate import integrate_face, pair_simplex
+from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
-from .simplex import Face, SimplexFrame, surface_div
+from .simplex import Face, SimplexFrame
+from .spaces import build_standard, operator_matrix
 
 _ZERO = Fraction(0)
 
@@ -89,26 +94,6 @@ def build_patch(shared_face_vertices, apex_left, apex_right) -> Patch:
     if shared_left.origin != shared_right.origin or shared_left.tangents != shared_right.tangents:
         raise SharedChartMismatchError("the two sides chart the shared face differently")
     return Patch(left, right, shared_left, shared_right)
-
-
-def _vec_dot_g(v: Polynomial, g) -> Polynomial:
-    acc = Polynomial.zero(v.d)
-    for t in range(v.vdim):
-        if g[t]:
-            acc = acc + v.component(t).scale(g[t])
-    return acc
-
-
-def _taug_fixed(tau: Polynomial, g) -> Polynomial:
-    d = tau.d
-    comps = []
-    for i in range(d):
-        acc = Polynomial.zero(d)
-        for j in range(d):
-            if g[j]:
-                acc = acc + tau.entry(i, j).scale(g[j])
-        comps.append(acc)
-    return Polynomial.vector_from(comps)
 
 
 _NEGATIVE_CONTROL = {
@@ -192,40 +177,61 @@ def _projected_normal(frame: SimplexFrame, i: int, j: int):
     return tuple(b - a * gij / gig for a, b in zip(gi, gj))
 
 
-def green_residual(frame: SimplexFrame, tau: Polynomial, v: Polynomial) -> Fraction:
-    """Exact residual of the grouped scaled-normal divdiv Green's identity."""
+def green_form(frame: SimplexFrame, k_tau: int, k_v: int) -> Matrix:
+    """The residual of the Green identity as an exact bilinear form B:
+    residual(tau, v) = coeff(tau)^T B coeff(v) over the frames (sym, d, k_tau)
+    (rows) and (scalar, d, k_v) (columns), so the identity holds iff B == 0.
+
+    Each term is (s T)^T M R: a scaled trace or volume operator T of tau, a
+    chart mass or frame Gram matrix M and a trace or operator R of v, so B is
+    one product of the stacked factors s T with the stacked factors M R."""
     d = frame.d
     c = frame.jac_factor
-    res = pair_simplex(frame, poly.divdiv(tau), v) - pair_simplex(frame, tau, poly.hess(v))
-    grad_v = poly.grad(v)
-    div_tau = poly.div_rowwise(tau)
-    edges = {f.vertex_ids: f for f in frame.faces(2)} if d >= 2 else {}
+    p_scalar = build_standard(frame, "P_scalar", k_v)
+    dd = operator_matrix("divdiv", build_standard(frame, "P_sym", k_tau))
+    hess = operator_matrix("hess", p_scalar)
+    grad = operator_matrix("grad", p_scalar)
+    # (divdiv tau, v)_K - (tau, hess v)_K
+    lhs = [dd.matrix, frame_gram(frame, "sym", hess.target_k, k_tau).scale(-1)]
+    rhs = [frame_gram(frame, "scalar", dd.target_k, k_v), hess.matrix]
+    edges = {e.opposite_ids: e for e in frame.faces(2)}
+    edge_v = {ids: chart_mass(e.dim, k_tau, k_v).matmul(e.trace("scalar", k_v, (1,)))
+              for ids, e in edges.items()}
     for i in range(d + 1):
         face = frame.face_opposite(i)
         gi = face.normal_frame[0]
-        taugi = _taug_fixed(tau, gi)
 
         # codim-2 terms: edges of F_i, outward normal m_ij within the face
         for j in range(d + 1):
             if j == i:
                 continue
-            mij = _projected_normal(frame, i, j)
-            edge = edges[tuple(sorted(set(range(d + 1)) - {i, j}))]
-            integrand = poly.multiply(_vec_dot_g(taugi, mij), v)
-            res += c * integrate_face(edge, edge.restrict(integrand))
+            ids = tuple(sorted((i, j)))
+            lhs.append(edges[ids].trace("sym", k_tau, _projected_normal(frame, i, j), gi).scale(c))
+            rhs.append(edge_v[ids])
 
         # normal-normal against the normal derivative, with the 1/(g.g) factor
         gg = sum((a * b for a, b in zip(gi, gi)), _ZERO)
-        nn = _vec_dot_g(taugi, gi)
-        dn = _vec_dot_g(grad_v, gi)
-        res += c / gg * integrate_face(face, face.restrict(poly.multiply(nn, dn)))
+        lhs.append(face.trace("sym", k_tau, gi, gi).scale(c / gg))
+        rhs.append(chart_mass(face.dim, k_tau, grad.target_k)
+                   .matmul(face.trace("vector", grad.target_k, gi)).matmul(grad.matrix))
 
         # combo trace against v
-        combo = face.restrict(poly.multiply(_vec_dot_g(div_tau, gi), v)) + poly.multiply(
-            surface_div(face, taugi), face.restrict(v)
-        )
-        res -= c * integrate_face(face, combo)
-    return res
+        chart_k, (combo,) = face.traces("sym", k_tau, "combo")
+        lhs.append(combo.scale(-c))
+        rhs.append(chart_mass(face.dim, chart_k, k_v).matmul(face.trace("scalar", k_v, (1,))))
+    n_tau, n_v = dd.matrix.cols, hess.matrix.cols
+    return Matrix.vstack(lhs, n_tau).transpose().matmul(Matrix.vstack(rhs, n_v))
+
+
+def _pair(form: Matrix, tau: Polynomial, k_tau: int, v: Polynomial, k_v: int) -> Fraction:
+    row = Matrix([poly.coeff_vector(tau, k_tau)]).matmul(form)
+    return sum((a * b for a, b in zip(row.row(0), poly.coeff_vector(v, k_v))), _ZERO)
+
+
+def green_residual(frame: SimplexFrame, tau: Polynomial, v: Polynomial) -> Fraction:
+    """Exact residual of the grouped scaled-normal divdiv Green's identity."""
+    k_tau, k_v = max(tau.degree(), 0), max(v.degree(), 0)
+    return _pair(green_form(frame, k_tau, k_v), tau, k_tau, v, k_v)
 
 
 def _random_poly(rng, d: int, kind: str, k: int) -> Polynomial:
@@ -243,10 +249,11 @@ def green_identity_check(
 ) -> CheckResult:
     rng = random.Random(seed)
     ctx = {"d": frame.d, "k_tau": k_tau, "k_v": k_v, "samples": samples, "seed": seed}
+    form = green_form(frame, k_tau, k_v)
     for s in range(samples):
         tau = _random_poly(rng, frame.d, "sym", k_tau)
         v = _random_poly(rng, frame.d, "scalar", k_v)
-        r = green_residual(frame, tau, v)
+        r = _pair(form, tau, k_tau, v, k_v)
         if r != 0:
             ctx["sample"] = s
             return CheckResult("green-identity", False, expected=0, got=r, context=ctx)

@@ -173,7 +173,7 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int) 
         q, deg = _coeff_rows([test if test.kind == "scalar" else test.component(j) for test in tests])
         block = q.matmul(chart_mass(face.dim, deg, chart_k))
         lhs = block if lhs is None else lhs.hstack(block)
-    return lhs.matmul(Matrix([t.row(i) for t in traces for i in range(t.rows)], width))
+    return lhs.matmul(Matrix.vstack(traces, width))
 
 
 def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, cache: dict | None = None) -> Fraction:

@@ -134,6 +134,13 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._trusted(zip(*self._rows) if self.rows else [()] * self.cols, self.rows)
 
+    @classmethod
+    def vstack(cls, blocks: Sequence["Matrix"], cols: int) -> "Matrix":
+        """The rows of ``blocks`` in order; every block is ``cols`` wide."""
+        if any(b.cols != cols for b in blocks):
+            raise DimensionMismatchError("vstack needs equal column counts")
+        return cls._trusted([row for b in blocks for row in b._rows], cols)
+
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")

@@ -513,6 +513,8 @@ def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -
 def monomials(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0:
         return ()
+    if d == 0:
+        return ((),)
 
     def gen(dim, total):
         if dim == 1:
@@ -575,7 +577,10 @@ def poly_to_json(p: Polynomial) -> dict:
         {"exponents": list(exps), "component": c, "num": str(v.numerator), "den": str(v.denominator)}
         for (c, exps), v in sorted(p.terms.items())
     ]
-    return {"shape": p.kind, "d": p.d, "terms": terms}
+    data = {"shape": p.kind, "d": p.d, "terms": terms}
+    if p.vdim != p.d:
+        data["vdim"] = p.vdim
+    return data
 
 
 def poly_from_json(data: dict) -> Polynomial:
@@ -583,4 +588,4 @@ def poly_from_json(data: dict) -> Polynomial:
     for t in data["terms"]:
         key = (int(t["component"]), tuple(int(e) for e in t["exponents"]))
         terms[key] = Fraction(int(t["num"]), int(t["den"]))
-    return Polynomial(int(data["d"]), data["shape"], terms)
+    return Polynomial(int(data["d"]), data["shape"], terms, vdim=data.get("vdim"))

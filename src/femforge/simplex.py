@@ -14,14 +14,14 @@ monomial frame ``(kind, d, k)`` of ``poly.frame``) to chart coefficients, and
 ``Face._restrict_monomial``) with one weight per stored component ``c``:
 pointwise traces ``a^T tau b`` weight the restriction itself, ``g . div tau``
 weights restricted partial derivatives and ``div_F(tau g)`` weights chart
-derivatives of the restriction.  Element DoFs, trace-block and bubble checks
-and patch jumps are all products with these matrices.
+derivatives of the restriction.  Element DoFs, trace-block and bubble checks,
+patch jumps and the divdiv Green identity are all products with these
+matrices.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -196,8 +196,8 @@ def _unit(d: int, i: int) -> tuple[Fraction, ...]:
 
 def _weights(kind: str, d: int, a, b=None) -> list[Fraction]:
     """w with ``sum_c w[c] tau_c == a^T tau b`` over the stored components
-    (``v . a`` for a vector field v)."""
-    if kind == "vector":
+    (``v . a`` for a vector field v, ``v * a[0]`` for a scalar v)."""
+    if kind in ("vector", "scalar"):
         return list(a)
     w = [_ZERO] * ncomp(kind, d)
     for i in range(d):
@@ -223,7 +223,6 @@ class SimplexFrame:
         "tensor_N",
         "_faces",
         "_space_cache",
-        "_cache_lock",
         "_mono_integrals",
         "_subst_cache",
     )
@@ -286,7 +285,6 @@ class SimplexFrame:
 
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._space_cache: dict = {}
-        self._cache_lock = threading.Lock()
         self._mono_integrals: dict = {}
         self._subst_cache: dict = {}
 
@@ -334,52 +332,6 @@ def random_frame(d: int, rng) -> SimplexFrame:
             return SimplexFrame(verts)
         except DegenerateSimplexError:
             continue
-
-
-def enumerate_faces(frame: SimplexFrame, r: int) -> tuple[Face, ...]:
-    return frame.faces(r)
-
-
-def project_to_face(face: Face, v: Polynomial) -> Polynomial:
-    """(I - g g^T / (g.g)) v for the codim-1 face normal g."""
-    if face.codim != 1:
-        raise WrongCodimensionError("projection needs a codim-1 face")
-    if v.kind != "vector":
-        raise ValueError("projection applies to vector fields")
-    g = face.normal_frame[0]
-    gg = _dot(g, g)
-    gv = Polynomial(v.d, "scalar")
-    for t in range(v.d):
-        gv = gv + v.component(t).scale(g[t])
-    comps = [v.component(t) - gv.scale(g[t] / gg) for t in range(v.d)]
-    return Polynomial.vector_from(comps)
-
-
-def restrict_to_face(face: Face, p: Polynomial) -> Polynomial:
-    return face.restrict(p)
-
-
-def surface_grad(face: Face, p: Polynomial) -> Polynomial:
-    """Tangential gradient of an ambient scalar, as an ambient-valued field in
-    chart variables: sum_mn Ginv[m][n] (d p_hat / d s_m) T_n."""
-    if face.codim != 1:
-        raise WrongCodimensionError("surface gradient needs a codim-1 face")
-    if p.kind != "scalar":
-        raise ValueError("surface_grad applies to scalars")
-    ph = face.restrict(p)
-    m = face.dim
-    parts = [partial(ph, mm) for mm in range(m)]
-    comps = []
-    for t in range(p.d):
-        acc = Polynomial(m, "scalar")
-        for mm in range(m):
-            coef = sum(
-                (face.gram_inv[mm, nn] * face.tangents[nn][t] for nn in range(m)), _ZERO
-            )
-            if coef:
-                acc = acc + parts[mm].scale(coef)
-        comps.append(acc)
-    return Polynomial.from_components(m, "vector", comps, vdim=p.d)
 
 
 def surface_div(face: Face, w: Polynomial) -> Polynomial:

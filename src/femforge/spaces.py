@@ -203,8 +203,7 @@ def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
     if cached is not None:
         return cached
     space = _build_standard_uncached(frame, tag, k)
-    with frame._cache_lock:
-        frame._space_cache[(tag, k)] = space
+    frame._space_cache[(tag, k)] = space
     return space
 
 
@@ -401,7 +400,7 @@ def trace_matrix(frame: SimplexFrame, space: PolySpace, mode: str) -> Matrix:
     if face_mode is None:
         raise UnsupportedTagError(f"unknown trace mode {mode!r}")
     mats = [t for face in frame.faces(1) for t in face.traces(space.kind, space.k, face_mode)[1]]
-    stacked = Matrix([t.row(i) for t in mats for i in range(t.rows)], space.basis.rows)
+    stacked = Matrix.vstack(mats, space.basis.rows)
     return stacked.matmul(space.basis)
 
 
@@ -428,8 +427,7 @@ def bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     coords = tr.null_space()
     basis = exact.image_basis(shape.basis.matmul(coords))
     space = PolySpace(frame, shape.kind, shape.k, basis, f"bubble_{family}_{k}")
-    with frame._cache_lock:
-        frame._space_cache[("bubble", family, k)] = space
+    frame._space_cache[("bubble", family, k)] = space
     return space
 
 
@@ -470,8 +468,7 @@ def split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, P
     dm = operator_matrix(op, bubble)
     e0 = dm.kernel_space(f"E0_{family}_{k}")
     e0perp = orthocomplement_in(bubble, e0, f"E0perp_{family}_{k}")
-    with frame._cache_lock:
-        frame._space_cache[("split", family, k)] = (e0, e0perp)
+    frame._space_cache[("split", family, k)] = (e0, e0perp)
     return e0, e0perp
 
 
@@ -631,8 +628,7 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
     extension = orthocomplement_in(perp_k, perp_km1.with_degree(k), f"div_extension_{k}")
     space = div_preimage_in(e0perp, extension, f"bubble_enrichment_sym_{k + 1}")
-    with frame._cache_lock:
-        frame._space_cache[("enrichment", k)] = space
+    frame._space_cache[("enrichment", k)] = space
     return space
 
 

@@ -45,6 +45,53 @@ def test_max_k_env_cap(monkeypatch, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("raw", ["six", "-1"])
+def test_invalid_max_k_env_is_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("FEMFORGE_MAX_K", raw)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--d", "2..2", "--k", "1..1"])
+    assert exc.value.code == 1
+    assert "FEMFORGE_MAX_K" in capsys.readouterr().err
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--d", "2..2", "--k", "1..1", "--jobs", "0"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("family", ["green", "ops"])
+def test_negative_degree_cells_are_skipped(capsys, family):
+    # k = -1 alone leaves nothing to run: no vacuous pass
+    assert cli.main(["verify", "--family", family, "--d", "2..2", "--k", "-1"]) == 1
+    assert "no runnable" in capsys.readouterr().err
+    code, out = run_main(["verify", "--family", family, "--d", "2..2", "--k=-1..0"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    skipped = [c for c in checks if c["status"] == "skip"]
+    assert [c["k"] for c in skipped] == [-1]
+    assert skipped[0]["context"]["reason"]
+    assert all(c["status"] == "pass" for c in checks if c["k"] == 0)
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_dims_below_degree_one_is_not_run(capsys, k):
+    # the formulas are stated for k >= 1: k = 0 used to report two false
+    # falsifications and k = -1 to crash
+    assert cli.main(["dims", "--d", "2..3", "--k", k]) == 1
+    assert "no runnable" in capsys.readouterr().err
+
+
+def test_dims_skips_degree_zero_cells(capsys):
+    code, out = run_main(["dims", "--d", "2..2", "--k=0..1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    skipped = [c for c in doc["checks"] if c["status"] == "skip"]
+    assert [(c["d"], c["k"]) for c in skipped] == [(2, 0)]
+    assert skipped[0]["context"]["reason"]
+    assert doc["summary"]["fail"] == 0 and doc["summary"]["pass"] > 0
+
+
 def test_verify_single_family(capsys):
     code, out = run_main(["verify", "--family", "BDM", "--d", "2..2", "--k", "1..2"], capsys)
     assert code == 0
@@ -151,6 +198,15 @@ def test_console_module_invocation():
 
 def test_verify_jobs_flag_matches_sequential(tmp_path):
     argv = ["verify", "--family", "BDM", "--d", "2..2", "--k", "1..2"]
+    a = tmp_path / "seq.json"
+    b = tmp_path / "par.json"
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    assert cli.main(argv + ["--jobs", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_dims_jobs_flag_matches_sequential(tmp_path):
+    argv = ["dims", "--d", "2..3", "--k", "1..2"]
     a = tmp_path / "seq.json"
     b = tmp_path / "par.json"
     assert cli.main(argv + ["--out", str(a)]) == 0

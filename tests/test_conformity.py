@@ -9,6 +9,7 @@ from femforge.conformity import (
     SharedChartMismatchError,
     build_patch,
     conformity_check,
+    green_form,
     green_identity_check,
     green_residual,
 )
@@ -251,3 +252,121 @@ def test_conformity_failure_carries_a_replayable_jump(patch2, monkeypatch):
     (a,) = reference_jump_traces(patch2.shared_left, member, "tangential")
     (b,) = reference_jump_traces(patch2.shared_left, tau_r, "tangential")
     assert jump == Polynomial(1, "scalar", {(0, e): v for (_, e), v in (a - b).terms.items()})
+
+
+# -- the Green identity against its polynomial evaluation -------------------------
+#
+# The reference restricts and multiplies every face and edge integrand of one
+# (tau, v) pair; the library pairs coefficient vectors through green_form.
+
+from femforge.integrate import chart_mass, integrate_face  # noqa: E402
+
+
+def reference_green_terms(frame, tau, v):
+    """The four groups of the grouped scaled-normal identity (see the
+    conformity module docstring), each integrated polynomial by polynomial."""
+    d = frame.d
+    c = frame.jac_factor
+    volume = pair_simplex(frame, divdiv(tau), v) - pair_simplex(frame, tau, hess(v))
+    edge = normal_normal = combo = Fraction(0)
+    grad_v = poly.grad(v)
+    div_tau = poly.div_rowwise(tau)
+    edges = {f.vertex_ids: f for f in frame.faces(2)}
+    for i in range(d + 1):
+        face = frame.face_opposite(i)
+        gi = face.normal_frame[0]
+        taugi = _ref_taug(tau, gi)
+        for j in range(d + 1):
+            if j == i:
+                continue
+            mij = conformity._projected_normal(frame, i, j)
+            e = edges[tuple(sorted(set(range(d + 1)) - {i, j}))]
+            edge += c * integrate_face(e, e.restrict(poly.multiply(_ref_dot(taugi, mij), v)))
+        gg = sum(a * a for a in gi)
+        nn = poly.multiply(_ref_dot(taugi, gi), _ref_dot(grad_v, gi))
+        normal_normal += c / gg * integrate_face(face, face.restrict(nn))
+        integrand = face.restrict(poly.multiply(_ref_dot(div_tau, gi), v)) + poly.multiply(
+            surface_div(face, taugi), face.restrict(v)
+        )
+        combo -= c * integrate_face(face, integrand)
+    return {"volume": volume, "edge": edge, "normal_normal": normal_normal, "combo": combo}
+
+
+def reference_green_residual(frame, tau, v):
+    return sum(reference_green_terms(frame, tau, v).values())
+
+
+def _trace_green_terms(frame, tau, k_tau, v, k_v):
+    """The boundary groups of the identity from Face.trace matrices alone."""
+    d = frame.d
+    c = frame.jac_factor
+    t = Matrix.from_columns([poly.coeff_vector(tau, k_tau)])
+    s = Matrix.from_columns([poly.coeff_vector(v, k_v)])
+    k_g = max(k_v - 1, 0)
+    gs = Matrix.from_columns([poly.coeff_vector(poly.grad(v), k_g)])
+
+    def paired(face, left, k_left, right, k_right):
+        # chart integral of the product of two chart coefficient columns
+        return left.transpose().matmul(chart_mass(face.dim, k_left, k_right)).matmul(right)[0, 0]
+
+    edges = {f.opposite_ids: f for f in frame.faces(2)}
+    out = {"edge": Fraction(0), "normal_normal": Fraction(0), "combo": Fraction(0)}
+    for i in range(d + 1):
+        face = frame.face_opposite(i)
+        g = face.normal_frame[0]
+        for j in range(d + 1):
+            if j != i:
+                e = edges[tuple(sorted((i, j)))]
+                mij = conformity._projected_normal(frame, i, j)
+                out["edge"] += c * paired(e, e.trace("sym", k_tau, mij, g).matmul(t), k_tau,
+                                          e.trace("scalar", k_v, (1,)).matmul(s), k_v)
+        gg = sum(a * a for a in g)
+        out["normal_normal"] += c / gg * paired(face, face.trace("sym", k_tau, g, g).matmul(t), k_tau,
+                                                face.trace("vector", k_g, g).matmul(gs), k_g)
+        chart_k, (combo,) = face.traces("sym", k_tau, "combo")
+        out["combo"] -= c * paired(face, combo.matmul(t), chart_k,
+                                   face.trace("scalar", k_v, (1,)).matmul(s), k_v)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_green_form_is_zero(d, k):
+    # B == 0 proves the identity for every tau of degree <= k and v of degree <= k
+    for fr in (reference_simplex(d), random_frame(d, random.Random(50 + 10 * d + k))):
+        assert green_form(fr, k, k).is_zero()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_green_form_mixed_degrees_is_zero(d):
+    fr = random_frame(d, random.Random(70 + d))
+    assert green_form(fr, 3, 1).is_zero()
+    assert green_form(fr, 1, 3).is_zero()
+
+
+@pytest.mark.parametrize("d,k_tau,k_v", [(2, 3, 2), (2, 2, 4), (3, 2, 3)])
+def test_green_residual_matches_polynomial_reference(d, k_tau, k_v):
+    rng = random.Random(80 + d + k_tau + k_v)
+    fr = random_frame(d, rng)
+    for _ in range(3):
+        tau = conformity._random_poly(rng, d, "sym", k_tau)
+        v = conformity._random_poly(rng, d, "scalar", k_v)
+        assert green_residual(fr, tau, v) == reference_green_residual(fr, tau, v)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_green_trace_terms_match_reference_and_are_nonzero(d):
+    # each boundary group built from Face.trace equals its polynomial integral
+    # and is nonzero, so a zero residual is not a sum of vanishing terms
+    rng = random.Random(90 + d)
+    fr = random_frame(d, rng)
+    k_tau, k_v = 3, 2
+    tau = conformity._random_poly(rng, d, "sym", k_tau)
+    v = conformity._random_poly(rng, d, "scalar", k_v)
+    ref = reference_green_terms(fr, tau, v)
+    got = _trace_green_terms(fr, tau, k_tau, v, k_v)
+    for name, value in got.items():
+        assert value == ref[name], name
+        assert value != 0, name
+    assert ref["volume"] != 0
+    assert sum(ref.values()) == 0

@@ -166,6 +166,11 @@ def test_empty_shapes_are_kept(n):
     assert (prod.rows, prod.cols) == (2, n) and prod.is_zero()
     stacked = Matrix.zeros(0, n).hstack(Matrix.zeros(0, 2))
     assert (stacked.rows, stacked.cols) == (0, n + 2)
+    stacked = Matrix.vstack([Matrix.zeros(0, n), Matrix.identity(n)], n)
+    assert stacked == Matrix.identity(n)
+    assert Matrix.vstack([], n).cols == n
+    with pytest.raises(DimensionMismatchError):
+        Matrix.vstack([Matrix.zeros(1, n), Matrix.zeros(1, n + 1)], n)
 
 
 def test_public_constructor_converts_and_checks_internal_results_are_fractions():
@@ -176,7 +181,7 @@ def test_public_constructor_converts_and_checks_internal_results_are_fractions()
         Matrix([[1, 2], [3]])
     rng = random.Random(3)
     a = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)])
-    outputs = [a.transpose(), a.matmul(a.transpose()), a.rref()[0], a.hstack(a),
+    outputs = [a.transpose(), a.matmul(a.transpose()), a.rref()[0], a.hstack(a), Matrix.vstack([a, a], 4),
                a.matmul(a.transpose()).solve(Matrix.identity(3))]
     for out in outputs:
         rows = [out.row(i) for i in range(out.rows)]

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from femforge.exact import Matrix
 from femforge.integrate import (
+    chart_mass,
     gram_matrix,
     integrate_barycentric,
     integrate_face,
@@ -11,7 +13,7 @@ from femforge.integrate import (
     pair_simplex,
 )
 from femforge.poly import Polynomial, dot, grad, div, multiply
-from femforge.simplex import enumerate_faces, random_frame, reference_simplex
+from femforge.simplex import random_frame, reference_simplex
 
 
 def bary_monomial(frame, alpha):
@@ -54,7 +56,7 @@ def test_dual_integration_oracles_agree(d):
 
 def test_face_chart_basics():
     fr = reference_simplex(2)
-    edge = enumerate_faces(fr, 1)[0]
+    edge = fr.faces(1)[0]
     one = Polynomial.constant(1, 1)
     s = Polynomial.coordinate(1, 0)
     assert integrate_face(edge, one) == 1
@@ -63,9 +65,15 @@ def test_face_chart_basics():
 
 def test_vertex_chart_is_evaluation():
     fr = reference_simplex(2)
-    vertex_face = enumerate_faces(fr, 2)[0]
+    vertex_face = fr.faces(2)[0]
     c = Polynomial.constant(0, 5)
     assert integrate_face(vertex_face, c) == 5
+
+
+@pytest.mark.parametrize("k1,k2", [(0, 0), (2, 3)])
+def test_vertex_chart_mass_is_evaluation(k1, k2):
+    # a 0-dimensional chart has the single monomial 1 of every degree
+    assert chart_mass(0, k1, k2) == Matrix([[1]])
 
 
 def test_shared_edge_integral_is_side_independent():
@@ -73,8 +81,8 @@ def test_shared_edge_integral_is_side_independent():
     # both simplices sharing an edge
     left = reference_simplex(2)
     right = type(left)([(0, 0), (1, 0), (Fraction(1, 2), -1)])
-    shared_l = [f for f in enumerate_faces(left, 1) if f.vertex_ids == (0, 1)][0]
-    shared_r = [f for f in enumerate_faces(right, 1) if f.vertex_ids == (0, 1)][0]
+    shared_l = [f for f in left.faces(1) if f.vertex_ids == (0, 1)][0]
+    shared_r = [f for f in right.faces(1) if f.vertex_ids == (0, 1)][0]
     p = multiply(left.lambdas[0], left.lambdas[1])
     assert shared_l.restrict(p) == shared_r.restrict(p)
     assert integrate_face(shared_l, shared_l.restrict(p)) == integrate_face(
@@ -161,7 +169,7 @@ def test_green_identity_scaled_normal_form(d, seed):
     p = rand_scalar(2)
     lhs = pair_simplex(fr, div(v), p) + pair_simplex(fr, v, grad(p))
     rhs = Fraction(0)
-    for face in enumerate_faces(fr, 1):
+    for face in fr.faces(1):
         g = face.normal_frame[0]
         vg = sum((v.component(t).scale(g[t]) for t in range(d)), Polynomial.zero(d))
         rhs += integrate_face(face, dot(face.restrict(vg), face.restrict(p)))

@@ -237,6 +237,27 @@ def test_json_roundtrip():
     rng = random.Random(13)
     p = random_homogeneous(rng, d, 3, kind="skw")
     assert poly_from_json(poly_to_json(p)) == p
+    assert "vdim" not in poly_to_json(p)
+
+
+def test_json_roundtrip_keeps_chart_vdim():
+    # a vector field restricted to a face chart keeps its 3 ambient components
+    from femforge.simplex import reference_simplex
+
+    rng = random.Random(14)
+    field = random_homogeneous(rng, 3, 2, kind="vector")
+    face = reference_simplex(3).face_opposite(0)
+    p = face.restrict(field)
+    assert (p.d, p.vdim) == (2, 3)
+    data = poly_to_json(p)
+    assert data["vdim"] == 3
+    assert poly_from_json(data) == p
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_monomials_in_zero_variables(k):
+    assert monomials(0, k) == ((),)
+    assert monomials(0, -1) == ()
 
 
 def test_evaluate_full_matrix_shapes():

@@ -4,19 +4,24 @@ from fractions import Fraction
 import pytest
 
 from femforge.exact import Matrix
-from femforge.poly import Polynomial, dot, grad, multiply
+from femforge import poly
+from femforge.poly import Polynomial, dot
 from femforge.simplex import (
     DegenerateSimplexError,
-    WrongCodimensionError,
     build_frame,
-    enumerate_faces,
-    project_to_face,
     random_frame,
     reference_simplex,
-    restrict_to_face,
     surface_div,
-    surface_grad,
 )
+
+
+def project_to_face(face, v):
+    """Reference tangential projection (I - g g^T / (g.g)) v, g the face's
+    scaled normal."""
+    g = face.normal_frame[0]
+    gg = sum(a * a for a in g)
+    gv = sum((v.component(t).scale(g[t]) for t in range(v.d)), Polynomial.zero(v.d))
+    return Polynomial.vector_from([v.component(t) - gv.scale(g[t] / gg) for t in range(v.d)])
 
 
 def test_reference_triangle():
@@ -40,11 +45,11 @@ def test_collinear_rejected():
 
 def test_face_counts():
     fr3 = reference_simplex(3)
-    assert len(enumerate_faces(fr3, 1)) == 4
-    assert len(enumerate_faces(fr3, 2)) == 6
-    assert len(enumerate_faces(fr3, 3)) == 4
+    assert len(fr3.faces(1)) == 4
+    assert len(fr3.faces(2)) == 6
+    assert len(fr3.faces(3)) == 4
     fr4 = reference_simplex(4)
-    assert len(enumerate_faces(fr4, 2)) == 10
+    assert len(fr4.faces(2)) == 10
 
 
 def test_lambda_kronecker_and_partition():
@@ -121,29 +126,22 @@ def test_project_tangent_unchanged():
     assert project_to_face(face, e1) == e1
 
 
-def test_project_needs_codim_one():
-    fr = reference_simplex(3)
-    edge = enumerate_faces(fr, 2)[0]
-    with pytest.raises(WrongCodimensionError):
-        project_to_face(edge, Polynomial.constant_vector(3, (1, 0, 0)))
-
-
 def test_restrict_vanishing_lambda():
     rng = random.Random(4)
     fr = random_frame(3, rng)
-    for face in enumerate_faces(fr, 2):
+    for face in fr.faces(2):
         for i in face.opposite_ids:
-            assert restrict_to_face(face, fr.lambdas[i]).is_zero()
+            assert face.restrict(fr.lambdas[i]).is_zero()
 
 
 def test_restrict_constant_and_edge_chart():
     fr = reference_simplex(2)
     one = Polynomial.constant(2, 1)
-    edge = [f for f in enumerate_faces(fr, 1) if f.vertex_ids == (1, 2)][0]
-    assert restrict_to_face(edge, one) == Polynomial.constant(1, 1)
+    edge = [f for f in fr.faces(1) if f.vertex_ids == (1, 2)][0]
+    assert edge.restrict(one) == Polynomial.constant(1, 1)
     x1 = Polynomial.coordinate(2, 0)
     s = Polynomial.coordinate(1, 0)
-    assert restrict_to_face(edge, x1) == Polynomial.constant(1, 1) - s
+    assert edge.restrict(x1) == Polynomial.constant(1, 1) - s
 
 
 def test_face_frames_orthogonal():
@@ -151,47 +149,38 @@ def test_face_frames_orthogonal():
     for d in (2, 3):
         fr = random_frame(d, rng)
         for r in range(1, d):
-            for face in enumerate_faces(fr, r):
+            for face in fr.faces(r):
                 for g in face.normal_frame:
                     for t in face.tangents:
                         assert sum(a * b for a, b in zip(g, t)) == 0
                 assert Matrix([list(t) for t in face.tangents]).rank() == face.dim
 
 
-def test_surface_grad_constant_zero():
-    fr = reference_simplex(3)
-    face = fr.face_opposite(1)
-    assert surface_grad(face, Polynomial.constant(3, 7)).is_zero()
-
-
-def test_surface_grad_tangential():
-    rng = random.Random(8)
-    fr = random_frame(3, rng)
-    for face in enumerate_faces(fr, 1):
-        g = face.normal_frame[0]
-        for j in range(4):
-            sg = surface_grad(face, fr.lambdas[j])
-            paired = sum(
-                (sg.component(t).scale(g[t]) for t in range(3)), Polynomial.zero(sg.d)
-            )
-            assert paired.is_zero()
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_surface_div_projected_position(d):
     fr = reference_simplex(d)
-    for face in enumerate_faces(fr, 1):
+    for face in fr.faces(1):
         xvec = Polynomial.vector_from([Polynomial.coordinate(d, t) for t in range(d)])
         w = project_to_face(face, xvec)
         assert surface_div(face, w) == Polynomial.constant(face.dim, d - 1)
 
 
-def test_surface_grad_matches_projected_gradient():
-    # chart formula agrees with restrict(proj(grad p)) for a quadratic
-    rng = random.Random(11)
-    fr = random_frame(3, rng)
-    p = multiply(fr.lambdas[0], fr.lambdas[2])
-    for face in enumerate_faces(fr, 1):
-        lhs = surface_grad(face, p)
-        rhs = restrict_to_face(face, project_to_face(face, grad(p)))
-        assert lhs == rhs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [0, 2])
+def test_vertex_face_trace_is_point_evaluation(d, k):
+    # at a vertex (a 0-dimensional chart) the trace a^T tau b is one number:
+    # the restriction of a^T tau b to the vertex
+    rng = random.Random(40 + 10 * d + k)
+    fr = random_frame(d, rng)
+    for face in fr.faces(d):
+        a = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        b = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        tau = Polynomial(d, "sym", {(c, e): Fraction(rng.randint(-5, 5))
+                                    for c, e in poly.frame("sym", d, k)})
+        atb = sum((tau.entry(i, j).scale(a[i] * b[j]) for i in range(d) for j in range(d)),
+                  Polynomial.zero(d))
+        got = face.trace("sym", k, a, b).matmul(Matrix.from_columns([poly.coeff_vector(tau, k)]))
+        assert got.column(0) == tuple(poly.coeff_vector(face.restrict(atb), k))
+        assert got.rows == 1
