@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import spaces
-from .conformity import Patch, build_patch, conformity_check, green_identity_check
+from .conformity import conformity_check, green_identity_check, reflected_patch
 from .elements import FAMILIES, build_element, check_unisolvence, element_to_json, trace_block_rank
 from .poly import Polynomial, grad, koszul_dot_x, koszul_xxT, divdiv, div, multiply, monomials
 from .report import CheckResult
@@ -56,10 +56,14 @@ def _load_frame_file(path: str) -> SimplexFrame:
     """Simplex description: {"d": int, "vertices": [["num/den" | number, ...], ...]}."""
     with open(path) as fh:
         data = json.load(fh)
-    verts = [[Fraction(str(x)) for x in v] for v in data["vertices"]]
+    try:
+        verts = [[Fraction(str(x)) for x in v] for v in data["vertices"]]
+        d = int(data["d"])
+    except (TypeError, ZeroDivisionError) as err:
+        raise ValueError(f"malformed simplex description: {err}") from None
     fr = SimplexFrame(verts)
-    if fr.d != int(data["d"]):
-        raise ValueError(f"simplex file declares d={data['d']} but has {fr.d}+1 coordinates")
+    if fr.d != d:
+        raise ValueError(f"simplex file declares d={d} but has {fr.d}+1 coordinates")
     return fr
 
 
@@ -77,17 +81,6 @@ def _make_frame(d: int, mode: str, seed: int, key: str) -> tuple[SimplexFrame, d
     return fr, {"simplex": "random", "seed": seed, "vertices": verts}
 
 
-def _reflected_patch(frame: SimplexFrame) -> Patch:
-    """Glue the simplex to its apex reflection across the face opposite it."""
-    d = frame.d
-    apex = frame.vertices[d]
-    g = frame.grad_lambda[d]
-    gg = sum(a * a for a in g)
-    lam = frame.lambdas[d].evaluate(apex)  # = 1
-    mirrored = tuple(x - 2 * lam * gi / gg for x, gi in zip(apex, g))
-    return build_patch(list(frame.vertices[:d]), apex, mirrored)
-
-
 # -- check runners -----------------------------------------------------------------
 
 
@@ -102,7 +95,7 @@ def _cell_checks_element(family: str, d: int, k: int, mode: str, seed: int):
         res.context.update(sinfo)
         res.check_id = f"{res.check_id}-{family}"
         out.append((family, d, k, res))
-    res = conformity_check(_reflected_patch(frame), family, k)
+    res = conformity_check(reflected_patch(frame), family, k)
     res.context.update(sinfo)
     out.append((family, d, k, res))
     return out
@@ -199,16 +192,12 @@ def _entry(family, d, k, res: CheckResult) -> dict:
     return data
 
 
+def _summary(entries: list[dict]) -> dict[str, int]:
+    return {status: sum(1 for e in entries if e["status"] == status) for status in ("pass", "fail", "skip")}
+
+
 def _render_json(config: dict, entries: list[dict]) -> str:
-    n_pass = sum(1 for e in entries if e["status"] == "pass")
-    n_fail = sum(1 for e in entries if e["status"] == "fail")
-    n_skip = sum(1 for e in entries if e["status"] == "skip")
-    doc = {
-        "schema": "femforge-report/1",
-        "config": config,
-        "checks": entries,
-        "summary": {"pass": n_pass, "fail": n_fail, "skip": n_skip},
-    }
+    doc = {"schema": "femforge-report/1", "config": config, "checks": entries, "summary": _summary(entries)}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
@@ -224,11 +213,8 @@ def _render_markdown(config: dict, entries: list[dict]) -> str:
         lines.append(
             f"| {e['id']} | {e['family']} | {e['d']} | {e['k']} | {e['status']} | {exp} | {got} |"
         )
-    n_pass = sum(1 for e in entries if e["status"] == "pass")
-    n_fail = sum(1 for e in entries if e["status"] == "fail")
-    n_skip = sum(1 for e in entries if e["status"] == "skip")
     lines.append("")
-    lines.append(f"summary: {n_pass} pass, {n_fail} fail, {n_skip} skip")
+    lines.append("summary: " + ", ".join(f"{n} {status}" for status, n in _summary(entries).items()))
     lines.append("")
     return "\n".join(lines)
 
@@ -353,40 +339,38 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     families = args.family or ["BDM"]
-    d_lo, d_hi = args.d
-    k_lo, k_hi = args.k
+    for fam in families:
+        if fam not in ELEMENT_FAMILIES:
+            print(f"femforge: unknown element family {fam!r}", file=sys.stderr)
+            return 1
+    skips, tasks = _run_family_grid(args, families)
+    if tasks is None:
+        return 1
+    for e in skips:
+        print(f"femforge: skip {e['family']} d={e['d']} k={e['k']} ({e['context']['reason']})",
+              file=sys.stderr)
     outdir = args.out or "."
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as err:
         print(f"femforge: cannot create {outdir}: {err}", file=sys.stderr)
         return 3
-    for fam in families:
-        if fam not in ELEMENT_FAMILIES:
-            print(f"femforge: unknown element family {fam!r}", file=sys.stderr)
-            return 1
-    for fam in families:
-        for d in range(d_lo, d_hi + 1):
-            floor = FAMILIES[fam].floor(d)
-            for k in range(k_lo, k_hi + 1):
-                if k < floor:
-                    print(f"femforge: skip {fam} d={d} k={k} (floor {floor})", file=sys.stderr)
-                    continue
-                frame, _ = _make_frame(d, args.simplex, args.seed, f"export:{fam}:{d}:{k}")
-                elem = build_element(frame, fam, k)
-                if not check_unisolvence(elem).passed:
-                    print(f"femforge: {fam} d={d} k={k} failed unisolvence", file=sys.stderr)
-                    return 2
-                data = element_to_json(elem)
-                path = os.path.join(outdir, f"{fam}_d{d}_k{k}.json")
-                try:
-                    with open(path, "w") as fh:
-                        json.dump(data, fh, sort_keys=True, indent=1)
-                        fh.write("\n")
-                except OSError as err:
-                    print(f"femforge: cannot write {path}: {err}", file=sys.stderr)
-                    return 3
-                print(f"wrote {path}", file=sys.stderr)
+    for _, fam, d, k in tasks:
+        frame, _ = _make_frame(d, args.simplex, args.seed, f"export:{fam}:{d}:{k}")
+        elem = build_element(frame, fam, k)
+        if not check_unisolvence(elem).passed:
+            print(f"femforge: {fam} d={d} k={k} failed unisolvence", file=sys.stderr)
+            return 2
+        data = element_to_json(elem)
+        path = os.path.join(outdir, f"{fam}_d{d}_k{k}.json")
+        try:
+            with open(path, "w") as fh:
+                json.dump(data, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+        except OSError as err:
+            print(f"femforge: cannot write {path}: {err}", file=sys.stderr)
+            return 3
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

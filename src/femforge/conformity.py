@@ -7,9 +7,12 @@ order, so the canonical chart of the shared face is bit-identical from either
 side.  For each left shape function, the right element's shape function is
 solved for by matching every right DoF that lives on the shared face (applied
 directly to the left function; all other right DoFs are set to zero).  The
-family's declared traces must then agree exactly as chart polynomials, while
-a designated non-conforming component must jump for at least one pair (the
-negative control that guards against vacuous passes).  The jumps of all
+left side is only its shape space, never a full element, and the matched
+shared DoFs of all left members are one product: the right element's shared
+DoF rows times the left shape basis.  The family's declared traces must then
+agree exactly as chart polynomials, while a designated non-conforming
+component (fixed by the first declared trace) must jump for at least one pair
+(the negative control that guards against vacuous passes).  The jumps of all
 members are one product per trace: the shared face's trace matrix times the
 left minus the right shape coefficients.  A failure reports the first
 nonzero jump as a chart polynomial.
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import FAMILIES, _dof_rows, _first_nonzero_trace, apply_dof, build_element
+from .elements import FAMILIES, _dof_matrix, _first_nonzero_trace, build_element
 from .exact import Matrix
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -82,12 +85,23 @@ class Patch:
 
 def build_patch(shared_face_vertices, apex_left, apex_right) -> Patch:
     """Glue two simplices along the face spanned by the given d vertices."""
-    left = SimplexFrame(list(shared_face_vertices) + [apex_left])
-    right = SimplexFrame(list(shared_face_vertices) + [apex_right])
+    return _glued(SimplexFrame(list(shared_face_vertices) + [apex_left]), apex_right)
+
+
+def reflected_patch(frame: SimplexFrame) -> Patch:
+    """Glue the simplex, as the left side, to its apex reflection across the
+    face opposite the apex; lambda_d is 1 at the apex and -1 at its mirror."""
+    d = frame.d
+    g = frame.grad_lambda[d]
+    gg = sum(a * a for a in g)
+    return _glued(frame, tuple(x - 2 * gi / gg for x, gi in zip(frame.vertices[d], g)))
+
+
+def _glued(left: SimplexFrame, apex_right) -> Patch:
+    """The patch of ``left`` and the simplex on its first d vertices and ``apex_right``."""
     d = left.d
-    plane = left.lambdas[d]
-    side = plane.evaluate([Fraction(x) for x in apex_right])
-    if side > 0:
+    right = SimplexFrame(list(left.vertices[:d]) + [apex_right])
+    if left.lambdas[d].evaluate([Fraction(x) for x in apex_right]) > 0:
         raise SameSideApexesError("apexes lie on the same side of the shared face")
     shared_left = left.face_opposite(d)
     shared_right = right.face_opposite(d)
@@ -96,54 +110,38 @@ def build_patch(shared_face_vertices, apex_left, apex_right) -> Patch:
     return Patch(left, right, shared_left, shared_right)
 
 
+# the component that must jump for some member, by the first declared trace
 _NEGATIVE_CONTROL = {
-    "BDM": "tangential",
-    "RT": "tangential",
-    "HdivS": "tangential_tangential",
-    "HdivS_split": "tangential_tangential",
-    "HdivS_minus": "tangential_tangential",
-    "DivDivPlus": "tangential_tangential",
-    "DivDivPlusMinus": "tangential_tangential",
-    "DivDiv": "tangential",
-    "DivDivMinus": "tangential",
+    "vector_normal": "tangential",
+    "tensor_normal": "tangential_tangential",
+    "normal_normal": "tangential",
 }
 
 
 def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
     """Single-valued shared DoFs must force exactly the declared traces."""
-    left_e = build_element(patch.left, family, k)
+    spec = FAMILIES[family]
+    left = spec.shape(patch.left, k)
     right_e = build_element(patch.right, family, k)
     d = patch.left.d
-    spec = FAMILIES[family]
 
     # right DoFs living on the shared face (its vertices are 0..d-1 on both sides)
-    on_shared = []
-    for i, dof in enumerate(right_e.dofs):
-        if not dof.shared:
-            continue
-        if dof.kind == "vertex_eval":
-            if dof.vertex < d:
-                on_shared.append(i)
-        elif dof.face is not None and d not in dof.face.vertex_ids:
-            on_shared.append(i)
-
-    members = left_e.space.members()
-    kind, k_frame = left_e.space.kind, left_e.space.k
-    rows = _dof_rows(patch.right, [right_e.dofs[i] for i in on_shared], kind, k_frame)
-    rhs_cols = []
-    for member in members:
-        col = [_ZERO] * len(right_e.dofs)
-        for i in on_shared:
-            col[i] = apply_dof(patch.right, right_e.dofs[i], member, rows)
-        rhs_cols.append(col)
-    rhs = Matrix.from_columns(rhs_cols)
-    sol = right_e.dof_matrix.solve(rhs)
+    on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and (
+        dof.vertex < d if dof.face is None else d not in dof.face.vertex_ids)]
+    kind, k_frame = left.kind, left.k
+    # the shared DoFs of every left member as one product; the other right DoFs are zero
+    shared_dofs = [right_e.dofs[i] for i in on_shared]
+    matched = _dof_matrix(patch.right, shared_dofs, kind, k_frame).matmul(left.basis)
+    rows = [[_ZERO] * left.dim for _ in right_e.dofs]
+    for r, i in enumerate(on_shared):
+        rows[i] = matched.row(r)
+    sol = right_e.dof_matrix.solve(Matrix(rows, left.dim))
     # jumps of every member at once: the traces of left minus right coefficients
-    jumps = left_e.space.basis - right_e.space.basis.matmul(sol)
+    jumps = left.basis - right_e.space.basis.matmul(sol)
 
     face = patch.shared_left
-    control_mode = _NEGATIVE_CONTROL[family]
-    ctx = {"family": family, "d": d, "k": k, "members": len(members)}
+    control_mode = _NEGATIVE_CONTROL[spec.trace_modes[0]]
+    ctx = {"family": family, "d": d, "k": k, "members": left.dim}
     hit = _first_nonzero_trace([face], kind, k_frame, spec.trace_modes, jumps)
     if hit is not None:
         j, mode, jump = hit

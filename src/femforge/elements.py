@@ -113,16 +113,17 @@ def _run_key(dof: DoFDescriptor) -> tuple:
     return (dof.kind, id(dof.face), dof.vertex, dof.comp if dof.kind == FACE_NN else None)
 
 
+def _dof_matrix(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> Matrix:
+    """The rows of ``dofs``, in order, as one matrix over the frame (kind, d, k)."""
+    runs = [list(run) for _, run in groupby(dofs, key=_run_key)]
+    return Matrix.vstack([_run_rows(frame, run, kind, k) for run in runs], len(poly.frame(kind, frame.d, k)))
+
+
 def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> dict[int, _Row]:
     """The rows of ``dofs`` over the frame (kind, d, k), keyed by ``id(dof)``."""
     index = {key: i for i, key in enumerate(poly.frame(kind, frame.d, k))}
-    out = {}
-    for _, run in groupby(dofs, key=_run_key):
-        run = list(run)
-        mat = _run_rows(frame, run, kind, k)
-        for i, dof in enumerate(run):
-            out[id(dof)] = _Row(dof, kind, k, mat.row(i), index)
-    return out
+    mat = _dof_matrix(frame, dofs, kind, k)
+    return {id(dof): _Row(dof, kind, k, mat.row(i), index) for i, dof in enumerate(dofs)}
 
 
 def _coeff_rows(tests: Sequence[Polynomial]) -> tuple[Matrix, int]:

@@ -19,8 +19,6 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-ExactScalar = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _FRACTION = {Fraction}

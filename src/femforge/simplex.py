@@ -81,13 +81,6 @@ class Face:
     def dim(self) -> int:
         return len(self.tangents)
 
-    def chart_point(self, s: Sequence) -> tuple[Fraction, ...]:
-        s = [Fraction(v) for v in s]
-        return tuple(
-            self.origin[t] + sum((sm * tan[t] for sm, tan in zip(s, self.tangents)), _ZERO)
-            for t in range(self.frame.d)
-        )
-
     def _restrict_monomial(self, exps: tuple[int, ...]) -> Polynomial:
         got = self._mono_cache.get(exps)
         if got is None:

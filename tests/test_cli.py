@@ -169,6 +169,21 @@ def test_export_unknown_family():
     assert cli.main(["export", "--family", "Nope", "--d", "2..2", "--k", "1..1"]) == 1
 
 
+def test_export_without_runnable_cells_is_rejected(tmp_path, capsys):
+    outdir = tmp_path / "elements"
+    code = cli.main(["export", "--family", "DivDiv", "--d", "3..3", "--k", "1..1", "--out", str(outdir)])
+    assert code == 1
+    assert "no runnable (d, k) cells for: DivDiv" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_export_reports_skipped_cells(tmp_path, capsys):
+    code = cli.main(["export", "--family", "HdivS", "--d", "2..2", "--k", "1..2", "--out", str(tmp_path)])
+    assert code == 0
+    assert "skip HdivS d=2 k=1 (below degree floor 2)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["HdivS_d2_k2.json"]
+
+
 def test_export_io_error():
     code = cli.main(["export", "--family", "RT", "--d", "2..2", "--k", "0..0",
                      "--out", "/dev/null/impossible"])
@@ -241,6 +256,21 @@ def test_simplex_file_unreadable():
         cli.main(["verify", "--family", "BDM", "--d", "2..2", "--k", "1..1",
                   "--simplex", "/nonexistent/simplex.json"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("content", [
+    '{"d": 2, "vertices": [["0", "0"], ["1/0", "0"], ["0", "1"]]}',
+    '{"d": 2, "vertices": 5}',
+    '[[0, 0], [1, 0], [0, 1]]',
+])
+def test_simplex_file_malformed(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "BDM", "--d", "2..2", "--k", "1..1",
+                  "--simplex", str(path)])
+    assert exc.value.code == 1
+    assert "cannot read simplex file" in capsys.readouterr().err
 
 
 def test_verify_reports_stability_range_flag(capsys):

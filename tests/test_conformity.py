@@ -12,6 +12,7 @@ from femforge.conformity import (
     green_form,
     green_identity_check,
     green_residual,
+    reflected_patch,
 )
 from femforge.poly import Polynomial, hess, koszul_xxT, divdiv
 from femforge.integrate import pair_simplex
@@ -61,6 +62,17 @@ def test_mismatched_shared_chart_rejected(monkeypatch):
 def test_build_patch_3d(patch3):
     assert patch3.left.d == 3
     assert patch3.shared_left.vertex_ids == (0, 1, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reflected_patch_reuses_the_frame(d):
+    frame = random_frame(d, random.Random(40 + d))
+    patch = reflected_patch(frame)
+    assert patch.left is frame
+    assert patch.right.vertices[:d] == frame.vertices[:d]
+    assert frame.lambdas[d].evaluate(patch.right.vertices[d]) == -1
+    assert patch.shared_left.origin == patch.shared_right.origin
+    assert patch.shared_left.tangents == patch.shared_right.tangents
 
 
 @pytest.mark.parametrize(
@@ -164,7 +176,7 @@ def test_skewed_patch_conformity_3d():
 # library multiplies face trace matrices with coefficient vectors.
 
 from femforge import poly  # noqa: E402
-from femforge.elements import FAMILIES, FamilySpec, apply_dof  # noqa: E402
+from femforge.elements import FAMILIES, FamilySpec, apply_dof, build_element  # noqa: E402
 from femforge.exact import Matrix  # noqa: E402
 from femforge.simplex import surface_div  # noqa: E402
 
@@ -230,28 +242,56 @@ def test_face_traces_match_polynomial_reference(kind, d, k):
             assert got == expected, (mode, face.vertex_ids)
 
 
-def test_conformity_failure_carries_a_replayable_jump(patch2, monkeypatch):
-    # declaring the tangential trace conforming for BDM must fail with a witness
-    spec = FAMILIES["BDM"]
-    fake = FamilySpec(spec.name, spec.shape, spec.dofs, spec.floor, ("vector_normal", "tangential"))
-    monkeypatch.setitem(FAMILIES, "BDM", fake)
-    res = conformity_check(patch2, "BDM", 1)
+def _replay_conformity_failure(patch, monkeypatch, family, k):
+    # declaring the negative control conforming must fail with a witness
+    spec = FAMILIES[family]
+    control = conformity._NEGATIVE_CONTROL[spec.trace_modes[0]]
+    fake = FamilySpec(spec.name, spec.shape, spec.dofs, spec.floor, spec.trace_modes + (control,))
+    monkeypatch.setitem(FAMILIES, family, fake)
+    res = conformity_check(patch, family, k)
     assert not res.passed
-    assert res.context["jump_mode"] == "tangential"
+    assert res.context["jump_mode"] == control
     jump = poly.poly_from_json(res.context["jump"])
     assert not jump.is_zero()
     # replay: the left member minus the right function matching its shared
-    # DoFs, traced by the polynomial reference
-    left = conformity.build_element(patch2.left, "BDM", 1)
-    right = conformity.build_element(patch2.right, "BDM", 1)
+    # DoFs one member at a time, traced by the polynomial reference
+    left = conformity.build_element(patch.left, family, k)
+    right = conformity.build_element(patch.right, family, k)
     member = left.space.members()[res.context["member"]]
-    rhs = [apply_dof(patch2.right, dof, member) if dof.shared and 2 not in dof.face.vertex_ids else 0
-           for dof in right.dofs]
+    d = patch.left.d
+
+    def on_shared(dof):
+        return dof.shared and (dof.vertex < d if dof.face is None else d not in dof.face.vertex_ids)
+
+    rhs = [apply_dof(patch.right, dof, member) if on_shared(dof) else 0 for dof in right.dofs]
     coeffs = right.space.basis.matmul(right.dof_matrix.solve(Matrix.from_columns([rhs])))
-    tau_r = poly.from_coeff_vector(2, right.space.kind, right.space.k, coeffs.column(0))
-    (a,) = reference_jump_traces(patch2.shared_left, member, "tangential")
-    (b,) = reference_jump_traces(patch2.shared_left, tau_r, "tangential")
-    assert jump == Polynomial(1, "scalar", {(0, e): v for (_, e), v in (a - b).terms.items()})
+    tau_r = poly.from_coeff_vector(d, right.space.kind, right.space.k, coeffs.column(0))
+    jumps = [a - b for a, b in zip(reference_jump_traces(patch.shared_left, member, control),
+                                   reference_jump_traces(patch.shared_left, tau_r, control))]
+    first = next(p for p in jumps if not p.is_zero())
+    assert jump == Polynomial(d - 1, "scalar", {(0, e): v for (_, e), v in first.terms.items()})
+
+
+def test_conformity_failure_carries_a_replayable_jump(patch2, monkeypatch):
+    # one vector, one HdivS-type and one DivDiv-type family
+    for family, k in (("BDM", 1), ("HdivS", 2), ("DivDiv", 3)):
+        _replay_conformity_failure(patch2, monkeypatch, family, k)
+
+
+def test_cell_checks_build_one_element_per_simplex(monkeypatch):
+    from femforge import cli
+
+    built = []
+
+    def counting(frame, family, k):
+        built.append(frame)
+        return build_element(frame, family, k)
+
+    monkeypatch.setattr(cli, "build_element", counting)
+    monkeypatch.setattr(conformity, "build_element", counting)
+    out = cli._cell_checks_element("HdivS", 2, 2, "ref", 0)
+    assert [res.passed for *_, res in out] == [True, True, True]
+    assert len(built) == 2 and built[0] is not built[1]
 
 
 # -- the Green identity against its polynomial evaluation -------------------------

@@ -453,3 +453,15 @@ def test_hdivs_minus_shared_kernel_is_bubble_plus_enrichment(d, k, expected):
     assert res.passed, res.as_dict()
     assert expected == spaces.dim_bubble_sym(d, k) + d * spaces.dim_H(d, k)
     assert res.context["kernel_dim"] == res.context["bubble_dim"] == res.expected == expected
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("step", [0, 1])
+def test_dof_matrix_product_equals_per_member_dofs(family, step):
+    # the DoF rows times the shape basis reproduce the per-(DoF, member) matrix
+    fr = random_frame(2, random.Random(31 + step))
+    k = FAMILIES[family].floor(2) + step
+    e = build_element(fr, family, k)
+    rows = el._dof_matrix(fr, e.dofs, e.space.kind, e.space.k)
+    assert rows.rows == len(e.dofs)
+    assert rows.matmul(e.space.basis) == e.dof_matrix
