@@ -18,6 +18,7 @@ from .spaces import (
     PolySpace,
     bubble_space,
     bubble_sym_generators,
+    bubble_vector_generators,
     build_standard,
     certify_decompositions,
     divdiv_splits,
@@ -36,6 +37,7 @@ __all__ = [
     "apply_dof",
     "bubble_space",
     "bubble_sym_generators",
+    "bubble_vector_generators",
     "build_element",
     "build_frame",
     "build_patch",

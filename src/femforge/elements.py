@@ -3,7 +3,14 @@
 Each family assembles a Ciarlet triple: a simplex, a shape-function space and
 an ordered list of degree-of-freedom functionals.  The square DoF matrix
 (rows = DoFs, columns = shape basis members) is assembled with exact face and
-cell moments; unisolvence is certified by exact rank.
+cell moments.  Both certificates go through the paper's split of the shape
+space into a trace part and a bubble part: the shared DoF rows S are
+eliminated once per element, and their kernel K (the shape functions with
+zero shared DoFs) serves both.  The DoF matrix [S; I] is invertible exactly
+when S has full row rank and the square interior block I K is nonsingular;
+any other case falls back to the exact rank of the full matrix and a kernel
+witness.  The trace-block check takes the traces of K and compares its span
+with the paper's explicit bubble generators.
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
 from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
@@ -22,7 +29,7 @@ single-valuedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import prod
@@ -69,6 +76,8 @@ class Element:
     space: PolySpace
     dofs: list[DoFDescriptor]
     dof_matrix: Matrix
+    # (dof_matrix, shared row indices, rank of S, basis of ker S); see _shared_split
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -501,12 +510,33 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
     return Element(family, frame, k, space, dofs, Matrix(values, len(members)))
 
 
+def _shared_split(element: Element) -> tuple[list[int], int, Matrix]:
+    """(shared row indices, rank of the shared block S, basis of ker S as
+    columns), from one elimination of S per element.  Only the kernel is
+    kept, not the echelon form; the memo is dropped when the DoF matrix or
+    the shared rows change."""
+    shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
+    memo = element._split
+    if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
+        m = element.dof_matrix
+        ker = Matrix([m.row(i) for i in shared], m.cols).null_space()
+        memo = element._split = (m, shared, m.cols - ker.cols, ker)
+    return memo[1:]
+
+
 def check_unisolvence(element: Element) -> CheckResult:
     n_dofs = len(element.dofs)
     dim = element.space.dim
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
+    shared, rank_s, ker = _shared_split(element)
+    if rank_s == len(shared):
+        # A = [S; I] with S of full row rank: A x = 0 iff x = K y and I K y = 0
+        m = element.dof_matrix
+        interior = Matrix([m.row(i) for i, dof in enumerate(element.dofs) if not dof.shared], m.cols)
+        if interior.matmul(ker).rank() == ker.cols:
+            return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:
         return CheckResult("unisolvence", True, expected=dim, got=r, context=ctx)
@@ -556,14 +586,17 @@ def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
 
 
 def _expected_kernel(element: Element) -> PolySpace | None:
-    """The bubble space the shared-DoF kernel must equal, where one is known."""
-    frame, k = element.frame, element.k
-    fam = {"BDM": "div_vector", "RT": "div_RT_minus", "HdivS": "div_sym", "HdivS_split": "div_sym",
-           "HdivS_minus": "div_sym"}.get(element.family)
-    if fam is None:
+    """The bubble space the shared-DoF kernel must equal, where one is known,
+    from the paper's generators rather than from a second trace kernel."""
+    frame, k, family = element.frame, element.k, element.family
+    if family == "BDM":
+        return spaces.bubble_vector_generators(frame, k)
+    if family == "RT":
+        return spaces.bubble_space(frame, "div_RT_minus", k)
+    if family not in ("HdivS", "HdivS_split", "HdivS_minus"):
         return None
-    bubble = spaces.bubble_space(frame, fam, k)
-    if element.family == "HdivS_minus":
+    bubble = spaces.bubble_sym_generators(frame, k)
+    if family == "HdivS_minus":
         # the enrichment consists of degree-(k+1) bubbles
         return spaces.space_sum(bubble, spaces.bubble_enrichment_sym(frame, k), "bubble_plus_enrichment")
     return bubble
@@ -572,9 +605,7 @@ def _expected_kernel(element: Element) -> PolySpace | None:
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace."""
-    shared_rows = [i for i, dof in enumerate(element.dofs) if dof.shared]
-    sub = Matrix([element.dof_matrix.row(i) for i in shared_rows], element.dof_matrix.cols)
-    ker = sub.null_space()
+    shared_rows, _, ker = _shared_split(element)
     frame = element.frame
     ctx = {
         "family": element.family,
@@ -584,7 +615,7 @@ def trace_block_rank(element: Element) -> CheckResult:
         "kernel_dim": ker.cols,
     }
     space = element.space
-    coeffs = space.basis.matmul(ker)
+    coeffs = ker if space.basis.is_identity() else space.basis.matmul(ker)
     hit = _first_nonzero_trace(
         frame.faces(1), space.kind, space.k, FAMILIES[element.family].trace_modes, coeffs
     )

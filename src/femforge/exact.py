@@ -121,10 +121,10 @@ class Matrix:
         return self._rows[i][j]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._rows == other._rows
+        return isinstance(other, Matrix) and (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self.rows, self.cols, self._rows))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -173,6 +173,12 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self._rows for x in row)
+
+    def is_identity(self) -> bool:
+        # tuple.count compares by identity first, so the unit rows that
+        # ``identity`` builds from shared zeros are scanned at C speed
+        n = self.cols
+        return self.rows == n and all(row[i] == 1 and row.count(_ZERO) == n - 1 for i, row in enumerate(self._rows))
 
     # -- elimination core ------------------------------------------------------
 

@@ -9,6 +9,7 @@ pads zero rows, so subspace algebra across degrees is one matrix problem.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Callable
 
@@ -431,19 +432,34 @@ def bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     return space
 
 
+def _edge_bubbles(frame: SimplexFrame, kind: str, k: int, edge_values: dict, tag: str) -> PolySpace:
+    """span{lambda_i lambda_j m c_ij : |m| <= k-2} over the edges (i, j) of
+    the simplex, c_ij the constant polynomial ``edge_values[(i, j)]``."""
+    d = frame.d
+    gens = []
+    for (i, j), c in sorted(edge_values.items()):
+        lamlam = poly.multiply(frame.lambdas[i], frame.lambdas[j])
+        for exps in poly.monomials(d, k - 2):
+            mono = Polynomial(d, "scalar", {(0, exps): _ONE})
+            gens.append(poly.multiply(poly.multiply(lamlam, mono), c))
+    return PolySpace(frame, kind, k, exact.image_basis(poly.coeff_matrix(gens, k)), tag)
+
+
+def bubble_vector_generators(frame: SimplexFrame, k: int) -> PolySpace:
+    """span{lambda_i lambda_j m t_ij : |m| <= k-2}, t_ij = x_j - x_i (the
+    generator-side bubble of P_k(R^d); empty below k = 2)."""
+    if k < 2:
+        return empty_space(frame, "vector", k, f"bubble_vec_gen_{k}")
+    edges = combinations(range(frame.d + 1), 2)
+    tangents = {ij: Polynomial.constant_vector(frame.d, frame.tangent(*ij)) for ij in edges}
+    return _edge_bubbles(frame, "vector", k, tangents, f"bubble_vec_gen_{k}")
+
+
 def bubble_sym_generators(frame: SimplexFrame, k: int) -> PolySpace:
     """span{lambda_i lambda_j m T_ij : |m| <= k-2} (the generator-side bubble)."""
     if k < 2:
         raise BadDegreeError("symmetric bubbles need k >= 2")
-    d = frame.d
-    gens = []
-    for (i, j), T in sorted(frame.tensor_T.items()):
-        lamlam = poly.multiply(frame.lambdas[i], frame.lambdas[j])
-        for exps in poly.monomials(d, k - 2):
-            mono = Polynomial(d, "scalar", {(0, exps): _ONE})
-            gens.append(poly.multiply(poly.multiply(lamlam, mono), T))
-    basis = exact.image_basis(poly.coeff_matrix(gens, k))
-    return PolySpace(frame, "sym", k, basis, f"bubble_sym_gen_{k}")
+    return _edge_bubbles(frame, "sym", k, frame.tensor_T, f"bubble_sym_gen_{k}")
 
 
 def orthocomplement_in(parent: PolySpace, sub: PolySpace, tag: str = "") -> PolySpace:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from femforge.elements import (
     FACE_SCALAR_NORMAL,
     FAMILIES,
     DoFDescriptor,
+    Element,
     apply_dof,
     build_element,
     check_unisolvence,
@@ -17,6 +19,7 @@ from femforge.elements import (
 )
 from femforge.exact import Matrix
 from femforge.poly import Polynomial
+from femforge.report import CheckResult
 from femforge.simplex import random_frame, reference_simplex
 from femforge.spaces import BadDegreeError, UnsupportedTagError, dim_trace_sym
 
@@ -465,3 +468,156 @@ def test_dof_matrix_product_equals_per_member_dofs(family, step):
     rows = el._dof_matrix(fr, e.dofs, e.space.kind, e.space.k)
     assert rows.rows == len(e.dofs)
     assert rows.matmul(e.space.basis) == e.dof_matrix
+
+
+# -- the split certificates against direct references ----------------------------
+#
+# The library eliminates the shared DoF rows S once per element and certifies
+# both unisolvence ([S; I] is invertible iff S has full row rank and I K is
+# nonsingular, K a basis of ker S) and the trace block (the traces of K vanish
+# and K spans the bubble generators) from that one kernel.  The references
+# are the direct routes: the exact rank of the whole DoF matrix with its
+# kernel witness, and a fresh kernel of S, mapped through the shape basis and
+# compared with the bubble computed as a trace kernel.
+
+
+def reference_check_unisolvence(element):
+    n_dofs = len(element.dofs)
+    dim = element.space.dim
+    ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
+    if n_dofs != dim:
+        return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
+    r = element.dof_matrix.rank()
+    if r == dim:
+        return CheckResult("unisolvence", True, expected=dim, got=r, context=ctx)
+    coeffs = element.space.basis.matmul(element.dof_matrix.null_space())
+    witness = poly.from_coeff_vector(element.frame.d, element.space.kind, element.space.k, coeffs.column(0))
+    ctx["kernel_witness"] = poly.poly_to_json(witness)
+    return CheckResult("unisolvence", False, expected=dim, got=r, context=ctx)
+
+
+_TRACE_KERNEL_BUBBLES = {"BDM": "div_vector", "RT": "div_RT_minus", "HdivS": "div_sym",
+                         "HdivS_split": "div_sym", "HdivS_minus": "div_sym"}
+
+
+def reference_trace_block_rank(element):
+    m, frame, space = element.dof_matrix, element.frame, element.space
+    shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
+    ker = Matrix([m.row(i) for i in shared], m.cols).null_space()
+    ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared),
+           "kernel_dim": ker.cols}
+    coeffs = space.basis.matmul(ker)
+    hit = el._first_nonzero_trace(frame.faces(1), space.kind, space.k,
+                                  FAMILIES[element.family].trace_modes, coeffs)
+    if hit is not None:
+        ctx["nonzero_trace_mode"] = hit[1]
+        return CheckResult("trace-block", False, expected="zero trace", got=hit[1], context=ctx)
+    fam = _TRACE_KERNEL_BUBBLES.get(element.family)
+    if fam is None:
+        return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
+    bubble = spaces.bubble_space(frame, fam, element.k)
+    if element.family == "HdivS_minus":
+        bubble = spaces.space_sum(bubble, spaces.bubble_enrichment_sym(frame, element.k))
+    ctx["bubble_dim"] = bubble.dim
+    kernel = spaces.PolySpace(frame, space.kind, space.k, exact.image_basis(coeffs))
+    if not spaces.space_equal(kernel, bubble):
+        return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
+    return CheckResult("trace-block", True, expected=bubble.dim, got=ker.cols, context=ctx)
+
+
+def _with_rows(e, rows):
+    return Element(e.family, e.frame, e.k, e.space, e.dofs, Matrix(rows))
+
+
+_SPLIT_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step, where)
+                for fam in sorted(FAMILIES) for step in (0, 1) for where in ("reference", "random")]
+_SPLIT_CELLS += [(fam, 3, FAMILIES[fam].floor(3), "random") for fam in sorted(FAMILIES)]
+
+
+@pytest.mark.parametrize("family,d,k,where", _SPLIT_CELLS)
+def test_split_certificates_match_direct_references(family, d, k, where):
+    fr = reference_simplex(d) if where == "reference" else random_frame(d, random.Random(41 + d))
+    e = build_element(fr, family, k)
+    uni, block = check_unisolvence(e), trace_block_rank(e)
+    assert uni.passed and block.passed
+    assert uni.as_dict() == reference_check_unisolvence(e).as_dict()
+    assert block.as_dict() == reference_trace_block_rank(e).as_dict()
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
+def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k):
+    e = build_element(tri, family, k)
+    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    rows[shared[-1]] = rows[shared[0]]
+    broken = _with_rows(e, rows)
+    res = check_unisolvence(broken)
+    assert el._shared_split(broken)[1] == len(shared) - 1
+    assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
+    assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
+def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family, k):
+    # S keeps full row rank; the overwritten interior row vanishes on ker S
+    e = build_element(tri, family, k)
+    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    rows[interior[0]] = rows[shared[0]]
+    broken = _with_rows(e, rows)
+    res = check_unisolvence(broken)
+    assert el._shared_split(broken)[1] == len(shared)
+    assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
+    assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 3), ("HdivS", 3)])
+def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(family, k):
+    # one interior DoF declared shared: ker S loses a bubble, its traces stay zero
+    fr = random_frame(2, random.Random(47))
+    e = build_element(fr, family, k)
+    dofs = list(e.dofs)
+    i = next(i for i, dof in enumerate(dofs) if not dof.shared)
+    dofs[i] = dataclasses.replace(dofs[i], shared=True)
+    broken = Element(e.family, e.frame, e.k, e.space, dofs, e.dof_matrix)
+    res = trace_block_rank(broken)
+    assert not res.passed and res.expected == "kernel == bubble"
+    assert res.got == res.context["kernel_dim"] == res.context["bubble_dim"] - 1
+    assert "nonzero_trace_mode" not in res.context
+    assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
+    assert check_unisolvence(broken).passed
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS_minus", 2), ("DivDiv", 3)])
+def test_certificates_do_not_depend_on_their_order(family, k):
+    fr = random_frame(2, random.Random(43))
+    a, b = build_element(fr, family, k), build_element(fr, family, k)
+    uni_first = (check_unisolvence(a).as_dict(), trace_block_rank(a).as_dict())
+    block = trace_block_rank(b).as_dict()
+    assert uni_first == (check_unisolvence(b).as_dict(), block)
+
+
+def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
+    e = build_element(tri, "HdivS", 2)
+    assert check_unisolvence(e).passed and trace_block_rank(e).passed
+    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    # the pair of test_unisolvence_failure_reports_kernel_witness: a new
+    # Element over the same frame, space and DoFs starts without a memo
+    rows[interior[-1]] = rows[interior[0]]
+    broken = _with_rows(e, rows)
+    assert broken._split is None
+    assert not check_unisolvence(broken).passed
+    assert broken._split[0] is broken.dof_matrix and e._split[0] is e.dof_matrix
+    # the memo is neither compared nor printed, and a copy starts afresh
+    twin = dataclasses.replace(e)
+    assert twin._split is None and twin == e and repr(twin) == repr(e)
+    # replacing the DoF matrix of an element drops its memo
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    rows[shared[-1]] = rows[shared[0]]
+    e.dof_matrix = Matrix(rows)
+    res = check_unisolvence(e)
+    assert not res.passed and res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+    assert el._shared_split(e)[1] == len(shared) - 1

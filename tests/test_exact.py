@@ -173,6 +173,26 @@ def test_empty_shapes_are_kept(n):
         Matrix.vstack([Matrix.zeros(1, n), Matrix.zeros(1, n + 1)], n)
 
 
+def test_equality_and_hash_see_the_shape():
+    # two matrices with no rows differ in width alone
+    a, b = Matrix.zeros(0, 3), Matrix.zeros(0, 5)
+    assert a != b and hash(a) != hash(b)
+    assert len({a, b, Matrix.zeros(0, 3)}) == 2
+    assert Matrix.zeros(0, 3) == a and hash(Matrix.zeros(0, 3)) == hash(a)
+    assert Matrix.zeros(3, 0) != Matrix.zeros(5, 0)
+    assert Matrix.identity(2) == Matrix([[1, 0], [0, 1]])
+
+
+def test_is_identity():
+    assert all(Matrix.identity(n).is_identity() for n in (0, 1, 4))
+    assert Matrix([[1, 0], [0, Fraction(2, 2)]]).is_identity()
+    assert not Matrix([[1, 0], [0, 2]]).is_identity()
+    assert not Matrix([[1, 0], [1, 1]]).is_identity()
+    assert not Matrix([[0, 1], [1, 0]]).is_identity()
+    assert not Matrix([[1, 0]]).is_identity()
+    assert not Matrix.zeros(2, 0).is_identity()
+
+
 def test_public_constructor_converts_and_checks_internal_results_are_fractions():
     m = Matrix([[1, Fraction(1, 2)], (3, 4)])
     assert all(type(x) is Fraction for i in range(2) for x in m.row(i))

@@ -13,6 +13,7 @@ from femforge.spaces import (
     UnsupportedTagError,
     bubble_space,
     bubble_sym_generators,
+    bubble_vector_generators,
     build_standard,
     certify_decompositions,
     dim_ND,
@@ -98,6 +99,16 @@ def test_bubble_sym_generators_match_kernel(d, k):
         ker = bubble_space(fr, "div_sym", k)
         assert gen.dim == dim_bubble_sym(d, k)
         assert space_equal(gen, ker)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bubble_vector_generators_match_kernel(d, k):
+    rng = random.Random(90 + 10 * d + k)
+    for fr in (reference_simplex(d), random_frame(d, rng)):
+        gen = bubble_vector_generators(fr, k)
+        assert (gen.kind, gen.k, gen.dim) == ("vector", k, dim_bubble_vector(d, k))
+        assert gen.basis == bubble_space(fr, "div_vector", k).basis
 
 
 def test_generator_traces_vanish(tri):
