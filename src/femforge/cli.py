@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import spaces
 from .conformity import conformity_check, green_identity_check, reflected_patch
 from .elements import FAMILIES, build_element, check_unisolvence, element_to_json, trace_block_rank
-from .poly import Polynomial, grad, koszul_dot_x, koszul_xxT, divdiv, div, multiply, monomials
+from .poly import Polynomial, grad, koszul_dot_x, koszul_x, koszul_xxT, divdiv, div, monomials
 from .report import CheckResult
 from .simplex import SimplexFrame, random_frame, reference_simplex
 
@@ -133,8 +133,7 @@ def _cell_checks_ops(d: int, r: int, seed: int):
     rng = random.Random(f"{seed}:ops:{d}:{r}")
     q = _random_homogeneous(rng, d, r)
     euler_grad = koszul_dot_x(grad(q)) == q.scale(r)
-    xq = Polynomial.vector_from([multiply(Polynomial.coordinate(d, t), q) for t in range(d)])
-    euler_div = div(xq) == q.scale(r + d)
+    euler_div = div(koszul_x(q)) == q.scale(r + d)
     dd = divdiv(koszul_xxT(q)) == q.scale((r + 1 + d) * (r + d))
     ctx = {"d": d, "degree": r}
     return [
@@ -160,7 +159,7 @@ def _dims_checks(d: int, k: int):
     add("dim-kernel-bubble-vector", e0.dim, spaces.dim_E0_vector(d, k))
     add("dim-complement-bubble-vector", e0perp.dim, spaces.dim_E0perp_vector(d, k))
     add("dim-trace-vector",
-        spaces.trace_matrix(frame, spaces.build_standard(frame, "P_vector", k), "div_vector").rank(),
+        spaces.trace_matrix(frame, spaces.build_standard(frame, "P_vector", k), "vector_normal").rank(),
         spaces.dim_trace_vector(d, k))
     add("dim-bubble-enriched-vector", spaces.bubble_space(frame, "div_RT_minus", k).dim,
         spaces.dim_bubble_rt(d, k))
@@ -174,7 +173,7 @@ def _dims_checks(d: int, k: int):
         add("dim-kernel-bubble-sym", s0.dim, spaces.dim_E0_sym(d, k))
         add("dim-complement-bubble-sym", s0perp.dim, spaces.dim_E0perp_sym(d, k))
         add("dim-trace-sym",
-            spaces.trace_matrix(frame, spaces.build_standard(frame, "P_sym", k), "div_sym").rank(),
+            spaces.trace_matrix(frame, spaces.build_standard(frame, "P_sym", k), "tensor_normal").rank(),
             spaces.dim_trace_sym(d, k))
         if d == 3:
             add("dim-boundary-total-3d", spaces.dim_trace_sym(3, k), 6 * (k + 1) ** 2)

@@ -407,6 +407,20 @@ def divdiv(tau: Polynomial) -> Polynomial:
 # -- Koszul-type multiplication operators -----------------------------------------
 
 
+def koszul_x(q: Polynomial) -> Polynomial:
+    """q x for a scalar q (vector valued)."""
+    if q.kind != "scalar":
+        raise ShapeMismatchError("koszul_x needs a scalar")
+    d = q.d
+    terms = {}
+    for c in range(d):
+        for (_, exps), val in q.terms.items():
+            new = list(exps)
+            new[c] += 1
+            terms[(c, tuple(new))] = val
+    return Polynomial(d, "vector", terms)
+
+
 def koszul_dot_x(v: Polynomial) -> Polynomial:
     """v . x for a vector field v."""
     if v.kind != "vector":

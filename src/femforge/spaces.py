@@ -18,7 +18,7 @@ from .exact import Matrix
 from .integrate import frame_gram
 from .poly import Polynomial
 from .report import CheckResult
-from .simplex import SimplexFrame
+from .simplex import SimplexFrame, reference_simplex
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,9 +57,6 @@ class PolySpace:
                 for j in range(self.basis.cols)
             ]
         return self._members
-
-    def member(self, j: int) -> Polynomial:
-        return self.members()[j]
 
     def with_degree(self, k: int) -> "PolySpace":
         """The same space expressed over the degree <= k frame (k >= self.k)."""
@@ -182,19 +179,12 @@ def _homogeneous_unit_columns(d: int, kind: str, k: int) -> Matrix:
     return Matrix(data)
 
 
-def _skw_unit_matrices(d: int) -> list[Polynomial]:
-    out = []
-    for c in range(poly.ncomp("skw", d)):
-        out.append(Polynomial.monomial(d, "skw", c, (0,) * d))
-    return out
-
-
 def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
     """Build a named space of degree parameter k (see the tag table).
 
     P_scalar/P_vector/P_sym/P_skw: full polynomial spaces of degree <= k.
     H_scalar: homogeneous scalars of degree exactly k.
-    ND: P_k(R^d) + H_k(K)x with skew-matrix coefficients (first-kind edge space).
+    ND: P_k(R^d) + P_k(K)x with skew-matrix coefficients (first-kind edge space).
     RT_shape: P_k(R^d) + H_k x.
     RM: rigid motions (= ND at k = 0).
     xxT_H: x x^T H_k (symmetric, homogeneous of degree k + 2).
@@ -208,57 +198,28 @@ def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
     return space
 
 
+_CATALOG_TAGS = (*_P_TAGS, "H_scalar", "ND", "RT_shape", "xxT_H", "skwPx")
+
+
 def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
-    d = frame.d
-    if tag in _P_TAGS:
-        if k < 0:
-            raise BadDegreeError(f"{tag} needs k >= 0")
-        return _monomial_space(frame, _P_TAGS[tag], k, f"{tag}_{k}")
-    if tag == "H_scalar":
-        if k < 0:
-            raise BadDegreeError("H_scalar needs k >= 0")
-        return PolySpace(frame, "scalar", k, _homogeneous_unit_columns(d, "scalar", k), f"H_{k}")
     if tag == "RM":
         return _build_standard_uncached(frame, "ND", 0)
-    if tag == "ND":
-        if k < 0:
-            raise BadDegreeError("ND needs k >= 0")
-        basis = exact.image_basis(poly.coeff_matrix(nd_generators(d, k), k + 1))
-        return PolySpace(frame, "vector", k + 1, basis, f"ND_{k}")
-    if tag == "RT_shape":
-        if k < 0:
-            raise BadDegreeError("RT_shape needs k >= 0")
-        gens = _monomial_space(frame, "vector", k, "").members()
-        for exps in poly.monomials(d, k):
-            if sum(exps) == k:
-                mono = Polynomial(d, "scalar", {(0, exps): _ONE})
-                xq = Polynomial.vector_from(
-                    [poly.multiply(Polynomial.coordinate(d, t), mono) for t in range(d)]
-                )
-                gens.append(xq)
-        basis = exact.image_basis(poly.coeff_matrix(gens, k + 1))
-        return PolySpace(frame, "vector", k + 1, basis, f"RT_{k}")
+    if tag not in _CATALOG_TAGS:
+        raise UnsupportedTagError(f"unknown space tag {tag!r}")
+    if k < 0:
+        raise BadDegreeError(f"{tag} needs k >= 0")
+    if tag in _P_TAGS:
+        return _monomial_space(frame, _P_TAGS[tag], k, f"{tag}_{k}")
+    if tag == "H_scalar":
+        return PolySpace(frame, "scalar", k, _homogeneous_unit_columns(frame.d, "scalar", k), f"H_{k}")
     if tag == "xxT_H":
-        if k < 0:
-            raise BadDegreeError("xxT_H needs k >= 0")
-        gens = []
-        for exps in poly.monomials(d, k):
-            if sum(exps) == k:
-                mono = Polynomial(d, "scalar", {(0, exps): _ONE})
-                gens.append(poly.koszul_xxT(mono))
-        basis = exact.image_basis(poly.coeff_matrix(gens, k + 2))
-        return PolySpace(frame, "sym", k + 2, basis, f"xxT_H_{k}")
+        return image_space("xxT", build_standard(frame, "H_scalar", k), f"xxT_H_{k}")
     if tag == "skwPx":
-        if k < 0:
-            raise BadDegreeError("skwPx needs k >= 0")
-        gens = []
-        for c in range(poly.ncomp("skw", d)):
-            for exps in poly.monomials(d, k):
-                mono_skw = Polynomial.monomial(d, "skw", c, exps)
-                gens.append(poly.koszul_mat_x(mono_skw))
-        basis = exact.image_basis(poly.coeff_matrix(gens, k + 1))
-        return PolySpace(frame, "vector", k + 1, basis, f"skwPx_{k}")
-    raise UnsupportedTagError(f"unknown space tag {tag!r}")
+        return image_space("mat_x", build_standard(frame, "P_skw", k), f"skwPx_{k}")
+    p_k = build_standard(frame, "P_vector", k)
+    if tag == "ND":
+        return space_sum(p_k, build_standard(frame, "skwPx", k), f"ND_{k}")
+    return space_sum(p_k, image_space("x", build_standard(frame, "H_scalar", k)), f"RT_{k}")
 
 
 def empty_space(frame: SimplexFrame, kind: str, k: int = 0, tag: str = "") -> PolySpace:
@@ -266,51 +227,14 @@ def empty_space(frame: SimplexFrame, kind: str, k: int = 0, tag: str = "") -> Po
     return PolySpace(frame, kind, max(k, 0), Matrix.zeros(n, 0), tag)
 
 
-def nd_generators(d: int, k: int) -> list[Polynomial]:
-    """Generators of the degree-k first-kind edge space P_k(R^d) + H_k(K)x."""
-    gens = [
-        Polynomial.monomial(d, "vector", c, exps)
-        for exps in poly.monomials(d, k)
-        for c in range(d)
-    ]
-    for c in range(poly.ncomp("skw", d)):
-        nx = poly.koszul_mat_x(Polynomial.monomial(d, "skw", c, (0,) * d))
-        for exps in poly.monomials(d, k):
-            if sum(exps) == k:
-                mono = Polynomial(d, "scalar", {(0, exps): _ONE})
-                gens.append(poly.multiply(mono, nx))
-    return gens
-
-
 def nd_basis(d: int, k: int) -> list[Polynomial]:
-    """Canonical basis of the coordinate edge space in d variables (no frame)."""
+    """Canonical basis of the coordinate edge space in d variables."""
     if k < 0:
         return []
-    mat = exact.image_basis(poly.coeff_matrix(nd_generators(d, k), k + 1))
-    return [poly.from_coeff_vector(d, "vector", k + 1, mat.column(j)) for j in range(mat.cols)]
+    return build_standard(reference_simplex(d), "ND", k).members()
 
 
 # -- operator matrices ---------------------------------------------------------------
-
-
-def _pi_rm(v: Polynomial) -> Polynomial:
-    d = v.d
-    origin = (0,) * d
-    val = v.evaluate(origin)
-    skw0 = poly.skw_grad(v).evaluate(origin)
-    comps = []
-    for i in range(d):
-        terms = {}
-        if val[i]:
-            terms[(0, (0,) * d)] = val[i]
-        for j in range(d):
-            if skw0[i][j]:
-                e = [0] * d
-                e[j] = 1
-                key = (0, tuple(e))
-                terms[key] = terms.get(key, _ZERO) + skw0[i][j]
-        comps.append(Polynomial(d, "scalar", terms))
-    return Polynomial.vector_from(comps)
 
 
 _OPS: dict[str, tuple[Callable[[Polynomial], Polynomial], str, Callable[[int], int]]] = {
@@ -320,10 +244,10 @@ _OPS: dict[str, tuple[Callable[[Polynomial], Polynomial], str, Callable[[int], i
     "def": (poly.sym_grad, "sym", lambda k: max(k - 1, 0)),
     "hess": (poly.hess, "sym", lambda k: max(k - 2, 0)),
     "dot_x": (poly.koszul_dot_x, "scalar", lambda k: k + 1),
+    "x": (poly.koszul_x, "vector", lambda k: k + 1),
     "mat_x": (poly.koszul_mat_x, "vector", lambda k: k + 1),
     "xxT": (poly.koszul_xxT, "sym", lambda k: k + 2),
     "divdiv": (poly.divdiv, "scalar", lambda k: max(k - 2, 0)),
-    "pi_RM": (_pi_rm, "vector", lambda k: max(k, 1)),
 }
 
 
@@ -388,32 +312,30 @@ def kernel_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
 # -- traces and bubbles ----------------------------------------------------------------
 
 
-# trace_matrix modes (and their operator-tag aliases) -> Face.traces modes
-_TRACE_MODES = {"div_vector": "vector_normal", "div_sym": "tensor_normal", "ndiv": "normal_div",
-                "combo": "combo", "trace_div_of_div": "normal_div", "trace_divdiv_combo": "combo"}
+# the face traces whose vanishing defines the bubbles of the div and divdiv families
+_CONFORMING_TRACES = ("vector_normal", "tensor_normal", "normal_div", "combo")
 
 
 def trace_matrix(frame: SimplexFrame, space: PolySpace, mode: str) -> Matrix:
-    """Stacked face-trace coefficients: rows = (face, [comp,] chart monomial)."""
-    if mode == "trace_div":
-        mode = "div_vector" if space.kind == "vector" else "div_sym"
-    face_mode = _TRACE_MODES.get(mode)
-    if face_mode is None:
+    """Stacked face-trace coefficients: rows = (face, [comp,] chart monomial);
+    ``mode`` is one of the ``Face.traces`` modes in ``_CONFORMING_TRACES``."""
+    if mode not in _CONFORMING_TRACES:
         raise UnsupportedTagError(f"unknown trace mode {mode!r}")
-    mats = [t for face in frame.faces(1) for t in face.traces(space.kind, space.k, face_mode)[1]]
+    mats = [t for face in frame.faces(1) for t in face.traces(space.kind, space.k, mode)[1]]
     stacked = Matrix.vstack(mats, space.basis.rows)
     return stacked.matmul(space.basis)
 
 
 _BUBBLE_SHAPES = {
-    "div_vector": ("P_vector", "div_vector"),
-    "div_sym": ("P_sym", "div_sym"),
-    "div_RT_minus": ("RT_shape", "div_vector"),
+    "div_vector": ("P_vector", "vector_normal"),
+    "div_sym": ("P_sym", "tensor_normal"),
+    "div_RT_minus": ("RT_shape", "vector_normal"),
 }
 
 
 def bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
-    """ker(trace) inside the family's shape space, by exact kernel computation."""
+    """ker(trace) inside the family's shape space, by exact kernel computation
+    (the certificate for the generator-side bubbles below)."""
     got = _BUBBLE_SHAPES.get(family)
     if got is None:
         raise UnsupportedTagError(f"unknown bubble family {family!r}")
@@ -456,9 +378,10 @@ def bubble_vector_generators(frame: SimplexFrame, k: int) -> PolySpace:
 
 
 def bubble_sym_generators(frame: SimplexFrame, k: int) -> PolySpace:
-    """span{lambda_i lambda_j m T_ij : |m| <= k-2} (the generator-side bubble)."""
+    """span{lambda_i lambda_j m T_ij : |m| <= k-2} (the generator-side bubble
+    of P_k(S); empty below k = 2)."""
     if k < 2:
-        raise BadDegreeError("symmetric bubbles need k >= 2")
+        return empty_space(frame, "sym", k, f"bubble_sym_gen_{k}")
     return _edge_bubbles(frame, "sym", k, frame.tensor_T, f"bubble_sym_gen_{k}")
 
 
@@ -474,12 +397,21 @@ def orthocomplement_in(parent: PolySpace, sub: PolySpace, tag: str = "") -> Poly
     )
 
 
+_BUBBLE_GENERATORS = {"div_vector": bubble_vector_generators, "div_sym": bubble_sym_generators}
+
+
 def split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, PolySpace]:
-    """(kernel of the differential inside the bubble, its L2 complement)."""
+    """(kernel of the divergence inside the family's generator-side bubble,
+    its L2 complement)."""
+    generators = _BUBBLE_GENERATORS.get(family)
+    if generators is None:
+        raise UnsupportedTagError(f"unknown bubble family {family!r}")
+    if k < 0:
+        raise BadDegreeError("bubble spaces need k >= 0")
     cached = frame._space_cache.get(("split", family, k))
     if cached is not None:
         return cached
-    bubble = bubble_space(frame, family, k)
+    bubble = generators(frame, k)
     op = "div" if bubble.kind == "vector" else "div_rowwise"
     dm = operator_matrix(op, bubble)
     e0 = dm.kernel_space(f"E0_{family}_{k}")
@@ -653,7 +585,7 @@ def divdiv_splits(frame: SimplexFrame, k: int) -> tuple[PolySpace, PolySpace]:
     if k < 3:
         raise BadDegreeError("divdiv splits need k >= 3")
     e0, e0perp = split_bubble(frame, "div_sym", k)
-    bub_vec = bubble_space(frame, "div_vector", k - 1)
+    bub_vec = bubble_vector_generators(frame, k - 1)
     rm = build_standard(frame, "RM", 0)
     b_rm = orthocomplement_in(bub_vec, rm, f"bubble_vec_perp_RM_{k - 1}")
     f0 = div_preimage_in(e0perp, b_rm, f"F0_sym_{k}")

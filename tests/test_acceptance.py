@@ -57,7 +57,7 @@ def test_acceptance_1_dimension_suite():
             checks = [
                 ("bubble-vector", bubble_space(fr, "div_vector", k).dim, dim_bubble_vector(d, k)),
                 ("trace-vector",
-                 trace_matrix(fr, build_standard(fr, "P_vector", k), "div_vector").rank(),
+                 trace_matrix(fr, build_standard(fr, "P_vector", k), "vector_normal").rank(),
                  dim_trace_vector(d, k)),
             ]
             e0, _ = split_bubble(fr, "div_vector", k)
@@ -69,7 +69,7 @@ def test_acceptance_1_dimension_suite():
             checks = [
                 ("bubble-sym", bubble_space(fr, "div_sym", k).dim, dim_bubble_sym(d, k)),
                 ("trace-sym",
-                 trace_matrix(fr, build_standard(fr, "P_sym", k), "div_sym").rank(),
+                 trace_matrix(fr, build_standard(fr, "P_sym", k), "tensor_normal").rank(),
                  dim_trace_sym(d, k)),
             ]
             s0, _ = split_bubble(fr, "div_sym", k)

@@ -20,6 +20,7 @@ from femforge.poly import (
     homogeneous_component,
     koszul_dot_x,
     koszul_mat_x,
+    koszul_x,
     koszul_xxT,
     monomials,
     multiply,
@@ -98,6 +99,14 @@ def test_koszul_dot_x_euler():
 def test_koszul_mat_x_zero():
     d = 3
     assert koszul_mat_x(Polynomial.zero(d, "sym")).is_zero()
+
+
+def test_koszul_x_unrolled():
+    d = 3
+    q = Polynomial.constant(d, 2) + multiply(x(d, 0), x(d, 2)).scale(-5)
+    assert koszul_x(q) == Polynomial.vector_from([multiply(x(d, t), q) for t in range(d)])
+    with pytest.raises(ShapeMismatchError):
+        koszul_x(grad(x(d, 0)))
 
 
 def test_koszul_xxT_unrolled():

@@ -113,7 +113,7 @@ def test_bubble_vector_generators_match_kernel(d, k):
 
 def test_generator_traces_vanish(tri):
     gen = bubble_sym_generators(tri, 2)
-    tr = trace_matrix(tri, gen, "div_sym")
+    tr = trace_matrix(tri, gen, "tensor_normal")
     assert tr.is_zero()
 
 
@@ -150,14 +150,14 @@ def test_e0_sym_k3_d2_trivial_and_k4_one(tri):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_trace_rank_vector(d, k):
     fr = reference_simplex(d)
-    tr = trace_matrix(fr, build_standard(fr, "P_vector", k), "div_vector")
+    tr = trace_matrix(fr, build_standard(fr, "P_vector", k), "vector_normal")
     assert tr.rank() == dim_trace_vector(d, k)
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_trace_rank_sym(d, k):
     fr = reference_simplex(d)
-    tr = trace_matrix(fr, build_standard(fr, "P_sym", k), "div_sym")
+    tr = trace_matrix(fr, build_standard(fr, "P_sym", k), "tensor_normal")
     assert tr.rank() == dim_trace_sym(d, k)
 
 
@@ -167,11 +167,11 @@ def test_trace_sym_d3_boundary_total():
 
 
 def test_rt_trace_rank(tri, tet):
-    assert trace_matrix(tri, build_standard(tri, "RT_shape", 0), "div_vector").rank() == 3
-    assert trace_matrix(tet, build_standard(tet, "RT_shape", 0), "div_vector").rank() == 4
+    assert trace_matrix(tri, build_standard(tri, "RT_shape", 0), "vector_normal").rank() == 3
+    assert trace_matrix(tet, build_standard(tet, "RT_shape", 0), "vector_normal").rank() == 4
     # for k >= 1 the enrichment does not add trace content
     assert (
-        trace_matrix(tri, build_standard(tri, "RT_shape", 2), "div_vector").rank()
+        trace_matrix(tri, build_standard(tri, "RT_shape", 2), "vector_normal").rank()
         == dim_trace_vector(2, 2)
     )
 
@@ -201,14 +201,6 @@ def test_div_eigen_on_x_times_H(tri):
     img_mat = poly.coeff_matrix(images, k)
     expect = poly.coeff_matrix([q.scale(k + d) for q in h.members()], k)
     assert img_mat == expect
-
-
-def test_pi_rm_identity_on_rm(tri):
-    rm = build_standard(tri, "RM", 0)
-    om = operator_matrix("pi_RM", rm)
-    for j, member in enumerate(rm.members()):
-        img = poly.from_coeff_vector(2, "vector", om.target_k, om.matrix.column(j))
-        assert img == member
 
 
 def test_dot_x_on_grad_homogeneous(tri):
@@ -294,7 +286,7 @@ def test_divdiv_splits_dims(tri):
     # div restricted to E0perp is injective
     assert operator_matrix("div_rowwise", e0perp).rank() == e0perp.dim
     # the trace of div(Ftr) spans the whole achievable trace space
-    tr = trace_matrix(tri, image_space("div_rowwise", ftr), "div_vector")
+    tr = trace_matrix(tri, image_space("div_rowwise", ftr), "vector_normal")
     assert tr.rank() == ftr.dim == dim_trace_vector(2, 3)
 
 
@@ -341,13 +333,13 @@ def test_e0_vector_pairing_nondegenerate(tri):
 
 def test_trace_matrix_named_operator_tags(tri):
     p3 = build_standard(tri, "P_sym", 3)
-    assert trace_matrix(tri, p3, "trace_div").rank() == dim_trace_sym(2, 3)
+    assert trace_matrix(tri, p3, "tensor_normal").rank() == dim_trace_sym(2, 3)
     v = build_standard(tri, "P_vector", 2)
-    assert trace_matrix(tri, v, "trace_div").rank() == dim_trace_vector(2, 2)
+    assert trace_matrix(tri, v, "vector_normal").rank() == dim_trace_vector(2, 2)
     # the combined trace of the divdiv operator annihilates exactly the
     # functions with both zero tensor trace and zero normal divergence trace
-    nd = trace_matrix(tri, p3, "trace_div_of_div")
-    combo = trace_matrix(tri, p3, "trace_divdiv_combo")
+    nd = trace_matrix(tri, p3, "normal_div")
+    combo = trace_matrix(tri, p3, "combo")
     assert nd.rows == combo.rows
 
 
@@ -370,7 +362,7 @@ def test_divdiv_splits_dims_3d(tet):
     assert f0.dim == dim_bubble_vector(3, 3) - dim_RM(3) == 14
     _, e0perp = split_bubble(tet, "div_sym", 4)
     assert f0.dim + ftr.dim == e0perp.dim
-    tr = trace_matrix(tet, image_space("div_rowwise", ftr), "div_vector")
+    tr = trace_matrix(tet, image_space("div_rowwise", ftr), "vector_normal")
     assert tr.rank() == ftr.dim == dim_trace_vector(3, 3) == 40
 
 
@@ -394,11 +386,11 @@ def _ref_face_trace_rows(face, member, mode, chart_k):
     def row_g(i):
         return sum((member.entry(i, t).scale(g[t]) for t in range(d) if g[t]), Polynomial.zero(d))
 
-    if mode == "div_vector":
+    if mode == "vector_normal":
         polys = [face.restrict(dot_g(member))]
-    elif mode == "div_sym":
+    elif mode == "tensor_normal":
         polys = [face.restrict(row_g(i)) for i in range(d)]
-    elif mode == "ndiv":
+    elif mode == "normal_div":
         polys = [face.restrict(dot_g(poly.div_rowwise(member)))]
     elif mode == "combo":
         taug = Polynomial.vector_from([row_g(i) for i in range(d)])
@@ -411,7 +403,7 @@ def _ref_face_trace_rows(face, member, mode, chart_k):
 
 
 def reference_trace_matrix(frame, space, mode):
-    chart_k = space.k if mode in ("div_vector", "div_sym") else max(space.k - 1, 0)
+    chart_k = space.k if mode in ("vector_normal", "tensor_normal") else max(space.k - 1, 0)
     cols = []
     for member in space.members():
         col = []
@@ -422,8 +414,14 @@ def reference_trace_matrix(frame, space, mode):
     return Matrix.from_columns(cols)
 
 
-_TRACE_CASES = [("P_vector", "div_vector"), ("RT_shape", "div_vector"), ("P_sym", "div_sym"),
-                ("P_sym", "ndiv"), ("P_sym", "combo")]
+# each id names the differential operator whose face trace the mode is
+_TRACE_CASES = [
+    pytest.param("P_vector", "vector_normal", id="P_vector-div_vector"),
+    pytest.param("RT_shape", "vector_normal", id="RT_shape-div_vector"),
+    pytest.param("P_sym", "tensor_normal", id="P_sym-div_sym"),
+    pytest.param("P_sym", "normal_div", id="P_sym-ndiv"),
+    pytest.param("P_sym", "combo", id="P_sym-combo"),
+]
 
 
 @pytest.mark.parametrize("tag,mode", _TRACE_CASES)
@@ -462,3 +460,115 @@ def test_orthocomplement_matches_pairwise_reference(d):
         pairing = Matrix([[pair_simplex(fr, s, p) for p in parent.members()] for s in sub.members()])
         expected = exact.image_basis(parent.basis.matmul(pairing.null_space()))
         assert orthocomplement_in(parent, sub).basis == expected
+
+
+# -- differential tests against the generator loops and the trace kernels -------
+#
+# The library builds each catalog space as one operator image over the monomial
+# frame, and splits the bubbles taken from the explicit generators.  The
+# references loop over the generators one polynomial at a time, and take each
+# bubble as the kernel of its traces.  The canonical bases must be equal.
+
+
+def _homogeneous_monomials(d, k):
+    return [Polynomial(d, "scalar", {(0, e): Fraction(1)}) for e in poly.monomials(d, k) if sum(e) == k]
+
+
+def _vector_monomials(d, k):
+    return [Polynomial.monomial(d, "vector", c, e) for e in poly.monomials(d, k) for c in range(d)]
+
+
+def _reference_nd_generators(d, k):
+    gens = _vector_monomials(d, k)
+    for c in range(poly.ncomp("skw", d)):
+        nx = poly.koszul_mat_x(Polynomial.monomial(d, "skw", c, (0,) * d))
+        gens += [poly.multiply(q, nx) for q in _homogeneous_monomials(d, k)]
+    return gens
+
+
+def reference_build_standard(frame, tag, k):
+    d = frame.d
+    if tag == "ND":
+        kind, deg, gens = "vector", k + 1, _reference_nd_generators(d, k)
+    elif tag == "RT_shape":
+        xq = [Polynomial.vector_from([poly.multiply(Polynomial.coordinate(d, t), q) for t in range(d)])
+              for q in _homogeneous_monomials(d, k)]
+        kind, deg, gens = "vector", k + 1, _vector_monomials(d, k) + xq
+    elif tag == "xxT_H":
+        kind, deg, gens = "sym", k + 2, [poly.koszul_xxT(q) for q in _homogeneous_monomials(d, k)]
+    else:
+        assert tag == "skwPx"
+        gens = [poly.koszul_mat_x(Polynomial.monomial(d, "skw", c, e))
+                for c in range(poly.ncomp("skw", d)) for e in poly.monomials(d, k)]
+        kind, deg = "vector", k + 1
+    return spaces.PolySpace(frame, kind, deg, exact.image_basis(poly.coeff_matrix(gens, deg)), tag)
+
+
+_CATALOG_GRID = [(d, k) for d in (2, 3) for k in range(5)] + [(4, k) for k in range(3)]
+
+
+@pytest.mark.parametrize("tag", ["ND", "RT_shape", "xxT_H", "skwPx"])
+@pytest.mark.parametrize("d,k", _CATALOG_GRID)
+def test_catalog_matches_generator_reference(tag, d, k):
+    for fr in (reference_simplex(d), random_frame(d, random.Random(300 + 10 * d + k))):
+        got, ref = build_standard(fr, tag, k), reference_build_standard(fr, tag, k)
+        assert (got.kind, got.k) == (ref.kind, ref.k)
+        assert got.basis == ref.basis
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_nd_basis_matches_generator_reference(m):
+    assert spaces.nd_basis(m, -1) == []
+    for k in range(4):
+        mat = exact.image_basis(poly.coeff_matrix(_reference_nd_generators(m, k), k + 1))
+        expected = [poly.from_coeff_vector(m, "vector", k + 1, col) for col in mat.columns()]
+        assert spaces.nd_basis(m, k) == expected
+
+
+def reference_split_bubble(frame, family, k):
+    bubble = bubble_space(frame, family, k)
+    e0 = kernel_space("div" if bubble.kind == "vector" else "div_rowwise", bubble)
+    return e0, orthocomplement_in(bubble, e0)
+
+
+def reference_bubble_enrichment_sym(frame, k):
+    _, e0perp = reference_split_bubble(frame, "div_sym", k + 1)
+    rm = build_standard(frame, "RM", 0)
+    perp_k = orthocomplement_in(build_standard(frame, "P_vector", k), rm)
+    perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
+    return div_preimage_in(e0perp, orthocomplement_in(perp_k, perp_km1.with_degree(k)))
+
+
+def reference_divdiv_splits(frame, k):
+    _, e0perp = reference_split_bubble(frame, "div_sym", k)
+    rm = build_standard(frame, "RM", 0)
+    f0 = div_preimage_in(e0perp, orthocomplement_in(bubble_space(frame, "div_vector", k - 1), rm))
+    return f0, orthocomplement_in(e0perp, f0)
+
+
+def _assert_same_spaces(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert (g.kind, g.k) == (r.kind, r.k)
+        assert g.basis == r.basis
+
+
+@pytest.mark.parametrize("family", ["div_vector", "div_sym"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_split_bubble_matches_trace_kernel_reference(family, d):
+    fr = random_frame(d, random.Random(500 + d))
+    for k in range(5):
+        _assert_same_spaces(split_bubble(fr, family, k), reference_split_bubble(fr, family, k))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_divdiv_splits_match_trace_kernel_reference(d):
+    fr = random_frame(d, random.Random(510 + d))
+    for k in (3, 4):
+        _assert_same_spaces(divdiv_splits(fr, k), reference_divdiv_splits(fr, k))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bubble_enrichment_matches_trace_kernel_reference(d):
+    fr = random_frame(d, random.Random(520 + d))
+    for k in (2, 3):
+        _assert_same_spaces([spaces.bubble_enrichment_sym(fr, k)], [reference_bubble_enrichment_sym(fr, k)])
