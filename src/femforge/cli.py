@@ -67,14 +67,38 @@ def _load_frame_file(path: str) -> SimplexFrame:
     return fr
 
 
-def _make_frame(d: int, mode: str, seed: int, key: str) -> tuple[SimplexFrame, dict]:
+# One frame per (d, --simplex mode) for the non-random modes, and its
+# reflected patch, shared by the grid cells of one ``main`` call or of one
+# worker process; None outside them, so nothing outlives the call.
+_memo: dict | None = None
+
+
+def _set_memo(memo: dict | None) -> None:
+    global _memo
+    _memo = memo
+
+
+def _memoized(key, make):
+    """``make()``, built once per key while the memo is open."""
+    if _memo is None:
+        return make()
+    if key not in _memo:
+        _memo[key] = make()
+    return _memo[key]
+
+
+def _fixed_frame(d: int, mode: str) -> SimplexFrame:
     if mode == "ref":
-        return reference_simplex(d), {"simplex": "ref"}
-    if mode != "random":  # a path to a JSON simplex description
-        fr = _load_frame_file(mode)
-        if fr.d != d:
-            raise ValueError(f"simplex file has d={fr.d}, grid cell wants d={d}")
-        return fr, {"simplex": mode}
+        return reference_simplex(d)
+    fr = _load_frame_file(mode)  # a path to a JSON simplex description
+    if fr.d != d:
+        raise ValueError(f"simplex file has d={fr.d}, grid cell wants d={d}")
+    return fr
+
+
+def _make_frame(d: int, mode: str, seed: int, key: str) -> tuple[SimplexFrame, dict]:
+    if mode != "random":
+        return _memoized((d, mode), lambda: _fixed_frame(d, mode)), {"simplex": mode}
     rng = random.Random(f"{seed}:{key}")
     fr = random_frame(d, rng)
     verts = [[f"{x.numerator}/{x.denominator}" for x in v] for v in fr.vertices]
@@ -95,7 +119,11 @@ def _cell_checks_element(family: str, d: int, k: int, mode: str, seed: int):
         res.context.update(sinfo)
         res.check_id = f"{res.check_id}-{family}"
         out.append((family, d, k, res))
-    res = conformity_check(reflected_patch(frame), family, k)
+    if mode == "random":
+        patch = reflected_patch(frame)
+    else:
+        patch = _memoized(("patch", d, mode), lambda: reflected_patch(frame))
+    res = conformity_check(patch, family, k)
     res.context.update(sinfo)
     out.append((family, d, k, res))
     return out
@@ -242,7 +270,7 @@ def _run_cells(tasks, args) -> list:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_memo, initargs=({},)) as pool:
             chunks = list(pool.map(run, tasks))
     else:
         chunks = map(run, tasks)
@@ -423,11 +451,12 @@ def main(argv=None) -> int:
             parser.error(f"cannot read simplex file {args.simplex}: {err}")
         if (d_lo, d_hi) != (fr.d, fr.d):
             parser.error(f"simplex file has d={fr.d}; pass --d {fr.d}..{fr.d}")
-    if args.command == "dims":
-        return _cmd_dims(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_export(args)
+    commands = {"dims": _cmd_dims, "verify": _cmd_verify, "export": _cmd_export}
+    _set_memo({})
+    try:
+        return commands[args.command](args)
+    finally:
+        _set_memo(None)
 
 
 if __name__ == "__main__":

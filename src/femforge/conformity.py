@@ -4,18 +4,29 @@ Patch test
 ----------
 Both simplices of a patch list the shared face's vertices first, in the same
 order, so the canonical chart of the shared face is bit-identical from either
-side.  For each left shape function, the right element's shape function is
-solved for by matching every right DoF that lives on the shared face (applied
-directly to the left function; all other right DoFs are set to zero).  The
+side.  For each left shape function, a right shape function is solved for
+that matches every right DoF living on the shared face (applied directly to
+the left function), with the right side's other shared DoFs set to zero.  The
 left side is only its shape space, never a full element, and the matched
-shared DoFs of all left members are one product: the right element's shared
-DoF rows times the left shape basis.  The family's declared traces must then
+shared DoFs of all left members are one product: the right side's shared DoF
+rows times the left shape basis.  The right side needs only those rows S too:
+one RREF of [S | rhs] gives a particular solution (free coefficients zero)
+and ker S.  When every member of ker S has zero declared traces on the face,
+all right functions with these shared DoFs have the same declared traces
+there (the shared DoFs fix the trace part of the paper's split), so the jumps
+are taken on the particular solution.  The family's declared traces must then
 agree exactly as chart polynomials, while a designated non-conforming
 component (fixed by the first declared trace) must jump for at least one pair
 (the negative control that guards against vacuous passes).  The jumps of all
 members are one product per trace: the shared face's trace matrix times the
-left minus the right shape coefficients.  A failure reports the first
-nonzero jump as a chart polynomial.
+left minus the right shape coefficients.
+
+Every outcome but a pass (an inconsistent system, a kernel member with a
+nonzero declared trace, a nonzero jump, a control that does not jump) is
+decided again from the right element's whole DoF system, every right DoF off
+the shared face zero.  A failure then reports the first nonzero jump of that
+unique right function as a chart polynomial, or a singular right DoF matrix
+by its rank.
 
 All jumps are formed with one fixed covector: the left element's scaled
 normal g.  Since the right element's outward scaled normal is a negative
@@ -57,12 +68,12 @@ from fractions import Fraction
 
 from . import poly
 from .elements import FAMILIES, _dof_matrix, _first_nonzero_trace, build_element
-from .exact import Matrix
+from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
 from .simplex import Face, SimplexFrame
-from .spaces import build_standard, operator_matrix
+from .spaces import PolySpace, build_standard, operator_matrix
 
 _ZERO = Fraction(0)
 
@@ -118,30 +129,89 @@ _NEGATIVE_CONTROL = {
 }
 
 
+def _on_shared_face(dof, d: int) -> bool:
+    """A DoF on the shared face: its vertices are 0..d-1 on both sides."""
+    return dof.vertex < d if dof.face is None else d not in dof.face.vertex_ids
+
+
 def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
-    """Single-valued shared DoFs must force exactly the declared traces."""
+    """Single-valued shared DoFs must force exactly the declared traces.
+
+    A pass comes from the right side's shared DoF block alone; every other
+    outcome is decided by the right element's whole DoF system."""
     spec = FAMILIES[family]
     left = spec.shape(patch.left, k)
+    right = _shared_block_solution(patch, spec, left, spec.shape(patch.right, k), k)
+    if right is not None:
+        res = _jump_check(patch, family, k, left, right)
+        if res.passed:
+            return res
+    return _full_solve_check(patch, family, k)
+
+
+def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace, k: int) -> Matrix | None:
+    """Right shape coefficients (over the shaped frame) that match the shared
+    DoFs of every left member on the shared face, the right side's other
+    shared DoFs zero, from the right side's shared DoF rows S alone; None
+    unless the system is consistent and ker S has zero declared traces on
+    the face, so that every such right function has the same declared traces.
+
+    One RREF of [S | rhs] gives both a particular solution (free coefficients
+    zero) and ker S."""
+    d = patch.left.d
+    shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
+    rows = _dof_matrix(patch.right, shared, right.kind, right.k)
+    zero = (_ZERO,) * rows.cols
+    on_face = Matrix([rows.row(i) if _on_shared_face(dof, d) else zero for i, dof in enumerate(shared)],
+                     rows.cols)
+    n = right.dim
+    red, pivots = rows.matmul(right.basis).hstack(on_face.matmul(left.basis)).rref()
+    if pivots and pivots[-1] >= n:
+        return None
+    sol = [(_ZERO,) * left.dim] * n
+    for r, pc in enumerate(pivots):
+        sol[pc] = red.row(r)[n:]
+    ker = rref_kernel(red, pivots, n)
+    if ker.cols and _first_nonzero_trace(
+            [patch.shared_left], right.kind, right.k, spec.trace_modes, right.basis.matmul(ker)) is not None:
+        return None
+    return right.basis.matmul(Matrix(sol, left.dim))
+
+
+def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
+    """The patch check from the right element's whole DoF system: the right
+    function matches the shared DoFs on the face, and every other right DoF
+    is zero."""
+    left = FAMILIES[family].shape(patch.left, k)
     right_e = build_element(patch.right, family, k)
     d = patch.left.d
-
-    # right DoFs living on the shared face (its vertices are 0..d-1 on both sides)
-    on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and (
-        dof.vertex < d if dof.face is None else d not in dof.face.vertex_ids)]
-    kind, k_frame = left.kind, left.k
+    on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and _on_shared_face(dof, d)]
     # the shared DoFs of every left member as one product; the other right DoFs are zero
     shared_dofs = [right_e.dofs[i] for i in on_shared]
-    matched = _dof_matrix(patch.right, shared_dofs, kind, k_frame).matmul(left.basis)
+    matched = _dof_matrix(patch.right, shared_dofs, left.kind, left.k).matmul(left.basis)
     rows = [[_ZERO] * left.dim for _ in right_e.dofs]
     for r, i in enumerate(on_shared):
         rows[i] = matched.row(r)
-    sol = right_e.dof_matrix.solve(Matrix(rows, left.dim))
-    # jumps of every member at once: the traces of left minus right coefficients
-    jumps = left.basis - right_e.space.basis.matmul(sol)
+    try:
+        sol = right_e.dof_matrix.solve(Matrix(rows, left.dim))
+    except (SingularMatrixError, DimensionMismatchError):
+        ctx = {"family": family, "d": d, "k": k, "members": left.dim}
+        return CheckResult(f"conformity-{family}", False, expected="unisolvent right element",
+                           got=right_e.dof_matrix.rank(), context=ctx)
+    return _jump_check(patch, family, k, left, right_e.space.basis.matmul(sol))
 
+
+def _jump_check(patch: Patch, family: str, k: int, left: PolySpace, right: Matrix) -> CheckResult:
+    """The declared traces of the left members minus the right functions
+    (shape coefficients ``right``) must vanish on the shared face, and the
+    negative control must not."""
+    spec = FAMILIES[family]
+    # jumps of every member at once: the traces of left minus right coefficients
+    jumps = left.basis - right
     face = patch.shared_left
+    kind, k_frame = left.kind, left.k
     control_mode = _NEGATIVE_CONTROL[spec.trace_modes[0]]
-    ctx = {"family": family, "d": d, "k": k, "members": left.dim}
+    ctx = {"family": family, "d": patch.left.d, "k": k, "members": left.dim}
     hit = _first_nonzero_trace([face], kind, k_frame, spec.trace_modes, jumps)
     if hit is not None:
         j, mode, jump = hit

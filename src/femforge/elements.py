@@ -615,7 +615,7 @@ def trace_block_rank(element: Element) -> CheckResult:
         "kernel_dim": ker.cols,
     }
     space = element.space
-    coeffs = ker if space.basis.is_identity() else space.basis.matmul(ker)
+    coeffs = space.basis.matmul(ker)
     hit = _first_nonzero_trace(
         frame.faces(1), space.kind, space.k, FAMILIES[element.family].trace_modes, coeffs
     )

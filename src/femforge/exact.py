@@ -152,6 +152,10 @@ class Matrix:
         """
         if self.cols != other.rows:
             raise DimensionMismatchError("matmul shape mismatch")
+        if other.is_identity():
+            return self
+        if self.is_identity():
+            return other
         cols = [_cleared(col) for col in zip(*other._rows)] if other.rows else [(1, [])] * other.cols
         out = []
         for row in self._rows:
@@ -244,23 +248,7 @@ class Matrix:
     def null_space(self) -> "Matrix":
         """Columns form a basis of ``{x : Ax = 0}`` (integer, gcd-reduced,
         leading entry positive)."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            # x_f = 1 and x_pc = -red[r, f], scaled by the lcm of the
-            # denominators; that lcm leaves the vector primitive already.
-            den, ints = _cleared(red.column(f))
-            vec = [0] * self.cols
-            vec[f] = den
-            for pc, v in zip(pivots, ints):
-                vec[pc] = -v
-            if next(v for v in vec if v) < 0:
-                vec = [-v for v in vec]
-            basis.append(vec)
-        return Matrix.from_columns(basis, rows=self.cols)
+        return rref_kernel(*self.rref(), self.cols)
 
     def solve(self, b: "Matrix") -> "Matrix":
         """Exact X with ``self @ X = b``; requires square full-rank self."""
@@ -273,6 +261,28 @@ class Matrix:
         if len(pivots) < self.cols or any(p >= self.cols for p in pivots):
             raise SingularMatrixError(f"matrix rank {self.rank()} < {self.cols}")
         return Matrix._trusted([red.row(i)[self.cols:] for i in range(self.cols)], b.cols)
+
+
+def rref_kernel(red: Matrix, pivots: Sequence[int], cols: int) -> Matrix:
+    """Columns spanning ``{x : red[:, :cols] x = 0}`` for a reduced row
+    echelon form ``red`` whose pivots all lie among its first ``cols``
+    columns (integer, gcd-reduced, leading entry positive)."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        # x_f = 1 and x_pc = -red[r, f], scaled by the lcm of the
+        # denominators; that lcm leaves the vector primitive already.
+        den, ints = _cleared(red.column(f))
+        vec = [0] * cols
+        vec[f] = den
+        for pc, v in zip(pivots, ints):
+            vec[pc] = -v
+        if next(v for v in vec if v) < 0:
+            vec = [-v for v in vec]
+        basis.append(vec)
+    return Matrix.from_columns(basis, rows=cols)
 
 
 def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:

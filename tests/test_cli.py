@@ -289,3 +289,27 @@ def test_export_hdivs_30_functions(tmp_path):
     assert code == 0
     data = json.loads((outdir / "HdivS_d2_k3.json").read_text())
     assert data["dim"] == 30 and len(data["nodal_basis"]) == 30
+
+
+def test_verify_in_process_repeats_and_keeps_no_frame_memo(tmp_path, monkeypatch):
+    # one reference frame per dimension within a call, none kept after it
+    built = []
+    reference = cli.reference_simplex
+    monkeypatch.setattr(cli, "reference_simplex", lambda d: built.append(d) or reference(d))
+    argv = ["verify", "--family", "BDM", "--family", "HdivS", "--family", "decomp", "--d", "2..2",
+            "--k", "1..3"]
+    for name in ("a.json", "b.json"):
+        assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert cli._memo is None
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert built == [2, 2]
+
+
+def test_random_simplex_cells_get_fresh_frames(tmp_path, monkeypatch):
+    made = []
+    draw = cli.random_frame
+    monkeypatch.setattr(cli, "random_frame", lambda d, rng: made.append(d) or draw(d, rng))
+    argv = ["verify", "--family", "BDM", "--d", "2..2", "--k", "1..2", "--simplex", "random",
+            "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert made == [2, 2]

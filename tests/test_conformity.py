@@ -291,7 +291,195 @@ def test_cell_checks_build_one_element_per_simplex(monkeypatch):
     monkeypatch.setattr(conformity, "build_element", counting)
     out = cli._cell_checks_element("HdivS", 2, 2, "ref", 0)
     assert [res.passed for *_, res in out] == [True, True, True]
-    assert len(built) == 2 and built[0] is not built[1]
+    assert len(built) == 1
+
+
+# -- the shared-block patch check against the full DoF solve ----------------------
+#
+# The reference solves the right element's whole DoF system (the shared DoFs
+# on the face matched, every other DoF zero); the library solves the right
+# side's shared DoF block and certifies ker S_R, falling back to the full
+# solve for every outcome but a pass.
+
+import dataclasses  # noqa: E402
+
+from femforge.elements import _dof_matrix, _first_nonzero_trace  # noqa: E402
+from femforge.exact import DimensionMismatchError, SingularMatrixError  # noqa: E402
+from femforge.report import CheckResult  # noqa: E402
+
+
+def reference_conformity_check(patch, family, k):
+    spec = FAMILIES[family]
+    left = spec.shape(patch.left, k)
+    right_e = build_element(patch.right, family, k)
+    d = patch.left.d
+    on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and (
+        dof.vertex < d if dof.face is None else d not in dof.face.vertex_ids)]
+    kind, k_frame = left.kind, left.k
+    shared_dofs = [right_e.dofs[i] for i in on_shared]
+    matched = _dof_matrix(patch.right, shared_dofs, kind, k_frame).matmul(left.basis)
+    rows = [[Fraction(0)] * left.dim for _ in right_e.dofs]
+    for r, i in enumerate(on_shared):
+        rows[i] = matched.row(r)
+    ctx = {"family": family, "d": d, "k": k, "members": left.dim}
+    try:
+        sol = right_e.dof_matrix.solve(Matrix(rows, left.dim))
+    except (SingularMatrixError, DimensionMismatchError):
+        return CheckResult(f"conformity-{family}", False, expected="unisolvent right element",
+                           got=right_e.dof_matrix.rank(), context=ctx)
+    jumps = left.basis - right_e.space.basis.matmul(sol)
+    face = patch.shared_left
+    control_mode = conformity._NEGATIVE_CONTROL[spec.trace_modes[0]]
+    hit = _first_nonzero_trace([face], kind, k_frame, spec.trace_modes, jumps)
+    if hit is not None:
+        j, mode, jump = hit
+        ctx.update(jump_mode=mode, member=j, jump=poly.poly_to_json(jump))
+        return CheckResult(f"conformity-{family}", False, expected="zero jump", got=mode, context=ctx)
+    control_jumped = _first_nonzero_trace([face], kind, k_frame, (control_mode,), jumps) is not None
+    ctx.update(negative_control=control_mode, negative_control_jumped=control_jumped)
+    if not control_jumped:
+        return CheckResult(f"conformity-{family}", False,
+                           expected="non-conforming component jumps for some member",
+                           got="all controls zero", context=ctx)
+    return CheckResult(f"conformity-{family}", True, context=ctx)
+
+
+def _patch_cases():
+    for family, spec in FAMILIES.items():
+        floor2 = spec.floor(2)
+        for k in (floor2, floor2 + 1):
+            yield pytest.param(family, 2, k, None, id=f"{family}-d2-k{k}-ref")
+            yield pytest.param(family, 2, k, 60 + k, id=f"{family}-d2-k{k}-random")
+        yield pytest.param(family, 3, spec.floor(3), 63, id=f"{family}-d3-k{spec.floor(3)}-random")
+
+
+@pytest.mark.parametrize("family,d,k,seed", _patch_cases())
+def test_shared_block_check_matches_full_solve(family, d, k, seed):
+    frame = reference_simplex(d) if seed is None else random_frame(d, random.Random(seed))
+    patch = reflected_patch(frame)
+    res = conformity_check(patch, family, k)
+    assert res.passed
+    assert res.as_dict() == reference_conformity_check(patch, family, k).as_dict()
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (family, k) of every full-solve fallback of conformity_check."""
+    seen = []
+    full = conformity._full_solve_check
+
+    def spy(patch, family, k):
+        seen.append((family, k))
+        return full(patch, family, k)
+
+    monkeypatch.setattr(conformity, "_full_solve_check", spy)
+    return seen
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("HdivS_minus", 2), ("DivDiv", 3)])
+def test_passing_patch_builds_no_right_element(monkeypatch, family, k):
+    def forbidden(*args):
+        raise AssertionError("right element built on a passing cell")
+
+    solved = []
+    solve = Matrix.solve
+
+    def recording(m, b):
+        solved.append(m.rows)
+        return solve(m, b)
+
+    patch = reflected_patch(random_frame(2, random.Random(7)))
+    monkeypatch.setattr(conformity, "build_element", forbidden)
+    monkeypatch.setattr(Matrix, "solve", recording)
+    assert conformity_check(patch, family, k).passed
+    # no solve with the right DoF matrix (square, one row per shape function)
+    assert FAMILIES[family].shape(patch.right, k).dim not in solved
+
+
+def _with_spec(monkeypatch, family, **changes):
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family], **changes))
+    return FAMILIES[family]
+
+
+def test_inconsistent_shared_block_falls_back(monkeypatch, fallbacks):
+    # a right shape space of one degree less cannot match the left traces,
+    # and its DoF matrix is not square
+    patch = reflected_patch(reference_simplex(2))
+    shape = FAMILIES["BDM"].shape
+
+    def lower_on_the_right(fr, k):
+        return shape(fr, k - 1).with_degree(k) if fr is patch.right else shape(fr, k)
+
+    spec = _with_spec(monkeypatch, "BDM", shape=lower_on_the_right)
+    left, right = spec.shape(patch.left, 2), spec.shape(patch.right, 2)
+    assert conformity._shared_block_solution(patch, spec, left, right, 2) is None
+    res = conformity_check(patch, "BDM", 2)
+    assert fallbacks == [("BDM", 2)]
+    assert res.as_dict() == reference_conformity_check(patch, "BDM", 2).as_dict()
+    assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", right.dim)
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
+def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, family, k):
+    # one shared DoF on the shared face declared interior: ker S_R then holds
+    # a function with a nonzero declared trace on the face
+    dofs = FAMILIES[family].dofs
+
+    def one_on_face_interior(fr, k):
+        out = dofs(fr, k)
+        i = next(i for i, dof in enumerate(out)
+                 if dof.shared and dof.face is not None and fr.d not in dof.face.vertex_ids)
+        out[i] = dataclasses.replace(out[i], shared=False)
+        return out
+
+    spec = _with_spec(monkeypatch, family, dofs=one_on_face_interior)
+    patch = reflected_patch(random_frame(2, random.Random(8)))
+    left, right = spec.shape(patch.left, k), spec.shape(patch.right, k)
+    assert conformity._shared_block_solution(patch, spec, left, right, k) is None
+    res = conformity_check(patch, family, k)
+    assert fallbacks == [(family, k)]
+    assert not res.passed and "jump" in res.context
+    assert res.as_dict() == reference_conformity_check(patch, family, k).as_dict()
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 1), ("HdivS", 2), ("DivDiv", 3)])
+def test_control_without_a_jump_falls_back(monkeypatch, fallbacks, family, k):
+    # a declared trace as the negative control never jumps
+    mode = FAMILIES[family].trace_modes[0]
+    monkeypatch.setitem(conformity._NEGATIVE_CONTROL, mode, mode)
+    patch = reflected_patch(reference_simplex(2))
+    res = conformity_check(patch, family, k)
+    assert fallbacks == [(family, k)]
+    assert (res.passed, res.got) == (False, "all controls zero")
+    assert res.as_dict() == reference_conformity_check(patch, family, k).as_dict()
+
+
+@pytest.mark.parametrize("family,rank", [("BDM", 11), ("HdivS", 17)])
+def test_singular_right_element_is_a_fail_record(monkeypatch, family, rank):
+    # the last DoF replaced by the first: the right DoF matrix is singular
+    dofs = FAMILIES[family].dofs
+
+    def duplicated(fr, k):
+        out = dofs(fr, k)
+        return out[:-1] + out[:1]
+
+    _with_spec(monkeypatch, family, dofs=duplicated)
+    patch = reflected_patch(reference_simplex(2))
+    res = conformity._full_solve_check(patch, family, 2)
+    assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", rank)
+    assert res.as_dict() == reference_conformity_check(patch, family, 2).as_dict()
+    # the shared block still forces the traces; a forced fallback reports the
+    # singular system instead of raising
+    assert conformity_check(patch, family, 2).passed
+    mode = FAMILIES[family].trace_modes[0]
+    monkeypatch.setitem(conformity._NEGATIVE_CONTROL, mode, mode)
+    assert conformity_check(patch, family, 2).as_dict() == res.as_dict()
+    # and the grid cell reports instead of crashing
+    from femforge import cli
+
+    out = cli._cell_checks_element(family, 2, 2, "ref", 0)
+    assert [res.check_id for *_, res in out][0] == f"unisolvence-{family}"
+    assert not out[0][3].passed
 
 
 # -- the Green identity against its polynomial evaluation -------------------------

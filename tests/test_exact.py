@@ -11,6 +11,7 @@ from femforge.exact import (
     _int_echelon,
     image_basis,
     is_direct_sum,
+    rref_kernel,
     subspace_contains,
     subspace_equal,
     subspace_intersection,
@@ -322,6 +323,26 @@ def test_matmul_matches_fraction_reference(a):
         b = _random_matrix(rng, a.cols, cols, -40, 40)
         assert a.matmul(b) == _reference_matmul(a, b)
     assert a.transpose().matmul(a) == _reference_matmul(a.transpose(), a)
+
+
+@pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
+def test_identity_factor_returns_the_other(a):
+    # A I == A == I A as the general product computes them, without a product
+    right, left = Matrix.identity(a.cols), Matrix.identity(a.rows)
+    assert a.matmul(right) is a and left.matmul(a) is a
+    assert a == _reference_matmul(a, right) == _reference_matmul(left, a)
+    with pytest.raises(DimensionMismatchError):
+        a.matmul(Matrix.identity(a.cols + 1))
+
+
+@pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
+def test_kernel_read_off_an_augmented_rref(a):
+    # a consistent right-hand side adds no pivot, and the kernel of the
+    # first columns is the null space of a
+    x = _random_matrix(random.Random(a.rows + 7 * a.cols), a.cols, 2, -9, 9)
+    red, pivots = a.hstack(a.matmul(x)).rref()
+    assert all(p < a.cols for p in pivots)
+    assert rref_kernel(red, pivots, a.cols) == a.null_space()
 
 
 @pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
