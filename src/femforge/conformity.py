@@ -161,21 +161,18 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     d = patch.left.d
     shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
-    zero = (_ZERO,) * rows.cols
-    on_face = Matrix([rows.row(i) if _on_shared_face(dof, d) else zero for i, dof in enumerate(shared)],
-                     rows.cols)
+    on_face = rows.take([i if _on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
     n = right.dim
     red, pivots = rows.matmul(right.basis).hstack(on_face.matmul(left.basis)).rref()
     if pivots and pivots[-1] >= n:
         return None
-    sol = [(_ZERO,) * left.dim] * n
-    for r, pc in enumerate(pivots):
-        sol[pc] = red.row(r)[n:]
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    sol = red.take([row_of.get(c) for c in range(n)], n)
     ker = rref_kernel(red, pivots, n)
     if ker.cols and _first_nonzero_trace(
             [patch.shared_left], right.kind, right.k, spec.trace_modes, right.basis.matmul(ker)) is not None:
         return None
-    return right.basis.matmul(Matrix(sol, left.dim))
+    return right.basis.matmul(sol)
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
@@ -189,11 +186,9 @@ def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
     # the shared DoFs of every left member as one product; the other right DoFs are zero
     shared_dofs = [right_e.dofs[i] for i in on_shared]
     matched = _dof_matrix(patch.right, shared_dofs, left.kind, left.k).matmul(left.basis)
-    rows = [[_ZERO] * left.dim for _ in right_e.dofs]
-    for r, i in enumerate(on_shared):
-        rows[i] = matched.row(r)
+    row_of = {i: r for r, i in enumerate(on_shared)}
     try:
-        sol = right_e.dof_matrix.solve(Matrix(rows, left.dim))
+        sol = right_e.dof_matrix.solve(matched.take([row_of.get(i) for i in range(len(right_e.dofs))]))
     except (SingularMatrixError, DimensionMismatchError):
         ctx = {"family": family, "d": d, "k": k, "members": left.dim}
         return CheckResult(f"conformity-{family}", False, expected="unisolvent right element",

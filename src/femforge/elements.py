@@ -107,9 +107,9 @@ class _Row:
 
     __slots__ = ("dof", "kind", "k", "den", "ints", "index")
 
-    def __init__(self, dof: DoFDescriptor, kind: str, k: int, values, index: dict):
+    def __init__(self, dof: DoFDescriptor, kind: str, k: int, row: tuple[int, tuple[int, ...]], index: dict):
         self.dof, self.kind, self.k, self.index = dof, kind, k, index
-        self.den, self.ints = _cleared(values)
+        self.den, self.ints = row
 
     def dot(self, tau: Polynomial) -> Fraction:
         l, values = _cleared(tau.terms.values())
@@ -132,12 +132,12 @@ def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: 
     """The rows of ``dofs`` over the frame (kind, d, k), keyed by ``id(dof)``."""
     index = {key: i for i, key in enumerate(poly.frame(kind, frame.d, k))}
     mat = _dof_matrix(frame, dofs, kind, k)
-    return {id(dof): _Row(dof, kind, k, mat.row(i), index) for i, dof in enumerate(dofs)}
+    return {id(dof): _Row(dof, kind, k, mat.int_row(i), index) for i, dof in enumerate(dofs)}
 
 
 def _coeff_rows(tests: Sequence[Polynomial]) -> tuple[Matrix, int]:
     deg = max(max(q.degree() for q in tests), 0)
-    return Matrix([poly.coeff_vector(q, deg) for q in tests]), deg
+    return Matrix.from_int_rows([poly.coeff_row(q, deg) for q in tests]), deg
 
 
 def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int) -> Matrix:
@@ -519,7 +519,7 @@ def _shared_split(element: Element) -> tuple[list[int], int, Matrix]:
     memo = element._split
     if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
         m = element.dof_matrix
-        ker = Matrix([m.row(i) for i in shared], m.cols).null_space()
+        ker = m.take(shared).null_space()
         memo = element._split = (m, shared, m.cols - ker.cols, ker)
     return memo[1:]
 
@@ -533,8 +533,7 @@ def check_unisolvence(element: Element) -> CheckResult:
     shared, rank_s, ker = _shared_split(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = K y and I K y = 0
-        m = element.dof_matrix
-        interior = Matrix([m.row(i) for i, dof in enumerate(element.dofs) if not dof.shared], m.cols)
+        interior = element.dof_matrix.take([i for i, dof in enumerate(element.dofs) if not dof.shared])
         if interior.matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()

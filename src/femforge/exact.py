@@ -1,27 +1,27 @@
 """Exact dense linear algebra over the rationals.
 
-Every operation here is exact and runs on Python integers.  Rows (and, for
-a product, the columns of the right factor) are cleared of denominators
-first; elimination and back-substitution then work by fraction-free
-cross-multiplication with gcd reduction to keep entries small, and a product
-entry is one integer dot product.  ``Fraction``s are created only for the
-entries a method returns.  There is no floating-point path anywhere in this
-module.
-
-Scalars are ``fractions.Fraction`` values, which already guarantee lowest
-terms and a positive denominator.
+A ``Matrix`` stores each row as a tuple of Python integers and one positive
+denominator: row i is ``ints_i / den_i`` in lowest terms, that is
+``gcd(den_i, *ints_i) == 1`` and a zero row has ``den_i == 1``.  The storage
+of a matrix is therefore canonical, and ``==`` and ``hash`` compare it
+directly.  Every operation runs on these integers.  A product takes one lcm
+over the right factor's row denominators, one integer dot product per entry
+and one gcd per output row.  Elimination and back-substitution work on the
+rows scaled to coprime integers, by fraction-free cross-multiplication with
+gcd reduction to keep entries small.  ``Fraction``s are created only by the
+accessors ``row``, ``column`` and ``[i, j]``.  There is no floating-point
+path anywhere in this module, and a ``float`` entry is rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
+_INT = {int}
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_FRACTION = {Fraction}
 
 
 class SingularMatrixError(ArithmeticError):
@@ -35,11 +35,15 @@ class DimensionMismatchError(ValueError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError(f"exact matrices take no float entries, got {x!r}")
     return Fraction(x)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(l, ints) with ``ints[j] == values[j] * l`` and l the lcm of denominators."""
+    """(l, ints) with ``ints[j] == values[j] * l`` and l the lcm of denominators.
+
+    Since l is the lcm of the reduced denominators, ``gcd(l, *ints) == 1``."""
     l = 1
     for x in values:
         d = x.denominator
@@ -54,101 +58,167 @@ def _primitive(ints: list[int]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-class Matrix:
-    """Immutable dense matrix with Fraction entries (row-major).
+def _reduced(den: int, ints: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """The row ``ints / den`` (den > 0) in lowest terms, as (den, ints)."""
+    ints = tuple(ints)
+    g = gcd(den, *ints)
+    if g == 1:
+        return den, ints
+    return den // g, tuple(v // g for v in ints)
 
-    ``cols`` gives the width of a matrix with no rows; with rows it must
-    match their length.
+
+def _row_of(values: Iterable) -> tuple[int, tuple[int, ...]]:
+    row = tuple(values)
+    if set(map(type, row)) <= _INT:
+        return 1, row
+    den, ints = _cleared([x if type(x) is Fraction else _as_fraction(x) for x in row])
+    return den, tuple(ints)
+
+
+def _width(rows: list[tuple[int, tuple[int, ...]]], cols: int | None) -> int:
+    """``cols``, or the width of the first row when None; every row must have it."""
+    if cols is None:
+        cols = len(rows[0][1]) if rows else 0
+    if any(len(ints) != cols for _, ints in rows):
+        raise DimensionMismatchError("ragged rows")
+    return cols
+
+
+class Matrix:
+    """Immutable dense rational matrix, stored as integer rows with one
+    denominator each (see the module docstring).
+
+    Entries may be ints, ``Fraction``s or anything else ``Fraction`` converts
+    exactly, but not floats.  ``cols`` gives the width of a matrix with no
+    rows; with rows it must match their length.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_rank", "_rref")
+    __slots__ = ("rows", "cols", "_dens", "_ints", "_rank", "_rref")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = [tuple(row) for row in data]
-        rows = [row if set(map(type, row)) <= _FRACTION else tuple(map(_as_fraction, row)) for row in rows]
-        self._rows = tuple(rows)
+        rows = [_row_of(row) for row in data]
+        self._fill(rows, _width(rows, cols))
+
+    def _fill(self, rows: list[tuple[int, tuple[int, ...]]], cols: int) -> None:
+        self._dens, self._ints = zip(*rows) if rows else ((), ())
         self.rows = len(rows)
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
         self.cols = cols
-        for row in rows:
-            if len(row) != self.cols:
-                raise DimensionMismatchError("ragged rows")
         self._rank = None
         self._rref = None
 
     @classmethod
-    def _trusted(cls, rows: Iterable[Sequence[Fraction]], cols: int) -> "Matrix":
-        """A matrix over rows of ``Fraction``s this module built itself, taken
-        as they are: no entry conversion and no width check."""
+    def _of(cls, rows: list[tuple[int, tuple[int, ...]]], cols: int) -> "Matrix":
+        """A matrix over (den, ints) rows in lowest terms, taken as they are."""
         m = cls.__new__(cls)
-        m._rows = tuple(map(tuple, rows))
-        m.rows = len(m._rows)
-        m.cols = cols
-        m._rank = None
-        m._rref = None
+        m._fill(rows, cols)
         return m
+
+    @classmethod
+    def from_int_rows(cls, rows: Iterable[tuple[int, Sequence[int]]], cols: int | None = None) -> "Matrix":
+        """The matrix whose row i is ``ints_i / den_i`` for the (den_i, ints_i)
+        of ``rows``: integer rows, each over a positive denominator."""
+        out = [_reduced(den, ints) for den, ints in rows]
+        return cls._of(out, _width(out, cols))
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols)
+        return cls._of([(1, (0,) * cols)] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of([(1, tuple(int(i == j) for j in range(n))) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
         columns = [tuple(col) for col in columns]
         if not columns:
             return cls.zeros(rows or 0, 0)
-        n = len(columns[0])
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)], len(columns))
+        n = len(columns[0]) if rows is None else rows
+        if any(len(col) != n for col in columns):
+            raise DimensionMismatchError("ragged columns")
+        return cls(zip(*columns), len(columns))
+
+    def int_row(self, i: int) -> tuple[int, tuple[int, ...]]:
+        """(den, ints) with row i equal to ``ints / den``, in lowest terms."""
+        return self._dens[i], self._ints[i]
+
+    def take(self, indices: Iterable[int | None], start: int = 0) -> "Matrix":
+        """The rows of self at ``indices`` (None gives a zero row), from
+        column ``start`` on."""
+        width = self.cols - start
+        zero = (1, (0,) * width)
+        dens, ints = self._dens, self._ints
+        if start:
+            out = [zero if i is None else _reduced(dens[i], ints[i][start:]) for i in indices]
+        else:
+            out = [zero if i is None else (dens[i], ints[i]) for i in indices]
+        return Matrix._of(out, width)
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._rows)
+        return tuple(Fraction(ints[j], den) if ints[j] else _ZERO for den, ints in zip(self._dens, self._ints))
 
     def columns(self) -> list[tuple]:
         return [self.column(j) for j in range(self.cols)]
 
     def row(self, i: int) -> tuple:
-        return self._rows[i]
+        den = self._dens[i]
+        return tuple(Fraction(v, den) if v else _ZERO for v in self._ints[i])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._rows[i][j]
+        return Fraction(self._ints[i][j], self._dens[i])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
+        return isinstance(other, Matrix) and (self.rows, self.cols, self._dens, self._ints) == (
+            other.rows, other.cols, other._dens, other._ints)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._rows))
+        return hash((self.rows, self.cols, self._dens, self._ints))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(zip(*self._rows) if self.rows else [()] * self.cols, self.rows)
+        cols = zip(*self._ints) if self.rows else [()] * self.cols
+        l = lcm(*self._dens)
+        if l == 1:
+            return Matrix._of([(1, col) for col in cols], self.rows)
+        f = [l // den for den in self._dens]
+        return Matrix._of([_reduced(l, map(mul, col, f)) for col in cols], self.rows)
 
     @classmethod
     def vstack(cls, blocks: Sequence["Matrix"], cols: int) -> "Matrix":
         """The rows of ``blocks`` in order; every block is ``cols`` wide."""
         if any(b.cols != cols for b in blocks):
             raise DimensionMismatchError("vstack needs equal column counts")
-        return cls._trusted([row for b in blocks for row in b._rows], cols)
+        return cls._of([row for b in blocks for row in zip(b._dens, b._ints)], cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
-        return Matrix._trusted([a + b for a, b in zip(self._rows, other._rows)], self.cols + other.cols)
+        out = []
+        for da, a, db, b in zip(self._dens, self._ints, other._dens, other._ints):
+            if da == db:
+                out.append((da, a + b))
+            else:
+                # over l = lcm(da, db) the joined row stays in lowest terms: a
+                # prime power exactly dividing l divides da (say) exactly, and
+                # some entry of a is prime to it
+                l = lcm(da, db)
+                fa, fb = l // da, l // db
+                out.append((l, tuple(v * fa for v in a) + tuple(v * fb for v in b)))
+        return Matrix._of(out, self.cols + other.cols)
 
     def matmul(self, other: "Matrix") -> "Matrix":
-        """Product with one integer dot product per entry.
+        """Product over the integers.
 
-        Rows of self and columns of other are cleared of denominators (da, db)
-        first, so entry (i, j) is ``Fraction(row_i . col_j, da_i * db_j)``.
+        With l the lcm of other's row denominators, other is ``B / l`` for an
+        integer matrix B, so row i of the product is ``(a_i B) / (den_i l)``,
+        with one gcd per row.  ``a_i B`` is accumulated over the nonzero
+        entries of a_i and B alone: the trace, DoF and basis matrices are
+        mostly zeros.
         """
         if self.cols != other.rows:
             raise DimensionMismatchError("matmul shape mismatch")
@@ -156,39 +226,51 @@ class Matrix:
             return self
         if self.is_identity():
             return other
-        cols = [_cleared(col) for col in zip(*other._rows)] if other.rows else [(1, [])] * other.cols
+        l = lcm(*other._dens)
+        sparse = [[(j, v * (l // den)) for j, v in enumerate(ints) if v]
+                  for den, ints in zip(other._dens, other._ints)]
         out = []
-        for row in self._rows:
-            da, a = _cleared(row)
-            out.append([Fraction(s, da * db) if (s := sum(map(mul, a, b))) else _ZERO for db, b in cols])
-        return Matrix._trusted(out, other.cols)
+        for den, a in zip(self._dens, self._ints):
+            acc = [0] * other.cols
+            for v, row in zip(a, sparse):
+                if v:
+                    for j, b in row:
+                        acc[j] += v * b
+            out.append(_reduced(den * l, acc))
+        return Matrix._of(out, other.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.matmul(other)
 
     def scale(self, c) -> "Matrix":
         c = _as_fraction(c)
-        return Matrix([[c * x for x in row] for row in self._rows], self.cols)
+        p, q = c.numerator, c.denominator
+        return Matrix._of([_reduced(den * q, [v * p for v in ints])
+                           for den, ints in zip(self._dens, self._ints)], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("subtraction shape mismatch")
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)], self.cols)
+        out = []
+        for da, a, db, b in zip(self._dens, self._ints, other._dens, other._ints):
+            l = lcm(da, db)
+            fa, fb = l // da, l // db
+            out.append(_reduced(l, [x * fa - y * fb for x, y in zip(a, b)]))
+        return Matrix._of(out, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._rows for x in row)
+        return not any(map(any, self._ints))
 
     def is_identity(self) -> bool:
-        # tuple.count compares by identity first, so the unit rows that
-        # ``identity`` builds from shared zeros are scanned at C speed
         n = self.cols
-        return self.rows == n and all(row[i] == 1 and row.count(_ZERO) == n - 1 for i, row in enumerate(self._rows))
+        return (self.rows == n and self._dens.count(1) == n
+                and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._ints)))
 
     # -- elimination core ------------------------------------------------------
 
     def _int_rows(self) -> list[list[int]]:
         """Rows scaled to coprime integers (scaling preserves row space)."""
-        return [_primitive(_cleared(row)[1]) for row in self._rows]
+        return [_primitive(list(ints)) for ints in self._ints]
 
     def rank(self) -> int:
         if self._rank is None:
@@ -202,13 +284,8 @@ class Matrix:
             raise DimensionMismatchError("det needs a square matrix")
         n = self.rows
         if n == 0:
-            return _ONE
-        scale = 1
-        rows = []
-        for row in self._rows:
-            denom_lcm, ints = _cleared(row)
-            scale *= denom_lcm
-            rows.append(ints)
+            return Fraction(1)
+        rows = [list(ints) for ints in self._ints]
         sign = 1
         prev = 1
         for c in range(n - 1):
@@ -218,7 +295,7 @@ class Matrix:
                     piv = i
                     break
             if piv is None:
-                return _ZERO
+                return Fraction(0)
             if piv != c:
                 rows[c], rows[piv] = rows[piv], rows[c]
                 sign = -sign
@@ -230,17 +307,19 @@ class Matrix:
                 rows[i] = [(p * ri[j] - ric * rc[j]) // prev for j in range(c + 1, n)]
                 rows[i][:0] = [0] * (c + 1)
             prev = p
-        return Fraction(sign * rows[n - 1][n - 1], scale)
+        return Fraction(sign * rows[n - 1][n - 1], prod(self._dens))
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (rational, leading 1s)."""
         if self._rref is None:
             ech, pivots = _int_echelon(self._int_rows(), self.cols)
-            reduced = [
-                [Fraction(v, row[pc]) if v else _ZERO for v in row]
-                for row, pc in zip(_back_reduce(ech, pivots), pivots)
-            ]
-            self._rref = (Matrix._trusted(reduced, self.cols), tuple(pivots))
+            # each back-reduced row is primitive, so over its pivot it is in
+            # lowest terms
+            out = []
+            for row, pc in zip(_back_reduce(ech, pivots), pivots):
+                p = row[pc]
+                out.append((p, tuple(row)) if p > 0 else (-p, tuple(-v for v in row)))
+            self._rref = (Matrix._of(out, self.cols), tuple(pivots))
             if self._rank is None:
                 self._rank = len(pivots)
         return self._rref
@@ -256,11 +335,10 @@ class Matrix:
             raise DimensionMismatchError("solve needs a square matrix")
         if b.rows != self.rows:
             raise DimensionMismatchError("right-hand side row count mismatch")
-        aug = self.hstack(b)
-        red, pivots = aug.rref()
+        red, pivots = self.hstack(b).rref()
         if len(pivots) < self.cols or any(p >= self.cols for p in pivots):
             raise SingularMatrixError(f"matrix rank {self.rank()} < {self.cols}")
-        return Matrix._trusted([red.row(i)[self.cols:] for i in range(self.cols)], b.cols)
+        return red.take(range(self.cols), self.cols)
 
 
 def rref_kernel(red: Matrix, pivots: Sequence[int], cols: int) -> Matrix:
@@ -268,17 +346,18 @@ def rref_kernel(red: Matrix, pivots: Sequence[int], cols: int) -> Matrix:
     echelon form ``red`` whose pivots all lie among its first ``cols``
     columns (integer, gcd-reduced, leading entry positive)."""
     pivot_set = set(pivots)
+    dens, rows = red._dens, red._ints
     basis = []
     for f in range(cols):
         if f in pivot_set:
             continue
-        # x_f = 1 and x_pc = -red[r, f], scaled by the lcm of the
-        # denominators; that lcm leaves the vector primitive already.
-        den, ints = _cleared(red.column(f))
+        # x_f = 1 and x_pc = -red[r, f], scaled by the lcm of the reduced
+        # denominators of column f; that lcm leaves the vector primitive.
+        l = lcm(*(den // gcd(den, ints[f]) for den, ints in zip(dens, rows)))
         vec = [0] * cols
-        vec[f] = den
-        for pc, v in zip(pivots, ints):
-            vec[pc] = -v
+        vec[f] = l
+        for pc, den, ints in zip(pivots, dens, rows):
+            vec[pc] = -(ints[f] * l // den)
         if next(v for v in vec if v) < 0:
             vec = [-v for v in vec]
         basis.append(vec)
@@ -372,18 +451,6 @@ def subspace_equal(a: Matrix, b: Matrix) -> bool:
 def subspace_sum(a: Matrix, b: Matrix) -> Matrix:
     _check_ambient(a, b)
     return image_basis(a.hstack(b))
-
-
-def subspace_contains(a: Matrix, b: Matrix) -> bool:
-    """True iff every column of b lies in the column space of a."""
-    _check_ambient(a, b)
-    return a.hstack(b).rank() == a.rank()
-
-
-def subspace_intersection(a: Matrix, b: Matrix) -> Matrix:
-    _check_ambient(a, b)
-    ker = a.hstack(b.scale(-1)).null_space()
-    return image_basis(a.matmul(Matrix([ker.row(i) for i in range(a.cols)], ker.cols)))
 
 
 def is_direct_sum(a: Matrix, b: Matrix) -> bool:

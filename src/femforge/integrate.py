@@ -18,15 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from operator import add
 
-from .exact import Matrix
-from .poly import Polynomial, dot, frobenius_weight, monomials, multiply
+from .exact import Matrix, _cleared
+from .poly import Polynomial, dot, frobenius_weight, monomials, multiply, ncomp
 from .poly import frame as shape_frame
 from .simplex import Face, SimplexFrame
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -103,19 +102,6 @@ def integrate_face(face: Face, p: Polynomial) -> Fraction:
     return sum((v * reference_monomial_integral(exps) for (_, exps), v in p.terms.items()), _ZERO)
 
 
-def integrate_barycentric(frame: SimplexFrame, alpha: Sequence[int]) -> Fraction:
-    """Closed form for int_K lambda^alpha: alpha! d! / (|alpha| + d)! |K|.
-
-    Kept as an independent oracle against the Cartesian substitution route.
-    """
-    if len(alpha) != frame.d + 1:
-        raise ValueError("alpha indexes the d+1 barycentric coordinates")
-    num = 1
-    for a in alpha:
-        num *= factorial(a)
-    return Fraction(num * factorial(frame.d), factorial(sum(alpha) + frame.d)) * frame.volume
-
-
 def pair_simplex(frame: SimplexFrame, p: Polynomial, q: Polynomial) -> Fraction:
     """L2 pairing over K: product / dot / Frobenius per shape."""
     if p.kind != q.kind or p.d != q.d or p.vdim != q.vdim:
@@ -150,26 +136,14 @@ def frame_gram(frame: SimplexFrame, kind: str, k1: int, k2: int) -> Matrix:
     """The ``pair_simplex`` Gram matrix of the shaped monomial frames
     ``(kind, d, k1)`` (rows) and ``(kind, d, k2)`` (columns)."""
     d = frame.d
-    cols = shape_frame(kind, d, k2)
-    return Matrix(
-        [[frobenius_weight(kind, d, c) * _monomial_integral(frame, tuple(x + y for x, y in zip(e, e2)))
-          if c == c2 else _ZERO for c2, e2 in cols]
-         for c, e in shape_frame(kind, d, k1)],
-        len(cols),
-    )
-
-
-def gram_matrix(frame: SimplexFrame, polys) -> Matrix:
-    """Exact symmetric positive-definite Gram matrix of a basis (a list of
-    polynomials or any space exposing members())."""
-    if hasattr(polys, "members"):
-        polys = polys.members()
-    polys = list(polys)
-    n = len(polys)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = pair_simplex(frame, polys[i], polys[j])
-            rows[i][j] = val
-            rows[j][i] = val
-    return Matrix(rows)
+    nc, cols = ncomp(kind, d), monomials(d, k2)
+    # one integer row per monomial e, weighted into the columns of component c
+    scalar = {e: _cleared([_monomial_integral(frame, tuple(map(add, e, e2))) for e2 in cols])
+              for e in monomials(d, k1)}
+    rows = []
+    for c, e in shape_frame(kind, d, k1):
+        den, ints = scalar[e]
+        row = [0] * (nc * len(cols))
+        row[c::nc] = [frobenius_weight(kind, d, c) * v for v in ints]
+        rows.append((den, row))
+    return Matrix.from_int_rows(rows, nc * len(cols))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix
+from .exact import Matrix, _cleared
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -555,17 +555,25 @@ def _frame_index(kind: str, d: int, k: int) -> dict:
     return {key: i for i, key in enumerate(frame(kind, d, k))}
 
 
-def coeff_vector(p: Polynomial, k: int) -> list[Fraction]:
+def coeff_row(p: Polynomial, k: int) -> tuple[int, list[int]]:
+    """(den, ints) with ``ints / den`` the coefficients of p over the frame
+    (p.kind, p.d, k)."""
     if p.vdim != p.d:
         raise ShapeMismatchError("coefficient frames are for ambient-valued polynomials")
     idx = _frame_index(p.kind, p.d, k)
-    vec = [_ZERO] * len(idx)
-    for (c, exps), v in p.terms.items():
-        pos = idx.get((c, exps))
+    den, values = _cleared(p.terms.values())
+    row = [0] * len(idx)
+    for key, v in zip(p.terms, values):
+        pos = idx.get(key)
         if pos is None:
             raise ValueError(f"polynomial degree exceeds frame degree {k}")
-        vec[pos] = v
-    return vec
+        row[pos] = v
+    return den, row
+
+
+def coeff_vector(p: Polynomial, k: int) -> list[Fraction]:
+    den, row = coeff_row(p, k)
+    return [Fraction(v, den) if v else _ZERO for v in row]
 
 
 def from_coeff_vector(d: int, kind: str, k: int, vec: Sequence) -> Polynomial:
@@ -579,8 +587,7 @@ def coeff_matrix(polys: Iterable[Polynomial], k: int) -> Matrix:
     polys = list(polys)
     if not polys:
         raise ValueError("need at least one polynomial to infer the frame")
-    cols = [coeff_vector(p, k) for p in polys]
-    return Matrix.from_columns(cols, rows=len(cols[0]))
+    return Matrix.from_int_rows([coeff_row(p, k) for p in polys]).transpose()
 
 
 # -- serialization ------------------------------------------------------------------

@@ -180,7 +180,7 @@ class Face:
                         col, m = ie * nc + c, wc * f
                         for r, v in terms:
                             rows[r][col] += m * v
-        return Matrix([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], nc * len(exps))
+        return Matrix.from_int_rows([(den, row) for row in rows], nc * len(exps))
 
 
 def _unit(d: int, i: int) -> tuple[Fraction, ...]:

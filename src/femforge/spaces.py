@@ -9,6 +9,7 @@ pads zero rows, so subspace algebra across degrees is one matrix problem.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable
@@ -20,7 +21,6 @@ from .poly import Polynomial
 from .report import CheckResult
 from .simplex import SimplexFrame, reference_simplex
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -64,12 +64,8 @@ class PolySpace:
             return self
         if k < self.k:
             raise BadDegreeError("cannot shrink the frame below the space degree")
-        rows = len(poly.frame(self.kind, self.frame.d, k))
-        padded = [
-            self.basis.row(i) if i < self.basis.rows else (_ZERO,) * self.basis.cols
-            for i in range(rows)
-        ]
-        return PolySpace(self.frame, self.kind, k, Matrix(padded), self.tag)
+        pad = Matrix.zeros(len(poly.frame(self.kind, self.frame.d, k)) - self.basis.rows, self.basis.cols)
+        return PolySpace(self.frame, self.kind, k, Matrix.vstack([self.basis, pad], self.basis.cols), self.tag)
 
     def __repr__(self):
         return f"PolySpace({self.tag or self.kind}, d={self.frame.d}, k={self.k}, dim={self.dim})"
@@ -98,11 +94,6 @@ def space_sum(a: PolySpace, b: PolySpace, tag: str = "") -> PolySpace:
 def space_is_direct_sum(a: PolySpace, b: PolySpace) -> bool:
     ma, mb = _common_frames(a, b)
     return exact.is_direct_sum(ma, mb)
-
-
-def space_contains(a: PolySpace, b: PolySpace) -> bool:
-    ma, mb = _common_frames(a, b)
-    return exact.subspace_contains(ma, mb)
 
 
 # -- closed-form dimensions ------------------------------------------------------
@@ -175,7 +166,7 @@ def _homogeneous_unit_columns(d: int, kind: str, k: int) -> Matrix:
     fr = poly.frame(kind, d, k)
     cols = [i for i, (_, exps) in enumerate(fr) if sum(exps) == k]
     n = len(fr)
-    data = [[_ONE if i == c else _ZERO for c in cols] for i in range(n)]
+    data = [[int(i == c) for c in cols] for i in range(n)]
     return Matrix(data)
 
 
@@ -227,11 +218,13 @@ def empty_space(frame: SimplexFrame, kind: str, k: int = 0, tag: str = "") -> Po
     return PolySpace(frame, kind, max(k, 0), Matrix.zeros(n, 0), tag)
 
 
-def nd_basis(d: int, k: int) -> list[Polynomial]:
-    """Canonical basis of the coordinate edge space in d variables."""
+@lru_cache(maxsize=None)
+def nd_basis(d: int, k: int) -> tuple[Polynomial, ...]:
+    """Canonical basis of the coordinate edge space in d variables, built once
+    per (d, k)."""
     if k < 0:
-        return []
-    return build_standard(reference_simplex(d), "ND", k).members()
+        return ()
+    return tuple(build_standard(reference_simplex(d), "ND", k).members())
 
 
 # -- operator matrices ---------------------------------------------------------------
@@ -294,8 +287,7 @@ def operator_matrix(op: str, source: PolySpace) -> OperatorMatrix:
     target_k = tk(source.k)
     images = [fn(p) for p in source.members()]
     if images:
-        cols = [poly.coeff_vector(p, target_k) for p in images]
-        matrix = Matrix.from_columns(cols)
+        matrix = poly.coeff_matrix(images, target_k)
     else:
         matrix = Matrix.zeros(len(poly.frame(tkind, source.frame.d, target_k)), 0)
     return OperatorMatrix(op, source, tkind, target_k, matrix)
@@ -551,7 +543,7 @@ def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolyS
         raise exact.SingularMatrixError("divergence is not injective on the space")
     # A target column outside the image leaves a pivot in the tgt block, and
     # the check below rejects the coordinates read from the first n rows.
-    coords = Matrix([red.row(i)[n:] for i in range(n)], tgt.cols)
+    coords = red.take(range(n), n)
     if not m.matmul(coords) == tgt:
         raise ArithmeticError("divergence preimage fell outside the image")
     return PolySpace(

@@ -12,10 +12,17 @@ from femforge.exact import (
     image_basis,
     is_direct_sum,
     rref_kernel,
-    subspace_contains,
     subspace_equal,
-    subspace_intersection,
     subspace_sum,
+)
+from reference import (
+    frac_det,
+    frac_matmul,
+    frac_rows,
+    frac_rref,
+    frac_transpose,
+    subspace_contains,
+    subspace_intersection,
 )
 
 
@@ -237,12 +244,7 @@ def _reference_rref(a):
 
 
 def _reference_matmul(a, b):
-    zero = Fraction(0)
-    return Matrix(
-        [[sum((x * y for x, y in zip(row, b.column(j)) if x and y), zero) for j in range(b.cols)]
-         for row in (a.row(i) for i in range(a.rows))],
-        b.cols,
-    )
+    return Matrix(frac_matmul(frac_rows(a), frac_rows(b), b.cols), b.cols)
 
 
 def _primitive_column(vec):
@@ -396,5 +398,148 @@ def test_rank_nullity_properties():
         assert a.rank() == a.transpose().rank()
         assert a.matmul(ns).is_zero()
         assert (a.rref(), a.matmul(Matrix.identity(a.cols))) == (_reference_rref(a), a)
+
+    check()
+
+
+@pytest.mark.parametrize("columns", [[(1,), (3, 4)], [(1, 2), (3,)]])
+def test_from_columns_rejects_ragged_columns(columns):
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_columns(columns)
+
+
+def test_float_entries_are_rejected():
+    for build in (lambda: Matrix([[1, 0.1]]), lambda: Matrix([[1.0]]), lambda: Matrix.from_columns([(0.5,)]),
+                  lambda: Matrix.identity(2).scale(0.5)):
+        with pytest.raises(TypeError):
+            build()
+
+
+def _assert_normal_form(m):
+    """Each row is ints / den in lowest terms, den > 0, a zero row over 1."""
+    for i in range(m.rows):
+        den, ints = m.int_row(i)
+        assert type(ints) is tuple and len(ints) == m.cols and all(type(v) is int for v in ints)
+        assert den > 0 and gcd(den, *ints) == 1 and (any(ints) or den == 1)
+
+
+def test_equal_matrices_are_equal_across_construction_routes():
+    half = Matrix([[Fraction(1, 2), 1]])
+    routes = [
+        Matrix([[Fraction(2, 4), 1]]),
+        Matrix([["1/2", Fraction(3, 3)]]),
+        Matrix.from_int_rows([(4, [2, 4])]),
+        Matrix.from_columns([(Fraction(1, 2),), (1,)]),
+        Matrix([[1, 2]]).scale(Fraction(1, 2)),
+        Matrix([[Fraction(1, 6)], [Fraction(1, 3)]]).transpose().scale(3),
+        Matrix([[Fraction(3, 2), 2]]) - Matrix([[1, 1]]),
+        Matrix([[Fraction(1, 2)]]).hstack(Matrix([[1]])),
+        Matrix([[1, 0], [0, 2]]).matmul(Matrix([[Fraction(1, 2), 1], [0, 0]])).take([0]),
+        Matrix([[2, 4]]).rref()[0].scale(Fraction(1, 2)),
+    ]
+    for m in routes:
+        _assert_normal_form(m)
+        assert m == half and hash(m) == hash(half)
+    assert Matrix([[0, Fraction(0, 5)]]).int_row(0) == (1, (0, 0))
+    assert all(type(x) is Fraction for x in half.row(0) + half.column(1) + (half[0, 0], half[0, 1]))
+
+
+def _entries():
+    st = pytest.importorskip("hypothesis.strategies")
+    # small and multi-word numerators over mixed denominators
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40)),
+    )
+
+
+def _shaped(rows, cols):
+    st = pytest.importorskip("hypothesis.strategies")
+    row = st.lists(_entries(), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(lambda data: Matrix(data, cols))
+
+
+def _frac_null_space(rows, cols):
+    red, pivots = frac_rref(rows, cols)
+    out = []
+    for f in (j for j in range(cols) if j not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][f]
+        out.append(_primitive_column(vec))
+    return Matrix.from_columns(out, rows=cols)
+
+
+def test_integer_core_matches_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        r, n, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, a2, b, sq = data.draw(_shaped(r, n)), data.draw(_shaped(r, n)), data.draw(_shaped(n, c)), data.draw(
+            _shaped(n, n))
+        s = data.draw(_entries())
+        fa, fa2, fb, fsq = frac_rows(a), frac_rows(a2), frac_rows(b), frac_rows(sq)
+        red, pivots = frac_rref(fa, n)
+        cases = {
+            "matmul": (a.matmul(b), Matrix(frac_matmul(fa, fb, c), c)),
+            "hstack": (a.hstack(a2), Matrix([x + y for x, y in zip(fa, fa2)], 2 * n)),
+            "vstack": (Matrix.vstack([a, a2], n), Matrix(fa + fa2, n)),
+            "transpose": (a.transpose(), Matrix(frac_transpose(fa, n), r)),
+            "sub": (a - a2, Matrix([[x - y for x, y in zip(u, v)] for u, v in zip(fa, fa2)], n)),
+            "scale": (a.scale(s), Matrix([[s * x for x in u] for u in fa], n)),
+            "rref": (a.rref()[0], Matrix(red, n)),
+            "null_space": (a.null_space(), _frac_null_space(fa, n)),
+            "image_basis": (image_basis(a), Matrix(frac_transpose(frac_rref(frac_transpose(fa, n), r)[0], r),
+                                                   len(frac_rref(frac_transpose(fa, n), r)[1]))),
+        }
+        for name, (got, want) in cases.items():
+            _assert_normal_form(got)
+            assert got == want, name
+        assert (a.rank(), a.rref()[1]) == (len(pivots), pivots)
+        assert sq.det() == frac_det(fsq)
+        if frac_det(fsq):
+            sred, _ = frac_rref([u + v for u, v in zip(fsq, fb)], n + c)
+            x = sq.solve(b)
+            _assert_normal_form(x)
+            assert x == Matrix([row[n:] for row in sred], c)
+        else:
+            with pytest.raises(SingularMatrixError):
+                sq.solve(b)
+
+    check()
+
+
+def test_integer_core_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def to_fractions(dm):
+        return [[_qq(x) for x in row] for row in dm.to_list()]
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        r, n, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a, a2, b, sq = data.draw(_shaped(r, n)), data.draw(_shaped(r, n)), data.draw(_shaped(n, c)), data.draw(
+            _shaped(n, n))
+        da, da2, db, dsq = (_sympy_matrix(m) for m in (a, a2, b, sq))
+        assert [list(a.matmul(b).row(i)) for i in range(r)] == to_fractions(da.matmul(db))
+        assert [list((a - a2).row(i)) for i in range(r)] == to_fractions(da - da2)
+        assert [list(a.hstack(a2).row(i)) for i in range(r)] == to_fractions(da.hstack(da2))
+        assert [list(Matrix.vstack([a, a2], n).row(i)) for i in range(2 * r)] == to_fractions(da.vstack(da2))
+        assert [list(a.transpose().row(i)) for i in range(n)] == to_fractions(da.transpose())
+        assert a.rank() == da.rank()
+        sred, spivots = da.rref()
+        red, pivots = a.rref()
+        assert pivots == tuple(spivots)
+        assert [list(red.row(i)) for i in range(red.rows)] == to_fractions(sred)[: len(pivots)]
+        kernel = [_primitive_column([_qq(x) for x in row]) for row in da.nullspace().to_list()]
+        assert a.null_space() == Matrix.from_columns(kernel, rows=n)
+        assert sq.det() == _qq(dsq.det())
 
     check()
