@@ -16,8 +16,10 @@ Every DoF is a row over the shaped monomial frame of the shape space, built
 from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
 matrices of ``integrate``, one product per run of DoFs that share a face and
 a trace; applying a DoF to a polynomial is a sparse dot product with its
-coefficients.  The trace-block check multiplies the same trace matrices with
-the kernel of the shared DoF block.
+coefficients, over the polynomial's memoized integer terms
+(``Polynomial.int_terms``; the members of a shape space come with them).  The
+trace-block check multiplies the same trace matrices, memoized on each face,
+with the kernel of the shared DoF block.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -36,7 +38,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from . import exact, poly, spaces
-from .exact import Matrix, SingularMatrixError, _cleared
+from .exact import Matrix, SingularMatrixError
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
@@ -112,9 +114,9 @@ class _Row:
         self.den, self.ints = row
 
     def dot(self, tau: Polynomial) -> Fraction:
-        l, values = _cleared(tau.terms.values())
+        l, _, items = tau.int_terms()
         ints, index = self.ints, self.index
-        s = sum(ints[index[key]] * v for key, v in zip(tau.terms, values))
+        s = sum(ints[index[key]] * v for key, v in items)
         return Fraction(s, self.den * l) if s else _ZERO
 
 
@@ -193,7 +195,7 @@ def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, cache: d
     coefficients; ``cache`` may hold rows built by ``_dof_rows``, keyed by
     ``id(dof)``, and a row that does not cover tau is built afresh."""
     row = cache.get(id(dof)) if cache is not None else None
-    deg = tau.degree()
+    deg = tau.int_terms()[1]
     if row is None or row.dof is not dof or row.kind != tau.kind or row.k < deg:
         row = _dof_rows(frame, [dof], tau.kind, max(deg, 0))[id(dof)]
     return row.dot(tau)

@@ -36,7 +36,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
-        raise TypeError(f"exact matrices take no float entries, got {x!r}")
+        raise TypeError(f"exact arithmetic takes no float, got {x!r}")
     return Fraction(x)
 
 

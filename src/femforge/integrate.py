@@ -5,6 +5,12 @@ the factorial formula for reference monomials,
 
     int_{ref^m} s^beta ds = beta! / (|beta| + m)!.
 
+The frame's integer power table (``SimplexFrame.powers``) gives x^e in the
+reference coordinates as ``table / D^|e|``, and the formula is summed over
+the table in integers over the common denominator ``(|e| + d)!``: one
+``Fraction`` per monomial moment, memoized in ``frame._mono_integrals``.
+Pairings and frame Gram matrices are sums of these moments.
+
 Face integrals use the face's canonical chart with its intrinsic Lebesgue
 measure; the (generally irrational) metric area factor is intentionally not
 applied.  Every face functional built on top of this is therefore a fixed
@@ -17,11 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm, prod
 from operator import add
 
 from .exact import Matrix, _cleared
-from .poly import Polynomial, dot, frobenius_weight, monomials, multiply, ncomp
+from .poly import Polynomial, dot, frobenius_weight, monomials, ncomp
 from .poly import frame as shape_frame
 from .simplex import Face, SimplexFrame
 
@@ -29,62 +35,30 @@ _ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
+def _reference_weight(beta: tuple[int, ...], top: int) -> int:
+    """beta! top! / (|beta| + m)!: the integral of s^beta over the reference
+    simplex of dimension m = len(beta), times top!."""
+    return prod(map(factorial, beta)) * perm(top, top - sum(beta) - len(beta))
+
+
+@lru_cache(maxsize=None)
 def reference_monomial_integral(exps: tuple[int, ...]) -> Fraction:
     """Integral of s^exps over the reference simplex of dimension len(exps)."""
-    m = len(exps)
-    num = 1
-    for e in exps:
-        num *= factorial(e)
-    return Fraction(num, factorial(sum(exps) + m))
-
-
-def _affine_to_reference(frame: SimplexFrame) -> list[Polynomial]:
-    """The coordinate polynomials of x = x_0 + sum_j s_j (x_j - x_0)."""
-    d = frame.d
-    out = []
-    for t in range(d):
-        terms = {}
-        if frame.vertices[0][t]:
-            terms[(0, (0,) * d)] = frame.vertices[0][t]
-        for j in range(1, d + 1):
-            c = frame.vertices[j][t] - frame.vertices[0][t]
-            if c:
-                e = [0] * d
-                e[j - 1] = 1
-                terms[(0, tuple(e))] = c
-        out.append(Polynomial(d, "scalar", terms))
-    return out
+    top = sum(exps) + len(exps)
+    return Fraction(_reference_weight(exps, top), factorial(top))
 
 
 def _monomial_integral(frame: SimplexFrame, exps: tuple[int, ...]) -> Fraction:
     got = frame._mono_integrals.get(exps)
-    if got is not None:
-        return got
-    subst = frame._subst_cache
-    affine = subst.get("affine")
-    if affine is None:
-        affine = _affine_to_reference(frame)
-        subst["affine"] = affine
-
-    def composed(e: tuple[int, ...]) -> Polynomial:
-        p = subst.get(e)
-        if p is None:
-            if sum(e) == 0:
-                p = Polynomial.constant(frame.d, 1)
-            else:
-                t = next(i for i, v in enumerate(e) if v)
-                prev = list(e)
-                prev[t] -= 1
-                p = multiply(composed(tuple(prev)), affine[t])
-            subst[e] = p
-        return p
-
-    total = sum(
-        (v * reference_monomial_integral(b) for (_, b), v in composed(exps).terms.items()),
-        _ZERO,
-    )
-    got = frame.jac_factor * total
-    frame._mono_integrals[exps] = got
+    if got is None:
+        # x^e = table / den in the reference coordinates s; sum the factorial
+        # formula over it in integers, over the common denominator (|e| + d)!
+        den, table = frame.powers.power(exps)
+        top = sum(exps) + frame.d
+        num = sum(v * _reference_weight(beta, top) for beta, v in table.items())
+        jac = frame.jac_factor
+        got = Fraction(jac.numerator * num, jac.denominator * den * factorial(top))
+        frame._mono_integrals[exps] = got
     return got
 
 

@@ -4,10 +4,19 @@ A polynomial lives in Cartesian coordinates ``x = (x_1, ..., x_d)`` and takes
 values of one of five shapes: scalar, d-vector, symmetric d x d matrix,
 skew-symmetric d x d matrix, or full d x d matrix.  Symmetric and skew parts
 are stored once (upper triangle) and mirrored on read; zero coefficients are
-never stored.
+never stored, and a ``float`` coefficient is rejected.
 
 Terms are keyed by ``(component, exponents)`` where ``component`` indexes the
 stored components of the shape and ``exponents`` is a length-d multi-index.
+``Polynomial.int_terms`` memoizes the terms cleared over one denominator, so
+that pairings with integer rows (DoF rows, coefficient frames) are integer
+dot products.
+
+Affine pull-backs run in integers as well.  ``AffinePowers`` clears a map
+``x = c + L s`` over one denominator D and memoizes each power ``x^e`` as
+``(D^|e|, {s-exponents: int})``, one multiplication by an integer affine row
+per step.  Monomial integrals over a simplex, face restrictions and the face
+trace operators all read these tables.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, _cleared
+from .exact import Matrix, _as_fraction, _cleared, _row_of
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,10 +101,11 @@ class Polynomial:
 
     ``vdim`` is the dimension of the value space (defaults to ``d``); it only
     differs from ``d`` for fields restricted to a face chart, which keep their
-    ambient value components while depending on chart variables.
+    ambient value components while depending on chart variables.  ``terms``
+    is never changed after construction, which ``int_terms`` relies on.
     """
 
-    __slots__ = ("d", "kind", "terms", "vdim")
+    __slots__ = ("d", "kind", "terms", "vdim", "_ints")
 
     def __init__(self, d: int, kind: str, terms: dict | None = None, vdim: int | None = None):
         if kind not in SHAPES:
@@ -106,9 +116,12 @@ class Polynomial:
         clean = {}
         if terms:
             for key, c in terms.items():
+                if type(c) is not Fraction:
+                    c = _as_fraction(c)
                 if c:
-                    clean[key] = c if isinstance(c, Fraction) else Fraction(c)
+                    clean[key] = c
         self.terms = clean
+        self._ints = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -118,7 +131,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, d: int, value) -> "Polynomial":
-        return cls(d, "scalar", {(0, (0,) * d): Fraction(value)})
+        return cls(d, "scalar", {(0, (0,) * d): _as_fraction(value)})
 
     @classmethod
     def coordinate(cls, d: int, i: int) -> "Polynomial":
@@ -128,7 +141,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, d: int, kind: str, comp: int, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(d, kind, {(comp, tuple(exps)): Fraction(coeff)})
+        return cls(d, kind, {(comp, tuple(exps)): _as_fraction(coeff)})
 
     @classmethod
     def from_components(
@@ -152,14 +165,14 @@ class Polynomial:
     @classmethod
     def constant_vector(cls, d: int, vec: Sequence, vdim: int | None = None) -> "Polynomial":
         z = (0,) * d
-        return cls(d, "vector", {(i, z): Fraction(v) for i, v in enumerate(vec)}, vdim=vdim or len(vec))
+        return cls(d, "vector", {(i, z): _as_fraction(v) for i, v in enumerate(vec)}, vdim=vdim or len(vec))
 
     @classmethod
     def constant_sym(cls, d: int, mat: Sequence[Sequence]) -> "Polynomial":
         z = (0,) * d
         terms = {}
         for c, (i, j) in enumerate(sym_pairs(d)):
-            terms[(c, z)] = Fraction(mat[i][j])
+            terms[(c, z)] = _as_fraction(mat[i][j])
         return cls(d, "sym", terms)
 
     # -- basic protocol ----------------------------------------------------------
@@ -170,6 +183,15 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree (max over components); -1 for the zero polynomial."""
         return max((sum(e) for _, e in self.terms), default=-1)
+
+    def int_terms(self) -> tuple[int, int, list]:
+        """(den, degree, [(key, int)]) with every coefficient ``int / den``:
+        the terms cleared over one denominator, memoized on the polynomial."""
+        got = self._ints
+        if got is None:
+            den, ints = _cleared(self.terms.values())
+            got = self._ints = (den, self.degree(), list(zip(self.terms, ints)))
+        return got
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,7 +228,7 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _as_fraction(c)
         if not c:
             return Polynomial(self.d, self.kind, vdim=self.vdim)
         return Polynomial(self.d, self.kind, {k: c * v for k, v in self.terms.items()}, vdim=self.vdim)
@@ -473,47 +495,62 @@ def homogeneous_component(p: Polynomial, r: int) -> Polynomial:
     return Polynomial(p.d, p.kind, {k: v for k, v in p.terms.items() if sum(k[1]) == r}, vdim=p.vdim)
 
 
+class AffinePowers:
+    """The powers of an affine map ``x = c + L s`` (d x-variables, m
+    s-variables), in integers.
+
+    The map is cleared over one denominator ``den`` = D, so ``D x_t`` is an
+    integer affine row in s.  ``power(e)`` is ``(D^|e|, {s-exponents: int})``
+    with x^e the dict over D^|e|; it is memoized, and each power is one
+    multiplication of a lower power by an integer row.
+    """
+
+    __slots__ = ("m", "den", "_rows", "_table")
+
+    def __init__(self, const: Sequence, lin: Sequence[Sequence]):
+        d = len(const)
+        self.m = m = len(lin[0]) if lin else 0
+        self.den, ints = _row_of(list(const) + [x for row in lin for x in row])
+        # row t: the constant of D x_t and its (s-variable, coefficient) pairs
+        self._rows = [(ints[t], [(j, v) for j, v in enumerate(ints[d + t * m:d + (t + 1) * m]) if v])
+                      for t in range(d)]
+        self._table = {(0,) * d: (1, {(0,) * self.m: 1})}
+
+    def power(self, e: tuple[int, ...]) -> tuple[int, dict]:
+        got = self._table.get(e)
+        if got is None:
+            t = next(i for i, v in enumerate(e) if v)
+            den, prev = self.power(e[:t] + (e[t] - 1,) + e[t + 1:])
+            const, lin = self._rows[t]
+            acc = {se: const * v for se, v in prev.items()} if const else {}
+            for se, v in prev.items():
+                for j, w in lin:
+                    key = se[:j] + (se[j] + 1,) + se[j + 1:]
+                    acc[key] = acc.get(key, 0) + w * v
+            got = self._table[e] = (den * self.den, {se: v for se, v in acc.items() if v})
+        return got
+
+    def substitute(self, p: Polynomial) -> Polynomial:
+        """p(c + L s) in the m s-variables; the value components are untouched."""
+        den, deg, items = p.int_terms()
+        top = self.den ** max(deg, 0)
+        acc: dict = {}
+        for (c, e), v in items:
+            de, table = self.power(e)
+            f = v * (top // de)
+            for se, w in table.items():
+                key = (c, se)
+                acc[key] = acc.get(key, 0) + f * w
+        den *= top
+        return Polynomial(self.m, p.kind, {key: Fraction(v, den) for key, v in acc.items() if v}, vdim=p.vdim)
+
+
 def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -> Polynomial:
     """Substitute x_t = const[t] + sum_m lin[t][m] s_m; result lives in len(s) vars.
 
     Shape is preserved; the value components are untouched by the substitution.
     """
-    m = len(lin[0]) if p.d else 0
-    const = [Fraction(c) for c in const]
-    lin = [[Fraction(x) for x in row] for row in lin]
-    affine = []
-    for t in range(p.d):
-        terms = {}
-        if const[t]:
-            terms[(0, (0,) * m)] = const[t]
-        for mm in range(m):
-            if lin[t][mm]:
-                e = [0] * m
-                e[mm] = 1
-                terms[(0, tuple(e))] = lin[t][mm]
-        affine.append(Polynomial(m, "scalar", terms))
-
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def power(t: int, e: int) -> Polynomial:
-        key = (t, e)
-        got = power_cache.get(key)
-        if got is None:
-            got = Polynomial.constant(m, 1) if e == 0 else multiply(power(t, e - 1), affine[t])
-            power_cache[key] = got
-        return got
-
-    out_terms: dict = {}
-    for (c, exps), val in p.terms.items():
-        prod = Polynomial.constant(m, val)
-        for t, e in enumerate(exps):
-            if e:
-                prod = multiply(prod, power(t, e))
-        for (_, se), sv in prod.terms.items():
-            key = (c, se)
-            acc = out_terms.get(key)
-            out_terms[key] = sv if acc is None else acc + sv
-    return Polynomial(m, p.kind, out_terms, vdim=p.vdim)
+    return AffinePowers(const, lin if p.d else []).substitute(p)
 
 
 # -- monomial frames ---------------------------------------------------------------
@@ -523,24 +560,24 @@ def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -
 # ordering makes the degree <= k frame a prefix of every higher-degree frame.
 
 
+def _compositions(dim: int, total: int):
+    if dim == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(dim - 1, total - first):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def monomials(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     if k < 0:
         return ()
     if d == 0:
         return ((),)
-
-    def gen(dim, total):
-        if dim == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in gen(dim - 1, total - first):
-                yield (first,) + rest
-
     out = []
     for deg in range(k + 1):
-        out.extend(sorted(gen(d, deg)))
+        out.extend(sorted(_compositions(d, deg)))
     return tuple(out)
 
 
@@ -561,9 +598,9 @@ def coeff_row(p: Polynomial, k: int) -> tuple[int, list[int]]:
     if p.vdim != p.d:
         raise ShapeMismatchError("coefficient frames are for ambient-valued polynomials")
     idx = _frame_index(p.kind, p.d, k)
-    den, values = _cleared(p.terms.values())
+    den, _, items = p.int_terms()
     row = [0] * len(idx)
-    for key, v in zip(p.terms, values):
+    for key, v in items:
         pos = idx.get(key)
         if pos is None:
             raise ValueError(f"polynomial degree exceeds frame degree {k}")
@@ -577,10 +614,21 @@ def coeff_vector(p: Polynomial, k: int) -> list[Fraction]:
 
 
 def from_coeff_vector(d: int, kind: str, k: int, vec: Sequence) -> Polynomial:
+    return from_coeff_row(d, kind, k, _row_of(vec))
+
+
+def from_coeff_row(d: int, kind: str, k: int, row: tuple[int, Sequence[int]]) -> Polynomial:
+    """The polynomial with coefficients ``ints / den`` over the frame
+    (kind, d, k), for ``row = (den, ints)``, with ``int_terms`` filled."""
+    den, ints = row
     fr = frame(kind, d, k)
-    if len(vec) != len(fr):
+    if len(ints) != len(fr):
         raise ValueError("coefficient vector length mismatch")
-    return Polynomial(d, kind, {(c, exps): Fraction(v) for (c, exps), v in zip(fr, vec) if v})
+    items = [(key, v) for key, v in zip(fr, ints) if v]
+    p = Polynomial(d, kind, {key: Fraction(v, den) for key, v in items})
+    # the frame is degree-major: the last term has the top degree
+    p._ints = (den, sum(items[-1][0][1]) if items else -1, items)
+    return p
 
 
 def coeff_matrix(polys: Iterable[Polynomial], k: int) -> Matrix:

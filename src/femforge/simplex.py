@@ -7,16 +7,21 @@ lowest index and the tangent frame lists edges to the remaining vertices in
 ascending index order, so two simplices sharing a face derive bit-identical
 charts when they enumerate the shared vertices in the same order.
 
+Every affine map here carries an integer power table (``poly.AffinePowers``):
+the frame's map from the reference simplex, which ``integrate`` reads for
+monomial moments, and each face's chart, from which ``Face.restrict`` and the
+trace operators read restricted monomials ``x^e = table / D^|e|``.
+
 Every face trace is a linear map from shape coefficients (over the shaped
 monomial frame ``(kind, d, k)`` of ``poly.frame``) to chart coefficients, and
-``Face.trace``/``Face.traces`` return it as an exact matrix.  A column
-``(c, e)`` is assembled from the restricted monomial ``x^e`` (read off
-``Face._restrict_monomial``) with one weight per stored component ``c``:
-pointwise traces ``a^T tau b`` weight the restriction itself, ``g . div tau``
-weights restricted partial derivatives and ``div_F(tau g)`` weights chart
-derivatives of the restriction.  Element DoFs, trace-block and bubble checks,
-patch jumps and the divdiv Green identity are all products with these
-matrices.
+``Face.trace``/``Face.traces`` return it as an exact matrix, memoized on the
+face.  A column ``(c, e)`` is assembled from the chart table of ``x^e`` with
+one weight per stored component ``c``: pointwise traces ``a^T tau b`` weight
+the restriction itself, ``g . div tau`` weights restricted partial
+derivatives and ``div_F(tau g)`` weights chart derivatives of the
+restriction, all accumulated in integers over one denominator.  Element DoFs,
+trace-block and bubble checks, patch jumps and the divdiv Green identity are
+all products with these matrices.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exact import Matrix, SingularMatrixError, _cleared
-from .poly import Polynomial, entry_comp, monomials, ncomp, partial, substitute_affine
+from .exact import Matrix, SingularMatrixError, _as_fraction, _cleared
+from .poly import AffinePowers, Polynomial, entry_comp, monomials, ncomp, partial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,7 +63,8 @@ class Face:
         "normal_frame",
         "gram",
         "gram_inv",
-        "_mono_cache",
+        "powers",
+        "_traces",
     )
 
     def __init__(self, frame: "SimplexFrame", vertex_ids: tuple[int, ...]):
@@ -75,33 +81,18 @@ class Face:
         gram = Matrix([[_dot(a, b) for b in self.tangents] for a in self.tangents])
         self.gram = gram
         self.gram_inv = gram.solve(Matrix.identity(m)) if m else None
-        self._mono_cache: dict = {}
+        self.powers = AffinePowers(self.origin, [[tan[t] for tan in self.tangents] for t in range(d)])
+        self._traces: dict = {}
 
     @property
     def dim(self) -> int:
         return len(self.tangents)
 
-    def _restrict_monomial(self, exps: tuple[int, ...]) -> Polynomial:
-        got = self._mono_cache.get(exps)
-        if got is None:
-            mono = Polynomial(self.frame.d, "scalar", {(0, exps): _ONE})
-            lin = [[tan[t] for tan in self.tangents] for t in range(self.frame.d)]
-            got = substitute_affine(mono, self.origin, lin)
-            self._mono_cache[exps] = got
-        return got
-
     def restrict(self, p: Polynomial) -> Polynomial:
         """Pull p back through the chart: a polynomial in dim(F) variables.
 
         Value components stay ambient (vdim is preserved)."""
-        out = Polynomial(self.dim, p.kind, vdim=p.vdim)
-        for (c, exps), val in p.terms.items():
-            mono = self._restrict_monomial(exps)
-            add = Polynomial(
-                self.dim, p.kind, {(c, e): val * v for (_, e), v in mono.terms.items()}, vdim=p.vdim
-            )
-            out = out + add
-        return out
+        return self.powers.substitute(p)
 
     # -- trace operators ---------------------------------------------------------
 
@@ -109,9 +100,14 @@ class Face:
         """The pointwise trace ``a^T tau b`` (``v . a`` for a vector field) as a
         matrix from shape coefficients over the frame ``(kind, d, k)`` to chart
         coefficients of degree <= k."""
-        return self._operator(kind, k, k, [(_weights(kind, self.frame.d, a, b), self._restrict_monomial)])
+        w = _weights(kind, self.frame.d, a, b)
+        key = (kind, k, tuple(w))
+        got = self._traces.get(key)
+        if got is None:
+            got = self._traces[key] = self._operator(kind, k, k, [(w, self.powers.power)])
+        return got
 
-    def traces(self, kind: str, k: int, mode: str) -> tuple[int, list[Matrix]]:
+    def traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
         """Chart degree and trace matrices of a named trace, g the face's
         scaled normal and t_m its chart tangents:
 
@@ -120,67 +116,73 @@ class Face:
         tangential_tangential: t_1^T tau t_1 (all of chart degree k);
         normal_div: g . div tau;  combo: g . div tau + div_F(tau g) (degree k-1).
         """
+        key = (kind, k, mode)
+        got = self._traces.get(key)
+        if got is None:
+            got = self._traces[key] = self._named_traces(kind, k, mode)
+        return got
+
+    def _named_traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
         d = self.frame.d
         g = self.normal_frame[0]
         if mode == "vector_normal":
-            return k, [self.trace(kind, k, g)]
+            return k, (self.trace(kind, k, g),)
         if mode == "tensor_normal":
-            return k, [self.trace(kind, k, _unit(d, i), g) for i in range(d)]
+            return k, tuple(self.trace(kind, k, _unit(d, i), g) for i in range(d))
         if mode == "normal_normal":
-            return k, [self.trace(kind, k, g, g)]
+            return k, (self.trace(kind, k, g, g),)
         if mode == "tangential":
-            return k, [self.trace(kind, k, t, None if kind == "vector" else g) for t in self.tangents]
+            return k, tuple(self.trace(kind, k, t, None if kind == "vector" else g) for t in self.tangents)
         if mode == "tangential_tangential":
-            return k, [self.trace(kind, k, self.tangents[0], self.tangents[0])]
+            return k, (self.trace(kind, k, self.tangents[0], self.tangents[0]),)
         if mode not in ("normal_div", "combo"):
             raise ValueError(f"unknown trace mode {mode!r}")
         # g . div tau = sum_j d_j (g^T tau e_j): restrictions of partials
-        parts = [(_weights(kind, d, g, _unit(d, j)), self._restricted_partial(j)) for j in range(d)]
+        parts = [(_weights(kind, d, g, _unit(d, j)), lambda e, j=j: self._restricted_partial(e, j))
+                 for j in range(d)]
         if mode == "combo":
             # div_F(tau g) = sum_m d/ds_m restrict(c_m^T tau g), c_m = sum_n Ginv[m, n] t_n
             for m in range(self.dim):
                 c_m = [sum((self.gram_inv[m, n] * tn[t] for n, tn in enumerate(self.tangents)), _ZERO)
                        for t in range(d)]
-                parts.append((_weights(kind, d, c_m, g), lambda e, m=m: partial(self._restrict_monomial(e), m)))
+                parts.append((_weights(kind, d, c_m, g), lambda e, m=m: self._chart_partial(e, m)))
         chart_k = max(k - 1, 0)
-        return chart_k, [self._operator(kind, k, chart_k, parts)]
+        return chart_k, (self._operator(kind, k, chart_k, parts),)
 
-    def _restricted_partial(self, j: int):
-        """e -> restrict(d/dx_j x^e) as a chart polynomial."""
+    def _restricted_partial(self, e: tuple[int, ...], j: int) -> tuple[int, dict]:
+        """restrict(d/dx_j x^e) as (den, {chart exponents: int})."""
+        if not e[j]:
+            return 1, {}
+        den, table = self.powers.power(e[:j] + (e[j] - 1,) + e[j + 1:])
+        return den, {se: e[j] * v for se, v in table.items()}
 
-        def table(e: tuple[int, ...]) -> Polynomial:
-            if not e[j]:
-                return Polynomial(self.dim, "scalar")
-            return self._restrict_monomial(e[:j] + (e[j] - 1,) + e[j + 1:]).scale(e[j])
-
-        return table
+    def _chart_partial(self, e: tuple[int, ...], m: int) -> tuple[int, dict]:
+        """d/ds_m restrict(x^e) as (den, {chart exponents: int})."""
+        den, table = self.powers.power(e)
+        return den, {se[:m] + (se[m] - 1,) + se[m + 1:]: se[m] * v for se, v in table.items() if se[m]}
 
     def _operator(self, kind: str, k: int, chart_k: int, parts) -> Matrix:
         """Column (c, e) of the frame (kind, d, k) holds the chart coefficients
         (degree <= chart_k) of the sum over ``parts`` of ``w[c] * table(e)``,
+        for tables ``(den, {chart exponents: int})`` with den | D^k,
         accumulated in integers over one common denominator."""
         index = {e: i for i, e in enumerate(monomials(self.dim, chart_k))}
         nc = ncomp(kind, self.frame.d)
         exps = monomials(self.frame.d, k)
-        scaled = []
-        for w, table in parts:
-            restricted = [table(e).terms for e in exps]
-            lt, ints = _cleared([v for terms in restricted for v in terms.values()])
-            it = iter(ints)
-            entries = [[(index[se], next(it)) for (_, se) in terms] for terms in restricted]
-            lw, wints = _cleared(w)
-            scaled.append((lw * lt, wints, entries))
-        den = lcm(*(l for l, _, _ in scaled))
+        weights = [_cleared(w) for w, _ in parts]
+        lw = lcm(*(l for l, _ in weights))
+        top = self.powers.den ** k
         rows = [[0] * (nc * len(exps)) for _ in index]
-        for l, wints, entries in scaled:
-            f = den // l
-            for ie, terms in enumerate(entries):
+        for (l, wints), (_, table) in zip(weights, parts):
+            for ie, e in enumerate(exps):
+                den, terms = table(e)
+                f = lw // l * (top // den)
                 for c, wc in enumerate(wints):
                     if wc:
                         col, m = ie * nc + c, wc * f
-                        for r, v in terms:
-                            rows[r][col] += m * v
-        return Matrix.from_int_rows([(den, row) for row in rows], nc * len(exps))
+                        for se, v in terms.items():
+                            rows[index[se]][col] += m * v
+        return Matrix.from_int_rows([(lw * top, row) for row in rows], nc * len(exps))
 
 
 def _unit(d: int, i: int) -> tuple[Fraction, ...]:
@@ -217,11 +219,11 @@ class SimplexFrame:
         "_faces",
         "_space_cache",
         "_mono_integrals",
-        "_subst_cache",
+        "powers",
     )
 
     def __init__(self, vertices: Sequence[Sequence]):
-        vertices = tuple(tuple(Fraction(x) for x in v) for v in vertices)
+        vertices = tuple(tuple(_as_fraction(x) for x in v) for v in vertices)
         d = len(vertices) - 1
         if d < 1 or any(len(v) != d for v in vertices):
             raise DegenerateSimplexError("need d+1 points in R^d")
@@ -251,7 +253,8 @@ class SimplexFrame:
         self.grad_lambda = tuple(grads)
         self.scaled_normals = tuple(tuple(-x for x in g) for g in grads)
 
-        edge = Matrix([[vertices[j][t] - vertices[0][t] for j in range(1, d + 1)] for t in range(d)])
+        edge_rows = [[vertices[j][t] - vertices[0][t] for j in range(1, d + 1)] for t in range(d)]
+        edge = Matrix(edge_rows)
         det = edge.det()
         if not det:
             raise DegenerateSimplexError("zero volume")
@@ -279,7 +282,8 @@ class SimplexFrame:
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._space_cache: dict = {}
         self._mono_integrals: dict = {}
-        self._subst_cache: dict = {}
+        # x = x_0 + sum_j s_j (x_j - x_0): the map from the reference simplex
+        self.powers = AffinePowers(vertices[0], edge_rows)
 
     def tangent(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Edge vector t_{i,j} = x_j - x_i."""

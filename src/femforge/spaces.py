@@ -51,11 +51,8 @@ class PolySpace:
 
     def members(self) -> list[Polynomial]:
         if self._members is None:
-            d = self.frame.d
-            self._members = [
-                poly.from_coeff_vector(d, self.kind, self.k, self.basis.column(j))
-                for j in range(self.basis.cols)
-            ]
+            d, cols = self.frame.d, self.basis.transpose()
+            self._members = [poly.from_coeff_row(d, self.kind, self.k, cols.int_row(j)) for j in range(cols.rows)]
         return self._members
 
     def with_degree(self, k: int) -> "PolySpace":

@@ -4,16 +4,21 @@ does not call.
 ``integrate_barycentric`` is the closed form for barycentric monomials,
 ``gram_matrix`` the entrywise Gram matrix of a basis, and the subspace
 containment and intersection tests are column-space routines over
-``exact.Matrix``.
+``exact.Matrix``.  The ``Fraction`` polynomial routines below (affine
+substitution, face restriction, monomial moments and named face traces, one
+polynomial at a time) are the oracles for the integer power tables of
+``poly.AffinePowers``.
 """
 
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
+from femforge import poly
 from femforge.exact import Matrix, _check_ambient, image_basis
-from femforge.integrate import pair_simplex
-from femforge.simplex import SimplexFrame
+from femforge.integrate import pair_simplex, reference_monomial_integral
+from femforge.poly import Polynomial, div_rowwise, multiply, partial
+from femforge.simplex import Face, SimplexFrame
 from femforge.spaces import PolySpace, _common_frames
 
 
@@ -117,3 +122,104 @@ def frac_det(rows: list) -> Fraction:
             f = rows[i][c] / rows[c][c]
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
+
+
+# -- Fraction polynomial routines -------------------------------------------------
+#
+# Affine pull-backs composed one ``Fraction`` polynomial product at a time:
+# the oracles for ``poly.AffinePowers`` and the face trace operators.
+
+
+def _affine_rows(const: Sequence, lin: Sequence[Sequence], m: int) -> list[Polynomial]:
+    out = []
+    for t, c in enumerate(const):
+        terms = {(0, (0,) * m): Fraction(c)}
+        for j in range(m):
+            e = [0] * m
+            e[j] = 1
+            terms[(0, tuple(e))] = Fraction(lin[t][j])
+        out.append(Polynomial(m, "scalar", terms))
+    return out
+
+
+def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -> Polynomial:
+    """p(const + lin s), each monomial composed by repeated products."""
+    m = len(lin[0]) if p.d else 0
+    affine = _affine_rows(const, lin, m)
+    out = Polynomial(m, p.kind, vdim=p.vdim)
+    for (c, exps), val in p.terms.items():
+        prod = Polynomial.constant(m, val)
+        for t, e in enumerate(exps):
+            for _ in range(e):
+                prod = multiply(prod, affine[t])
+        out = out + Polynomial(m, p.kind, {(c, se): v for (_, se), v in prod.terms.items()}, vdim=p.vdim)
+    return out
+
+
+def face_restrict(face: Face, p: Polynomial) -> Polynomial:
+    lin = [[tan[t] for tan in face.tangents] for t in range(face.frame.d)]
+    return substitute_affine(p, face.origin, lin)
+
+
+def monomial_integral(frame: SimplexFrame, exps: tuple[int, ...]) -> Fraction:
+    """int_K x^exps, by composing x^exps with the map from the reference
+    simplex and integrating each reference monomial."""
+    d = frame.d
+    lin = [[frame.vertices[j][t] - frame.vertices[0][t] for j in range(1, d + 1)] for t in range(d)]
+    mono = Polynomial.monomial(d, "scalar", 0, exps)
+    pulled = substitute_affine(mono, frame.vertices[0], lin)
+    return frame.jac_factor * sum(
+        (v * reference_monomial_integral(b) for (_, b), v in pulled.terms.items()), Fraction(0))
+
+
+def _pairing(tau: Polynomial, a, b=None) -> Polynomial:
+    """a^T tau b, or v . a for a vector field."""
+    d = tau.d
+    out = Polynomial(d, "scalar")
+    for i in range(d):
+        if tau.kind == "vector":
+            out = out + tau.component(i).scale(a[i])
+            continue
+        for j in range(d):
+            out = out + tau.entry(i, j).scale(a[i] * b[j])
+    return out
+
+
+def _named_traces(face: Face, tau: Polynomial, mode: str) -> list[Polynomial]:
+    """The chart polynomials of trace ``mode`` of tau, as in ``Face.traces``."""
+    d = face.frame.d
+    g = face.normal_frame[0]
+    unit = [tuple(int(t == i) for t in range(d)) for i in range(d)]
+    if mode == "vector_normal":
+        amb = [_pairing(tau, g)]
+    elif mode == "tensor_normal":
+        amb = [_pairing(tau, unit[i], g) for i in range(d)]
+    elif mode == "normal_normal":
+        amb = [_pairing(tau, g, g)]
+    elif mode == "tangential":
+        amb = [_pairing(tau, t, g) for t in face.tangents]
+    elif mode == "tangential_tangential":
+        amb = [_pairing(tau, face.tangents[0], face.tangents[0])]
+    else:
+        dv = div_rowwise(tau)
+        out = face_restrict(face, sum((dv.component(i).scale(g[i]) for i in range(d)), Polynomial(d, "scalar")))
+        if mode == "combo":
+            # div_F(tau g) = sum_mn Ginv[m, n] d/ds_m restrict(tau g) . t_n
+            tg = [face_restrict(face, _pairing(tau, unit[i], g)) for i in range(d)]
+            for m in range(face.dim):
+                for n, tn in enumerate(face.tangents):
+                    for i in range(d):
+                        out = out + partial(tg[i], m).scale(face.gram_inv[m, n] * tn[i])
+        return [out]
+    return [face_restrict(face, p) for p in amb]
+
+
+def face_traces(face: Face, kind: str, k: int, mode: str) -> list[Matrix]:
+    """``Face.traces(kind, k, mode)`` from the trace polynomials of each frame
+    monomial, restricted one at a time."""
+    chart_k = max(k - 1, 0) if mode in ("normal_div", "combo") else k
+    chart = poly.monomials(face.dim, chart_k)
+    columns = [_named_traces(face, Polynomial.monomial(face.frame.d, kind, c, e), mode)
+               for c, e in poly.frame(kind, face.frame.d, k)]
+    return [Matrix.from_columns([[col[t].terms.get((0, se), 0) for se in chart] for col in columns], len(chart))
+            for t in range(len(columns[0]))]

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,11 +202,15 @@ def test_falsification_exit_code(monkeypatch, capsys):
 
 
 def test_console_module_invocation():
+    # the child imports femforge from where this process does, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "femforge.cli", "verify", "--family", "ops",
          "--d", "2..2", "--k", "1..2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

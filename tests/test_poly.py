@@ -276,3 +276,17 @@ def test_evaluate_full_matrix_shapes():
     assert val == ((4, 6), (6, 9))
     w = Polynomial.monomial(d, "skw", 0, (0, 0))
     assert w.evaluate((0, 0)) == ((0, 1), (-1, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial(2, "scalar", {(0, (1, 0)): 0.1}),
+    lambda: Polynomial(2, "scalar", {(0, (1, 0)): 0.0}),
+    lambda: Polynomial.coordinate(2, 0).scale(0.5),
+    lambda: Polynomial.constant(2, 0.5),
+    lambda: Polynomial.monomial(2, "vector", 1, (0, 1), 0.5),
+    lambda: Polynomial.constant_vector(2, [1, 0.5]),
+    lambda: Polynomial.constant_sym(2, [[1, 0.5], [0.5, 2]]),
+], ids=["init", "init-zero", "scale", "constant", "monomial", "constant_vector", "constant_sym"])
+def test_float_coefficients_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()

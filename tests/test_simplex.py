@@ -184,3 +184,9 @@ def test_vertex_face_trace_is_point_evaluation(d, k):
         got = face.trace("sym", k, a, b).matmul(Matrix.from_columns([poly.coeff_vector(tau, k)]))
         assert got.column(0) == tuple(poly.coeff_vector(face.restrict(atb), k))
         assert got.rows == 1
+
+
+def test_float_vertices_are_rejected():
+    with pytest.raises(TypeError):
+        build_frame([[0.1, 0], [1, 0], [0, 1]])
+    assert build_frame([[Fraction(1, 10), 0], [1, 0], [0, 1]]).vertices[0][0] == Fraction(1, 10)
