@@ -366,13 +366,26 @@ def _shape_sym(frame: SimplexFrame, k: int) -> PolySpace:
 
 
 def _shape_sym_minus(frame: SimplexFrame, k: int) -> PolySpace:
-    # P_k(S) plus the bubble slice that raises the divergence range to
-    # degree k; the slice is taken inside the degree-(k+1) complement bubbles
-    # (the plain complement-bubble sum overcounts once the degree-(k+1)
-    # divergence-free bubbles pair nontrivially with lower-degree bubbles)
-    p = spaces.build_standard(frame, "P_sym", k)
-    enrich = spaces.bubble_enrichment_sym(frame, k)
-    return spaces.space_sum(p, enrich, f"P_minus_sym_{k + 1}")
+    # P_k(S) plus the degree-(k+1) bubbles that are L2-orthogonal to the
+    # divergence-free bubbles and to def P_{k-1}: by (div b, q) = -(b, def q)
+    # on bubbles, their divergences extend div P_k(S) by one degree (see
+    # spaces.bubble_enrichment_sym).  P_k(S) is the identity on the first n
+    # frame rows, so the reduced column echelon form of the sum is
+    # diag(I_n, that of the enrichment's rows past n), which is the basis
+    # space_sum would return.
+    cached = frame._space_cache.get(("P_minus_sym", k))
+    if cached is not None:
+        return cached
+    n = len(poly.frame("sym", frame.d, k))
+    enrich = spaces.bubble_enrichment_sym(frame, k).basis
+    high = exact.image_basis(enrich.take(range(n, enrich.rows)))
+    basis = Matrix.vstack(
+        [Matrix.identity(n).hstack(Matrix.zeros(n, high.cols)), Matrix.zeros(high.rows, n).hstack(high)],
+        n + high.cols,
+    )
+    space = PolySpace(frame, "sym", k + 1, basis, f"P_minus_sym_{k + 1}")
+    frame._space_cache[("P_minus_sym", k)] = space
+    return space
 
 
 def _shape_sym_xxt(frame: SimplexFrame, k: int) -> PolySpace:

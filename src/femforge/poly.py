@@ -4,7 +4,7 @@ A polynomial lives in Cartesian coordinates ``x = (x_1, ..., x_d)`` and takes
 values of one of five shapes: scalar, d-vector, symmetric d x d matrix,
 skew-symmetric d x d matrix, or full d x d matrix.  Symmetric and skew parts
 are stored once (upper triangle) and mirrored on read; zero coefficients are
-never stored, and a ``float`` coefficient is rejected.
+never stored, and a ``float`` coefficient or evaluation point is rejected.
 
 Terms are keyed by ``(component, exponents)`` where ``component`` indexes the
 stored components of the shape and ``exponents`` is a length-d multi-index.
@@ -259,7 +259,7 @@ class Polynomial:
         return p if sign == 1 else -p
 
     def evaluate(self, point: Sequence):
-        pt = [Fraction(x) for x in point]
+        pt = [_as_fraction(x) for x in point]
         vals = [_ZERO] * ncomp(self.kind, self.vdim)
         for (c, exps), coeff in self.terms.items():
             term = coeff

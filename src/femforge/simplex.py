@@ -54,7 +54,7 @@ class Face:
     """A codimension-r face of a simplex with its frames and canonical chart."""
 
     __slots__ = (
-        "frame",
+        "d",
         "codim",
         "vertex_ids",
         "opposite_ids",
@@ -69,7 +69,7 @@ class Face:
 
     def __init__(self, frame: "SimplexFrame", vertex_ids: tuple[int, ...]):
         d = frame.d
-        self.frame = frame
+        self.d = d  # the ambient dimension; the face keeps no reference to its frame
         self.vertex_ids = tuple(sorted(vertex_ids))
         self.opposite_ids = tuple(i for i in range(d + 1) if i not in self.vertex_ids)
         self.codim = len(self.opposite_ids)
@@ -100,7 +100,7 @@ class Face:
         """The pointwise trace ``a^T tau b`` (``v . a`` for a vector field) as a
         matrix from shape coefficients over the frame ``(kind, d, k)`` to chart
         coefficients of degree <= k."""
-        w = _weights(kind, self.frame.d, a, b)
+        w = _weights(kind, self.d, a, b)
         key = (kind, k, tuple(w))
         got = self._traces.get(key)
         if got is None:
@@ -123,7 +123,7 @@ class Face:
         return got
 
     def _named_traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
-        d = self.frame.d
+        d = self.d
         g = self.normal_frame[0]
         if mode == "vector_normal":
             return k, (self.trace(kind, k, g),)
@@ -167,8 +167,8 @@ class Face:
         for tables ``(den, {chart exponents: int})`` with den | D^k,
         accumulated in integers over one common denominator."""
         index = {e: i for i, e in enumerate(monomials(self.dim, chart_k))}
-        nc = ncomp(kind, self.frame.d)
-        exps = monomials(self.frame.d, k)
+        nc = ncomp(kind, self.d)
+        exps = monomials(self.d, k)
         weights = [_cleared(w) for w, _ in parts]
         lw = lcm(*(l for l, _ in weights))
         top = self.powers.den ** k

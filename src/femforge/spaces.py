@@ -343,16 +343,21 @@ def bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     return space
 
 
-def _edge_bubbles(frame: SimplexFrame, kind: str, k: int, edge_values: dict, tag: str) -> PolySpace:
-    """span{lambda_i lambda_j m c_ij : |m| <= k-2} over the edges (i, j) of
-    the simplex, c_ij the constant polynomial ``edge_values[(i, j)]``."""
-    d = frame.d
+def _edge_generators(frame: SimplexFrame, k: int, edge_values: dict) -> list[Polynomial]:
+    """lambda_i lambda_j m c_ij for |m| <= k-2 over the edges (i, j) of the
+    simplex, c_ij the constant polynomial ``edge_values[(i, j)]``."""
     gens = []
     for (i, j), c in sorted(edge_values.items()):
         lamlam = poly.multiply(frame.lambdas[i], frame.lambdas[j])
-        for exps in poly.monomials(d, k - 2):
-            mono = Polynomial(d, "scalar", {(0, exps): _ONE})
+        for exps in poly.monomials(frame.d, k - 2):
+            mono = Polynomial(frame.d, "scalar", {(0, exps): _ONE})
             gens.append(poly.multiply(poly.multiply(lamlam, mono), c))
+    return gens
+
+
+def _edge_bubbles(frame: SimplexFrame, kind: str, k: int, edge_values: dict, tag: str) -> PolySpace:
+    """The span of ``_edge_generators``, in canonical form."""
+    gens = _edge_generators(frame, k, edge_values)
     return PolySpace(frame, kind, k, exact.image_basis(poly.coeff_matrix(gens, k)), tag)
 
 
@@ -548,23 +553,52 @@ def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolyS
     )
 
 
+def _div_free_coords(gens: list[Polynomial], k: int) -> Matrix:
+    """Coordinates, over the degree-k symmetric fields ``gens``, of their
+    divergence-free combinations."""
+    return poly.coeff_matrix([poly.div_rowwise(g) for g in gens], k - 1).null_space()
+
+
 def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     """Degree-(k+1) symmetric bubbles whose divergences extend div P_k(S).
 
-    The slice of the complement bubble space whose divergence spans the
-    L2-complement of the rigid-motion-orthogonal degree k-1 fields inside the
-    degree-k ones; summing it onto P_k(S) raises the divergence range by one
-    degree while keeping every trace.
+    With B the symmetric div bubble of degree k+1 and E0 = ker(div) in B,
+    the enrichment is read off the paper's dual characterization as one null
+    space,
+
+        { b in B : (b, e)_K = 0 for e in E0, (b, def q)_K = 0 for q in P_{k-1}(K; R^d) }.
+
+    Every b in B has zero normal trace tau n on the boundary, so
+    (div b, q)_K = -(b, def q)_K, and the second condition says that div b is
+    L2-orthogonal to P_{k-1}.  As div b is orthogonal to the rigid motions
+    RM, a subspace of P_{k-1} for k >= 2, the divergences of the enrichment
+    span the complement of (P_{k-1} perp RM) inside (P_k perp RM), and its
+    dimension is d dim H_k.  Summing it onto P_k(S) raises the divergence
+    range by one degree while keeping every trace.
+
+    B enters through its generators lambda_i lambda_j m T_ij (|m| <= k-1, see
+    ``bubble_sym_generators``), which are sparser than its canonical basis;
+    only the enrichment itself is brought to canonical form.  A result of
+    any dimension other than d dim H_k raises ``ArithmeticError``.
     """
+    if k < 2:
+        raise BadDegreeError("the symmetric enrichment needs k >= 2")
     cached = frame._space_cache.get(("enrichment", k))
     if cached is not None:
         return cached
-    _, e0perp = split_bubble(frame, "div_sym", k + 1)
-    rm = build_standard(frame, "RM", 0)
-    perp_k = orthocomplement_in(build_standard(frame, "P_vector", k), rm)
-    perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
-    extension = orthocomplement_in(perp_k, perp_km1.with_degree(k), f"div_extension_{k}")
-    space = div_preimage_in(e0perp, extension, f"bubble_enrichment_sym_{k + 1}")
+    gens = _edge_generators(frame, k + 1, frame.tensor_T)
+    bubble = poly.coeff_matrix(gens, k + 1)
+    e0 = bubble.matmul(_div_free_coords(gens, k + 1))
+    deform = operator_matrix("def", build_standard(frame, "P_vector", k - 1)).matrix
+    blocks = [deform.transpose().matmul(frame_gram(frame, "sym", k - 2, k + 1))]
+    if e0.cols:  # E0 is empty at k = 2, and so is its degree-(k+1) Gram block
+        blocks.append(e0.transpose().matmul(frame_gram(frame, "sym", k + 1, k + 1)))
+    coords = Matrix.vstack(blocks, bubble.rows).matmul(bubble).null_space()
+    basis = exact.image_basis(bubble.matmul(coords))
+    expected = frame.d * dim_H(frame.d, k)
+    if basis.cols != expected:
+        raise ArithmeticError(f"enrichment has dimension {basis.cols}, not d dim H_k = {expected}")
+    space = PolySpace(frame, "sym", k + 1, basis, f"bubble_enrichment_sym_{k + 1}")
     frame._space_cache[("enrichment", k)] = space
     return space
 

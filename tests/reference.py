@@ -4,10 +4,12 @@ does not call.
 ``integrate_barycentric`` is the closed form for barycentric monomials,
 ``gram_matrix`` the entrywise Gram matrix of a basis, and the subspace
 containment and intersection tests are column-space routines over
-``exact.Matrix``.  The ``Fraction`` polynomial routines below (affine
-substitution, face restriction, monomial moments and named face traces, one
-polynomial at a time) are the oracles for the integer power tables of
-``poly.AffinePowers``.
+``exact.Matrix``.  ``preimage_enrichment_sym`` builds the symmetric
+enrichment through L2 complements and a divergence preimage, the oracle for
+the pairing kernel of ``spaces.bubble_enrichment_sym``.  The ``Fraction``
+polynomial routines below (affine substitution, face restriction, monomial
+moments and named face traces, one polynomial at a time) are the oracles for
+the integer power tables of ``poly.AffinePowers``.
 """
 
 from fractions import Fraction
@@ -19,7 +21,14 @@ from femforge.exact import Matrix, _check_ambient, image_basis
 from femforge.integrate import pair_simplex, reference_monomial_integral
 from femforge.poly import Polynomial, div_rowwise, multiply, partial
 from femforge.simplex import Face, SimplexFrame
-from femforge.spaces import PolySpace, _common_frames
+from femforge.spaces import (
+    PolySpace,
+    _common_frames,
+    build_standard,
+    div_preimage_in,
+    orthocomplement_in,
+    split_bubble,
+)
 
 
 def integrate_barycentric(frame: SimplexFrame, alpha: Sequence[int]) -> Fraction:
@@ -66,6 +75,18 @@ def subspace_intersection(a: Matrix, b: Matrix) -> Matrix:
 def space_contains(a: PolySpace, b: PolySpace) -> bool:
     ma, mb = _common_frames(a, b)
     return subspace_contains(ma, mb)
+
+
+def preimage_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
+    """The degree-(k+1) symmetric bubbles, L2-orthogonal to the divergence-free
+    ones, whose divergences span the complement of (P_{k-1} perp RM) inside
+    (P_k perp RM): three L2 complements and one divergence preimage."""
+    _, e0perp = split_bubble(frame, "div_sym", k + 1)
+    rm = build_standard(frame, "RM", 0)
+    perp_k = orthocomplement_in(build_standard(frame, "P_vector", k), rm)
+    perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
+    extension = orthocomplement_in(perp_k, perp_km1.with_degree(k), f"div_extension_{k}")
+    return div_preimage_in(e0perp, extension, f"bubble_enrichment_sym_{k + 1}")
 
 
 # -- all-Fraction matrix algebra ------------------------------------------------
@@ -157,7 +178,7 @@ def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -
 
 
 def face_restrict(face: Face, p: Polynomial) -> Polynomial:
-    lin = [[tan[t] for tan in face.tangents] for t in range(face.frame.d)]
+    lin = [[tan[t] for tan in face.tangents] for t in range(face.d)]
     return substitute_affine(p, face.origin, lin)
 
 
@@ -187,7 +208,7 @@ def _pairing(tau: Polynomial, a, b=None) -> Polynomial:
 
 def _named_traces(face: Face, tau: Polynomial, mode: str) -> list[Polynomial]:
     """The chart polynomials of trace ``mode`` of tau, as in ``Face.traces``."""
-    d = face.frame.d
+    d = face.d
     g = face.normal_frame[0]
     unit = [tuple(int(t == i) for t in range(d)) for i in range(d)]
     if mode == "vector_normal":
@@ -219,7 +240,7 @@ def face_traces(face: Face, kind: str, k: int, mode: str) -> list[Matrix]:
     monomial, restricted one at a time."""
     chart_k = max(k - 1, 0) if mode in ("normal_div", "combo") else k
     chart = poly.monomials(face.dim, chart_k)
-    columns = [_named_traces(face, Polynomial.monomial(face.frame.d, kind, c, e), mode)
-               for c, e in poly.frame(kind, face.frame.d, k)]
+    columns = [_named_traces(face, Polynomial.monomial(face.d, kind, c, e), mode)
+               for c, e in poly.frame(kind, face.d, k)]
     return [Matrix.from_columns([[col[t].terms.get((0, se), 0) for se in chart] for col in columns], len(chart))
             for t in range(len(columns[0]))]

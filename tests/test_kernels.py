@@ -158,6 +158,6 @@ def test_kernels_leave_no_cyclic_garbage():
             poly.monomials.__wrapped__(3, 5)
             assert gc.collect() == 0
             del frame, face
-            gc.collect()  # a frame and its faces refer to each other
+            assert gc.collect() == 0
     finally:
         gc.enable()

@@ -286,7 +286,8 @@ def test_evaluate_full_matrix_shapes():
     lambda: Polynomial.monomial(2, "vector", 1, (0, 1), 0.5),
     lambda: Polynomial.constant_vector(2, [1, 0.5]),
     lambda: Polynomial.constant_sym(2, [[1, 0.5], [0.5, 2]]),
-], ids=["init", "init-zero", "scale", "constant", "monomial", "constant_vector", "constant_sym"])
+    lambda: Polynomial.coordinate(2, 0).evaluate([0.1, 0]),
+], ids=["init", "init-zero", "scale", "constant", "monomial", "constant_vector", "constant_sym", "evaluate"])
 def test_float_coefficients_are_rejected(build):
     with pytest.raises(TypeError):
         build()

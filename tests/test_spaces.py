@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from femforge import exact, poly, spaces
+from femforge.elements import _shape_sym_minus
 from femforge.exact import Matrix
 from femforge.poly import Polynomial
 from femforge.report import all_passed
-from femforge.simplex import random_frame, reference_simplex
+from femforge.simplex import SimplexFrame, random_frame, reference_simplex
 from femforge.spaces import (
     BadDegreeError,
     UnsupportedTagError,
@@ -40,6 +41,7 @@ from femforge.spaces import (
     split_bubble,
     trace_matrix,
 )
+from reference import preimage_enrichment_sym
 
 
 @pytest.fixture(scope="module")
@@ -580,3 +582,58 @@ def test_bubble_enrichment_matches_trace_kernel_reference(d):
     fr = random_frame(d, random.Random(520 + d))
     for k in (2, 3):
         _assert_same_spaces([spaces.bubble_enrichment_sym(fr, k)], [reference_bubble_enrichment_sym(fr, k)])
+
+
+# The enrichment and the HdivS_minus shape space on the reference simplex, an
+# integer simplex (for d = 3 the tetrahedron of the benchmark's enrich-d3
+# workload) and a simplex with fractional vertices.  At d=2 k=3 the pairing
+# has a nonempty divergence-free block (dim E0 = 1); at k=2 it has none.
+_ENRICH_TET = [[-3, 3, 0], [-1, 0, 0], [0, -1, -3], [-3, -1, 3]]
+_ENRICH_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]
+
+
+def _enrichment_frames(d):
+    integer = SimplexFrame(_ENRICH_TET) if d == 3 else random_frame(d, random.Random(530 + d))
+    fractional = SimplexFrame(
+        [[Fraction(i + 1, j + 2) if i == j else Fraction(i - j, 3) for j in range(d)] for i in range(d)]
+        + [[Fraction(1, 5)] * d]
+    )
+    return reference_simplex(d), integer, fractional
+
+
+@pytest.mark.parametrize("d,k", _ENRICH_GRID)
+def test_bubble_enrichment_matches_preimage_reference(d, k):
+    for fr in _enrichment_frames(d):
+        got = spaces.bubble_enrichment_sym(fr, k)
+        ref = preimage_enrichment_sym(fr, k)
+        assert (got.kind, got.k, got.tag) == (ref.kind, ref.k, ref.tag)
+        assert got.dim == d * spaces.dim_H(d, k)
+        assert got.basis == ref.basis
+
+
+def test_bubble_enrichment_guard_rejects_a_missing_e0_block(monkeypatch):
+    # at d=2 k=3 the degree-4 bubble holds one divergence-free member; without
+    # the E0 rows the null space keeps it and comes out one dimension too large
+    fr = reference_simplex(2)
+    assert split_bubble(fr, "div_sym", 4)[0].dim == dim_E0_sym(2, 4) == 1
+    monkeypatch.setattr(spaces, "_div_free_coords", lambda gens, k: Matrix.zeros(len(gens), 0))
+    with pytest.raises(ArithmeticError, match="dimension 9"):
+        spaces.bubble_enrichment_sym(fr, 3)
+    assert ("enrichment", 3) not in fr._space_cache
+    monkeypatch.undo()
+    assert spaces.bubble_enrichment_sym(fr, 3).dim == 8
+
+
+def test_bubble_enrichment_needs_k_at_least_2(tri):
+    with pytest.raises(BadDegreeError):
+        spaces.bubble_enrichment_sym(tri, 1)
+
+
+@pytest.mark.parametrize("d,k", _ENRICH_GRID)
+def test_shape_sym_minus_is_the_cached_space_sum(d, k):
+    for fr in _enrichment_frames(d):
+        got = _shape_sym_minus(fr, k)
+        ref = space_sum(build_standard(fr, "P_sym", k), spaces.bubble_enrichment_sym(fr, k))
+        assert (got.kind, got.k, got.tag) == ("sym", k + 1, f"P_minus_sym_{k + 1}")
+        assert got.basis == ref.basis
+        assert _shape_sym_minus(fr, k) is got
