@@ -9,17 +9,22 @@ that matches every right DoF living on the shared face (applied directly to
 the left function), with the right side's other shared DoFs set to zero.  The
 left side is only its shape space, never a full element, and the matched
 shared DoFs of all left members are one product: the right side's shared DoF
-rows times the left shape basis.  The right side needs only those rows S too:
-one RREF of [S | rhs] gives a particular solution (free coefficients zero)
-and ker S.  When every member of ker S has zero declared traces on the face,
-all right functions with these shared DoFs have the same declared traces
-there (the shared DoFs fix the trace part of the paper's split), so the jumps
-are taken on the particular solution.  The family's declared traces must then
-agree exactly as chart polynomials, while a designated non-conforming
-component (fixed by the first declared trace) must jump for at least one pair
-(the negative control that guards against vacuous passes).  The jumps of all
-members are one product per trace: the shared face's trace matrix times the
-left minus the right shape coefficients.
+rows times the left shape basis.  The right side needs only those rows S too,
+eliminated in Bernstein coordinates (``elements._bernstein_change``: G_s maps
+them to member coordinates, and S G_s is sparse because a face's DoFs see
+only the lambda^alpha that do not vanish on it): one RREF of [S G_s | rhs]
+gives a particular solution (free Bernstein coordinates zero) and
+ker(S G_s), both mapped back by G_s.  When every member of ker S has zero
+declared traces on the face, all right functions with these shared DoFs have
+the same declared traces there (the shared DoFs fix the trace part of the
+paper's split), so the jumps are taken on the particular solution, and they
+do not depend on which particular solution it is.  The family's declared
+traces must then agree exactly as chart polynomials, while a designated
+non-conforming component (fixed by the first declared trace) must jump for
+at least one pair (the negative control that guards against vacuous passes;
+unlike the declared traces, it can depend on the particular solution).  The
+jumps of all members are one product per trace: the shared face's trace
+matrix times the left minus the right shape coefficients.
 
 Every outcome but a pass (an inconsistent system, a kernel member with a
 nonzero declared trace, a nonzero jump, a control that does not jump) is
@@ -67,7 +72,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import FAMILIES, _dof_matrix, _first_nonzero_trace, build_element
+from .elements import (FAMILIES, _bernstein_change, _dof_matrix, _first_nonzero_trace,
+                       _nonzero_trace_mode, build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -156,23 +162,25 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     unless the system is consistent and ker S has zero declared traces on
     the face, so that every such right function has the same declared traces.
 
-    One RREF of [S | rhs] gives both a particular solution (free coefficients
-    zero) and ker S."""
+    One RREF of [S G_s | rhs], in the Bernstein coordinates of
+    ``_bernstein_change``, gives both a particular solution (free Bernstein
+    coordinates zero) and ker S, each mapped back by G_s."""
     d = patch.left.d
     shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
     on_face = rows.take([i if _on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
     n = right.dim
-    red, pivots = rows.matmul(right.basis).hstack(on_face.matmul(left.basis)).rref()
+    basis = right.basis.matmul(_bernstein_change(right))
+    red, pivots = rows.matmul(basis).hstack(on_face.matmul(left.basis)).rref()
     if pivots and pivots[-1] >= n:
         return None
     row_of = {pc: r for r, pc in enumerate(pivots)}
     sol = red.take([row_of.get(c) for c in range(n)], n)
     ker = rref_kernel(red, pivots, n)
-    if ker.cols and _first_nonzero_trace(
-            [patch.shared_left], right.kind, right.k, spec.trace_modes, right.basis.matmul(ker)) is not None:
+    if ker.cols and _nonzero_trace_mode(
+            [patch.shared_left], right.kind, right.k, spec.trace_modes, basis, ker) is not None:
         return None
-    return right.basis.matmul(sol)
+    return basis.matmul(sol)
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
@@ -214,7 +222,7 @@ def _jump_check(patch: Patch, family: str, k: int, left: PolySpace, right: Matri
         ctx["member"] = j
         ctx["jump"] = poly.poly_to_json(jump)
         return CheckResult(f"conformity-{family}", False, expected="zero jump", got=mode, context=ctx)
-    control_jumped = _first_nonzero_trace([face], kind, k_frame, (control_mode,), jumps) is not None
+    control_jumped = _nonzero_trace_mode([face], kind, k_frame, (control_mode,), jumps) is not None
     ctx["negative_control"] = control_mode
     ctx["negative_control_jumped"] = control_jumped
     if not control_jumped:

@@ -6,7 +6,11 @@ an ordered list of degree-of-freedom functionals.  The square DoF matrix
 cell moments.  Both certificates go through the paper's split of the shape
 space into a trace part and a bubble part: the shared DoF rows S are
 eliminated once per element, and their kernel K (the shape functions with
-zero shared DoFs) serves both.  The DoF matrix [S; I] is invertible exactly
+zero shared DoFs) serves both.  The elimination runs in Bernstein
+coordinates, where that split is local: with G the integer matrix of the
+barycentric monomials lambda^alpha, |alpha| = k (``SimplexFrame.bernstein``),
+a face's DoFs see only the lambda^alpha that do not vanish on it, so S G is
+sparse, and K = G ker(S G).  The DoF matrix [S; I] is invertible exactly
 when S has full row rank and the square interior block I K is nonsingular;
 any other case falls back to the exact rank of the full matrix and a kernel
 witness.  The trace-block check takes the traces of K and compares its span
@@ -78,7 +82,8 @@ class Element:
     space: PolySpace
     dofs: list[DoFDescriptor]
     dof_matrix: Matrix
-    # (dof_matrix, shared row indices, rank of S, basis of ker S); see _shared_split
+    # (dof_matrix, shared row indices, rank of S, change of basis G_s, basis
+    # of ker(S G_s)); see _shared_split
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -379,11 +384,7 @@ def _shape_sym_minus(frame: SimplexFrame, k: int) -> PolySpace:
     n = len(poly.frame("sym", frame.d, k))
     enrich = spaces.bubble_enrichment_sym(frame, k).basis
     high = exact.image_basis(enrich.take(range(n, enrich.rows)))
-    basis = Matrix.vstack(
-        [Matrix.identity(n).hstack(Matrix.zeros(n, high.cols)), Matrix.zeros(high.rows, n).hstack(high)],
-        n + high.cols,
-    )
-    space = PolySpace(frame, "sym", k + 1, basis, f"P_minus_sym_{k + 1}")
+    space = PolySpace(frame, "sym", k + 1, Matrix.block_diag(Matrix.identity(n), high), f"P_minus_sym_{k + 1}")
     frame._space_cache[("P_minus_sym", k)] = space
     return space
 
@@ -525,17 +526,43 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
     return Element(family, frame, k, space, dofs, Matrix(values, len(members)))
 
 
-def _shared_split(element: Element) -> tuple[list[int], int, Matrix]:
-    """(shared row indices, rank of the shared block S, basis of ker S as
-    columns), from one elimination of S per element.  Only the kernel is
-    kept, not the echelon form; the memo is dropped when the DoF matrix or
-    the shared rows change."""
+def _bernstein_change(space: PolySpace) -> Matrix:
+    """diag(G, I): the change of basis from Bernstein to member coordinates
+    of ``space``, for the largest k' whose frame (kind, d, k') is a leading
+    identity block of the basis, diag(I_n, H); G = frame.bernstein(kind, k').
+    The identity when the basis has no such block."""
+    basis, kind, d = space.basis, space.kind, space.frame.d
+    lead = 0
+    while lead < basis.cols:
+        den, ints = basis.int_row(lead)
+        if den != 1 or ints[lead] != 1 or ints.count(0) != basis.cols - 1:
+            break
+        lead += 1
+    for k in range(space.k, 0, -1):
+        n = len(poly.frame(kind, d, k))
+        if n <= lead and not any(any(basis.int_row(i)[1][:n]) for i in range(n, basis.rows)):
+            g = space.frame.bernstein(kind, k)
+            return g if n == basis.cols else Matrix.block_diag(g, Matrix.identity(basis.cols - n))
+    return Matrix.identity(basis.cols)
+
+
+def _shared_split(element: Element) -> tuple[list[int], int, Matrix, Matrix]:
+    """(shared row indices, rank of the shared block S, G_s, K) with
+    ker S = G_s K, from one elimination of S per element.
+
+    G_s = ``_bernstein_change(space)`` maps Bernstein to member coordinates.
+    In Bernstein coordinates a face's DoFs see only the lambda^alpha that do
+    not vanish on it, so S G_s is sparse and its elimination stays small;
+    K = ker(S G_s) as columns.  Only the kernel is kept, not the echelon
+    form; the memo is dropped when the DoF matrix or the shared rows
+    change."""
     shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
     memo = element._split
     if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
         m = element.dof_matrix
-        ker = m.take(shared).null_space()
-        memo = element._split = (m, shared, m.cols - ker.cols, ker)
+        g = _bernstein_change(element.space)
+        ker = m.take(shared).matmul(g).null_space()
+        memo = element._split = (m, shared, m.cols - ker.cols, g, ker)
     return memo[1:]
 
 
@@ -545,11 +572,11 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    shared, rank_s, ker = _shared_split(element)
+    shared, rank_s, g, ker = _shared_split(element)
     if rank_s == len(shared):
-        # A = [S; I] with S of full row rank: A x = 0 iff x = K y and I K y = 0
+        # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = element.dof_matrix.take([i for i, dof in enumerate(element.dofs) if not dof.shared])
-        if interior.matmul(ker).rank() == ker.cols:
+        if interior.matmul(g).matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:
@@ -578,6 +605,23 @@ def nodal_basis(element: Element) -> list[Polynomial]:
         poly.from_coeff_vector(d, element.space.kind, element.space.k, coeffs.column(j))
         for j in range(n)
     ]
+
+
+def _nonzero_trace_mode(faces, kind: str, k: int, modes, *factors: Matrix) -> str | None:
+    """The first of ``modes`` in which a column of the product of ``factors``
+    (shape coefficients over the frame (kind, d, k)) has a nonzero trace on
+    one of ``faces``, or None.  This depends only on the span of the
+    columns, not on their basis.  Each trace matrix is multiplied with the
+    factors from the left, so that a dense product of sparse factors is
+    never formed."""
+    for mode in modes:
+        for face in faces:
+            for t in face.traces(kind, k, mode)[1]:
+                for f in factors:
+                    t = t.matmul(f)
+                if not t.is_zero():
+                    return mode
+    return None
 
 
 def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
@@ -619,7 +663,7 @@ def _expected_kernel(element: Element) -> PolySpace | None:
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace."""
-    shared_rows, _, ker = _shared_split(element)
+    shared_rows, _, g, ker = _shared_split(element)
     frame = element.frame
     ctx = {
         "family": element.family,
@@ -629,18 +673,19 @@ def trace_block_rank(element: Element) -> CheckResult:
         "kernel_dim": ker.cols,
     }
     space = element.space
-    coeffs = space.basis.matmul(ker)
-    hit = _first_nonzero_trace(
-        frame.faces(1), space.kind, space.k, FAMILIES[element.family].trace_modes, coeffs
+    basis = space.basis.matmul(g)
+    mode = _nonzero_trace_mode(
+        frame.faces(1), space.kind, space.k, FAMILIES[element.family].trace_modes, basis, ker
     )
-    if hit is not None:
-        ctx["nonzero_trace_mode"] = hit[1]
-        return CheckResult("trace-block", False, expected="zero trace", got=hit[1], context=ctx)
+    if mode is not None:
+        ctx["nonzero_trace_mode"] = mode
+        return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
     bubble = _expected_kernel(element)
     if bubble is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
     ctx["bubble_dim"] = bubble.dim
-    kernel_space = PolySpace(frame, space.kind, space.k, exact.image_basis(coeffs), "shared_kernel")
+    coeffs = exact.image_basis(basis.matmul(ker))
+    kernel_space = PolySpace(frame, space.kind, space.k, coeffs, "shared_kernel")
     if not spaces.space_equal(kernel_space, bubble):
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=bubble.dim, got=ker.cols, context=ctx)

@@ -8,7 +8,9 @@ directly.  Every operation runs on these integers.  A product takes one lcm
 over the right factor's row denominators, one integer dot product per entry
 and one gcd per output row.  Elimination and back-substitution work on the
 rows scaled to coprime integers, by fraction-free cross-multiplication with
-gcd reduction to keep entries small.  ``Fraction``s are created only by the
+gcd reduction to keep entries small; where the pivot divides the entry it
+clears, a row is updated only where the pivot row is nonzero, so sparse
+pivot rows make cheap updates.  ``Fraction``s are created only by the
 accessors ``row``, ``column`` and ``[i, j]``.  There is no floating-point
 path anywhere in this module, and a ``float`` entry is rejected.
 """
@@ -195,6 +197,12 @@ class Matrix:
             raise DimensionMismatchError("vstack needs equal column counts")
         return cls._of([row for b in blocks for row in zip(b._dens, b._ints)], cols)
 
+    @classmethod
+    def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
+        """The block diagonal matrix [[a, 0], [0, b]]."""
+        return cls.vstack([a.hstack(cls.zeros(a.rows, b.cols)), cls.zeros(b.rows, a.cols).hstack(b)],
+                          a.cols + b.cols)
+
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
@@ -369,7 +377,9 @@ def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], lis
 
     Pivots are chosen among nonzero candidates by smallest bit length to slow
     entry growth; each updated row is divided by its gcd, which keeps the
-    intermediate integers near the size Bareiss division would give.
+    intermediate integers near the size Bareiss division would give.  Pivot
+    rows are made positive at their pivot; under a pivot 1 a row changes
+    only where the pivot row is nonzero, so it is updated there alone.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -390,15 +400,30 @@ def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], lis
                         break
         if best < 0:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        p = rows[r][c]
-        piv_tail = rows[r][c + 1:]
-        lead = [0] * (c + 1)
-        for i in range(r + 1, m):
-            cur = rows[i]
-            a = cur[c]
-            if a:
-                rows[i] = lead + _primitive([p * x - a * y for x, y in zip(cur[c + 1:], piv_tail)])
+        row = rows[best]
+        rows[best] = rows[r]
+        if row[c] < 0:
+            row = [-x for x in row]
+        rows[r] = row
+        p = row[c]
+        if p == 1:
+            nonzero = [(j, y) for j, y in enumerate(row) if y and j > c]
+            for i in range(r + 1, m):
+                cur = rows[i]
+                a = cur[c]
+                if a:
+                    cur[c] = 0
+                    for j, y in nonzero:
+                        cur[j] -= a * y
+                    rows[i] = _primitive(cur)
+        else:
+            piv_tail = row[c + 1:]
+            lead = [0] * (c + 1)
+            for i in range(r + 1, m):
+                cur = rows[i]
+                a = cur[c]
+                if a:
+                    rows[i] = lead + _primitive([p * x - a * y for x, y in zip(cur[c + 1:], piv_tail)])
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -408,13 +433,15 @@ def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[int]]:
     """Clear every pivot column above its pivot, in integers and in place.
 
     Bottom-up, each row above pivot row r with entry f in r's pivot column
-    (pivot p, g = gcd(p, f)) becomes ``(p/g) row - (f/g) row_r``, divided by
-    its content.  Row r divided by its pivot is then row r of the RREF.
+    (pivot p > 0, g = gcd(p, f)) becomes ``(p/g) row - (f/g) row_r``, divided
+    by its content; when p divides f that changes the row only where row_r
+    is nonzero.  Row r divided by its pivot is then row r of the RREF.
     """
     for r in range(len(pivots) - 1, 0, -1):
         pc = pivots[r]
         row_r = ech[r]
         p = row_r[pc]
+        nonzero = None
         for i in range(r):
             row_i = ech[i]
             f = row_i[pc]
@@ -422,7 +449,14 @@ def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[int]]:
                 continue
             g = gcd(p, f)
             a, b = p // g, f // g
-            ech[i] = _primitive([a * x - b * y for x, y in zip(row_i, row_r)])
+            if a == 1:
+                if nonzero is None:
+                    nonzero = [(j, y) for j, y in enumerate(row_r) if y]
+                for j, y in nonzero:
+                    row_i[j] -= b * y
+                ech[i] = _primitive(row_i)
+            else:
+                ech[i] = _primitive([a * x - b * y for x, y in zip(row_i, row_r)])
     return ech
 
 

@@ -9,8 +9,10 @@ charts when they enumerate the shared vertices in the same order.
 
 Every affine map here carries an integer power table (``poly.AffinePowers``):
 the frame's map from the reference simplex, which ``integrate`` reads for
-monomial moments, and each face's chart, from which ``Face.restrict`` and the
-trace operators read restricted monomials ``x^e = table / D^|e|``.
+monomial moments, each face's chart, from which ``Face.restrict`` and the
+trace operators read restricted monomials ``x^e = table / D^|e|``, and the
+barycentric map x -> lambda, whose powers are the columns of the Bernstein
+matrix ``SimplexFrame.bernstein``.
 
 Every face trace is a linear map from shape coefficients (over the shaped
 monomial frame ``(kind, d, k)`` of ``poly.frame``) to chart coefficients, and
@@ -220,6 +222,8 @@ class SimplexFrame:
         "_space_cache",
         "_mono_integrals",
         "powers",
+        "_bary",
+        "_bernstein",
     )
 
     def __init__(self, vertices: Sequence[Sequence]):
@@ -284,6 +288,29 @@ class SimplexFrame:
         self._mono_integrals: dict = {}
         # x = x_0 + sum_j s_j (x_j - x_0): the map from the reference simplex
         self.powers = AffinePowers(vertices[0], edge_rows)
+        # lambda_i = lambda_i(0) + grad(lambda_i) . x: the barycentric map
+        self._bary = AffinePowers([coeffs[0, i] for i in range(d + 1)], grads)
+        self._bernstein: dict = {}
+
+    def bernstein(self, kind: str, k: int) -> Matrix:
+        """The Bernstein matrix G(kind, k), memoized: column (alpha, c), for
+        |alpha| = k in the order of ``monomials(d + 1, k)`` and c a stored
+        component, holds the coefficients of D^k lambda^alpha e_c over the
+        frame (kind, d, k), with D the denominator of the barycentric map, so
+        G is an integer matrix.  The lambda^alpha with |alpha| = k are a
+        basis of P_k, so G is invertible."""
+        got = self._bernstein.get((kind, k))
+        if got is None:
+            nc = ncomp(kind, self.d)
+            index = {e: i for i, e in enumerate(monomials(self.d, k))}
+            alphas = monomials(self.d + 1, k)[len(monomials(self.d + 1, k - 1)):]
+            rows = [[0] * (nc * len(alphas)) for _ in range(nc * len(index))]
+            for ia, alpha in enumerate(alphas):
+                for e, v in self._bary.power(alpha)[1].items():
+                    for c in range(nc):
+                        rows[index[e] * nc + c][ia * nc + c] = v
+            got = self._bernstein[(kind, k)] = Matrix.from_int_rows([(1, row) for row in rows])
+        return got
 
     def tangent(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Edge vector t_{i,j} = x_j - x_i."""

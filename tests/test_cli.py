@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,25 @@ def test_verify_deterministic_bytes(tmp_path):
     assert cli.main(argv + ["--out", str(out1)]) == 0
     assert cli.main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of the reports of three fixed grids, pinned so that a change to the
+# exact core that must keep every report byte for byte is held to it
+_GOLDEN_REPORTS = [
+    pytest.param(["verify", "--d", "2", "--k", "1..4"],
+                 "7fa81325b8c4b709c4e39f86791d7f983586c8d3dde7599b1fbad47fe5c95194", id="verify-d2"),
+    pytest.param(["verify", "--d", "2", "--k", "1..4", "--simplex", "random", "--seed", "7"],
+                 "7f3742d953b28614f052c9287231136a1cbaa12751518b4a7e7e55fbc75162a4", id="verify-d2-random-7"),
+    pytest.param(["dims", "--d", "2..3", "--k", "1..4"],
+                 "0ff19765caab5dbe499fbae595f2b3ba84604d177e30d2190e11643c3a821580", id="dims-d2-3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN_REPORTS)
+def test_report_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_markdown(capsys):

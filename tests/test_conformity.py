@@ -362,6 +362,24 @@ def test_shared_block_check_matches_full_solve(family, d, k, seed):
     assert res.as_dict() == reference_conformity_check(patch, family, k).as_dict()
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_shared_block_solution_solves_the_shared_rows(family):
+    # S sol = rhs: sol matches the left members' DoFs on the shared face and
+    # zeroes the right side's other shared DoFs, and it lies in the right
+    # shape space
+    patch = reflected_patch(random_frame(2, random.Random(64)))
+    spec = FAMILIES[family]
+    k = spec.floor(2) + 1
+    left, right = spec.shape(patch.left, k), spec.shape(patch.right, k)
+    sol = conformity._shared_block_solution(patch, spec, left, right, k)
+    shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
+    rows = _dof_matrix(patch.right, shared, right.kind, right.k)
+    on_face = rows.take([i if conformity._on_shared_face(dof, 2) else None for i, dof in enumerate(shared)])
+    assert (sol.rows, sol.cols) == (right.basis.rows, left.dim)
+    assert rows.matmul(sol) == on_face.matmul(left.basis)
+    assert right.basis.hstack(sol).rank() == right.dim
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The (family, k) of every full-solve fallback of conformity_check."""

@@ -508,11 +508,13 @@ def reference_trace_block_rank(element):
     ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared),
            "kernel_dim": ker.cols}
     coeffs = space.basis.matmul(ker)
-    hit = el._first_nonzero_trace(frame.faces(1), space.kind, space.k,
-                                  FAMILIES[element.family].trace_modes, coeffs)
-    if hit is not None:
-        ctx["nonzero_trace_mode"] = hit[1]
-        return CheckResult("trace-block", False, expected="zero trace", got=hit[1], context=ctx)
+    # the first declared mode in which some member of ker S has a nonzero trace
+    mode = next((mode for mode in FAMILIES[element.family].trace_modes for face in frame.faces(1)
+                 if not all(t.matmul(coeffs).is_zero() for t in face.traces(space.kind, space.k, mode)[1])),
+                None)
+    if mode is not None:
+        ctx["nonzero_trace_mode"] = mode
+        return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
     fam = _TRACE_KERNEL_BUBBLES.get(element.family)
     if fam is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
@@ -573,6 +575,22 @@ def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family,
     assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
 
 
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
+def test_interior_block_is_taken_on_ker_s_in_member_coordinates(family, k):
+    # an interior row overwritten by a shared row vanishes on ker S = G_s K;
+    # on a random simplex it does not vanish on the Bernstein coordinates K
+    # alone, so only I G_s K shows the singular interior block
+    e = build_element(random_frame(2, random.Random(43)), family, k)
+    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    rows[interior[0]] = rows[shared[-1]]
+    broken = _with_rows(e, rows)
+    res = check_unisolvence(broken)
+    assert not res.passed and res.got == e.dim - 1
+    assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+
+
 @pytest.mark.parametrize("family,k", [("BDM", 3), ("HdivS", 3)])
 def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(family, k):
     # one interior DoF declared shared: ker S loses a bubble, its traces stay zero
@@ -588,6 +606,81 @@ def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(fa
     assert "nonzero_trace_mode" not in res.context
     assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
     assert check_unisolvence(broken).passed
+
+
+# Two shared DoFs declared interior on random_frame(2, Random(47)), k=3: ker S
+# then holds functions with nonzero declared traces.  The record names the
+# first declared mode with a nonzero trace on ker S, a property of the space:
+# the first kernel column with a nonzero trace would name a mode that depends
+# on the kernel basis (for the first and third pair the monomial and the
+# Bernstein kernels give different first columns).
+@pytest.mark.parametrize("family,demoted,mode", [
+    ("DivDiv", ("vertex2:entry01", "combo:f(0, 1):q0"), "normal_normal"),
+    ("DivDiv", ("combo:f(0, 1):q0", "combo:f(1, 2):q1"), "combo"),
+    ("DivDivPlus", ("nn:f(0, 2):g00:q0", "ndiv:f(0, 1):q2"), "tensor_normal"),
+    ("DivDivPlus", ("ndiv:f(0, 1):q2", "ndiv:f(1, 2):q0"), "normal_div"),
+])
+def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, demoted, mode):
+    e = build_element(random_frame(2, random.Random(47)), family, 3)
+    dofs = [dataclasses.replace(dof, shared=False) if dof.label in demoted else dof for dof in e.dofs]
+    assert sum(a.shared != b.shared for a, b in zip(dofs, e.dofs)) == 2
+    broken = Element(e.family, e.frame, e.k, e.space, dofs, e.dof_matrix)
+    res = trace_block_rank(broken)
+    assert (res.passed, res.got, res.context["nonzero_trace_mode"]) == (False, mode, mode)
+    assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
+
+
+# -- the shared block in Bernstein coordinates ------------------------------------------
+
+
+def _block_diag(g, rest):
+    n = g.rows
+    top = g.hstack(Matrix.zeros(n, rest))
+    return Matrix.vstack([top, Matrix.zeros(rest, n).hstack(Matrix.identity(rest))], n + rest)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
+    fr = random_frame(d, random.Random(71))
+    # a P_k space is the identity: the change of basis is G itself
+    assert el._bernstein_change(spaces.build_standard(fr, "P_sym", 2)) is fr.bernstein("sym", 2)
+    # diag(I_n, H) with I_n on the degree <= k frame: diag(G_k, I)
+    for space, kind, k in [(el._shape_rt(fr, 2), "vector", 2), (el._shape_sym_minus(fr, 2), "sym", 2),
+                           (el._shape_sym_xxt(fr, 3), "sym", 3)]:
+        rest = space.dim - len(poly.frame(kind, d, k))
+        assert rest > 0
+        assert el._bernstein_change(space) == _block_diag(fr.bernstein(kind, k), rest)
+
+
+def test_bernstein_change_of_basis_without_a_leading_identity_block_is_the_identity():
+    fr = random_frame(2, random.Random(71))
+    bubble = spaces.bubble_vector_generators(fr, 3)
+    assert el._bernstein_change(bubble) == Matrix.identity(bubble.dim)
+    n = len(poly.frame("vector", 2, 2))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    # the first two members swapped: no leading identity block
+    rows[0][:2], rows[1][:2] = [0, 1], [1, 0]
+    swapped = spaces.PolySpace(fr, "vector", 2, Matrix(rows))
+    assert el._bernstein_change(swapped) == Matrix.identity(n)
+    # a degree-1 member with a degree-2 term: the leading block stops short of
+    # the degree <= 1 frame (6 rows), whose identity block would hold it
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[8][5] = 1
+    mixed = spaces.PolySpace(fr, "vector", 2, Matrix(rows))
+    assert el._bernstein_change(mixed) == Matrix.identity(n)
+
+
+_KERNEL_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step) for fam in sorted(FAMILIES) for step in (0, 1)]
+_KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
+
+
+@pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
+def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
+    e = build_element(random_frame(d, random.Random(45 + d)), family, k)
+    shared, rank_s, g, ker = el._shared_split(e)
+    monomial = e.dof_matrix.take(shared).null_space()
+    assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
+    assert exact.image_basis(g.matmul(ker)) == exact.image_basis(monomial)
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS_minus", 2), ("DivDiv", 3)])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from femforge import poly
 from femforge.poly import Polynomial, dot
 from femforge.simplex import (
     DegenerateSimplexError,
+    SimplexFrame,
     build_frame,
     random_frame,
     reference_simplex,
@@ -190,3 +192,66 @@ def test_float_vertices_are_rejected():
     with pytest.raises(TypeError):
         build_frame([[0.1, 0], [1, 0], [0, 1]])
     assert build_frame([[Fraction(1, 10), 0], [1, 0], [0, 1]]).vertices[0][0] == Fraction(1, 10)
+
+
+# -- the Bernstein matrix -----------------------------------------------------------
+
+
+def _bernstein_frames(d):
+    fractional = SimplexFrame(
+        [[Fraction(i + 1, j + 2) if i == j else Fraction(i - j, 3) for j in range(d)] for i in range(d)]
+        + [[Fraction(1, 5)] * d]
+    )
+    return reference_simplex(d), random_frame(d, random.Random(70 + d)), fractional
+
+
+def _lambda_power(fr, alpha):
+    out = Polynomial.constant(fr.d, 1)
+    for i, a in enumerate(alpha):
+        for _ in range(a):
+            out = poly.multiply(out, fr.lambdas[i])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "sym"])
+@pytest.mark.parametrize("d,k", [(1, 3), (2, 0), (2, 3), (3, 2)])
+def test_bernstein_columns_are_products_of_barycentric_coordinates(kind, d, k):
+    alphas = [a for a in poly.monomials(d + 1, k) if sum(a) == k]
+    nc = poly.ncomp(kind, d)
+    for fr in _bernstein_frames(d):
+        g = fr.bernstein(kind, k)
+        assert fr.bernstein(kind, k) is g
+        assert g.rows == g.cols == len(alphas) * nc == len(poly.frame(kind, d, k))
+        scales = set()
+        for ia, alpha in enumerate(alphas):
+            power = _lambda_power(fr, alpha)
+            for c in range(nc):
+                # column (alpha, c) is one positive integer multiple of lambda^alpha e_c
+                shaped = Polynomial(d, kind, {(c, e): v for (_, e), v in power.terms.items()})
+                want = poly.coeff_vector(shaped, k)
+                col = g.column(ia * nc + c)
+                assert all(x.denominator == 1 for x in col)
+                scales |= {x / w for x, w in zip(col, want) if w}
+                assert [x for x, w in zip(col, want) if not w] == [0] * want.count(0)
+        (scale,) = scales
+        assert scale > 0 and scale.denominator == 1
+        if fr.vertices == reference_simplex(d).vertices:
+            assert scale == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bernstein_matrix_has_full_rank(d):
+    for fr in _bernstein_frames(d):
+        for k in range(5):
+            gs = fr.bernstein("scalar", k)
+            assert gs.rows == gs.cols == comb(k + d, d) and gs.rank() == gs.cols
+            # a shaped G is the scalar G on each stored component alone, so it
+            # has full rank as well
+            for kind in ("vector", "sym"):
+                nc = poly.ncomp(kind, d)
+                g = fr.bernstein(kind, k)
+                for i in range(gs.rows):
+                    row = gs.int_row(i)[1]
+                    for c in range(nc):
+                        want = tuple(v if c2 == c else 0 for v in row for c2 in range(nc))
+                        assert g.int_row(i * nc + c) == (1, want)
