@@ -41,17 +41,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
-def _max_k_cap() -> int:
-    """The FEMFORGE_MAX_K degree cap; ValueError unless a non-negative integer."""
-    raw = os.environ.get("FEMFORGE_MAX_K")
-    if raw is None:
-        return DEFAULT_MAX_K
-    cap = int(raw)
-    if cap < 0:
-        raise ValueError(f"{raw!r} is negative")
-    return cap
-
-
 def _load_frame_file(path: str) -> SimplexFrame:
     """Simplex description: {"d": int, "vertices": [["num/den" | number, ...], ...]}."""
     with open(path) as fh:
@@ -438,12 +427,8 @@ def main(argv=None) -> int:
         parser.error("dimension range must lie within 2..4")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    try:
-        cap = _max_k_cap()
-    except ValueError as err:
-        parser.error(f"FEMFORGE_MAX_K must be a non-negative integer: {err}")
-    if k_lo > k_hi or k_hi > cap:
-        parser.error(f"degree range must be increasing and capped at {cap} (FEMFORGE_MAX_K)")
+    if k_lo > k_hi or k_hi > DEFAULT_MAX_K:
+        parser.error(f"degree range must be increasing and capped at {DEFAULT_MAX_K}")
     if args.simplex not in ("ref", "random"):
         try:
             fr = _load_frame_file(args.simplex)

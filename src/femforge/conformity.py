@@ -146,8 +146,8 @@ def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
     A pass comes from the right side's shared DoF block alone; every other
     outcome is decided by the right element's whole DoF system."""
     spec = FAMILIES[family]
-    left = spec.shape(patch.left, k)
-    right = _shared_block_solution(patch, spec, left, spec.shape(patch.right, k), k)
+    left = build_standard(patch.left, spec.shape, k)
+    right = _shared_block_solution(patch, spec, left, build_standard(patch.right, spec.shape, k), k)
     if right is not None:
         res = _jump_check(patch, family, k, left, right)
         if res.passed:
@@ -187,7 +187,7 @@ def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
     """The patch check from the right element's whole DoF system: the right
     function matches the shared DoFs on the face, and every other right DoF
     is zero."""
-    left = FAMILIES[family].shape(patch.left, k)
+    left = build_standard(patch.left, FAMILIES[family].shape, k)
     right_e = build_element(patch.right, family, k)
     d = patch.left.d
     on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and _on_shared_face(dof, d)]

@@ -358,43 +358,6 @@ def _floor_divdiv(d: int) -> int:
     return max(d, 3)
 
 
-def _shape_bdm(frame: SimplexFrame, k: int) -> PolySpace:
-    return spaces.build_standard(frame, "P_vector", k)
-
-
-def _shape_rt(frame: SimplexFrame, k: int) -> PolySpace:
-    return spaces.build_standard(frame, "RT_shape", k)
-
-
-def _shape_sym(frame: SimplexFrame, k: int) -> PolySpace:
-    return spaces.build_standard(frame, "P_sym", k)
-
-
-def _shape_sym_minus(frame: SimplexFrame, k: int) -> PolySpace:
-    # P_k(S) plus the degree-(k+1) bubbles that are L2-orthogonal to the
-    # divergence-free bubbles and to def P_{k-1}: by (div b, q) = -(b, def q)
-    # on bubbles, their divergences extend div P_k(S) by one degree (see
-    # spaces.bubble_enrichment_sym).  P_k(S) is the identity on the first n
-    # frame rows, so the reduced column echelon form of the sum is
-    # diag(I_n, that of the enrichment's rows past n), which is the basis
-    # space_sum would return.
-    cached = frame._space_cache.get(("P_minus_sym", k))
-    if cached is not None:
-        return cached
-    n = len(poly.frame("sym", frame.d, k))
-    enrich = spaces.bubble_enrichment_sym(frame, k).basis
-    high = exact.image_basis(enrich.take(range(n, enrich.rows)))
-    space = PolySpace(frame, "sym", k + 1, Matrix.block_diag(Matrix.identity(n), high), f"P_minus_sym_{k + 1}")
-    frame._space_cache[("P_minus_sym", k)] = space
-    return space
-
-
-def _shape_sym_xxt(frame: SimplexFrame, k: int) -> PolySpace:
-    p = spaces.build_standard(frame, "P_sym", k)
-    xxt = spaces.build_standard(frame, "xxT_H", k - 1)
-    return spaces.space_sum(p, xxt, f"P_sym_plus_xxT_{k}")
-
-
 def _dofs_bdm(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
     out = _face_scalar_dofs(frame, k, FACE_SCALAR_NORMAL, True, "normal")
     nd = spaces.build_standard(frame, "ND", k - 2).members() if k >= 2 else []
@@ -469,7 +432,7 @@ def _dofs_divdiv_minus(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
 @dataclass
 class FamilySpec:
     name: str
-    shape: Callable[[SimplexFrame, int], PolySpace]
+    shape: str  # the shape space's spaces.build_standard tag
     dofs: Callable[[SimplexFrame, int], list[DoFDescriptor]]
     floor: Callable[[int], int]
     trace_modes: tuple[str, ...]  # declared conforming traces
@@ -477,32 +440,32 @@ class FamilySpec:
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "BDM": FamilySpec("BDM", _shape_bdm, _dofs_bdm, _floor_vec, ("vector_normal",)),
-    "RT": FamilySpec("RT", _shape_rt, _dofs_rt, _floor_rt, ("vector_normal",)),
+    "BDM": FamilySpec("BDM", "P_vector", _dofs_bdm, _floor_vec, ("vector_normal",)),
+    "RT": FamilySpec("RT", "RT_shape", _dofs_rt, _floor_rt, ("vector_normal",)),
     "HdivS": FamilySpec(
-        "HdivS", _shape_sym, _dofs_hdivs, _floor_sym, ("tensor_normal",), lambda d: d + 1
+        "HdivS", "P_sym", _dofs_hdivs, _floor_sym, ("tensor_normal",), lambda d: d + 1
     ),
     "HdivS_split": FamilySpec(
-        "HdivS_split", _shape_sym, _dofs_hdivs_split, _floor_sym, ("tensor_normal",), lambda d: d + 1
+        "HdivS_split", "P_sym", _dofs_hdivs_split, _floor_sym, ("tensor_normal",), lambda d: d + 1
     ),
     "HdivS_minus": FamilySpec(
-        "HdivS_minus", _shape_sym_minus, _dofs_hdivs_minus, _floor_sym, ("tensor_normal",), lambda d: d + 1
+        "HdivS_minus", "P_minus_sym", _dofs_hdivs_minus, _floor_sym, ("tensor_normal",), lambda d: d + 1
     ),
     "DivDivPlus": FamilySpec(
-        "DivDivPlus", _shape_sym, _dofs_divdiv_plus, _floor_divdiv, ("tensor_normal", "normal_div")
+        "DivDivPlus", "P_sym", _dofs_divdiv_plus, _floor_divdiv, ("tensor_normal", "normal_div")
     ),
     "DivDivPlusMinus": FamilySpec(
         "DivDivPlusMinus",
-        _shape_sym_xxt,
+        "P_sym_plus_xxT",
         _dofs_divdiv_plus_minus,
         _floor_divdiv,
         ("tensor_normal", "normal_div"),
     ),
     "DivDiv": FamilySpec(
-        "DivDiv", _shape_sym, _dofs_divdiv, _floor_divdiv, ("normal_normal", "combo")
+        "DivDiv", "P_sym", _dofs_divdiv, _floor_divdiv, ("normal_normal", "combo")
     ),
     "DivDivMinus": FamilySpec(
-        "DivDivMinus", _shape_sym_xxt, _dofs_divdiv_minus, _floor_divdiv, ("normal_normal", "combo")
+        "DivDivMinus", "P_sym_plus_xxT", _dofs_divdiv_minus, _floor_divdiv, ("normal_normal", "combo")
     ),
 }
 
@@ -515,7 +478,7 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
         raise BadDegreeError(
             f"{family} needs k >= {spec.floor(frame.d)} in dimension {frame.d}"
         )
-    space = spec.shape(frame, k)
+    space = spaces.build_standard(frame, spec.shape, k)
     dofs = spec.dofs(frame, k)
     members = space.members()
     values = []

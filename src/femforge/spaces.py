@@ -177,16 +177,22 @@ def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
     RM: rigid motions (= ND at k = 0).
     xxT_H: x x^T H_k (symmetric, homogeneous of degree k + 2).
     skwPx: P_k(K)x with skew-matrix coefficients.
+    P_minus_sym: P_k(S) + ``bubble_enrichment_sym`` (degree k + 1).
+    P_sym_plus_xxT: P_k(S) + x x^T H_{k-1}.
     """
-    cached = frame._space_cache.get((tag, k))
-    if cached is not None:
-        return cached
-    space = _build_standard_uncached(frame, tag, k)
-    frame._space_cache[(tag, k)] = space
-    return space
+    return _memo(frame, (tag, k), _build_standard_uncached, tag, k)
 
 
-_CATALOG_TAGS = (*_P_TAGS, "H_scalar", "ND", "RT_shape", "xxT_H", "skwPx")
+def _memo(frame: SimplexFrame, key: tuple, build: Callable, *args):
+    """The space (or spaces) cached on ``frame`` under ``key``, from
+    ``build(frame, *args)`` on a miss; nothing is stored if it raises."""
+    cached = frame._space_cache.get(key)
+    if cached is None:
+        cached = frame._space_cache[key] = build(frame, *args)
+    return cached
+
+
+_CATALOG_TAGS = (*_P_TAGS, "H_scalar", "ND", "RT_shape", "xxT_H", "skwPx", "P_minus_sym", "P_sym_plus_xxT")
 
 
 def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
@@ -204,6 +210,10 @@ def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace
         return image_space("xxT", build_standard(frame, "H_scalar", k), f"xxT_H_{k}")
     if tag == "skwPx":
         return image_space("mat_x", build_standard(frame, "P_skw", k), f"skwPx_{k}")
+    if tag == "P_minus_sym":
+        return space_sum(build_standard(frame, "P_sym", k), bubble_enrichment_sym(frame, k), f"{tag}_{k + 1}")
+    if tag == "P_sym_plus_xxT":
+        return space_sum(build_standard(frame, "P_sym", k), build_standard(frame, "xxT_H", k - 1), f"{tag}_{k}")
     p_k = build_standard(frame, "P_vector", k)
     if tag == "ND":
         return space_sum(p_k, build_standard(frame, "skwPx", k), f"ND_{k}")
@@ -244,36 +254,12 @@ _OPS: dict[str, tuple[Callable[[Polynomial], Polynomial], str, Callable[[int], i
 class OperatorMatrix:
     """Matrix of a linear operator from a space's basis to a target frame."""
 
-    __slots__ = ("op", "source", "target_kind", "target_k", "matrix")
+    __slots__ = ("target_kind", "target_k", "matrix")
 
-    def __init__(self, op: str, source: PolySpace, target_kind: str, target_k: int, matrix: Matrix):
-        self.op = op
-        self.source = source
+    def __init__(self, target_kind: str, target_k: int, matrix: Matrix):
         self.target_kind = target_kind
         self.target_k = target_k
         self.matrix = matrix
-
-    def image_space(self, tag: str = "") -> PolySpace:
-        return PolySpace(
-            self.source.frame,
-            self.target_kind,
-            self.target_k,
-            exact.image_basis(self.matrix),
-            tag or f"img_{self.op}({self.source.tag})",
-        )
-
-    def kernel_space(self, tag: str = "") -> PolySpace:
-        coords = self.matrix.null_space()
-        return PolySpace(
-            self.source.frame,
-            self.source.kind,
-            self.source.k,
-            exact.image_basis(self.source.basis.matmul(coords)),
-            tag or f"ker_{self.op}({self.source.tag})",
-        )
-
-    def rank(self) -> int:
-        return self.matrix.rank()
 
 
 def operator_matrix(op: str, source: PolySpace) -> OperatorMatrix:
@@ -287,15 +273,20 @@ def operator_matrix(op: str, source: PolySpace) -> OperatorMatrix:
         matrix = poly.coeff_matrix(images, target_k)
     else:
         matrix = Matrix.zeros(len(poly.frame(tkind, source.frame.d, target_k)), 0)
-    return OperatorMatrix(op, source, tkind, target_k, matrix)
+    return OperatorMatrix(tkind, target_k, matrix)
 
 
 def image_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
-    return operator_matrix(op, source).image_space(tag)
+    m = operator_matrix(op, source)
+    return PolySpace(
+        source.frame, m.target_kind, m.target_k, exact.image_basis(m.matrix), tag or f"img_{op}({source.tag})"
+    )
 
 
 def kernel_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
-    return operator_matrix(op, source).kernel_space(tag)
+    coords = operator_matrix(op, source).matrix.null_space()
+    basis = exact.image_basis(source.basis.matmul(coords))
+    return PolySpace(source.frame, source.kind, source.k, basis, tag or f"ker_{op}({source.tag})")
 
 
 # -- traces and bubbles ----------------------------------------------------------------
@@ -325,22 +316,19 @@ _BUBBLE_SHAPES = {
 def bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     """ker(trace) inside the family's shape space, by exact kernel computation
     (the certificate for the generator-side bubbles below)."""
-    got = _BUBBLE_SHAPES.get(family)
-    if got is None:
+    if family not in _BUBBLE_SHAPES:
         raise UnsupportedTagError(f"unknown bubble family {family!r}")
     if k < 0:
         raise BadDegreeError("bubble spaces need k >= 0")
-    tag, mode = got
-    cached = frame._space_cache.get(("bubble", family, k))
-    if cached is not None:
-        return cached
+    return _memo(frame, ("bubble", family, k), _bubble_space, family, k)
+
+
+def _bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
+    tag, mode = _BUBBLE_SHAPES[family]
     shape = build_standard(frame, tag, k)
-    tr = trace_matrix(frame, shape, mode)
-    coords = tr.null_space()
+    coords = trace_matrix(frame, shape, mode).null_space()
     basis = exact.image_basis(shape.basis.matmul(coords))
-    space = PolySpace(frame, shape.kind, shape.k, basis, f"bubble_{family}_{k}")
-    frame._space_cache[("bubble", family, k)] = space
-    return space
+    return PolySpace(frame, shape.kind, shape.k, basis, f"bubble_{family}_{k}")
 
 
 def _edge_generators(frame: SimplexFrame, k: int, edge_values: dict) -> list[Polynomial]:
@@ -397,21 +385,17 @@ _BUBBLE_GENERATORS = {"div_vector": bubble_vector_generators, "div_sym": bubble_
 def split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, PolySpace]:
     """(kernel of the divergence inside the family's generator-side bubble,
     its L2 complement)."""
-    generators = _BUBBLE_GENERATORS.get(family)
-    if generators is None:
+    if family not in _BUBBLE_GENERATORS:
         raise UnsupportedTagError(f"unknown bubble family {family!r}")
     if k < 0:
         raise BadDegreeError("bubble spaces need k >= 0")
-    cached = frame._space_cache.get(("split", family, k))
-    if cached is not None:
-        return cached
-    bubble = generators(frame, k)
-    op = "div" if bubble.kind == "vector" else "div_rowwise"
-    dm = operator_matrix(op, bubble)
-    e0 = dm.kernel_space(f"E0_{family}_{k}")
-    e0perp = orthocomplement_in(bubble, e0, f"E0perp_{family}_{k}")
-    frame._space_cache[("split", family, k)] = (e0, e0perp)
-    return e0, e0perp
+    return _memo(frame, ("split", family, k), _split_bubble, family, k)
+
+
+def _split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, PolySpace]:
+    bubble = _BUBBLE_GENERATORS[family](frame, k)
+    e0 = kernel_space("div" if bubble.kind == "vector" else "div_rowwise", bubble, f"E0_{family}_{k}")
+    return e0, orthocomplement_in(bubble, e0, f"E0perp_{family}_{k}")
 
 
 def ker_dot_x_vector(frame: SimplexFrame, k: int) -> PolySpace:
@@ -577,15 +561,18 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     range by one degree while keeping every trace.
 
     B enters through its generators lambda_i lambda_j m T_ij (|m| <= k-1, see
-    ``bubble_sym_generators``), which are sparser than its canonical basis;
-    only the enrichment itself is brought to canonical form.  A result of
-    any dimension other than d dim H_k raises ``ArithmeticError``.
+    ``bubble_sym_generators``), which are sparser than its canonical basis.
+    They are dim B many, so a basis, and the enrichment's basis is their
+    combinations by the null space's columns as computed, not brought to
+    canonical form (the ``P_minus_sym`` sum of ``build_standard`` is).  A
+    result of any dimension other than d dim H_k raises ``ArithmeticError``.
     """
     if k < 2:
         raise BadDegreeError("the symmetric enrichment needs k >= 2")
-    cached = frame._space_cache.get(("enrichment", k))
-    if cached is not None:
-        return cached
+    return _memo(frame, ("enrichment", k), _enrichment_sym, k)
+
+
+def _enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     gens = _edge_generators(frame, k + 1, frame.tensor_T)
     bubble = poly.coeff_matrix(gens, k + 1)
     e0 = bubble.matmul(_div_free_coords(gens, k + 1))
@@ -594,13 +581,11 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     if e0.cols:  # E0 is empty at k = 2, and so is its degree-(k+1) Gram block
         blocks.append(e0.transpose().matmul(frame_gram(frame, "sym", k + 1, k + 1)))
     coords = Matrix.vstack(blocks, bubble.rows).matmul(bubble).null_space()
-    basis = exact.image_basis(bubble.matmul(coords))
+    basis = bubble.matmul(coords)
     expected = frame.d * dim_H(frame.d, k)
     if basis.cols != expected:
         raise ArithmeticError(f"enrichment has dimension {basis.cols}, not d dim H_k = {expected}")
-    space = PolySpace(frame, "sym", k + 1, basis, f"bubble_enrichment_sym_{k + 1}")
-    frame._space_cache[("enrichment", k)] = space
-    return space
+    return PolySpace(frame, "sym", k + 1, basis, f"bubble_enrichment_sym_{k + 1}")
 
 
 def divdiv_splits(frame: SimplexFrame, k: int) -> tuple[PolySpace, PolySpace]:

@@ -41,20 +41,12 @@ def test_invalid_dimension_range_is_usage_error(capsys):
     assert exc.value.code == 1
 
 
-def test_max_k_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("FEMFORGE_MAX_K", "2")
+def test_max_k_env_cap(capsys):
+    # the degree cap is the constant DEFAULT_MAX_K; no environment variable moves it
     with pytest.raises(SystemExit) as exc:
-        cli.main(["dims", "--d", "2..2", "--k", "1..3"])
+        cli.main(["dims", "--d", "2..2", "--k", "1..7"])
     assert exc.value.code == 1
-
-
-@pytest.mark.parametrize("raw", ["six", "-1"])
-def test_invalid_max_k_env_is_usage_error(monkeypatch, capsys, raw):
-    monkeypatch.setenv("FEMFORGE_MAX_K", raw)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["dims", "--d", "2..2", "--k", "1..1"])
-    assert exc.value.code == 1
-    assert "FEMFORGE_MAX_K" in capsys.readouterr().err
+    assert f"capped at {cli.DEFAULT_MAX_K}" in capsys.readouterr().err
 
 
 def test_jobs_below_one_is_usage_error(capsys):
@@ -137,7 +129,7 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of the reports of three fixed grids, pinned so that a change to the
+# sha256 of the reports of four fixed grids, pinned so that a change to the
 # exact core that must keep every report byte for byte is held to it
 _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "2", "--k", "1..4"],
@@ -146,6 +138,9 @@ _GOLDEN_REPORTS = [
                  "7f3742d953b28614f052c9287231136a1cbaa12751518b4a7e7e55fbc75162a4", id="verify-d2-random-7"),
     pytest.param(["dims", "--d", "2..3", "--k", "1..4"],
                  "0ff19765caab5dbe499fbae595f2b3ba84604d177e30d2190e11643c3a821580", id="dims-d2-3"),
+    pytest.param(["verify", "--d", "3", "--k", "2..3", "--family", "HdivS_minus", "--family", "DivDivMinus",
+                  "--family", "DivDivPlusMinus"],
+                 "52df55401a4c006a997368eec32980dcf7f686bbf3a65aa0f93ce21456943eef", id="verify-d3-minus"),
 ]
 
 
@@ -154,6 +149,24 @@ def test_report_bytes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the exported files of the three minus families, whose shape
+# spaces are sums of two catalog spaces
+_GOLDEN_EXPORTS = {
+    "DivDivMinus_d2_k3.json": "8ba75a36189794325ee0c60c7b76fe2aeda15ceb634803d2db6f852922f30fde",
+    "DivDivPlusMinus_d2_k3.json": "49ef132745ccfe58b3e20541aa94ba0c9f8b262eeb9cf2fc6ffcc4ae93cc7a89",
+    "HdivS_minus_d2_k2.json": "3c3650873beb1f5164a35292b612accece59c6d3666e15121036dc7d726e5167",
+    "HdivS_minus_d2_k3.json": "2fffef2369aa9bdaece1db065d7b1bf347a990cf2d9debad08e821a1dc8ace13",
+}
+
+
+def test_export_bytes_of_the_minus_families_are_pinned(tmp_path):
+    argv = ["export", "--family", "HdivS_minus", "--family", "DivDivPlusMinus", "--family", "DivDivMinus",
+            "--d", "2", "--k", "2..3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == _GOLDEN_EXPORTS
 
 
 def test_verify_markdown(capsys):

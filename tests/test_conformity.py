@@ -17,7 +17,7 @@ from femforge.conformity import (
 from femforge.poly import Polynomial, hess, koszul_xxT, divdiv
 from femforge.integrate import pair_simplex
 from femforge.simplex import DegenerateSimplexError, SimplexFrame, random_frame, reference_simplex
-from femforge.spaces import divdiv_splits, split_bubble
+from femforge.spaces import build_standard, divdiv_splits, split_bubble
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +310,7 @@ from femforge.report import CheckResult  # noqa: E402
 
 def reference_conformity_check(patch, family, k):
     spec = FAMILIES[family]
-    left = spec.shape(patch.left, k)
+    left = build_standard(patch.left, spec.shape, k)
     right_e = build_element(patch.right, family, k)
     d = patch.left.d
     on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and (
@@ -370,7 +370,7 @@ def test_shared_block_solution_solves_the_shared_rows(family):
     patch = reflected_patch(random_frame(2, random.Random(64)))
     spec = FAMILIES[family]
     k = spec.floor(2) + 1
-    left, right = spec.shape(patch.left, k), spec.shape(patch.right, k)
+    left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
     sol = conformity._shared_block_solution(patch, spec, left, right, k)
     shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
@@ -411,7 +411,7 @@ def test_passing_patch_builds_no_right_element(monkeypatch, family, k):
     monkeypatch.setattr(Matrix, "solve", recording)
     assert conformity_check(patch, family, k).passed
     # no solve with the right DoF matrix (square, one row per shape function)
-    assert FAMILIES[family].shape(patch.right, k).dim not in solved
+    assert build_standard(patch.right, FAMILIES[family].shape, k).dim not in solved
 
 
 def _with_spec(monkeypatch, family, **changes):
@@ -419,17 +419,14 @@ def _with_spec(monkeypatch, family, **changes):
     return FAMILIES[family]
 
 
-def test_inconsistent_shared_block_falls_back(monkeypatch, fallbacks):
+def test_inconsistent_shared_block_falls_back(fallbacks):
     # a right shape space of one degree less cannot match the left traces,
     # and its DoF matrix is not square
     patch = reflected_patch(reference_simplex(2))
-    shape = FAMILIES["BDM"].shape
-
-    def lower_on_the_right(fr, k):
-        return shape(fr, k - 1).with_degree(k) if fr is patch.right else shape(fr, k)
-
-    spec = _with_spec(monkeypatch, "BDM", shape=lower_on_the_right)
-    left, right = spec.shape(patch.left, 2), spec.shape(patch.right, 2)
+    spec = FAMILIES["BDM"]
+    # the right frame's P_2 shape space is the degree-1 space padded to degree 2
+    patch.right._space_cache[("P_vector", 2)] = build_standard(patch.right, "P_vector", 1).with_degree(2)
+    left, right = build_standard(patch.left, spec.shape, 2), build_standard(patch.right, spec.shape, 2)
     assert conformity._shared_block_solution(patch, spec, left, right, 2) is None
     res = conformity_check(patch, "BDM", 2)
     assert fallbacks == [("BDM", 2)]
@@ -452,7 +449,7 @@ def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, family, k):
 
     spec = _with_spec(monkeypatch, family, dofs=one_on_face_interior)
     patch = reflected_patch(random_frame(2, random.Random(8)))
-    left, right = spec.shape(patch.left, k), spec.shape(patch.right, k)
+    left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
     assert conformity._shared_block_solution(patch, spec, left, right, k) is None
     res = conformity_check(patch, family, k)
     assert fallbacks == [(family, k)]

@@ -645,8 +645,8 @@ def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
     # a P_k space is the identity: the change of basis is G itself
     assert el._bernstein_change(spaces.build_standard(fr, "P_sym", 2)) is fr.bernstein("sym", 2)
     # diag(I_n, H) with I_n on the degree <= k frame: diag(G_k, I)
-    for space, kind, k in [(el._shape_rt(fr, 2), "vector", 2), (el._shape_sym_minus(fr, 2), "sym", 2),
-                           (el._shape_sym_xxt(fr, 3), "sym", 3)]:
+    for tag, kind, k in [("RT_shape", "vector", 2), ("P_minus_sym", "sym", 2), ("P_sym_plus_xxT", "sym", 3)]:
+        space = spaces.build_standard(fr, tag, k)
         rest = space.dim - len(poly.frame(kind, d, k))
         assert rest > 0
         assert el._bernstein_change(space) == _block_diag(fr.bernstein(kind, k), rest)
