@@ -394,8 +394,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="femforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_d="2..3", default_k="1..4"):
-        p.add_argument("--family", action="append", help="repeatable; defaults to all")
+    def common(p, default_d="2..3", default_k="1..4", family_help=None):
+        if family_help is not None:
+            p.add_argument("--family", action="append", help=family_help)
         p.add_argument("--d", type=_parse_range, default=_parse_range(default_d),
                        help="dimension or range a..b (supported: 2..4)")
         p.add_argument("--k", type=_parse_range, default=_parse_range(default_k),
@@ -412,9 +413,9 @@ def _build_parser() -> _Parser:
     p_dims = sub.add_parser("dims", help="dimension formulas vs computed ranks")
     common(p_dims)
     p_ver = sub.add_parser("verify", help="run the verification suites over a grid")
-    common(p_ver)
+    common(p_ver, family_help="repeatable; defaults to every family and pseudo-family")
     p_exp = sub.add_parser("export", help="export elements as JSON")
-    common(p_exp, default_k="1..1")
+    common(p_exp, default_k="1..1", family_help="repeatable; defaults to BDM")
     return parser
 
 

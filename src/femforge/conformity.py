@@ -12,10 +12,13 @@ shared DoFs of all left members are one product: the right side's shared DoF
 rows times the left shape basis.  The right side needs only those rows S too,
 eliminated in Bernstein coordinates (``elements._bernstein_change``: G_s maps
 them to member coordinates, and S G_s is sparse because a face's DoFs see
-only the lambda^alpha that do not vanish on it): one RREF of [S G_s | rhs]
-gives a particular solution (free Bernstein coordinates zero) and
-ker(S G_s), both mapped back by G_s.  When every member of ker S has zero
-declared traces on the face, all right functions with these shared DoFs have
+only the lambda^alpha that do not vanish on it); S G_s is assembled from the
+right frame's Bernstein traces, not multiplied out.  One RREF of
+[S G_s | rhs], the zero right-hand sides left out, gives a particular
+solution (free Bernstein coordinates zero) and ker(S G_s), both mapped back
+by G_s.  When every member of ker S has zero declared traces on the face
+(the right frame's Bernstein traces times the kernel), all right functions
+with these shared DoFs have
 the same declared traces there (the shared DoFs fix the trace part of the
 paper's split), so the jumps are taken on the particular solution, and they
 do not depend on which particular solution it is.  The family's declared
@@ -72,8 +75,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _bernstein_change, _dof_matrix, _first_nonzero_trace,
-                       _nonzero_trace_mode, build_element)
+from .elements import (FAMILIES, _bernstein_lead, _bernstein_rows, _change_of_basis, _dof_matrix,
+                       _first_nonzero_trace, _nonzero_trace_mode, _split_traces, build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -163,24 +166,36 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     the face, so that every such right function has the same declared traces.
 
     One RREF of [S G_s | rhs], in the Bernstein coordinates of
-    ``_bernstein_change``, gives both a particular solution (free Bernstein
-    coordinates zero) and ker S, each mapped back by G_s."""
+    ``_bernstein_change`` (S G_s assembled from the right frame's Bernstein
+    traces, as in ``elements._split_memo``), gives both a particular solution
+    (free Bernstein coordinates zero) and ker S, each mapped back by G_s.
+    The zero right-hand sides (left members with no DoF on the face) stay
+    out of the RREF: their solution is zero."""
     d = patch.left.d
     shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
     on_face = rows.take([i if _on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
+    rhs = on_face.matmul(left.basis).transpose()
+    nonzero = [j for j in range(rhs.rows) if any(rhs.int_row(j)[1])]
     n = right.dim
-    basis = right.basis.matmul(_bernstein_change(right))
-    red, pivots = rows.matmul(basis).hstack(on_face.matmul(left.basis)).rref()
+    lead = _bernstein_lead(right)
+    block = _bernstein_rows(patch.right, shared, right.kind, lead) if lead is not None else None
+    if block is None:
+        lead, block = None, rows.matmul(right.basis)
+    elif block.cols < n:
+        block = block.hstack(rows.matmul(right.basis.take(range(right.basis.rows), block.cols)))
+    red, pivots = block.hstack(rhs.take(nonzero).transpose()).rref()
     if pivots and pivots[-1] >= n:
         return None
-    row_of = {pc: r for r, pc in enumerate(pivots)}
-    sol = red.take([row_of.get(c) for c in range(n)], n)
     ker = rref_kernel(red, pivots, n)
-    if ker.cols and _nonzero_trace_mode(
-            [patch.shared_left], right.kind, right.k, spec.trace_modes, basis, ker) is not None:
+    if ker.cols and _nonzero_trace_mode([patch.shared_right], spec.trace_modes, ker,
+                                        lambda face, mode: _split_traces(face, right, lead, mode)) is not None:
         return None
-    return basis.matmul(sol)
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    sol = red.take([row_of.get(c) for c in range(n)], n).transpose()
+    col_of = {j: c for c, j in enumerate(nonzero)}
+    sol = sol.take([col_of.get(j) for j in range(rhs.rows)]).transpose()
+    return right.basis.matmul(_change_of_basis(right, lead).matmul(sol))
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
@@ -222,7 +237,8 @@ def _jump_check(patch: Patch, family: str, k: int, left: PolySpace, right: Matri
         ctx["member"] = j
         ctx["jump"] = poly.poly_to_json(jump)
         return CheckResult(f"conformity-{family}", False, expected="zero jump", got=mode, context=ctx)
-    control_jumped = _nonzero_trace_mode([face], kind, k_frame, (control_mode,), jumps) is not None
+    control_jumped = _nonzero_trace_mode([face], (control_mode,), jumps,
+                                         lambda face, mode: face.traces(kind, k_frame, mode)[1]) is not None
     ctx["negative_control"] = control_mode
     ctx["negative_control_jumped"] = control_jumped
     if not control_jumped:

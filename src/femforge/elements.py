@@ -10,20 +10,23 @@ zero shared DoFs) serves both.  The elimination runs in Bernstein
 coordinates, where that split is local: with G the integer matrix of the
 barycentric monomials lambda^alpha, |alpha| = k (``SimplexFrame.bernstein``),
 a face's DoFs see only the lambda^alpha that do not vanish on it, so S G is
-sparse, and K = G ker(S G).  The DoF matrix [S; I] is invertible exactly
-when S has full row rank and the square interior block I K is nonsingular;
-any other case falls back to the exact rank of the full matrix and a kernel
-witness.  The trace-block check takes the traces of K and compares its span
-with the paper's explicit bubble generators.
+sparse, and K = G ker(S G).  S G is never formed as a product: its rows are
+assembled from the faces' Bernstein traces (``Face.bernstein_traces``), the
+trace of lambda^alpha on a face being an integer table.  The DoF matrix
+[S; I] is invertible exactly when S has full row rank and the square
+interior block I G K is nonsingular; any other case falls back to the exact
+rank of the full matrix and a kernel witness.  The trace-block check
+multiplies the Bernstein traces with K and compares the span of G K with
+the paper's explicit bubble generators.
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
 from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
 matrices of ``integrate``, one product per run of DoFs that share a face and
 a trace; applying a DoF to a polynomial is a sparse dot product with its
 coefficients, over the polynomial's memoized integer terms
-(``Polynomial.int_terms``; the members of a shape space come with them).  The
-trace-block check multiplies the same trace matrices, memoized on each face,
-with the kernel of the shared DoF block.
+(``Polynomial.int_terms``; the members of a shape space come with them).
+The Bernstein rows of the shared DoFs are the same products with the
+Bernstein traces.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -38,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import prod
 from typing import Callable, Sequence
 
 from . import exact, poly, spaces
@@ -83,7 +85,7 @@ class Element:
     dofs: list[DoFDescriptor]
     dof_matrix: Matrix
     # (dof_matrix, shared row indices, rank of S, change of basis G_s, basis
-    # of ker(S G_s)); see _shared_split
+    # of ker(S G_s), degree of its Bernstein block); see _split_memo
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -107,6 +109,7 @@ _FACE_TRACES = {
     FACE_NORMAL_DIV: "normal_div",
     FACE_DIVDIV_COMBO: "combo",
 }
+_FACE_KINDS = {FACE_NN, *_FACE_TRACES}
 
 
 class _Row:
@@ -147,22 +150,35 @@ def _coeff_rows(tests: Sequence[Polynomial]) -> tuple[Matrix, int]:
     return Matrix.from_int_rows([poly.coeff_row(q, deg) for q in tests]), deg
 
 
-def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int) -> Matrix:
+def _bernstein_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> Matrix | None:
+    """The rows of ``dofs``, in order, against the Bernstein columns
+    D^k lambda^alpha e_c of ``frame.bernstein(kind, k)``: the DoF matrix of
+    the Bernstein basis, assembled from the Bernstein traces of
+    ``simplex.Face``; None unless every DoF is a face moment or a vertex
+    value."""
+    if any(dof.kind != VERTEX_EVAL and (dof.face is None or dof.kind not in _FACE_KINDS) for dof in dofs):
+        return None
+    runs = [list(run) for _, run in groupby(dofs, key=_run_key)]
+    return Matrix.vstack([_run_rows(frame, run, kind, k, True) for run in runs], len(poly.frame(kind, frame.d, k)))
+
+
+def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, bernstein: bool = False) -> Matrix:
     first = run[0]
     d = frame.d
     width = len(poly.frame(kind, d, k))
     if first.kind == VERTEX_EVAL:
-        x = frame.vertices[first.vertex]
-        values = [prod(xt**et for xt, et in zip(x, e)) for e in poly.monomials(d, k)]
+        # the values at the vertex: the scalar trace on a 0-dimensional face
+        vertex = frame.faces(d)[first.vertex]
+        den, values = (vertex.bernstein_trace if bernstein else vertex.trace)("scalar", k, (1,)).int_row(0)
         nc = poly.ncomp(kind, d)
         rows = []
         for dof in run:
             c, sign = poly.entry_comp(kind, d, *dof.comp)
-            row = [_ZERO] * width
+            row = [0] * width
             if sign:
                 row[c::nc] = [sign * v for v in values]
-            rows.append(row)
-        return Matrix(rows, width)
+            rows.append((den, row))
+        return Matrix.from_int_rows(rows, width)
     tests = [dof.test for dof in run]
     if first.face is None:
         q, deg = _coeff_rows(tests)
@@ -179,9 +195,11 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int) 
     face = first.face
     if first.kind == FACE_NN:
         a, b = first.comp
-        chart_k, traces = k, [face.trace(kind, k, face.normal_frame[a], face.normal_frame[b])]
+        trace = face.bernstein_trace if bernstein else face.trace
+        chart_k, traces = k, [trace(kind, k, face.normal_frame[a], face.normal_frame[b])]
     elif first.kind in _FACE_TRACES:
-        chart_k, traces = face.traces(kind, k, _FACE_TRACES[first.kind])
+        named = face.bernstein_traces if bernstein else face.traces
+        chart_k, traces = named(kind, k, _FACE_TRACES[first.kind])
     else:
         raise UnsupportedTagError(f"unknown DoF kind {first.kind!r}")
     # sum_j (tests_j^T M) T_j over the test components j, as one product
@@ -489,12 +507,10 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
     return Element(family, frame, k, space, dofs, Matrix(values, len(members)))
 
 
-def _bernstein_change(space: PolySpace) -> Matrix:
-    """diag(G, I): the change of basis from Bernstein to member coordinates
-    of ``space``, for the largest k' whose frame (kind, d, k') is a leading
-    identity block of the basis, diag(I_n, H); G = frame.bernstein(kind, k').
-    The identity when the basis has no such block."""
-    basis, kind, d = space.basis, space.kind, space.frame.d
+def _bernstein_lead(space: PolySpace) -> int | None:
+    """The largest k' whose frame (kind, d, k') is a leading identity block
+    of the basis, diag(I_n, H), or None when the basis has no such block."""
+    basis = space.basis
     lead = 0
     while lead < basis.cols:
         den, ints = basis.int_row(lead)
@@ -502,31 +518,82 @@ def _bernstein_change(space: PolySpace) -> Matrix:
             break
         lead += 1
     for k in range(space.k, 0, -1):
-        n = len(poly.frame(kind, d, k))
+        n = len(poly.frame(space.kind, space.frame.d, k))
         if n <= lead and not any(any(basis.int_row(i)[1][:n]) for i in range(n, basis.rows)):
-            g = space.frame.bernstein(kind, k)
-            return g if n == basis.cols else Matrix.block_diag(g, Matrix.identity(basis.cols - n))
-    return Matrix.identity(basis.cols)
+            return k
+    return None
+
+
+def _bernstein_change(space: PolySpace) -> Matrix:
+    """diag(G, I): the change of basis from Bernstein to member coordinates
+    of ``space``, G = frame.bernstein(kind, k') for the leading block of
+    ``_bernstein_lead``; the identity when the basis has no such block."""
+    return _change_of_basis(space, _bernstein_lead(space))
+
+
+def _change_of_basis(space: PolySpace, lead: int | None) -> Matrix:
+    cols = space.basis.cols
+    if lead is None:
+        return Matrix.identity(cols)
+    g = space.frame.bernstein(space.kind, lead)
+    return g if g.cols == cols else Matrix.block_diag(g, Matrix.identity(cols - g.cols))
+
+
+def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> tuple[Matrix, ...]:
+    """The traces of ``mode`` on ``face`` against ``space.basis`` times
+    ``_change_of_basis(space, lead)``: the Bernstein traces of degree
+    ``lead`` on the leading block, beside the monomial traces of the basis
+    columns past it (zero rows pad the lower chart degree)."""
+    n = len(poly.frame(space.kind, space.frame.d, lead)) if lead is not None else 0
+    if n == space.basis.cols:
+        return face.bernstein_traces(space.kind, lead, mode)[1]
+    tail = space.basis.take(range(space.basis.rows), n)
+    out = []
+    for i, t in enumerate(face.traces(space.kind, space.k, mode)[1]):
+        t = t.matmul(tail)
+        if n:
+            b = face.bernstein_traces(space.kind, lead, mode)[1][i]
+            t = Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t)
+        out.append(t)
+    return tuple(out)
+
+
+def _split_memo(element: Element) -> tuple:
+    """(dof_matrix, shared row indices, rank of the shared block S, G_s, K,
+    k') with ker S = G_s K, from one elimination of S per element.
+
+    G_s = ``_change_of_basis(space, k')`` maps Bernstein to member
+    coordinates.  In Bernstein coordinates a face's DoFs see only the
+    lambda^alpha that do not vanish on it, so S G_s is sparse and its
+    elimination stays small: its leading block is the shared DoFs' own
+    Bernstein rows (``_bernstein_rows``), the columns past it are those of
+    S.  Those rows are used only where the leading columns of S are the
+    DoFs' own monomial rows; a DoF matrix that was not assembled from its
+    DoFs is eliminated as it is, with G_s the identity (k' None).  K =
+    ker(S G_s) as columns.  Only the kernel is kept, not the echelon form;
+    the memo is dropped when the DoF matrix or the shared rows change."""
+    shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
+    memo = element._split
+    if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
+        m, space, frame = element.dof_matrix, element.space, element.frame
+        dofs = [element.dofs[i] for i in shared]
+        lead = _bernstein_lead(space)
+        rows = _bernstein_rows(frame, dofs, space.kind, lead) if lead is not None else None
+        # the DoFs' own rows over the shape frame, from the traces build_element used
+        own = _dof_matrix(frame, dofs, space.kind, space.k) if rows is not None else None
+        if own is not None and own.take(range(own.rows), 0, rows.cols) == m.take(shared, 0, rows.cols):
+            s = rows.hstack(m.take(shared, rows.cols))
+        else:
+            lead, s = None, m.take(shared)
+        ker = s.null_space()
+        memo = element._split = (m, shared, m.cols - ker.cols, _change_of_basis(space, lead), ker, lead)
+    return memo
 
 
 def _shared_split(element: Element) -> tuple[list[int], int, Matrix, Matrix]:
     """(shared row indices, rank of the shared block S, G_s, K) with
-    ker S = G_s K, from one elimination of S per element.
-
-    G_s = ``_bernstein_change(space)`` maps Bernstein to member coordinates.
-    In Bernstein coordinates a face's DoFs see only the lambda^alpha that do
-    not vanish on it, so S G_s is sparse and its elimination stays small;
-    K = ker(S G_s) as columns.  Only the kernel is kept, not the echelon
-    form; the memo is dropped when the DoF matrix or the shared rows
-    change."""
-    shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
-    memo = element._split
-    if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
-        m = element.dof_matrix
-        g = _bernstein_change(element.space)
-        ker = m.take(shared).matmul(g).null_space()
-        memo = element._split = (m, shared, m.cols - ker.cols, g, ker)
-    return memo[1:]
+    ker S = G_s K; see ``_split_memo``."""
+    return _split_memo(element)[1:5]
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -570,20 +637,15 @@ def nodal_basis(element: Element) -> list[Polynomial]:
     ]
 
 
-def _nonzero_trace_mode(faces, kind: str, k: int, modes, *factors: Matrix) -> str | None:
-    """The first of ``modes`` in which a column of the product of ``factors``
-    (shape coefficients over the frame (kind, d, k)) has a nonzero trace on
-    one of ``faces``, or None.  This depends only on the span of the
-    columns, not on their basis.  Each trace matrix is multiplied with the
-    factors from the left, so that a dense product of sparse factors is
-    never formed."""
+def _nonzero_trace_mode(faces, modes, coeffs: Matrix, traces) -> str | None:
+    """The first of ``modes`` in which a column of ``coeffs`` has a nonzero
+    trace on one of ``faces``, or None, with ``traces(face, mode)`` the trace
+    matrices in the coordinates of ``coeffs``.  This depends only on the
+    span of the columns, not on their basis."""
     for mode in modes:
         for face in faces:
-            for t in face.traces(kind, k, mode)[1]:
-                for f in factors:
-                    t = t.matmul(f)
-                if not t.is_zero():
-                    return mode
+            if any(not t.matmul(coeffs).is_zero() for t in traces(face, mode)):
+                return mode
     return None
 
 
@@ -626,7 +688,7 @@ def _expected_kernel(element: Element) -> PolySpace | None:
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace."""
-    shared_rows, _, g, ker = _shared_split(element)
+    _, shared_rows, _, g, ker, lead = _split_memo(element)
     frame = element.frame
     ctx = {
         "family": element.family,
@@ -636,10 +698,8 @@ def trace_block_rank(element: Element) -> CheckResult:
         "kernel_dim": ker.cols,
     }
     space = element.space
-    basis = space.basis.matmul(g)
-    mode = _nonzero_trace_mode(
-        frame.faces(1), space.kind, space.k, FAMILIES[element.family].trace_modes, basis, ker
-    )
+    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, ker,
+                               lambda face, mode: _split_traces(face, space, lead, mode))
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
@@ -647,8 +707,7 @@ def trace_block_rank(element: Element) -> CheckResult:
     if bubble is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
     ctx["bubble_dim"] = bubble.dim
-    coeffs = exact.image_basis(basis.matmul(ker))
-    kernel_space = PolySpace(frame, space.kind, space.k, coeffs, "shared_kernel")
+    kernel_space = PolySpace(frame, space.kind, space.k, space.basis.matmul(g.matmul(ker)), "shared_kernel")
     if not spaces.space_equal(kernel_space, bubble):
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=bubble.dim, got=ker.cols, context=ctx)

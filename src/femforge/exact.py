@@ -146,14 +146,15 @@ class Matrix:
         """(den, ints) with row i equal to ``ints / den``, in lowest terms."""
         return self._dens[i], self._ints[i]
 
-    def take(self, indices: Iterable[int | None], start: int = 0) -> "Matrix":
-        """The rows of self at ``indices`` (None gives a zero row), from
-        column ``start`` on."""
-        width = self.cols - start
+    def take(self, indices: Iterable[int | None], start: int = 0, stop: int | None = None) -> "Matrix":
+        """The rows of self at ``indices`` (None gives a zero row), in the
+        columns from ``start`` up to ``stop`` (the last column when None)."""
+        stop = self.cols if stop is None else stop
+        width = stop - start
         zero = (1, (0,) * width)
         dens, ints = self._dens, self._ints
-        if start:
-            out = [zero if i is None else _reduced(dens[i], ints[i][start:]) for i in indices]
+        if width != self.cols:
+            out = [zero if i is None else _reduced(dens[i], ints[i][start:stop]) for i in indices]
         else:
             out = [zero if i is None else (dens[i], ints[i]) for i in indices]
         return Matrix._of(out, width)
@@ -206,6 +207,8 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack needs equal row counts")
+        if not other.cols:
+            return self
         out = []
         for da, a, db, b in zip(self._dens, self._ints, other._dens, other._ints):
             if da == db:

@@ -22,15 +22,27 @@ one weight per stored component ``c``: pointwise traces ``a^T tau b`` weight
 the restriction itself, ``g . div tau`` weights restricted partial
 derivatives and ``div_F(tau g)`` weights chart derivatives of the
 restriction, all accumulated in integers over one denominator.  Element DoFs,
-trace-block and bubble checks, patch jumps and the divdiv Green identity are
-all products with these matrices.
+patch jumps and the divdiv Green identity are products with these matrices.
+
+``Face.bernstein_trace``/``Face.bernstein_traces`` return the same traces
+already multiplied by the Bernstein matrix G, without that product: column
+``(alpha, c)`` is the trace of ``D^k lambda^alpha e_c``.  On a face with
+vertices v_0 < v_1 < ..., lambda^alpha restricts to zero unless alpha lives
+on the face, and otherwise to the chart's own barycentric monomial
+``(1 - sum s)^alpha_{v_0} prod_m s_m^alpha_{v_m}``, an integer polynomial
+that does not depend on the geometry (one table per face dimension and
+degree); derivatives go through ``d_j lambda^alpha = sum_i alpha_i
+lambda^(alpha - e_i) d_j lambda_i``.  The shared DoF blocks of the element
+certificates and of the patch check, and their trace tests, are assembled
+from these.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from .exact import Matrix, SingularMatrixError, _as_fraction, _cleared
@@ -66,6 +78,8 @@ class Face:
         "gram",
         "gram_inv",
         "powers",
+        "bary_den",
+        "bary_grads",
         "_traces",
     )
 
@@ -84,6 +98,9 @@ class Face:
         self.gram = gram
         self.gram_inv = gram.solve(Matrix.identity(m)) if m else None
         self.powers = AffinePowers(self.origin, [[tan[t] for tan in self.tangents] for t in range(d)])
+        # the frame's barycentric denominator D and the integers D grad(lambda_i)
+        self.bary_den = den = frame._bary.den
+        self.bary_grads = tuple(tuple(int(den * x) for x in g) for g in frame.grad_lambda)
         self._traces: dict = {}
 
     @property
@@ -102,12 +119,12 @@ class Face:
         """The pointwise trace ``a^T tau b`` (``v . a`` for a vector field) as a
         matrix from shape coefficients over the frame ``(kind, d, k)`` to chart
         coefficients of degree <= k."""
-        w = _weights(kind, self.d, a, b)
-        key = (kind, k, tuple(w))
-        got = self._traces.get(key)
-        if got is None:
-            got = self._traces[key] = self._operator(kind, k, k, [(w, self.powers.power)])
-        return got
+        return self._pointwise(kind, k, a, b, False)
+
+    def bernstein_trace(self, kind: str, k: int, a, b=None) -> Matrix:
+        """``trace(kind, k, a, b)`` times the frame's Bernstein matrix
+        G(kind, k), built from the restrictions of lambda^alpha alone."""
+        return self._pointwise(kind, k, a, b, True)
 
     def traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
         """Chart degree and trace matrices of a named trace, g the face's
@@ -118,77 +135,164 @@ class Face:
         tangential_tangential: t_1^T tau t_1 (all of chart degree k);
         normal_div: g . div tau;  combo: g . div tau + div_F(tau g) (degree k-1).
         """
-        key = (kind, k, mode)
+        return self._named(kind, k, mode, False)
+
+    def bernstein_traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
+        """``traces(kind, k, mode)`` with each matrix times the frame's
+        Bernstein matrix G(kind, k), built from the restrictions of
+        lambda^alpha alone."""
+        return self._named(kind, k, mode, True)
+
+    def _pointwise(self, kind: str, k: int, a, b, bernstein: bool) -> Matrix:
+        w = _weights(kind, self.d, a, b)
+        key = (bernstein, kind, k, tuple(w))
         got = self._traces.get(key)
         if got is None:
-            got = self._traces[key] = self._named_traces(kind, k, mode)
+            got = self._traces[key] = self._operator(kind, k, k, [(w, None)], bernstein)
         return got
 
-    def _named_traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
+    def _named(self, kind: str, k: int, mode: str, bernstein: bool) -> tuple[int, tuple[Matrix, ...]]:
+        key = (bernstein, kind, k, mode)
+        got = self._traces.get(key)
+        if got is None:
+            got = self._traces[key] = self._named_traces(kind, k, mode, bernstein)
+        return got
+
+    def _named_traces(self, kind: str, k: int, mode: str, bernstein: bool) -> tuple[int, tuple[Matrix, ...]]:
         d = self.d
         g = self.normal_frame[0]
+        trace = self.bernstein_trace if bernstein else self.trace
         if mode == "vector_normal":
-            return k, (self.trace(kind, k, g),)
+            return k, (trace(kind, k, g),)
         if mode == "tensor_normal":
-            return k, tuple(self.trace(kind, k, _unit(d, i), g) for i in range(d))
+            return k, tuple(trace(kind, k, _unit(d, i), g) for i in range(d))
         if mode == "normal_normal":
-            return k, (self.trace(kind, k, g, g),)
+            return k, (trace(kind, k, g, g),)
         if mode == "tangential":
-            return k, tuple(self.trace(kind, k, t, None if kind == "vector" else g) for t in self.tangents)
+            return k, tuple(trace(kind, k, t, None if kind == "vector" else g) for t in self.tangents)
         if mode == "tangential_tangential":
-            return k, (self.trace(kind, k, self.tangents[0], self.tangents[0]),)
+            return k, (trace(kind, k, self.tangents[0], self.tangents[0]),)
         if mode not in ("normal_div", "combo"):
             raise ValueError(f"unknown trace mode {mode!r}")
         # g . div tau = sum_j d_j (g^T tau e_j): restrictions of partials
-        parts = [(_weights(kind, d, g, _unit(d, j)), lambda e, j=j: self._restricted_partial(e, j))
-                 for j in range(d)]
+        parts = [(_weights(kind, d, g, _unit(d, j)), ("x", j)) for j in range(d)]
         if mode == "combo":
             # div_F(tau g) = sum_m d/ds_m restrict(c_m^T tau g), c_m = sum_n Ginv[m, n] t_n
             for m in range(self.dim):
                 c_m = [sum((self.gram_inv[m, n] * tn[t] for n, tn in enumerate(self.tangents)), _ZERO)
                        for t in range(d)]
-                parts.append((_weights(kind, d, c_m, g), lambda e, m=m: self._chart_partial(e, m)))
+                parts.append((_weights(kind, d, c_m, g), ("s", m)))
         chart_k = max(k - 1, 0)
-        return chart_k, (self._operator(kind, k, chart_k, parts),)
+        return chart_k, (self._operator(kind, k, chart_k, parts, bernstein),)
 
-    def _restricted_partial(self, e: tuple[int, ...], j: int) -> tuple[int, dict]:
-        """restrict(d/dx_j x^e) as (den, {chart exponents: int})."""
-        if not e[j]:
-            return 1, {}
-        den, table = self.powers.power(e[:j] + (e[j] - 1,) + e[j + 1:])
-        return den, {se: e[j] * v for se, v in table.items()}
+    def _monomial_terms(self, e: tuple[int, ...], op, k: int) -> list[tuple[int, dict]]:
+        """op(x^e) restricted, for op None (the value), ("x", j) (d/dx_j
+        first) or ("s", m) (d/ds_m after), as [(f, {chart exponents: int})]
+        with the polynomial sum(f * table) / D^k, D the chart denominator."""
+        if op is None:
+            den, table = self.powers.power(e)
+        elif op[0] == "x":
+            j = op[1]
+            if not e[j]:
+                return []
+            den, table = self.powers.power(e[:j] + (e[j] - 1,) + e[j + 1:])
+            table = {se: e[j] * v for se, v in table.items()}
+        else:
+            den, table = self.powers.power(e)
+            table = _chart_partial(table, op[1])
+        return [(self.powers.den ** k // den, table)]
 
-    def _chart_partial(self, e: tuple[int, ...], m: int) -> tuple[int, dict]:
-        """d/ds_m restrict(x^e) as (den, {chart exponents: int})."""
-        den, table = self.powers.power(e)
-        return den, {se[:m] + (se[m] - 1,) + se[m + 1:]: se[m] * v for se, v in table.items() if se[m]}
+    def _bernstein_terms(self, alpha: tuple[int, ...], op, k: int) -> list[tuple[int, dict]]:
+        """op(D^k lambda^alpha) restricted, D the barycentric denominator, as
+        [(f, {chart exponents: int})] with the polynomial sum(f * table).
 
-    def _operator(self, kind: str, k: int, chart_k: int, parts) -> Matrix:
-        """Column (c, e) of the frame (kind, d, k) holds the chart coefficients
-        (degree <= chart_k) of the sum over ``parts`` of ``w[c] * table(e)``,
-        for tables ``(den, {chart exponents: int})`` with den | D^k,
-        accumulated in integers over one common denominator."""
+        On the face, lambda_i vanishes for i off it, lambda_{v_0} = 1 - sum s
+        and lambda_{v_m} = s_m for its vertices v_0 < v_1 < ...; so lambda^alpha
+        restricts to the chart's own barycentric monomial or to zero, and
+        d_j lambda^alpha = sum_i alpha_i lambda^(alpha - e_i) d_j lambda_i
+        restricts the same way one degree lower."""
+        top = self.bary_den ** k
+        if op is None or op[0] == "s":
+            table = self._restricted_bernstein(alpha)
+            if table is None:
+                return []
+            return [(top, table if op is None else _chart_partial(table, op[1]))]
+        j, out = op[1], []
+        for i, a in enumerate(alpha):
+            # D^k alpha_i lambda^(alpha - e_i) d_j lambda_i, with D d_j lambda_i an integer
+            if a and self.bary_grads[i][j]:
+                table = self._restricted_bernstein(alpha[:i] + (a - 1,) + alpha[i + 1:])
+                if table is not None:
+                    out.append((top // self.bary_den * a * self.bary_grads[i][j], table))
+        return out
+
+    def _restricted_bernstein(self, alpha: tuple[int, ...]) -> dict | None:
+        """The chart coefficients of lambda^alpha restricted to the face, or
+        None where it vanishes there."""
+        for i in self.opposite_ids:
+            if alpha[i]:
+                return None
+        return _chart_bernstein(self.dim, sum(alpha))[tuple([alpha[v] for v in self.vertex_ids])]
+
+    def _operator(self, kind: str, k: int, chart_k: int, parts, bernstein: bool) -> Matrix:
+        """Column (c, e) of the frame (kind, d, k), or column (alpha, c) of the
+        Bernstein matrix G(kind, k), holds the chart coefficients (degree <=
+        chart_k) of the sum over ``parts`` of ``w[c]`` times an operator of
+        ``x^e`` or of ``D^k lambda^alpha`` (see ``_monomial_terms`` and
+        ``_bernstein_terms``), accumulated in integers over one common
+        denominator."""
         index = {e: i for i, e in enumerate(monomials(self.dim, chart_k))}
         nc = ncomp(kind, self.d)
-        exps = monomials(self.d, k)
+        if bernstein:
+            keys, top, terms_of = _bernstein_alphas(self.d, k), 1, self._bernstein_terms
+        else:
+            keys, top, terms_of = monomials(self.d, k), self.powers.den ** k, self._monomial_terms
         weights = [_cleared(w) for w, _ in parts]
         lw = lcm(*(l for l, _ in weights))
-        top = self.powers.den ** k
-        rows = [[0] * (nc * len(exps)) for _ in index]
-        for (l, wints), (_, table) in zip(weights, parts):
-            for ie, e in enumerate(exps):
-                den, terms = table(e)
-                f = lw // l * (top // den)
-                for c, wc in enumerate(wints):
-                    if wc:
-                        col, m = ie * nc + c, wc * f
-                        for se, v in terms.items():
-                            rows[index[se]][col] += m * v
-        return Matrix.from_int_rows([(lw * top, row) for row in rows], nc * len(exps))
+        rows = [[0] * (nc * len(keys)) for _ in index]
+        for (l, wints), (_, op) in zip(weights, parts):
+            for ie, key in enumerate(keys):
+                for f, terms in terms_of(key, op, k):
+                    f *= lw // l
+                    for c, wc in enumerate(wints):
+                        if wc:
+                            col, m = ie * nc + c, wc * f
+                            for se, v in terms.items():
+                                rows[index[se]][col] += m * v
+        return Matrix.from_int_rows([(lw * top, row) for row in rows], nc * len(keys))
 
 
-def _unit(d: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if t == i else _ZERO for t in range(d))
+def _chart_partial(table: dict, m: int) -> dict:
+    """d/ds_m of a chart polynomial {exponents: int}."""
+    return {se[:m] + (se[m] - 1,) + se[m + 1:]: se[m] * v for se, v in table.items() if se[m]}
+
+
+@lru_cache(maxsize=None)
+def _bernstein_alphas(d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The alpha with |alpha| = k over the d + 1 barycentric coordinates, in
+    the order of ``monomials(d + 1, k)``: the Bernstein columns of degree k."""
+    return monomials(d + 1, k)[len(monomials(d + 1, k - 1)):]
+
+
+@lru_cache(maxsize=None)
+def _chart_bernstein(m: int, k: int) -> dict:
+    """{beta: {chart exponents: int}} for |beta| = k: the expansion of
+    (1 - sum s)^beta_0 prod_j s_j^beta_j in the m chart variables s, the
+    restriction of lambda^alpha to an m-dimensional face; free of geometry."""
+    out = {}
+    for beta in _bernstein_alphas(m, k):
+        b0, shift = beta[0], beta[1:]
+        table = {}
+        for gamma in monomials(m, b0):
+            n = sum(gamma)
+            coeff = factorial(b0) // (factorial(b0 - n) * prod(map(factorial, gamma)))
+            table[tuple(g + s for g, s in zip(gamma, shift))] = -coeff if n % 2 else coeff
+        out[beta] = table
+    return out
+
+
+def _unit(d: int, i: int) -> tuple[int, ...]:
+    return tuple(int(t == i) for t in range(d))
 
 
 def _weights(kind: str, d: int, a, b=None) -> list[Fraction]:
@@ -198,10 +302,12 @@ def _weights(kind: str, d: int, a, b=None) -> list[Fraction]:
         return list(a)
     w = [_ZERO] * ncomp(kind, d)
     for i in range(d):
-        for j in range(d):
-            c, sign = entry_comp(kind, d, i, j)
-            if sign and a[i] and b[j]:
-                w[c] += sign * a[i] * b[j]
+        if a[i]:
+            for j in range(d):
+                if b[j]:
+                    c, sign = entry_comp(kind, d, i, j)
+                    if sign:
+                        w[c] += sign * a[i] * b[j]
     return w
 
 
@@ -303,7 +409,7 @@ class SimplexFrame:
         if got is None:
             nc = ncomp(kind, self.d)
             index = {e: i for i, e in enumerate(monomials(self.d, k))}
-            alphas = monomials(self.d + 1, k)[len(monomials(self.d + 1, k - 1)):]
+            alphas = _bernstein_alphas(self.d, k)
             rows = [[0] * (nc * len(alphas)) for _ in range(nc * len(index))]
             for ia, alpha in enumerate(alphas):
                 for e, v in self._bary.power(alpha)[1].items():

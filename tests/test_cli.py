@@ -141,6 +141,12 @@ _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "3", "--k", "2..3", "--family", "HdivS_minus", "--family", "DivDivMinus",
                   "--family", "DivDivPlusMinus"],
                  "52df55401a4c006a997368eec32980dcf7f686bbf3a65aa0f93ce21456943eef", id="verify-d3-minus"),
+    # the certify-d3 cells through the CLI, patch checks included
+    pytest.param(["verify", "--d", "3", "--k", "4", "--family", "BDM", "--family", "DivDiv"],
+                 "5468689884b5377dadf30bd52455b869bb6c754b7a582743581fa42ceead4983", id="verify-d3-k4"),
+    pytest.param(["verify", "--d", "3", "--k", "4", "--family", "BDM", "--family", "DivDiv",
+                  "--simplex", "random", "--seed", "7"],
+                 "0ebdfb29582b392c0a615263af4241b061d5a0f87e2fbca67cd718292fe903de", id="verify-d3-k4-random-7"),
 ]
 
 
@@ -217,6 +223,27 @@ def test_export_reports_skipped_cells(tmp_path, capsys):
     assert code == 0
     assert "skip HdivS d=2 k=1 (below degree floor 2)" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["HdivS_d2_k2.json"]
+
+
+def test_export_defaults_to_bdm(tmp_path, capsys):
+    assert cli.main(["export", "--d", "2..2", "--k", "1..1", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BDM_d2_k1.json"]
+
+
+def test_family_help_names_each_default(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["export", "--help"])
+    assert "defaults to BDM" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert "defaults to every family and pseudo-family" in " ".join(capsys.readouterr().out.split())
+
+
+def test_dims_takes_no_family(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dims", "--family", "BDM", "--d", "2..2", "--k", "1..1"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --family BDM" in capsys.readouterr().err
 
 
 def test_export_io_error():

@@ -303,8 +303,8 @@ def test_cell_checks_build_one_element_per_simplex(monkeypatch):
 
 import dataclasses  # noqa: E402
 
-from femforge.elements import _dof_matrix, _first_nonzero_trace  # noqa: E402
-from femforge.exact import DimensionMismatchError, SingularMatrixError  # noqa: E402
+from femforge.elements import _bernstein_change, _dof_matrix, _first_nonzero_trace  # noqa: E402
+from femforge.exact import DimensionMismatchError, SingularMatrixError, rref_kernel  # noqa: E402
 from femforge.report import CheckResult  # noqa: E402
 
 
@@ -378,6 +378,60 @@ def test_shared_block_solution_solves_the_shared_rows(family):
     assert (sol.rows, sol.cols) == (right.basis.rows, left.dim)
     assert rows.matmul(sol) == on_face.matmul(left.basis)
     assert right.basis.hstack(sol).rank() == right.dim
+
+
+def reference_shared_block_solution(patch, spec, left, right, k):
+    """The shared-block solution through products with G_s: one RREF of
+    [S (basis G_s) | rhs] with every right-hand side, the zero ones too, and
+    the kernel's traces taken as monomial traces of (basis G_s) K."""
+    d = patch.left.d
+    shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
+    rows = _dof_matrix(patch.right, shared, right.kind, right.k)
+    on_face = rows.take([i if conformity._on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
+    n = right.dim
+    basis = right.basis.matmul(_bernstein_change(right))
+    red, pivots = rows.matmul(basis).hstack(on_face.matmul(left.basis)).rref()
+    if pivots and pivots[-1] >= n:
+        return None
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    sol = red.take([row_of.get(c) for c in range(n)], n)
+    coeffs = basis.matmul(rref_kernel(red, pivots, n))
+    if any(not t.matmul(coeffs).is_zero() for mode in spec.trace_modes
+           for t in patch.shared_left.traces(right.kind, right.k, mode)[1]):
+        return None
+    return basis.matmul(sol)
+
+
+_BLOCK_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step) for fam in sorted(FAMILIES) for step in (0, 1)]
+_BLOCK_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in ("BDM", "RT", "HdivS", "DivDiv")]
+
+
+@pytest.mark.parametrize("family,d,k", _BLOCK_CELLS)
+def test_shared_block_solution_equals_the_product_route(family, d, k):
+    # the same right coefficients without the zero right-hand sides in the
+    # RREF and without a product by G_s
+    patch = reflected_patch(random_frame(d, random.Random(64 + d)))
+    spec = FAMILIES[family]
+    left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
+    sol = conformity._shared_block_solution(patch, spec, left, right, k)
+    assert sol is not None
+    assert sol == reference_shared_block_solution(patch, spec, left, right, k)
+
+
+def test_zero_right_hand_sides_are_members_without_dofs_on_the_face():
+    # on the d=3 DivDiv k=3 patch some left members have no DoF on the shared
+    # face; their right function is zero
+    patch = reflected_patch(reference_simplex(3))
+    spec = FAMILIES["DivDiv"]
+    left, right = build_standard(patch.left, spec.shape, 3), build_standard(patch.right, spec.shape, 3)
+    shared = [dof for dof in spec.dofs(patch.right, 3) if dof.shared]
+    on_face = _dof_matrix(patch.right, [dof for dof in shared if conformity._on_shared_face(dof, 3)],
+                          right.kind, right.k).matmul(left.basis)
+    zero = [j for j in range(left.dim) if not any(on_face.column(j))]
+    assert 0 < len(zero) < left.dim
+    sol = conformity._shared_block_solution(patch, spec, left, right, 3)
+    assert all(not any(sol.column(j)) for j in zero)
+    assert sol == reference_shared_block_solution(patch, spec, left, right, 3)
 
 
 @pytest.fixture

@@ -715,3 +715,50 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     res = check_unisolvence(e)
     assert not res.passed and res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
     assert el._shared_split(e)[1] == len(shared) - 1
+
+
+# -- the shared block assembled in Bernstein coordinates ---------------------------------
+#
+# The shared DoF rows against the Bernstein basis, and the traces against it,
+# are built from the faces' Bernstein traces; the products with G_s are the
+# oracle.
+
+
+@pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
+def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
+    fr = random_frame(d, random.Random(45 + d))
+    e = build_element(fr, family, k)
+    _, shared, rank_s, g, ker, lead = el._split_memo(e)
+    assert g == el._bernstein_change(e.space)
+    if lead is None:
+        # the RT_0 shape space has no leading identity block: member coordinates
+        assert (family, k) == ("RT", 0) and g == Matrix.identity(e.dim)
+        rows = Matrix.zeros(len(shared), 0)
+    else:
+        rows = el._bernstein_rows(fr, [e.dofs[i] for i in shared], e.space.kind, lead)
+    oracle = e.dof_matrix.take(shared).matmul(g)
+    assert rows.hstack(e.dof_matrix.take(shared, rows.cols)) == oracle
+    assert ker == oracle.null_space() and rank_s == oracle.rank()
+    # the traces against basis G_s: Bernstein on the leading block, monomial past it
+    basis = e.space.basis.matmul(g)
+    for face in fr.faces(1):
+        for mode in FAMILIES[family].trace_modes:
+            got = el._split_traces(face, e.space, lead, mode)
+            assert got == tuple(t.matmul(basis) for t in face.traces(e.space.kind, e.space.k, mode)[1])
+
+
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("RT", 1), ("HdivS_minus", 2), ("DivDiv", 3)])
+def test_shared_rows_not_assembled_from_their_dofs_are_eliminated_as_they_are(family, k):
+    # a shared row scaled by 2 keeps every certificate; the split then runs in
+    # member coordinates (G_s the identity), as the DoF matrix stands
+    e = build_element(random_frame(2, random.Random(43)), family, k)
+    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    rows[shared[0]] = [2 * x for x in rows[shared[0]]]
+    broken = _with_rows(e, rows)
+    uni, block = check_unisolvence(broken), trace_block_rank(broken)
+    assert broken._split[5] is None and broken._split[3] == Matrix.identity(e.dim)
+    assert uni.passed and block.passed
+    assert uni.as_dict() == reference_check_unisolvence(broken).as_dict() == check_unisolvence(e).as_dict()
+    assert block.as_dict() == reference_trace_block_rank(broken).as_dict() == trace_block_rank(e).as_dict()
+    assert e._split[5] is not None

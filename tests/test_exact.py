@@ -543,3 +543,15 @@ def test_integer_core_matches_sympy():
         assert sq.det() == _qq(dsq.det())
 
     check()
+
+
+def test_take_selects_a_column_window_in_normal_form():
+    m = Matrix([[Fraction(1, 2), 2, 3, 0], [4, Fraction(1, 3), 5, 6]])
+    assert m.take([1, None], 1, 3) == Matrix([[Fraction(1, 3), 5], [0, 0]])
+    assert m.take([0], 0, 2) == Matrix([[Fraction(1, 2), 2]])
+    assert m.take([0], 2, 4) == Matrix([[3, 0]])
+    assert m.take([0, 1], 0, 4) == m and m.take([0], 3, 3).cols == 0
+    for got in (m.take([1, None], 1, 3), m.take([0], 2, 4)):
+        _assert_normal_form(got)
+    # an empty right block leaves the matrix as it is
+    assert m.hstack(Matrix.zeros(2, 0)) is m

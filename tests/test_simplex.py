@@ -255,3 +255,65 @@ def test_bernstein_matrix_has_full_rank(d):
                     for c in range(nc):
                         want = tuple(v if c2 == c else 0 for v in row for c2 in range(nc))
                         assert g.int_row(i * nc + c) == (1, want)
+
+
+# -- the Bernstein traces -------------------------------------------------------------
+#
+# Face.bernstein_trace(s) build T G, a face trace T times the frame's Bernstein
+# matrix G, from the restrictions of lambda^alpha alone; the product T G is the
+# oracle.
+
+_NAMED_MODES = {"vector": ("vector_normal", "tangential"),
+                "sym": ("tensor_normal", "normal_normal", "tangential", "tangential_tangential",
+                        "normal_div", "combo")}
+
+
+def _oracle_frames(d):
+    frames = _bernstein_frames(d)
+    return frames if d < 4 else frames[:2]
+
+
+@pytest.mark.parametrize("kind", ["vector", "sym"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_bernstein_traces_are_the_traces_times_g(kind, d, k):
+    for fr in _oracle_frames(d):
+        g = fr.bernstein(kind, k)
+        # at d=4, k=4 the sym oracle products are large: two of the five facets
+        faces = fr.faces(1) if (d, k) != (4, 4) else (fr.faces(1)[0], fr.faces(1)[-1])
+        for face in faces:
+            for mode in _NAMED_MODES[kind]:
+                chart_k, mats = face.traces(kind, k, mode)
+                got_k, got = face.bernstein_traces(kind, k, mode)
+                assert got_k == chart_k and len(got) == len(mats)
+                assert face.bernstein_traces(kind, k, mode)[1] is got
+                for t, tb in zip(mats, got):
+                    assert tb == t.matmul(g)
+
+
+@pytest.mark.parametrize("kind", ["vector", "sym"])
+@pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3) for k in range(5)] + [(4, k) for k in range(3)])
+def test_bernstein_trace_is_the_trace_times_g_on_every_face(kind, d, k):
+    # the weight pairs of the normal-normal face moments, on the faces of
+    # every codimension down to the vertices
+    for fr in _oracle_frames(d):
+        g = fr.bernstein(kind, k)
+        for r in range(1, d + 1):
+            for face in fr.faces(r):
+                for a in range(r):
+                    for b in range(a, r):
+                        ga, gb = face.normal_frame[a], face.normal_frame[b]
+                        args = (ga,) if kind == "vector" else (ga, gb)
+                        assert face.bernstein_trace(kind, k, *args) == face.trace(kind, k, *args).matmul(g)
+
+
+def test_bernstein_trace_of_a_vertex_is_d_to_the_k_at_k_e_v():
+    # lambda^alpha at vertex v is 1 for alpha = k e_v and 0 otherwise
+    fr = _bernstein_frames(3)[2]
+    assert fr.faces(1)[0].bary_den > 1
+    for face in fr.faces(3):
+        (v,) = face.vertex_ids
+        row = face.bernstein_trace("scalar", 3, (1,))
+        alphas = [a for a in poly.monomials(4, 3) if sum(a) == 3]
+        want = [face.bary_den ** 3 if a[v] == 3 else 0 for a in alphas]
+        assert row == Matrix([want])
