@@ -394,28 +394,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="femforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_d="2..3", default_k="1..4", family_help=None):
+    def common(p, default_d="2..3", default_k="1..4", family_help=None, geometry=True, report=True):
+        """Only the options a subcommand reads: --simplex and --seed place
+        element cells, --format and --jobs make a report of grid cells."""
         if family_help is not None:
             p.add_argument("--family", action="append", help=family_help)
         p.add_argument("--d", type=_parse_range, default=_parse_range(default_d),
                        help="dimension or range a..b (supported: 2..4)")
         p.add_argument("--k", type=_parse_range, default=_parse_range(default_k),
                        help="degree or range a..b")
-        p.add_argument(
-            "--simplex", default="ref",
-            help="'ref', 'random', or a path to a JSON simplex description",
-        )
-        p.add_argument("--seed", type=int, default=0)
+        if geometry:
+            p.add_argument("--simplex", default="ref",
+                           help="'ref', 'random', or a path to a JSON simplex description")
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "markdown"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        if report:
+            p.add_argument("--format", choices=("json", "markdown"), default="json")
+            p.add_argument("--jobs", type=int, default=1)
 
     p_dims = sub.add_parser("dims", help="dimension formulas vs computed ranks")
-    common(p_dims)
+    common(p_dims, geometry=False)
     p_ver = sub.add_parser("verify", help="run the verification suites over a grid")
     common(p_ver, family_help="repeatable; defaults to every family and pseudo-family")
     p_exp = sub.add_parser("export", help="export elements as JSON")
-    common(p_exp, default_k="1..1", family_help="repeatable; defaults to BDM")
+    common(p_exp, default_k="1..1", family_help="repeatable; defaults to BDM", report=False)
     return parser
 
 
@@ -426,11 +428,11 @@ def main(argv=None) -> int:
     k_lo, k_hi = args.k
     if not (2 <= d_lo <= d_hi <= 4):
         parser.error("dimension range must lie within 2..4")
-    if args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
     if k_lo > k_hi or k_hi > DEFAULT_MAX_K:
         parser.error(f"degree range must be increasing and capped at {DEFAULT_MAX_K}")
-    if args.simplex not in ("ref", "random"):
+    if getattr(args, "simplex", "ref") not in ("ref", "random"):
         try:
             fr = _load_frame_file(args.simplex)
         except (OSError, ValueError, KeyError) as err:

@@ -3,38 +3,35 @@
 Patch test
 ----------
 Both simplices of a patch list the shared face's vertices first, in the same
-order, so the canonical chart of the shared face is bit-identical from either
-side.  For each left shape function, a right shape function is solved for
-that matches every right DoF living on the shared face (applied directly to
-the left function), with the right side's other shared DoFs set to zero.  The
-left side is only its shape space, never a full element, and the matched
+order, so the canonical chart of the shared face is bit-identical from
+either side.  For each left shape function, a right shape function is solved
+for that matches every right DoF living on the shared face (applied directly
+to the left function), with the right side's other shared DoFs set to zero.
+The left side is only its shape space, never a full element, and the matched
 shared DoFs of all left members are one product: the right side's shared DoF
-rows times the left shape basis.  The right side needs only those rows S too,
-eliminated in Bernstein coordinates (``elements._bernstein_change``: G_s maps
-them to member coordinates, and S G_s is sparse because a face's DoFs see
-only the lambda^alpha that do not vanish on it); S G_s is assembled from the
-right frame's Bernstein traces, not multiplied out.  One RREF of
-[S G_s | rhs], the zero right-hand sides left out, gives a particular
-solution (free Bernstein coordinates zero) and ker(S G_s), both mapped back
-by G_s.  When every member of ker S has zero declared traces on the face
-(the right frame's Bernstein traces times the kernel), all right functions
-with these shared DoFs have
-the same declared traces there (the shared DoFs fix the trace part of the
-paper's split), so the jumps are taken on the particular solution, and they
-do not depend on which particular solution it is.  The family's declared
-traces must then agree exactly as chart polynomials, while a designated
-non-conforming component (fixed by the first declared trace) must jump for
-at least one pair (the negative control that guards against vacuous passes;
-unlike the declared traces, it can depend on the particular solution).  The
-jumps of all members are one product per trace: the shared face's trace
-matrix times the left minus the right shape coefficients.
+rows times the left shape basis.  The right side needs only those rows S
+too, eliminated in Bernstein coordinates: ``elements._shared_block`` forms
+the sparse S G_s, as it does for the element certificates, with G_s mapping
+Bernstein to member coordinates.  One RREF of [S G_s | rhs], the zero
+right-hand sides left out, gives a particular solution (free Bernstein
+coordinates zero) and ker(S G_s), both mapped back by G_s.  When every
+member of ker S has zero declared traces on the face, all right functions
+with these shared DoFs have the same declared traces there (the shared DoFs
+fix the trace part of the paper's split), so the jumps are taken on the
+particular solution, and they do not depend on which one it is.  The
+family's declared traces must then agree exactly as chart polynomials, while
+a designated non-conforming component (fixed by the first declared trace)
+must jump for at least one pair (the negative control that guards against
+vacuous passes; unlike the declared traces, it can depend on the particular
+solution).  The jumps of all members are one product per trace: the shared
+face's trace matrix times the left minus the right shape coefficients.
 
-Every outcome but a pass (an inconsistent system, a kernel member with a
-nonzero declared trace, a nonzero jump, a control that does not jump) is
-decided again from the right element's whole DoF system, every right DoF off
-the shared face zero.  A failure then reports the first nonzero jump of that
-unique right function as a chart polynomial, or a singular right DoF matrix
-by its rank.
+Every outcome but a pass (a shape basis without a Bernstein block, an
+inconsistent system, a kernel member with a nonzero declared trace, a
+nonzero jump, a control that does not jump) is decided again from the right
+element's whole DoF system, every right DoF off the shared face zero.  A
+failure then reports the first nonzero jump of that unique right function as
+a chart polynomial, or a singular right DoF matrix by its rank.
 
 All jumps are formed with one fixed covector: the left element's scaled
 normal g.  Since the right element's outward scaled normal is a negative
@@ -75,8 +72,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _bernstein_lead, _bernstein_rows, _change_of_basis, _dof_matrix,
-                       _first_nonzero_trace, _nonzero_trace_mode, _split_traces, build_element)
+from .elements import (FAMILIES, _dof_matrix, _first_nonzero_trace, _nonzero_trace_mode, _shared_block,
+                       build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -162,40 +159,37 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     """Right shape coefficients (over the shaped frame) that match the shared
     DoFs of every left member on the shared face, the right side's other
     shared DoFs zero, from the right side's shared DoF rows S alone; None
-    unless the system is consistent and ker S has zero declared traces on
-    the face, so that every such right function has the same declared traces.
+    unless ``_shared_block`` gives S G_s, the system is consistent and ker S
+    has zero declared traces on the face, so that every such right function
+    has the same declared traces.
 
-    One RREF of [S G_s | rhs], in the Bernstein coordinates of
-    ``_bernstein_change`` (S G_s assembled from the right frame's Bernstein
-    traces, as in ``elements._split_memo``), gives both a particular solution
-    (free Bernstein coordinates zero) and ker S, each mapped back by G_s.
-    The zero right-hand sides (left members with no DoF on the face) stay
-    out of the RREF: their solution is zero."""
+    One RREF of [S G_s | rhs] gives both a particular solution (free
+    Bernstein coordinates zero) and ker S, each mapped back by G_s.  The
+    zero right-hand sides (left members with no DoF on the face) stay out of
+    the RREF: their solution is zero."""
     d = patch.left.d
     shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
+    block = _shared_block(patch.right, shared, right,
+                          lambda n: rows.matmul(right.basis.take(range(right.basis.rows), n)))
+    if block is None:
+        return None
+    s, g, lead = block
     on_face = rows.take([i if _on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
     rhs = on_face.matmul(left.basis).transpose()
     nonzero = [j for j in range(rhs.rows) if any(rhs.int_row(j)[1])]
     n = right.dim
-    lead = _bernstein_lead(right)
-    block = _bernstein_rows(patch.right, shared, right.kind, lead) if lead is not None else None
-    if block is None:
-        lead, block = None, rows.matmul(right.basis)
-    elif block.cols < n:
-        block = block.hstack(rows.matmul(right.basis.take(range(right.basis.rows), block.cols)))
-    red, pivots = block.hstack(rhs.take(nonzero).transpose()).rref()
+    red, pivots = s.hstack(rhs.take(nonzero).transpose()).rref()
     if pivots and pivots[-1] >= n:
         return None
     ker = rref_kernel(red, pivots, n)
-    if ker.cols and _nonzero_trace_mode([patch.shared_right], spec.trace_modes, ker,
-                                        lambda face, mode: _split_traces(face, right, lead, mode)) is not None:
+    if ker.cols and _nonzero_trace_mode([patch.shared_right], spec.trace_modes, right, lead, ker) is not None:
         return None
     row_of = {pc: r for r, pc in enumerate(pivots)}
     sol = red.take([row_of.get(c) for c in range(n)], n).transpose()
     col_of = {j: c for c, j in enumerate(nonzero)}
     sol = sol.take([col_of.get(j) for j in range(rhs.rows)]).transpose()
-    return right.basis.matmul(_change_of_basis(right, lead).matmul(sol))
+    return right.basis.matmul(g.matmul(sol))
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
@@ -237,8 +231,7 @@ def _jump_check(patch: Patch, family: str, k: int, left: PolySpace, right: Matri
         ctx["member"] = j
         ctx["jump"] = poly.poly_to_json(jump)
         return CheckResult(f"conformity-{family}", False, expected="zero jump", got=mode, context=ctx)
-    control_jumped = _nonzero_trace_mode([face], (control_mode,), jumps,
-                                         lambda face, mode: face.traces(kind, k_frame, mode)[1]) is not None
+    control_jumped = any(not t.matmul(jumps).is_zero() for t in face.traces(kind, k_frame, control_mode)[1])
     ctx["negative_control"] = control_mode
     ctx["negative_control_jumped"] = control_jumped
     if not control_jumped:

@@ -10,9 +10,11 @@ zero shared DoFs) serves both.  The elimination runs in Bernstein
 coordinates, where that split is local: with G the integer matrix of the
 barycentric monomials lambda^alpha, |alpha| = k (``SimplexFrame.bernstein``),
 a face's DoFs see only the lambda^alpha that do not vanish on it, so S G is
-sparse, and K = G ker(S G).  S G is never formed as a product: its rows are
-assembled from the faces' Bernstein traces (``Face.bernstein_traces``), the
-trace of lambda^alpha on a face being an integer table.  The DoF matrix
+sparse, and K = G ker(S G).  ``_shared_block`` forms S G for the element
+certificates and for the patch check of ``conformity`` alike, on the leading
+degree-k' block of the shape basis (k' = 0 included), from the faces'
+Bernstein traces rather than a product with G.  A DoF matrix that
+``build_element`` did not assemble is eliminated as it stands.  The DoF matrix
 [S; I] is invertible exactly when S has full row rank and the square
 interior block I G K is nonsingular; any other case falls back to the exact
 rank of the full matrix and a kernel witness.  The trace-block check
@@ -87,6 +89,8 @@ class Element:
     # (dof_matrix, shared row indices, rank of S, change of basis G_s, basis
     # of ker(S G_s), degree of its Bernstein block); see _split_memo
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the DoF matrix build_element assembled from ``dofs``; None on any other Element
+    _assembled: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -132,10 +136,13 @@ def _run_key(dof: DoFDescriptor) -> tuple:
     return (dof.kind, id(dof.face), dof.vertex, dof.comp if dof.kind == FACE_NN else None)
 
 
-def _dof_matrix(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> Matrix:
-    """The rows of ``dofs``, in order, as one matrix over the frame (kind, d, k)."""
+def _dof_matrix(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int,
+                bernstein: bool = False) -> Matrix:
+    """The rows of ``dofs``, in order, as one matrix over the frame (kind, d, k),
+    or with ``bernstein`` against the Bernstein columns of G(kind, k)."""
     runs = [list(run) for _, run in groupby(dofs, key=_run_key)]
-    return Matrix.vstack([_run_rows(frame, run, kind, k) for run in runs], len(poly.frame(kind, frame.d, k)))
+    return Matrix.vstack([_run_rows(frame, run, kind, k, bernstein) for run in runs],
+                         len(poly.frame(kind, frame.d, k)))
 
 
 def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> dict[int, _Row]:
@@ -148,18 +155,6 @@ def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: 
 def _coeff_rows(tests: Sequence[Polynomial]) -> tuple[Matrix, int]:
     deg = max(max(q.degree() for q in tests), 0)
     return Matrix.from_int_rows([poly.coeff_row(q, deg) for q in tests]), deg
-
-
-def _bernstein_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> Matrix | None:
-    """The rows of ``dofs``, in order, against the Bernstein columns
-    D^k lambda^alpha e_c of ``frame.bernstein(kind, k)``: the DoF matrix of
-    the Bernstein basis, assembled from the Bernstein traces of
-    ``simplex.Face``; None unless every DoF is a face moment or a vertex
-    value."""
-    if any(dof.kind != VERTEX_EVAL and (dof.face is None or dof.kind not in _FACE_KINDS) for dof in dofs):
-        return None
-    runs = [list(run) for _, run in groupby(dofs, key=_run_key)]
-    return Matrix.vstack([_run_rows(frame, run, kind, k, True) for run in runs], len(poly.frame(kind, frame.d, k)))
 
 
 def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, bernstein: bool = False) -> Matrix:
@@ -504,12 +499,15 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
         # one run's rows at a time, released once applied
         rows = _dof_rows(frame, list(run), space.kind, space.k)
         values += [[apply_dof(frame, row.dof, m, rows) for m in members] for row in rows.values()]
-    return Element(family, frame, k, space, dofs, Matrix(values, len(members)))
+    element = Element(family, frame, k, space, dofs, Matrix(values, len(members)))
+    element._assembled = element.dof_matrix
+    return element
 
 
 def _bernstein_lead(space: PolySpace) -> int | None:
-    """The largest k' whose frame (kind, d, k') is a leading identity block
-    of the basis, diag(I_n, H), or None when the basis has no such block."""
+    """The largest k' >= 0 whose frame (kind, d, k') is a leading identity
+    block of the basis, diag(I_n, H), or None when the basis has no such
+    block; at k' = 0, G(kind, 0) is the identity."""
     basis = space.basis
     lead = 0
     while lead < basis.cols:
@@ -517,18 +515,11 @@ def _bernstein_lead(space: PolySpace) -> int | None:
         if den != 1 or ints[lead] != 1 or ints.count(0) != basis.cols - 1:
             break
         lead += 1
-    for k in range(space.k, 0, -1):
+    for k in range(space.k, -1, -1):
         n = len(poly.frame(space.kind, space.frame.d, k))
         if n <= lead and not any(any(basis.int_row(i)[1][:n]) for i in range(n, basis.rows)):
             return k
     return None
-
-
-def _bernstein_change(space: PolySpace) -> Matrix:
-    """diag(G, I): the change of basis from Bernstein to member coordinates
-    of ``space``, G = frame.bernstein(kind, k') for the leading block of
-    ``_bernstein_lead``; the identity when the basis has no such block."""
-    return _change_of_basis(space, _bernstein_lead(space))
 
 
 def _change_of_basis(space: PolySpace, lead: int | None) -> Matrix:
@@ -558,42 +549,45 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
     return tuple(out)
 
 
+def _shared_block(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
+                  tail: Callable[[int], Matrix]) -> tuple[Matrix, Matrix, int] | None:
+    """(S G_s, G_s, k') for the rows S of ``dofs`` against ``space.basis``,
+    G_s = ``_change_of_basis(space, k')``: the DoFs' own Bernstein rows of
+    degree k', beside ``tail(n)``, S times the basis columns from n on.  None
+    where the basis has no Bernstein block or a DoF is neither a face moment
+    nor a vertex value."""
+    lead = _bernstein_lead(space)
+    if lead is None or any(dof.kind != VERTEX_EVAL and (dof.face is None or dof.kind not in _FACE_KINDS)
+                           for dof in dofs):
+        return None
+    block = _dof_matrix(frame, dofs, space.kind, lead, True)
+    if block.cols < space.basis.cols:
+        block = block.hstack(tail(block.cols))
+    return block, _change_of_basis(space, lead), lead
+
+
 def _split_memo(element: Element) -> tuple:
     """(dof_matrix, shared row indices, rank of the shared block S, G_s, K,
     k') with ker S = G_s K, from one elimination of S per element.
 
-    G_s = ``_change_of_basis(space, k')`` maps Bernstein to member
-    coordinates.  In Bernstein coordinates a face's DoFs see only the
-    lambda^alpha that do not vanish on it, so S G_s is sparse and its
-    elimination stays small: its leading block is the shared DoFs' own
-    Bernstein rows (``_bernstein_rows``), the columns past it are those of
-    S.  Those rows are used only where the leading columns of S are the
-    DoFs' own monomial rows; a DoF matrix that was not assembled from its
-    DoFs is eliminated as it is, with G_s the identity (k' None).  K =
-    ker(S G_s) as columns.  Only the kernel is kept, not the echelon form;
-    the memo is dropped when the DoF matrix or the shared rows change."""
+    The DoF matrix that ``build_element`` assembled is eliminated in the
+    Bernstein coordinates of ``_shared_block``, its columns past the leading
+    block taken as they stand; any other DoF matrix is eliminated as it is,
+    with G_s the identity (k' None).  K = ker(S G_s) as columns.  Only the
+    kernel is kept, not the echelon form; the memo is dropped when the DoF
+    matrix or the shared rows change."""
     shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
     memo = element._split
     if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
-        m, space, frame = element.dof_matrix, element.space, element.frame
-        dofs = [element.dofs[i] for i in shared]
-        lead = _bernstein_lead(space)
-        rows = _bernstein_rows(frame, dofs, space.kind, lead) if lead is not None else None
-        # the DoFs' own rows over the shape frame, from the traces build_element used
-        own = _dof_matrix(frame, dofs, space.kind, space.k) if rows is not None else None
-        if own is not None and own.take(range(own.rows), 0, rows.cols) == m.take(shared, 0, rows.cols):
-            s = rows.hstack(m.take(shared, rows.cols))
-        else:
-            lead, s = None, m.take(shared)
+        m, space = element.dof_matrix, element.space
+        block = None
+        if m is element._assembled:
+            block = _shared_block(element.frame, [element.dofs[i] for i in shared], space,
+                                  lambda n: m.take(shared, n))
+        s, g, lead = block or (m.take(shared), _change_of_basis(space, None), None)
         ker = s.null_space()
-        memo = element._split = (m, shared, m.cols - ker.cols, _change_of_basis(space, lead), ker, lead)
+        memo = element._split = (m, shared, m.cols - ker.cols, g, ker, lead)
     return memo
-
-
-def _shared_split(element: Element) -> tuple[list[int], int, Matrix, Matrix]:
-    """(shared row indices, rank of the shared block S, G_s, K) with
-    ker S = G_s K; see ``_split_memo``."""
-    return _split_memo(element)[1:5]
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -602,7 +596,7 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    shared, rank_s, g, ker = _shared_split(element)
+    _, shared, rank_s, g, ker, _ = _split_memo(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = element.dof_matrix.take([i for i, dof in enumerate(element.dofs) if not dof.shared])
@@ -637,14 +631,14 @@ def nodal_basis(element: Element) -> list[Polynomial]:
     ]
 
 
-def _nonzero_trace_mode(faces, modes, coeffs: Matrix, traces) -> str | None:
-    """The first of ``modes`` in which a column of ``coeffs`` has a nonzero
-    trace on one of ``faces``, or None, with ``traces(face, mode)`` the trace
-    matrices in the coordinates of ``coeffs``.  This depends only on the
+def _nonzero_trace_mode(faces, modes, space: PolySpace, lead: int | None, coeffs: Matrix) -> str | None:
+    """The first of ``modes`` in which a column of ``coeffs`` (coordinates
+    against ``space.basis`` times ``_change_of_basis(space, lead)``) has a
+    nonzero trace on one of ``faces``, or None.  This depends only on the
     span of the columns, not on their basis."""
     for mode in modes:
         for face in faces:
-            if any(not t.matmul(coeffs).is_zero() for t in traces(face, mode)):
+            if any(not t.matmul(coeffs).is_zero() for t in _split_traces(face, space, lead, mode)):
                 return mode
     return None
 
@@ -698,8 +692,7 @@ def trace_block_rank(element: Element) -> CheckResult:
         "kernel_dim": ker.cols,
     }
     space = element.space
-    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, ker,
-                               lambda face, mode: _split_traces(face, space, lead, mode))
+    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, space, lead, ker)
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)

@@ -144,10 +144,10 @@ class Face:
         return self._named(kind, k, mode, True)
 
     def _pointwise(self, kind: str, k: int, a, b, bernstein: bool) -> Matrix:
-        w = _weights(kind, self.d, a, b)
-        key = (bernstein, kind, k, tuple(w))
+        key = (bernstein, kind, k, tuple(a), None if b is None else tuple(b))
         got = self._traces.get(key)
         if got is None:
+            w = _weights(kind, self.d, a, b)
             got = self._traces[key] = self._operator(kind, k, k, [(w, None)], bernstein)
         return got
 

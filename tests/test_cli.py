@@ -129,7 +129,7 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of the reports of four fixed grids, pinned so that a change to the
+# sha256 of the reports of fixed grids, pinned so that a change to the
 # exact core that must keep every report byte for byte is held to it
 _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "2", "--k", "1..4"],
@@ -147,6 +147,11 @@ _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "3", "--k", "4", "--family", "BDM", "--family", "DivDiv",
                   "--simplex", "random", "--seed", "7"],
                  "0ebdfb29582b392c0a615263af4241b061d5a0f87e2fbca67cd718292fe903de", id="verify-d3-k4-random-7"),
+    # RT k=0, whose shared block is the Bernstein block of degree 0
+    pytest.param(["verify", "--d", "2..3", "--k", "0..1", "--family", "RT"],
+                 "d7ced5b0892241de05e790e1f9a72fa5c4d4366ef399a39c3895d46e1d7ad436", id="verify-rt-k0-1"),
+    pytest.param(["verify", "--d", "2..3", "--k", "0..1", "--family", "RT", "--simplex", "random", "--seed", "7"],
+                 "819e828cf7354cbb193eb69a506a82684f2cb78b7513fd7c96382749f92b46bd", id="verify-rt-k0-1-random-7"),
 ]
 
 
@@ -239,11 +244,20 @@ def test_family_help_names_each_default(capsys):
     assert "defaults to every family and pseudo-family" in " ".join(capsys.readouterr().out.split())
 
 
-def test_dims_takes_no_family(capsys):
+# each subcommand takes only the options it reads
+@pytest.mark.parametrize("command,option", [
+    pytest.param("dims", ["--family", "BDM"], id="dims-family"),
+    pytest.param("dims", ["--simplex", "random"], id="dims-simplex"),
+    pytest.param("dims", ["--seed", "5"], id="dims-seed"),
+    pytest.param("export", ["--format", "markdown"], id="export-format"),
+    pytest.param("export", ["--jobs", "4"], id="export-jobs"),
+])
+def test_subcommand_rejects_the_options_it_ignores(tmp_path, capsys, command, option):
     with pytest.raises(SystemExit) as err:
-        cli.main(["dims", "--family", "BDM", "--d", "2..2", "--k", "1..1"])
+        cli.main([command, *option, "--d", "2..2", "--k", "1..1", "--out", str(tmp_path / "out")])
     assert err.value.code == 1
-    assert "unrecognized arguments: --family BDM" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_export_io_error():

@@ -555,7 +555,7 @@ def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k)
     rows[shared[-1]] = rows[shared[0]]
     broken = _with_rows(e, rows)
     res = check_unisolvence(broken)
-    assert el._shared_split(broken)[1] == len(shared) - 1
+    assert el._split_memo(broken)[2] == len(shared) - 1
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
 
@@ -570,7 +570,7 @@ def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family,
     rows[interior[0]] = rows[shared[0]]
     broken = _with_rows(e, rows)
     res = check_unisolvence(broken)
-    assert el._shared_split(broken)[1] == len(shared)
+    assert el._split_memo(broken)[2] == len(shared)
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
 
@@ -633,6 +633,10 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
 # -- the shared block in Bernstein coordinates ------------------------------------------
 
 
+def _bernstein_change(space):
+    return el._change_of_basis(space, el._bernstein_lead(space))
+
+
 def _block_diag(g, rest):
     n = g.rows
     top = g.hstack(Matrix.zeros(n, rest))
@@ -643,31 +647,32 @@ def _block_diag(g, rest):
 def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
     fr = random_frame(d, random.Random(71))
     # a P_k space is the identity: the change of basis is G itself
-    assert el._bernstein_change(spaces.build_standard(fr, "P_sym", 2)) is fr.bernstein("sym", 2)
+    assert _bernstein_change(spaces.build_standard(fr, "P_sym", 2)) is fr.bernstein("sym", 2)
     # diag(I_n, H) with I_n on the degree <= k frame: diag(G_k, I)
     for tag, kind, k in [("RT_shape", "vector", 2), ("P_minus_sym", "sym", 2), ("P_sym_plus_xxT", "sym", 3)]:
         space = spaces.build_standard(fr, tag, k)
         rest = space.dim - len(poly.frame(kind, d, k))
         assert rest > 0
-        assert el._bernstein_change(space) == _block_diag(fr.bernstein(kind, k), rest)
+        assert _bernstein_change(space) == _block_diag(fr.bernstein(kind, k), rest)
 
 
 def test_bernstein_change_of_basis_without_a_leading_identity_block_is_the_identity():
     fr = random_frame(2, random.Random(71))
     bubble = spaces.bubble_vector_generators(fr, 3)
-    assert el._bernstein_change(bubble) == Matrix.identity(bubble.dim)
+    assert _bernstein_change(bubble) == Matrix.identity(bubble.dim)
     n = len(poly.frame("vector", 2, 2))
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     # the first two members swapped: no leading identity block
     rows[0][:2], rows[1][:2] = [0, 1], [1, 0]
     swapped = spaces.PolySpace(fr, "vector", 2, Matrix(rows))
-    assert el._bernstein_change(swapped) == Matrix.identity(n)
+    assert _bernstein_change(swapped) == Matrix.identity(n)
     # a degree-1 member with a degree-2 term: the leading block stops short of
-    # the degree <= 1 frame (6 rows), whose identity block would hold it
+    # the degree <= 1 frame (6 rows), whose identity block would hold it:
+    # k' = 0, where G(kind, 0) is the identity
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     rows[8][5] = 1
     mixed = spaces.PolySpace(fr, "vector", 2, Matrix(rows))
-    assert el._bernstein_change(mixed) == Matrix.identity(n)
+    assert el._bernstein_lead(mixed) == 0 and _bernstein_change(mixed) == Matrix.identity(n)
 
 
 _KERNEL_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step) for fam in sorted(FAMILIES) for step in (0, 1)]
@@ -677,7 +682,7 @@ _KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
 @pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
 def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
     e = build_element(random_frame(d, random.Random(45 + d)), family, k)
-    shared, rank_s, g, ker = el._shared_split(e)
+    _, shared, rank_s, g, ker, _ = el._split_memo(e)
     monomial = e.dof_matrix.take(shared).null_space()
     assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
     assert exact.image_basis(g.matmul(ker)) == exact.image_basis(monomial)
@@ -714,7 +719,7 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     e.dof_matrix = Matrix(rows)
     res = check_unisolvence(e)
     assert not res.passed and res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
-    assert el._shared_split(e)[1] == len(shared) - 1
+    assert el._split_memo(e)[2] == len(shared) - 1
 
 
 # -- the shared block assembled in Bernstein coordinates ---------------------------------
@@ -729,13 +734,8 @@ def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
     _, shared, rank_s, g, ker, lead = el._split_memo(e)
-    assert g == el._bernstein_change(e.space)
-    if lead is None:
-        # the RT_0 shape space has no leading identity block: member coordinates
-        assert (family, k) == ("RT", 0) and g == Matrix.identity(e.dim)
-        rows = Matrix.zeros(len(shared), 0)
-    else:
-        rows = el._bernstein_rows(fr, [e.dofs[i] for i in shared], e.space.kind, lead)
+    assert lead is not None and g == _bernstein_change(e.space)
+    rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, lead, True)
     oracle = e.dof_matrix.take(shared).matmul(g)
     assert rows.hstack(e.dof_matrix.take(shared, rows.cols)) == oracle
     assert ker == oracle.null_space() and rank_s == oracle.rank()
@@ -745,6 +745,24 @@ def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
         for mode in FAMILIES[family].trace_modes:
             got = el._split_traces(face, e.space, lead, mode)
             assert got == tuple(t.matmul(basis) for t in face.traces(e.space.kind, e.space.k, mode)[1])
+
+
+@pytest.mark.parametrize("family,k", [("RT", 0), ("BDM", 2), ("HdivS_minus", 2), ("DivDiv", 3)])
+def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, family, k):
+    # the leading block of S G_s comes from the Bernstein traces, the columns
+    # past it from the DoF matrix build_element assembled
+    e = build_element(random_frame(2, random.Random(43)), family, k)
+    assembled = []
+    run_rows = el._run_rows
+
+    def spy(frame, run, kind, k, bernstein=False):
+        assembled.append(bernstein)
+        return run_rows(frame, run, kind, k, bernstein)
+
+    monkeypatch.setattr(el, "_run_rows", spy)
+    assert check_unisolvence(e).passed and trace_block_rank(e).passed
+    assert assembled and all(assembled)
+    assert e._split[5] is not None
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("RT", 1), ("HdivS_minus", 2), ("DivDiv", 3)])

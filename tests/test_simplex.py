@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from femforge.exact import Matrix
-from femforge import poly
+from femforge import poly, simplex
 from femforge.poly import Polynomial, dot
 from femforge.simplex import (
     DegenerateSimplexError,
@@ -317,3 +317,17 @@ def test_bernstein_trace_of_a_vertex_is_d_to_the_k_at_k_e_v():
         alphas = [a for a in poly.monomials(4, 3) if sum(a) == 3]
         want = [face.bary_den ** 3 if a[v] == 3 else 0 for a in alphas]
         assert row == Matrix([want])
+
+
+def test_pointwise_trace_weights_are_computed_on_a_memo_miss_only(monkeypatch):
+    face = random_frame(3, random.Random(5)).face_opposite(0)
+    calls = []
+    weights = simplex._weights
+    monkeypatch.setattr(simplex, "_weights", lambda *args: calls.append(args) or weights(*args))
+    g, e0 = face.normal_frame[0], (1, 0, 0)
+    for bernstein in (False, True):
+        trace = face.bernstein_trace if bernstein else face.trace
+        t = trace("sym", 2, g, e0)
+        assert trace("sym", 2, g, e0) is t and len(calls) == 1 + 2 * bernstein
+        # (a, b) and (b, a) weigh a symmetric field alike: equal traces, two entries
+        assert trace("sym", 2, e0, g) == t and len(calls) == 2 + 2 * bernstein
