@@ -47,9 +47,11 @@ def _load_frame_file(path: str) -> SimplexFrame:
         data = json.load(fh)
     try:
         verts = [[Fraction(str(x)) for x in v] for v in data["vertices"]]
-        d = int(data["d"])
+        d = data["d"]
     except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"malformed simplex description: {err}") from None
+    if type(d) is not int:  # not a float, a string or a bool (an int subclass)
+        raise ValueError(f"d must be a JSON integer, not {json.dumps(d)}")
     fr = SimplexFrame(verts)
     if fr.d != d:
         raise ValueError(f"simplex file declares d={d} but has {fr.d}+1 coordinates")
@@ -266,20 +268,23 @@ def _run_cells(tasks, args) -> list:
     return [r for chunk in chunks for r in chunk]
 
 
+def _report(args, config: dict, skips: list[dict], tasks, key) -> int:
+    """Run the grid cells, write the report of their checks and the skips,
+    ordered by ``key``, and return the exit code."""
+    t0 = time.monotonic()
+    results = _run_cells(tasks, args)
+    print(f"{config['command']} grid of {len(tasks)} cells in {time.monotonic() - t0:.1f}s", file=sys.stderr)
+    entries = sorted(skips + [_entry(*r) for r in results], key=key)
+    text = _render_json(config, entries) if args.format == "json" else _render_markdown(config, entries)
+    return _emit(text, args.out) or (2 if any(e["status"] == "fail" for e in entries) else 0)
+
+
 def _cmd_dims(args) -> int:
     skips, tasks = _run_family_grid(args, ["dims"])
     if tasks is None:
         return 1
-    t0 = time.monotonic()
-    results = _run_cells(tasks, args)
-    print(f"dims grid of {len(tasks)} cells in {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    entries = sorted(skips + [_entry(*r) for r in results], key=lambda e: (e["d"], e["k"]))
     config = {"command": "dims", "d": list(args.d), "k": list(args.k)}
-    text = _render_json(config, entries) if args.format == "json" else _render_markdown(config, entries)
-    code = _emit(text, args.out)
-    if code:
-        return code
-    return 0 if not any(e["status"] == "fail" for e in entries) else 2
+    return _report(args, config, skips, tasks, lambda e: (e["d"], e["k"]))
 
 
 # the lowest degree each pseudo-family's checks are stated for
@@ -333,11 +338,6 @@ def _cmd_verify(args) -> int:
     skip_entries, tasks = _run_family_grid(args, families)
     if tasks is None:
         return 1
-    t0 = time.monotonic()
-    results = _run_cells(tasks, args)
-    print(f"verify grid of {len(tasks)} cells in {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    entries = skip_entries + [_entry(*r) for r in results]
-    entries.sort(key=lambda e: (e["family"], e["d"], e["k"], e["id"]))
     config = {
         "command": "verify",
         "families": sorted(families),
@@ -346,11 +346,7 @@ def _cmd_verify(args) -> int:
         "simplex": args.simplex,
         "seed": args.seed,
     }
-    text = _render_json(config, entries) if args.format == "json" else _render_markdown(config, entries)
-    code = _emit(text, args.out)
-    if code:
-        return code
-    return 0 if not any(e["status"] == "fail" for e in entries) else 2
+    return _report(args, config, skip_entries, tasks, lambda e: (e["family"], e["d"], e["k"], e["id"]))
 
 
 def _cmd_export(args) -> int:

@@ -18,8 +18,8 @@ Bernstein traces rather than a product with G.  A DoF matrix that
 [S; I] is invertible exactly when S has full row rank and the square
 interior block I G K is nonsingular; any other case falls back to the exact
 rank of the full matrix and a kernel witness.  The trace-block check
-multiplies the Bernstein traces with K and compares the span of G K with
-the paper's explicit bubble generators.
+multiplies the Bernstein traces with K, and proves ker S equal to the
+paper's bubble space with one product and one rank in member coordinates.
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
 from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
@@ -662,27 +662,31 @@ def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
     return best
 
 
-def _expected_kernel(element: Element) -> PolySpace | None:
-    """The bubble space the shared-DoF kernel must equal, where one is known,
-    from the paper's generators rather than from a second trace kernel."""
+def _expected_kernel(element: Element) -> Matrix | None:
+    """Columns C spanning, in the catalog shape basis, the bubble that ker S
+    must equal, where one is known: the paper's generators (identity basis),
+    [B | W_low; 0 | I] for HdivS_minus (B the generators, W the enrichment,
+    W_top the basis past P_k), and for RT a trace kernel."""
     frame, k, family = element.frame, element.k, element.family
     if family == "BDM":
-        return spaces.bubble_vector_generators(frame, k)
+        return spaces.bubble_generator_matrix(frame, "vector", k)
     if family == "RT":
-        return spaces.bubble_space(frame, "div_RT_minus", k)
+        return spaces.trace_matrix(frame, element.space, "vector_normal").null_space()
     if family not in ("HdivS", "HdivS_split", "HdivS_minus"):
         return None
-    bubble = spaces.bubble_sym_generators(frame, k)
-    if family == "HdivS_minus":
-        # the enrichment consists of degree-(k+1) bubbles
-        return spaces.space_sum(bubble, spaces.bubble_enrichment_sym(frame, k), "bubble_plus_enrichment")
-    return bubble
+    gens = spaces.bubble_generator_matrix(frame, "sym", k)
+    if family != "HdivS_minus":
+        return gens
+    w = spaces.bubble_enrichment_sym(frame, k).basis
+    low = gens.hstack(w.take(range(gens.rows)))
+    return Matrix.vstack([low, Matrix.zeros(w.cols, gens.cols).hstack(Matrix.identity(w.cols))], low.cols)
 
 
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
-    shape function annihilated by all shared DoFs has exactly zero trace."""
-    _, shared_rows, _, g, ker, lead = _split_memo(element)
+    shape function annihilated by all shared DoFs has exactly zero trace,
+    and ker S equals a known bubble C: S C = 0 and rank C = dim ker S."""
+    _, shared_rows, _, _, ker, lead = _split_memo(element)
     frame = element.frame
     ctx = {
         "family": element.family,
@@ -691,19 +695,17 @@ def trace_block_rank(element: Element) -> CheckResult:
         "shared_dofs": len(shared_rows),
         "kernel_dim": ker.cols,
     }
-    space = element.space
-    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, space, lead, ker)
+    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, element.space, lead, ker)
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
-    bubble = _expected_kernel(element)
-    if bubble is None:
+    coords = _expected_kernel(element)
+    if coords is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
-    ctx["bubble_dim"] = bubble.dim
-    kernel_space = PolySpace(frame, space.kind, space.k, space.basis.matmul(g.matmul(ker)), "shared_kernel")
-    if not spaces.space_equal(kernel_space, bubble):
+    dim = ctx["bubble_dim"] = coords.rank()
+    if dim != ker.cols or not element.dof_matrix.take(shared_rows).matmul(coords).is_zero():
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
-    return CheckResult("trace-block", True, expected=bubble.dim, got=ker.cols, context=ctx)
+    return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 
 
 # -- export -------------------------------------------------------------------------------
@@ -723,6 +725,9 @@ def _dof_to_json(dof: DoFDescriptor) -> dict:
 
 
 def element_to_json(element: Element, with_nodal_basis: bool = True) -> dict:
+    space = element.space
+    # the shape basis in canonical form, whatever basis the space was built with
+    canonical = PolySpace(element.frame, space.kind, space.k, exact.image_basis(space.basis))
     data = {
         "schema": "femforge-element/1",
         "family": element.family,
@@ -731,8 +736,8 @@ def element_to_json(element: Element, with_nodal_basis: bool = True) -> dict:
         "vertices": [
             [f"{x.numerator}/{x.denominator}" for x in v] for v in element.frame.vertices
         ],
-        "dim": element.space.dim,
-        "shape_basis": [poly.poly_to_json(p) for p in element.space.members()],
+        "dim": space.dim,
+        "shape_basis": [poly.poly_to_json(p) for p in canonical.members()],
         "dofs": [_dof_to_json(dof) for dof in element.dofs],
         "certification": [
             check_unisolvence(element).as_dict(),

@@ -159,12 +159,11 @@ def _monomial_space(frame: SimplexFrame, kind: str, k: int, tag: str) -> PolySpa
     return PolySpace(frame, kind, k, Matrix.identity(n), tag)
 
 
-def _homogeneous_unit_columns(d: int, kind: str, k: int) -> Matrix:
-    fr = poly.frame(kind, d, k)
+def _homogeneous(frame: SimplexFrame, kind: str, k: int, tag: str = "") -> PolySpace:
+    """The monomials of degree exactly k, as unit columns."""
+    fr = poly.frame(kind, frame.d, k)
     cols = [i for i, (_, exps) in enumerate(fr) if sum(exps) == k]
-    n = len(fr)
-    data = [[int(i == c) for c in cols] for i in range(n)]
-    return Matrix(data)
+    return PolySpace(frame, kind, k, Matrix([[int(i == c) for c in cols] for i in range(len(fr))]), tag)
 
 
 def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
@@ -172,13 +171,15 @@ def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
 
     P_scalar/P_vector/P_sym/P_skw: full polynomial spaces of degree <= k.
     H_scalar: homogeneous scalars of degree exactly k.
-    ND: P_k(R^d) + P_k(K)x with skew-matrix coefficients (first-kind edge space).
+    ND: P_k(R^d) + (skw H_k) x (first-kind edge space, = P_k + (skw P_k) x).
     RT_shape: P_k(R^d) + H_k x.
     RM: rigid motions (= ND at k = 0).
     xxT_H: x x^T H_k (symmetric, homogeneous of degree k + 2).
     skwPx: P_k(K)x with skew-matrix coefficients.
     P_minus_sym: P_k(S) + ``bubble_enrichment_sym`` (degree k + 1).
     P_sym_plus_xxT: P_k(S) + x x^T H_{k-1}.
+    ND, RT_shape and the last two are ``_direct_sum``s, in canonical form but
+    for P_minus_sym, whose W is not homogeneous.
     """
     return _memo(frame, (tag, k), _build_standard_uncached, tag, k)
 
@@ -205,19 +206,28 @@ def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace
     if tag in _P_TAGS:
         return _monomial_space(frame, _P_TAGS[tag], k, f"{tag}_{k}")
     if tag == "H_scalar":
-        return PolySpace(frame, "scalar", k, _homogeneous_unit_columns(frame.d, "scalar", k), f"H_{k}")
+        return _homogeneous(frame, "scalar", k, f"H_{k}")
     if tag == "xxT_H":
         return image_space("xxT", build_standard(frame, "H_scalar", k), f"xxT_H_{k}")
     if tag == "skwPx":
         return image_space("mat_x", build_standard(frame, "P_skw", k), f"skwPx_{k}")
     if tag == "P_minus_sym":
-        return space_sum(build_standard(frame, "P_sym", k), bubble_enrichment_sym(frame, k), f"{tag}_{k + 1}")
+        return _direct_sum(build_standard(frame, "P_sym", k), bubble_enrichment_sym(frame, k), f"{tag}_{k + 1}")
     if tag == "P_sym_plus_xxT":
-        return space_sum(build_standard(frame, "P_sym", k), build_standard(frame, "xxT_H", k - 1), f"{tag}_{k}")
+        return _direct_sum(build_standard(frame, "P_sym", k), build_standard(frame, "xxT_H", k - 1), f"{tag}_{k}")
     p_k = build_standard(frame, "P_vector", k)
     if tag == "ND":
-        return space_sum(p_k, build_standard(frame, "skwPx", k), f"ND_{k}")
-    return space_sum(p_k, image_space("x", build_standard(frame, "H_scalar", k)), f"RT_{k}")
+        return _direct_sum(p_k, image_space("mat_x", _homogeneous(frame, "skw", k)), f"ND_{k}")
+    return _direct_sum(p_k, image_space("x", build_standard(frame, "H_scalar", k)), f"RT_{k}")
+
+
+def _direct_sum(p_k: PolySpace, w: PolySpace, tag: str) -> PolySpace:
+    """P_k + W as diag(I_n, W's rows past degree k), W of degree k + 1: those
+    rows are independent where W meets P_k only in 0 (a vanishing combination
+    is a member of W in P_k).  Were it not so, dim would exceed the DoF rank
+    and unisolvence would fail; it cannot pass silently."""
+    top = w.basis.take(range(p_k.dim, w.basis.rows))
+    return PolySpace(p_k.frame, p_k.kind, w.k, Matrix.block_diag(p_k.basis, top), tag)
 
 
 def empty_space(frame: SimplexFrame, kind: str, k: int = 0, tag: str = "") -> PolySpace:
@@ -343,28 +353,30 @@ def _edge_generators(frame: SimplexFrame, k: int, edge_values: dict) -> list[Pol
     return gens
 
 
-def _edge_bubbles(frame: SimplexFrame, kind: str, k: int, edge_values: dict, tag: str) -> PolySpace:
-    """The span of ``_edge_generators``, in canonical form."""
-    gens = _edge_generators(frame, k, edge_values)
-    return PolySpace(frame, kind, k, exact.image_basis(poly.coeff_matrix(gens, k)), tag)
+def bubble_generator_matrix(frame: SimplexFrame, kind: str, k: int) -> Matrix:
+    """Coefficients over the frame (kind, d, k) of the generators
+    lambda_i lambda_j m c_ij, |m| <= k-2, with c_ij = t_ij = x_j - x_i for
+    "vector" and T_ij for "sym": they span the bubble (a basis for "sym",
+    not for "vector"); no columns below k = 2."""
+    if k < 2:
+        return Matrix.zeros(len(poly.frame(kind, frame.d, max(k, 0))), 0)
+    values = frame.tensor_T if kind == "sym" else {
+        ij: Polynomial.constant_vector(frame.d, frame.tangent(*ij)) for ij in combinations(range(frame.d + 1), 2)}
+    return poly.coeff_matrix(_edge_generators(frame, k, values), k)
 
 
 def bubble_vector_generators(frame: SimplexFrame, k: int) -> PolySpace:
     """span{lambda_i lambda_j m t_ij : |m| <= k-2}, t_ij = x_j - x_i (the
-    generator-side bubble of P_k(R^d); empty below k = 2)."""
-    if k < 2:
-        return empty_space(frame, "vector", k, f"bubble_vec_gen_{k}")
-    edges = combinations(range(frame.d + 1), 2)
-    tangents = {ij: Polynomial.constant_vector(frame.d, frame.tangent(*ij)) for ij in edges}
-    return _edge_bubbles(frame, "vector", k, tangents, f"bubble_vec_gen_{k}")
+    generator-side bubble of P_k(R^d); empty below k = 2), in canonical form."""
+    gens = bubble_generator_matrix(frame, "vector", k)
+    return PolySpace(frame, "vector", max(k, 0), exact.image_basis(gens), f"bubble_vec_gen_{k}")
 
 
 def bubble_sym_generators(frame: SimplexFrame, k: int) -> PolySpace:
     """span{lambda_i lambda_j m T_ij : |m| <= k-2} (the generator-side bubble
-    of P_k(S); empty below k = 2)."""
-    if k < 2:
-        return empty_space(frame, "sym", k, f"bubble_sym_gen_{k}")
-    return _edge_bubbles(frame, "sym", k, frame.tensor_T, f"bubble_sym_gen_{k}")
+    of P_k(S); empty below k = 2), in canonical form."""
+    gens = bubble_generator_matrix(frame, "sym", k)
+    return PolySpace(frame, "sym", max(k, 0), exact.image_basis(gens), f"bubble_sym_gen_{k}")
 
 
 def orthocomplement_in(parent: PolySpace, sub: PolySpace, tag: str = "") -> PolySpace:
@@ -422,91 +434,35 @@ def certify_decompositions(frame: SimplexFrame, k: int) -> list[CheckResult]:
     d = frame.d
     out = []
 
+    def add(check_id, ok, expected, got):
+        out.append(CheckResult(check_id, ok, expected=expected, got=got, context={"d": d, "k": k}))
+
+    def add_decomp(check_id, a, b, whole):
+        ok = space_is_direct_sum(a, b) and space_equal(space_sum(a, b), whole)
+        add(check_id, ok, whole.dim, a.dim + b.dim)
+
     p_vec = build_standard(frame, "P_vector", k - 1)
     grad_pk = image_space("grad", build_standard(frame, "P_scalar", k), "grad_Pk")
     ker_vec = ker_dot_x_vector(frame, k - 1)
-    skw_px = (
-        build_standard(frame, "skwPx", k - 2)
-        if k >= 2
-        else empty_space(frame, "vector", 0, "skwPx_empty")
-    )
-
-    ok = space_is_direct_sum(grad_pk, ker_vec) and space_equal(space_sum(grad_pk, ker_vec), p_vec)
-    out.append(
-        CheckResult(
-            "decomp-vector-grad-plus-koszul-kernel",
-            ok,
-            expected=p_vec.dim,
-            got=grad_pk.dim + ker_vec.dim,
-            context={"d": d, "k": k},
-        )
-    )
-
-    out.append(
-        CheckResult(
-            "kernel-dot-x-equals-skw-times-x",
-            space_equal(ker_vec, skw_px),
-            expected=ker_vec.dim,
-            got=skw_px.dim,
-            context={"d": d, "k": k},
-        )
-    )
-
-    ok = space_is_direct_sum(grad_pk, skw_px) and space_equal(space_sum(grad_pk, skw_px), p_vec)
-    out.append(
-        CheckResult(
-            "decomp-vector-grad-plus-skw-x",
-            ok,
-            expected=p_vec.dim,
-            got=grad_pk.dim + skw_px.dim,
-            context={"d": d, "k": k},
-        )
-    )
+    skw_px = build_standard(frame, "skwPx", k - 2) if k >= 2 else empty_space(frame, "vector", 0, "skwPx_empty")
+    add_decomp("decomp-vector-grad-plus-koszul-kernel", grad_pk, ker_vec, p_vec)
+    add("kernel-dot-x-equals-skw-times-x", space_equal(ker_vec, skw_px), ker_vec.dim, skw_px.dim)
+    add_decomp("decomp-vector-grad-plus-skw-x", grad_pk, skw_px, p_vec)
 
     p_sym = build_standard(frame, "P_sym", k - 1)
     def_pk = image_space("def", build_standard(frame, "P_vector", k), "def_Pk")
-    ker_sym = ker_mat_x_sym(frame, k - 1)
-    ok = space_is_direct_sum(def_pk, ker_sym) and space_equal(space_sum(def_pk, ker_sym), p_sym)
-    out.append(
-        CheckResult(
-            "decomp-sym-def-plus-koszul-kernel",
-            ok,
-            expected=p_sym.dim,
-            got=def_pk.dim + ker_sym.dim,
-            context={"d": d, "k": k},
-        )
-    )
-
+    add_decomp("decomp-sym-def-plus-koszul-kernel", def_pk, ker_mat_x_sym(frame, k - 1), p_sym)
     defx = image_space("mat_x", def_pk, "def_Pk_times_x")
     symx = image_space("mat_x", p_sym, "P_sym_times_x")
-    out.append(
-        CheckResult(
-            "image-def-x-equals-sym-x",
-            space_equal(defx, symx),
-            expected=symx.dim,
-            got=defx.dim,
-            context={"d": d, "k": k},
-        )
-    )
+    add("image-def-x-equals-sym-x", space_equal(defx, symx), symx.dim, defx.dim)
 
     p_vec_k = build_standard(frame, "P_vector", k)
     # kernel of q -> (def q) x on P_k(R^d), assembled directly
     imgs = [poly.koszul_mat_x(poly.sym_grad(q)) for q in p_vec_k.members()]
-    mk = poly.coeff_matrix(imgs, p_vec_k.k) if imgs else Matrix.zeros(0, 0)
-    coords = mk.null_space()
-    ker_defx = PolySpace(
-        frame, "vector", p_vec_k.k, exact.image_basis(p_vec_k.basis.matmul(coords)), "ker_def_x"
-    )
+    coords = poly.coeff_matrix(imgs, p_vec_k.k).null_space()
+    ker_defx = PolySpace(frame, "vector", p_vec_k.k, exact.image_basis(p_vec_k.basis.matmul(coords)), "ker_def_x")
     rm = build_standard(frame, "RM", 0)
-    out.append(
-        CheckResult(
-            "kernel-def-x-equals-rigid-motions",
-            space_equal(ker_defx, rm),
-            expected=dim_RM(d),
-            got=ker_defx.dim,
-            context={"d": d, "k": k},
-        )
-    )
+    add("kernel-def-x-equals-rigid-motions", space_equal(ker_defx, rm), dim_RM(d), ker_defx.dim)
     return out
 
 
@@ -561,11 +517,12 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     range by one degree while keeping every trace.
 
     B enters through its generators lambda_i lambda_j m T_ij (|m| <= k-1, see
-    ``bubble_sym_generators``), which are sparser than its canonical basis.
+    ``bubble_generator_matrix``), which are sparser than its canonical basis.
     They are dim B many, so a basis, and the enrichment's basis is their
     combinations by the null space's columns as computed, not brought to
-    canonical form (the ``P_minus_sym`` sum of ``build_standard`` is).  A
-    result of any dimension other than d dim H_k raises ``ArithmeticError``.
+    canonical form; the ``P_minus_sym`` sum of ``build_standard`` keeps its
+    rows past degree k as they are.  A result of any dimension other than
+    d dim H_k raises ``ArithmeticError``.
     """
     if k < 2:
         raise BadDegreeError("the symmetric enrichment needs k >= 2")

@@ -353,6 +353,18 @@ def test_simplex_file_malformed(tmp_path, capsys, content):
     assert "cannot read simplex file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["2.5", '"2"', "true", "2.0"])
+def test_simplex_file_d_must_be_a_json_integer(tmp_path, capsys, d):
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": %s, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}' % d)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "BDM", "--d", "2..2", "--k", "1..1",
+                  "--simplex", str(path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "cannot read simplex file" in err and f"not {d}" in err
+
+
 def test_verify_reports_stability_range_flag(capsys):
     code, out = run_main(["verify", "--family", "HdivS", "--d", "2..2", "--k", "2..3"], capsys)
     assert code == 0

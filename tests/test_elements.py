@@ -630,6 +630,47 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
     assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
 
 
+@pytest.mark.parametrize("family,k", [("RT", 1), ("HdivS", 2), ("HdivS_minus", 2)])
+@pytest.mark.parametrize("how", ["drop", "swap"])
+def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family, k, how):
+    # the bubble coordinates lose one column (rank below dim ker S), or one
+    # column becomes a member with a nonzero shared DoF (S C != 0)
+    e = build_element(random_frame(2, random.Random(43)), family, k)
+    s = e.dof_matrix.take([i for i, dof in enumerate(e.dofs) if dof.shared])
+    j = next(j for j in range(e.dim) if any(s.column(j)))
+    expected = el._expected_kernel
+
+    def wrong(element):
+        cols = expected(element).columns()
+        if how == "drop":
+            cols = cols[1:]
+        else:
+            cols[0] = tuple(int(i == j) for i in range(e.dim))
+        return Matrix.from_columns(cols, e.dim)
+
+    monkeypatch.setattr(el, "_expected_kernel", wrong)
+    res = trace_block_rank(e)
+    dim = res.context["kernel_dim"]
+    assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", dim)
+    assert res.context["bubble_dim"] == (dim - 1 if how == "drop" else dim)
+    assert "nonzero_trace_mode" not in res.context
+    monkeypatch.undo()
+    assert trace_block_rank(e).passed
+
+
+@pytest.mark.parametrize("family", ["HdivS_minus", "RT"])
+@pytest.mark.parametrize("where", ["reference", "random"])
+def test_trace_block_matches_the_reference_at_d4(family, where):
+    from femforge.conformity import conformity_check, reflected_patch
+
+    fr = reference_simplex(4) if where == "reference" else random_frame(4, random.Random(53))
+    e = build_element(fr, family, 2)
+    assert check_unisolvence(e).passed
+    block = trace_block_rank(e)
+    assert block.passed and block.as_dict() == reference_trace_block_rank(e).as_dict()
+    assert conformity_check(reflected_patch(fr), family, 2).passed
+
+
 # -- the shared block in Bernstein coordinates ------------------------------------------
 
 

@@ -633,13 +633,27 @@ def test_bubble_enrichment_needs_k_at_least_2(tri):
 
 @pytest.mark.parametrize("d,k", _ENRICH_GRID)
 def test_shape_sym_minus_is_the_cached_space_sum(d, k):
-    # both minus shape spaces: P_k(S) plus a catalog space, memoized per frame
+    # every catalog sum P_j + W is diag(I_n, W's rows past degree j), spans
+    # the space_sum of its summands and is memoized per frame; where W is
+    # homogeneous it is space_sum's canonical basis itself
     for fr in _enrichment_frames(d):
-        p = build_standard(fr, "P_sym", k)
-        for tag, extra, name in [("P_minus_sym", spaces.bubble_enrichment_sym(fr, k), f"P_minus_sym_{k + 1}"),
-                                 ("P_sym_plus_xxT", build_standard(fr, "xxT_H", k - 1), f"P_sym_plus_xxT_{k}")]:
-            got = build_standard(fr, tag, k)
+        enrichment = spaces.bubble_enrichment_sym(fr, k)
+        cells = [("P_minus_sym", "P_sym", k, enrichment, f"P_minus_sym_{k + 1}"),
+                 ("P_sym_plus_xxT", "P_sym", k, build_standard(fr, "xxT_H", k - 1), f"P_sym_plus_xxT_{k}")]
+        for j in range(k + 1):
+            cells += [("ND", "P_vector", j, build_standard(fr, "skwPx", j), f"ND_{j}"),
+                      ("RT_shape", "P_vector", j, image_space("x", build_standard(fr, "H_scalar", j)), f"RT_{j}")]
+        for tag, p_tag, j, extra, name in cells:
+            p = build_standard(fr, p_tag, j)
+            got = build_standard(fr, tag, j)
             ref = space_sum(p, extra)
-            assert (got.kind, got.k, got.tag) == ("sym", k + 1, name)
-            assert got.basis == ref.basis
-            assert build_standard(fr, tag, k) is got
+            assert (got.kind, got.k, got.tag) == (p.kind, j + 1, name)
+            assert got.dim == ref.dim and space_equal(got, ref)
+            n = p.dim
+            top = got.basis.take(range(n, got.basis.rows), n)
+            assert got.basis == Matrix.block_diag(Matrix.identity(n), top)
+            if tag == "P_minus_sym":
+                assert top == enrichment.basis.take(range(n, enrichment.basis.rows))
+            else:
+                assert got.basis == ref.basis
+            assert build_standard(fr, tag, j) is got
