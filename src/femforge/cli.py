@@ -330,7 +330,7 @@ def _run_task(task, args):
 
 
 def _cmd_verify(args) -> int:
-    families = args.family or list(ELEMENT_FAMILIES) + list(PSEUDO_FAMILIES)
+    families = list(dict.fromkeys(args.family or [*ELEMENT_FAMILIES, *PSEUDO_FAMILIES]))
     for fam in families:
         if fam not in ELEMENT_FAMILIES and fam not in PSEUDO_FAMILIES:
             print(f"femforge: unknown family {fam!r}", file=sys.stderr)
@@ -350,7 +350,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    families = args.family or ["BDM"]
+    families = list(dict.fromkeys(args.family or ["BDM"]))
     for fam in families:
         if fam not in ELEMENT_FAMILIES:
             print(f"femforge: unknown element family {fam!r}", file=sys.stderr)

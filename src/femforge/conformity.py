@@ -10,7 +10,8 @@ to the left function), with the right side's other shared DoFs set to zero.
 The left side is only its shape space, never a full element, and the matched
 shared DoFs of all left members are one product: the right side's shared DoF
 rows times the left shape basis.  The right side needs only those rows S
-too, eliminated in Bernstein coordinates: ``elements._shared_block`` forms
+too, taken from its face DoFs (no interior test space is built), and
+eliminated in Bernstein coordinates: ``elements._shared_block`` forms
 the sparse S G_s, as it does for the element certificates, with G_s mapping
 Bernstein to member coordinates.  One RREF of [S G_s | rhs], the zero
 right-hand sides left out, gives a particular solution (free Bernstein
@@ -158,7 +159,8 @@ def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
 def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace, k: int) -> Matrix | None:
     """Right shape coefficients (over the shaped frame) that match the shared
     DoFs of every left member on the shared face, the right side's other
-    shared DoFs zero, from the right side's shared DoF rows S alone; None
+    shared DoFs zero, from the right side's shared DoF rows S alone (all of
+    them face DoFs); None
     unless ``_shared_block`` gives S G_s, the system is consistent and ker S
     has zero declared traces on the face, so that every such right function
     has the same declared traces.
@@ -168,7 +170,7 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     zero right-hand sides (left members with no DoF on the face) stay out of
     the RREF: their solution is zero."""
     d = patch.left.d
-    shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
+    shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
     block = _shared_block(patch.right, shared, right,
                           lambda n: rows.matmul(right.basis.take(range(right.basis.rows), n)))

@@ -1,16 +1,25 @@
 """The finite element catalog.
 
 Each family assembles a Ciarlet triple: a simplex, a shape-function space and
-an ordered list of degree-of-freedom functionals.  The square DoF matrix
-(rows = DoFs, columns = shape basis members) is assembled with exact face and
-cell moments.  Both certificates go through the paper's split of the shape
-space into a trace part and a bubble part: the shared DoF rows S are
-eliminated once per element, and their kernel K (the shape functions with
-zero shared DoFs) serves both.  The elimination runs in Bernstein
-coordinates, where that split is local: with G the integer matrix of the
-barycentric monomials lambda^alpha, |alpha| = k (``SimplexFrame.bernstein``),
-a face's DoFs see only the lambda^alpha that do not vanish on it, so S G is
-sparse, and K = G ker(S G).  ``_shared_block`` forms S G for the element
+an ordered list of degree-of-freedom functionals.  A family is declared as
+the paper builds it (``FamilySpec``): its face DoFs, of one of four kinds
+(normal moments; vertex values, normal-normal and tangential-normal
+moments; that plus normal-div moments; or that with the tangential-normal
+moments interior, plus combo moments), then a table of interior moment
+blocks, each against a test space of degree k plus a shift: plain
+polynomial spaces, and the null spaces and orthogonal complements of the
+bubble split.  A negative degree gives no moments.  Every shared DoF is a
+face DoF, so the patch check builds the face DoFs alone.
+
+The square DoF matrix (rows = DoFs, columns = shape basis members) is
+assembled with exact face and cell moments.  Both certificates go through
+the paper's split of the shape space into a trace part and a bubble part:
+the shared DoF rows S are eliminated once per element, and their kernel K
+(the shape functions with zero shared DoFs) serves both.  The elimination
+runs in Bernstein coordinates, where that split is local: with G the integer
+matrix of the barycentric monomials lambda^alpha, |alpha| = k
+(``SimplexFrame.bernstein``), a face's DoFs see only the lambda^alpha that
+do not vanish on it, so S G is sparse, and K = G ker(S G).  ``_shared_block`` forms S G for the element
 certificates and for the patch check of ``conformity`` alike, on the leading
 degree-k' block of the shape basis (k' = 0 included), from the faces'
 Bernstein traces rather than a product with G.  A DoF matrix that
@@ -19,7 +28,9 @@ Bernstein traces rather than a product with G.  A DoF matrix that
 interior block I G K is nonsingular; any other case falls back to the exact
 rank of the full matrix and a kernel witness.  The trace-block check
 multiplies the Bernstein traces with K, and proves ker S equal to the
-paper's bubble space with one product and one rank in member coordinates.
+paper's bubble space with one product and one rank in member coordinates
+(of the element's own shape basis, through one RREF where that basis is not
+the catalog's).
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
 from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
@@ -219,20 +230,16 @@ def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, cache: d
     return row.dot(tau)
 
 
-# -- DoF block builders ----------------------------------------------------------------
+# -- face DoFs ---------------------------------------------------------------------------
 
 
 def _chart_monomials(face: Face, deg: int) -> list[Polynomial]:
-    if deg < 0:
-        return []
     return [Polynomial(face.dim, "scalar", {(0, e): _ONE}) for e in poly.monomials(face.dim, deg)]
 
 
 def _chart_nd_twisted(face: Face, deg: int) -> list[Polynomial]:
     """Basis of Ginv . (chart edge space): pairs with T^T(tau g) so that the
     functional span equals the face-intrinsic tangential edge moments."""
-    if deg < 0:
-        return []
     out = []
     m = face.dim
     for q in spaces.nd_basis(m, deg):
@@ -284,203 +291,120 @@ def _nn_dofs(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
     return out
 
 
-def _tn_dofs(frame: SimplexFrame, k: int, shared: bool) -> list[DoFDescriptor]:
-    out = []
-    for face in frame.faces(1):
-        for t, q in enumerate(_chart_nd_twisted(face, k - 2)):
-            out.append(
-                DoFDescriptor(
-                    FACE_TN, shared, face=face, test=q, label=f"tn:f{face.vertex_ids}:q{t}"
-                )
-            )
-    return out
+def _facet_dofs(frame: SimplexFrame, kind: str, deg: int, shared: bool, name: str,
+                tests: Callable[[Face, int], list[Polynomial]] = _chart_monomials) -> list[DoFDescriptor]:
+    """Moments of ``kind`` against ``tests(face, deg)`` on each facet."""
+    return [DoFDescriptor(kind, shared, face=face, test=q, label=f"{name}:f{face.vertex_ids}:q{t}")
+            for face in frame.faces(1) for t, q in enumerate(tests(face, deg))]
 
 
-def _face_scalar_dofs(frame: SimplexFrame, deg: int, kind: str, shared: bool, name: str) -> list[DoFDescriptor]:
-    out = []
-    for face in frame.faces(1):
-        for t, q in enumerate(_chart_monomials(face, deg)):
-            out.append(
-                DoFDescriptor(
-                    kind, shared, face=face, test=q, label=f"{name}:f{face.vertex_ids}:q{t}"
-                )
-            )
-    return out
+def _normal_faces(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
+    return _facet_dofs(frame, FACE_SCALAR_NORMAL, k, True, "normal")
 
 
-def _interior_dofs(kind: str, tests: Sequence[Polynomial], name: str) -> list[DoFDescriptor]:
-    return [
-        DoFDescriptor(kind, False, test=q, label=f"{name}:q{t}") for t, q in enumerate(tests)
-    ]
+def _sym_faces(frame: SimplexFrame, k: int, tn_shared: bool = True) -> list[DoFDescriptor]:
+    return (_vertex_dofs(frame) + _nn_dofs(frame, k)
+            + _facet_dofs(frame, FACE_TN, k - 2, tn_shared, "tn", _chart_nd_twisted))
+
+
+def _ndiv_faces(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
+    return _sym_faces(frame, k) + _facet_dofs(frame, FACE_NORMAL_DIV, k - 1, True, "ndiv")
+
+
+def _combo_faces(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
+    """The tangential-normal moments are interior here; the combo moments are shared."""
+    return _sym_faces(frame, k, False) + _facet_dofs(frame, FACE_DIVDIV_COMBO, k - 1, True, "combo")
 
 
 # -- interior test spaces ----------------------------------------------------------------
+#
+# Each is tests(frame, deg) for deg >= 0: the null spaces and orthogonal
+# complements of the paper's bubble split, and plain polynomial spaces.
+
+_Tests = Callable[[SimplexFrame, int], list[Polynomial]]
 
 
-def _p_perp_rm(frame: SimplexFrame, deg: int) -> list[Polynomial]:
-    p = spaces.build_standard(frame, "P_vector", deg)
-    rm = spaces.build_standard(frame, "RM", 0)
-    return spaces.orthocomplement_in(p, rm, f"P{deg}_vec_perp_RM").members()
+def _members(tag: str) -> _Tests:
+    return lambda frame, deg: spaces.build_standard(frame, tag, deg).members()
 
 
-def _scalar_mod_p1(frame: SimplexFrame, deg: int) -> list[Polynomial]:
-    if deg < 0:
-        return []
-    p = spaces.build_standard(frame, "P_scalar", deg)
-    p1 = spaces.build_standard(frame, "P_scalar", min(1, deg))
-    return spaces.orthocomplement_in(p, p1, f"P{deg}_mod_P1").members()
+def _complement(tag: str, sub_tag: str, sub_deg: int, name: str) -> _Tests:
+    """The members of ``tag`` orthogonal to ``sub_tag`` of degree
+    min(sub_deg, deg), labelled ``name.format(deg)``."""
+    def tests(frame: SimplexFrame, deg: int) -> list[Polynomial]:
+        big = spaces.build_standard(frame, tag, deg)
+        small = spaces.build_standard(frame, sub_tag, min(sub_deg, deg))
+        return spaces.orthocomplement_in(big, small, name.format(deg)).members()
+    return tests
 
 
-def _skw_x_mod_const(frame: SimplexFrame, deg: int) -> list[Polynomial]:
-    if deg < 0:
-        return []
-    big = spaces.build_standard(frame, "skwPx", deg)
-    small = spaces.build_standard(frame, "skwPx", 0)
-    return spaces.orthocomplement_in(big, small, f"skwPx{deg}_mod_const").members()
+def _def_image(tag: str) -> _Tests:
+    return lambda frame, deg: spaces.image_space(
+        "def", spaces.build_standard(frame, tag, deg), f"def_{tag}_{deg}").members()
 
 
 def _ker_sym(frame: SimplexFrame, deg: int) -> list[Polynomial]:
-    if deg < 0:
-        return []
     return spaces.ker_mat_x_sym(frame, deg).members()
 
 
-def _def_space_members(frame: SimplexFrame, source_tag: str, deg: int) -> list[Polynomial]:
-    if deg < 0:
-        return []
-    src = spaces.build_standard(frame, source_tag, deg)
-    return spaces.image_space("def", src, f"def_{source_tag}_{deg}").members()
+_P_PERP_RM = _complement("P_vector", "RM", 0, "P{}_vec_perp_RM")
+_KER = (INTERIOR_PAIR, _ker_sym, -2, "ker")
+_SKW_X = (INTERIOR_DIV, _complement("skwPx", "skwPx", 0, "skwPx{}_mod_const"), -3, "skwx")
+_SCALAR_MOD_P1 = _complement("P_scalar", "P_scalar", 1, "P{}_mod_P1")
 
 
 # -- family definitions ---------------------------------------------------------------------
 
 
-def _floor_vec(_d: int) -> int:
-    return 1
-
-
-def _floor_rt(_d: int) -> int:
-    return 0
-
-
-def _floor_sym(_d: int) -> int:
-    return 2
-
-
-def _floor_divdiv(d: int) -> int:
-    return max(d, 3)
-
-
-def _dofs_bdm(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _face_scalar_dofs(frame, k, FACE_SCALAR_NORMAL, True, "normal")
-    nd = spaces.build_standard(frame, "ND", k - 2).members() if k >= 2 else []
-    out += _interior_dofs(INTERIOR_PAIR, nd, "nd")
-    return out
-
-
-def _dofs_rt(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _face_scalar_dofs(frame, k, FACE_SCALAR_NORMAL, True, "normal")
-    tests = (
-        spaces.build_standard(frame, "P_vector", k - 1).members() if k >= 1 else []
-    )
-    out += _interior_dofs(INTERIOR_PAIR, tests, "pk-1")
-    return out
-
-
-def _dofs_hdivs(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, True)
-    tests = spaces.build_standard(frame, "P_sym", k - 2).members() if k >= 2 else []
-    out += _interior_dofs(INTERIOR_PAIR, tests, "psym")
-    return out
-
-
-def _dofs_hdivs_split(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, True)
-    out += _interior_dofs(INTERIOR_DIV, _p_perp_rm(frame, k - 1), "div")
-    out += _interior_dofs(INTERIOR_PAIR, _ker_sym(frame, k - 2), "ker")
-    return out
-
-
-def _dofs_hdivs_minus(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, True)
-    out += _interior_dofs(INTERIOR_PAIR, _ker_sym(frame, k - 2), "ker")
-    out += _interior_dofs(INTERIOR_DIV, _p_perp_rm(frame, k), "div")
-    return out
-
-
-def _dofs_divdiv_plus(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, True)
-    out += _face_scalar_dofs(frame, k - 1, FACE_NORMAL_DIV, True, "ndiv")
-    out += _interior_dofs(INTERIOR_DIVDIV, _scalar_mod_p1(frame, k - 2), "dd")
-    out += _interior_dofs(INTERIOR_DIV, _skw_x_mod_const(frame, k - 3), "skwx")
-    out += _interior_dofs(INTERIOR_PAIR, _ker_sym(frame, k - 2), "ker")
-    return out
-
-
-def _dofs_divdiv_plus_minus(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, True)
-    out += _face_scalar_dofs(frame, k - 1, FACE_NORMAL_DIV, True, "ndiv")
-    out += _interior_dofs(INTERIOR_DIVDIV, _scalar_mod_p1(frame, k - 1), "dd")
-    out += _interior_dofs(INTERIOR_DIV, _skw_x_mod_const(frame, k - 3), "skwx")
-    out += _interior_dofs(INTERIOR_PAIR, _ker_sym(frame, k - 2), "ker")
-    return out
-
-
-def _dofs_divdiv(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, False)
-    out += _face_scalar_dofs(frame, k - 1, FACE_DIVDIV_COMBO, True, "combo")
-    out += _interior_dofs(INTERIOR_PAIR, _def_space_members(frame, "ND", k - 3), "defnd")
-    out += _interior_dofs(INTERIOR_PAIR, _ker_sym(frame, k - 2), "ker")
-    return out
-
-
-def _dofs_divdiv_minus(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
-    out = _vertex_dofs(frame) + _nn_dofs(frame, k) + _tn_dofs(frame, k, False)
-    out += _face_scalar_dofs(frame, k - 1, FACE_DIVDIV_COMBO, True, "combo")
-    out += _interior_dofs(INTERIOR_PAIR, _def_space_members(frame, "P_vector", k - 2), "defp")
-    out += _interior_dofs(INTERIOR_PAIR, _ker_sym(frame, k - 2), "ker")
-    return out
-
-
 @dataclass
 class FamilySpec:
+    """A family: its shape space tag, its face DoFs ``faces(frame, k)`` and
+    its interior moments, one block (DoF kind, tests(frame, deg), degree
+    shift, label) per test space of degree k + shift."""
+
     name: str
     shape: str  # the shape space's spaces.build_standard tag
-    dofs: Callable[[SimplexFrame, int], list[DoFDescriptor]]
+    faces: Callable[[SimplexFrame, int], list[DoFDescriptor]]
+    interior: tuple[tuple[str, _Tests, int, str], ...]
     floor: Callable[[int], int]
     trace_modes: tuple[str, ...]  # declared conforming traces
     stability_floor: Callable[[int], int] | None = None
 
+    def dofs(self, frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
+        """The face DoFs, then each interior block in order; a negative
+        degree gives no moments."""
+        out = self.faces(frame, k)
+        for kind, tests, shift, label in self.interior:
+            if k + shift >= 0:
+                out += [DoFDescriptor(kind, False, test=q, label=f"{label}:q{t}")
+                        for t, q in enumerate(tests(frame, k + shift))]
+        return out
 
-FAMILIES: dict[str, FamilySpec] = {
-    "BDM": FamilySpec("BDM", "P_vector", _dofs_bdm, _floor_vec, ("vector_normal",)),
-    "RT": FamilySpec("RT", "RT_shape", _dofs_rt, _floor_rt, ("vector_normal",)),
-    "HdivS": FamilySpec(
-        "HdivS", "P_sym", _dofs_hdivs, _floor_sym, ("tensor_normal",), lambda d: d + 1
-    ),
-    "HdivS_split": FamilySpec(
-        "HdivS_split", "P_sym", _dofs_hdivs_split, _floor_sym, ("tensor_normal",), lambda d: d + 1
-    ),
-    "HdivS_minus": FamilySpec(
-        "HdivS_minus", "P_minus_sym", _dofs_hdivs_minus, _floor_sym, ("tensor_normal",), lambda d: d + 1
-    ),
-    "DivDivPlus": FamilySpec(
-        "DivDivPlus", "P_sym", _dofs_divdiv_plus, _floor_divdiv, ("tensor_normal", "normal_div")
-    ),
-    "DivDivPlusMinus": FamilySpec(
-        "DivDivPlusMinus",
-        "P_sym_plus_xxT",
-        _dofs_divdiv_plus_minus,
-        _floor_divdiv,
-        ("tensor_normal", "normal_div"),
-    ),
-    "DivDiv": FamilySpec(
-        "DivDiv", "P_sym", _dofs_divdiv, _floor_divdiv, ("normal_normal", "combo")
-    ),
-    "DivDivMinus": FamilySpec(
-        "DivDivMinus", "P_sym_plus_xxT", _dofs_divdiv_minus, _floor_divdiv, ("normal_normal", "combo")
-    ),
-}
+
+_TENSOR_NORMAL = ("tensor_normal",)
+_NORMAL_DIV = ("tensor_normal", "normal_div")
+_COMBO = ("normal_normal", "combo")
+
+FAMILIES: dict[str, FamilySpec] = {spec.name: spec for spec in (
+    FamilySpec("BDM", "P_vector", _normal_faces, ((INTERIOR_PAIR, _members("ND"), -2, "nd"),),
+               lambda d: 1, ("vector_normal",)),
+    FamilySpec("RT", "RT_shape", _normal_faces, ((INTERIOR_PAIR, _members("P_vector"), -1, "pk-1"),),
+               lambda d: 0, ("vector_normal",)),
+    FamilySpec("HdivS", "P_sym", _sym_faces, ((INTERIOR_PAIR, _members("P_sym"), -2, "psym"),),
+               lambda d: 2, _TENSOR_NORMAL, lambda d: d + 1),
+    FamilySpec("HdivS_split", "P_sym", _sym_faces, ((INTERIOR_DIV, _P_PERP_RM, -1, "div"), _KER),
+               lambda d: 2, _TENSOR_NORMAL, lambda d: d + 1),
+    FamilySpec("HdivS_minus", "P_minus_sym", _sym_faces, (_KER, (INTERIOR_DIV, _P_PERP_RM, 0, "div")),
+               lambda d: 2, _TENSOR_NORMAL, lambda d: d + 1),
+    FamilySpec("DivDivPlus", "P_sym", _ndiv_faces, ((INTERIOR_DIVDIV, _SCALAR_MOD_P1, -2, "dd"), _SKW_X, _KER),
+               lambda d: max(d, 3), _NORMAL_DIV),
+    FamilySpec("DivDivPlusMinus", "P_sym_plus_xxT", _ndiv_faces,
+               ((INTERIOR_DIVDIV, _SCALAR_MOD_P1, -1, "dd"), _SKW_X, _KER), lambda d: max(d, 3), _NORMAL_DIV),
+    FamilySpec("DivDiv", "P_sym", _combo_faces, ((INTERIOR_PAIR, _def_image("ND"), -3, "defnd"), _KER),
+               lambda d: max(d, 3), _COMBO),
+    FamilySpec("DivDivMinus", "P_sym_plus_xxT", _combo_faces,
+               ((INTERIOR_PAIR, _def_image("P_vector"), -2, "defp"), _KER), lambda d: max(d, 3), _COMBO),
+)}
 
 
 def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
@@ -663,15 +587,16 @@ def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
 
 
 def _expected_kernel(element: Element) -> Matrix | None:
-    """Columns C spanning, in the catalog shape basis, the bubble that ker S
-    must equal, where one is known: the paper's generators (identity basis),
-    [B | W_low; 0 | I] for HdivS_minus (B the generators, W the enrichment,
-    W_top the basis past P_k), and for RT a trace kernel."""
+    """Columns C spanning, in the family's catalog shape basis, the bubble
+    that ker S must equal, where one is known: the paper's generators
+    (identity basis), [B | W_low; 0 | I] for HdivS_minus (B the generators,
+    W the enrichment, W_top the basis past P_k), and for RT a trace kernel."""
     frame, k, family = element.frame, element.k, element.family
     if family == "BDM":
         return spaces.bubble_generator_matrix(frame, "vector", k)
     if family == "RT":
-        return spaces.trace_matrix(frame, element.space, "vector_normal").null_space()
+        catalog = spaces.build_standard(frame, FAMILIES[family].shape, k)
+        return spaces.trace_matrix(frame, catalog, "vector_normal").null_space()
     if family not in ("HdivS", "HdivS_split", "HdivS_minus"):
         return None
     gens = spaces.bubble_generator_matrix(frame, "sym", k)
@@ -680,6 +605,17 @@ def _expected_kernel(element: Element) -> Matrix | None:
     w = spaces.bubble_enrichment_sym(frame, k).basis
     low = gens.hstack(w.take(range(gens.rows)))
     return Matrix.vstack([low, Matrix.zeros(w.cols, gens.cols).hstack(Matrix.identity(w.cols))], low.cols)
+
+
+def _member_coords(space: PolySpace, catalog: PolySpace, coords: Matrix) -> Matrix | None:
+    """``coords`` against ``catalog.basis`` re-expressed against
+    ``space.basis``, from one RREF; None outside the span of that basis."""
+    k = max(space.k, catalog.k)
+    basis = space.with_degree(k).basis
+    red, pivots = basis.hstack(catalog.with_degree(k).basis.matmul(coords)).rref()
+    if pivots != tuple(range(space.dim)):
+        return None
+    return red.take(range(space.dim), space.dim)
 
 
 def trace_block_rank(element: Element) -> CheckResult:
@@ -703,7 +639,11 @@ def trace_block_rank(element: Element) -> CheckResult:
     if coords is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
     dim = ctx["bubble_dim"] = coords.rank()
-    if dim != ker.cols or not element.dof_matrix.take(shared_rows).matmul(coords).is_zero():
+    catalog = spaces.build_standard(frame, FAMILIES[element.family].shape, element.k)
+    if element.space.basis != catalog.basis:
+        # an element built with another shape basis: C against that basis
+        coords = _member_coords(element.space, catalog, coords)
+    if dim != ker.cols or coords is None or not element.dof_matrix.take(shared_rows).matmul(coords).is_zero():
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 

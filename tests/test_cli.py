@@ -180,6 +180,48 @@ def test_export_bytes_of_the_minus_families_are_pinned(tmp_path):
     assert got == _GOLDEN_EXPORTS
 
 
+# sha256 of the exports of the other six families at their two lowest
+# degrees, which pin each family's DoF order, labels and test functions
+_GOLDEN_FAMILY_EXPORTS = {
+    "BDM_d2_k1.json": "adc9606f8c6d799cff19fabda92289f8b4c394d0b416da9aef1e9ad0c8ce5bc8",
+    "BDM_d2_k2.json": "d49443db131a8209fc7243b6e439d8bad0e8c7f64a5612b00aac58a39f5687dc",
+    "RT_d2_k0.json": "116482d810d5cd53dcb4dbed599275b09325e5461743e491319e71b28eb1cc1d",
+    "RT_d2_k1.json": "533b2062e7f230661cd167dd737a9e64a7f15e54256e139ec89d7b3b14cca1cc",
+    "HdivS_d2_k2.json": "1591b1178f6a2c06235105b7aae64e9f76417b1890bffae57d7656cbdb5a26ad",
+    "HdivS_d2_k3.json": "b048b74536a4d09119a7d99247ee3967bcc55882df6a4860d762b877d6aa3895",
+    "HdivS_split_d2_k2.json": "0d72cd1af3f556a27cf79c624854122fd9eda4fd646a50809b0a983c1b8b5581",
+    "HdivS_split_d2_k3.json": "fb622af87b5204be26db93183e8af1d11d2f123d93aa0a3712f28b9e6855ecbe",
+    "DivDivPlus_d2_k3.json": "c6c1d0a1e453dcb7a722e5aeebf7162f1456dfaa357821f43179f1e53e03b2b1",
+    "DivDivPlus_d2_k4.json": "66ac4170519260331a4f2bec284326707b2ec01f84d913879463d6e216a9bb09",
+    "DivDiv_d2_k3.json": "ef247951fe135599c84822d12b03cd43a9809397a857a242351738cd5b4e5191",
+    "DivDiv_d2_k4.json": "906130ab4e0950a1acef78498d90a030c2c974def342ac9f826af2aa71260245",
+}
+
+
+@pytest.mark.parametrize("family", ["BDM", "RT", "HdivS", "HdivS_split", "DivDivPlus", "DivDiv"])
+def test_export_bytes_of_each_family_are_pinned(tmp_path, family):
+    floor = cli.FAMILIES[family].floor(2)
+    argv = ["export", "--family", family, "--d", "2", "--k", f"{floor}..{floor + 1}", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == {name: digest for name, digest in _GOLDEN_FAMILY_EXPORTS.items()
+                   if name.startswith(f"{family}_d2_")}
+
+
+def test_repeated_family_runs_once(tmp_path, capsys):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    argv = ["verify", "--d", "2", "--k", "1..2", "--family", "BDM"]
+    assert cli.main(argv + ["--out", str(once)]) == 0
+    assert cli.main(argv + ["--family", "RT", "--family", "BDM", "--out", str(twice)]) == 0
+    doc = json.loads(twice.read_text())
+    assert doc["config"]["families"] == ["BDM", "RT"]
+    assert [c for c in doc["checks"] if c["family"] == "BDM"] == json.loads(once.read_text())["checks"]
+    capsys.readouterr()
+    argv = ["export", "--family", "RT", "--family", "RT", "--d", "2", "--k", "0", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err.count("RT_d2_k0.json") == 1
+
+
 def test_verify_markdown(capsys):
     code, out = run_main(
         ["verify", "--family", "RT", "--d", "2..2", "--k", "0..0", "--format", "markdown"],

@@ -246,7 +246,7 @@ def _replay_conformity_failure(patch, monkeypatch, family, k):
     # declaring the negative control conforming must fail with a witness
     spec = FAMILIES[family]
     control = conformity._NEGATIVE_CONTROL[spec.trace_modes[0]]
-    fake = FamilySpec(spec.name, spec.shape, spec.dofs, spec.floor, spec.trace_modes + (control,))
+    fake = FamilySpec(spec.name, spec.shape, spec.faces, spec.interior, spec.floor, spec.trace_modes + (control,))
     monkeypatch.setitem(FAMILIES, family, fake)
     res = conformity_check(patch, family, k)
     assert not res.passed
@@ -468,6 +468,37 @@ def test_passing_patch_builds_no_right_element(monkeypatch, family, k):
     assert build_standard(patch.right, FAMILIES[family].shape, k).dim not in solved
 
 
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS_minus", 2), ("DivDivPlus", 3), ("DivDiv", 3)])
+def test_passing_patch_builds_no_right_interior_tests(monkeypatch, family, k):
+    # the right side's shared DoFs are all face DoFs: a passing cell builds
+    # none of the interior test spaces on the right frame
+    from femforge import spaces
+
+    patch = reflected_patch(random_frame(2, random.Random(7)))
+    for frame in (patch.left, patch.right):
+        build_standard(frame, FAMILIES[family].shape, k)
+    built = []
+
+    def spy(name, frame_of):
+        # record the frame of each call that builds an interior test space
+        fn = getattr(spaces, name)
+
+        def recording(*args):
+            built.append((name, frame_of(*args)))
+            return fn(*args)
+        monkeypatch.setattr(spaces, name, recording)
+
+    spy("orthocomplement_in", lambda parent, sub, tag="": parent.frame)
+    spy("ker_mat_x_sym", lambda frame, deg: frame)
+    spy("image_space", lambda op, src, tag="": src.frame if op == "def" else None)
+    spy("build_standard", lambda frame, tag, deg: frame if tag == "ND" else None)
+    assert conformity_check(patch, family, k).passed
+    assert [name for name, frame in built if frame is patch.right] == []
+    # the spies see the interior tests of the right element's DoF list
+    FAMILIES[family].dofs(patch.right, k)
+    assert [name for name, frame in built if frame is patch.right]
+
+
 def _with_spec(monkeypatch, family, **changes):
     monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family], **changes))
     return FAMILIES[family]
@@ -509,16 +540,16 @@ def test_shape_basis_without_a_bernstein_block_falls_back(fallbacks):
 def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, family, k):
     # one shared DoF on the shared face declared interior: ker S_R then holds
     # a function with a nonzero declared trace on the face
-    dofs = FAMILIES[family].dofs
+    faces = FAMILIES[family].faces
 
     def one_on_face_interior(fr, k):
-        out = dofs(fr, k)
+        out = faces(fr, k)
         i = next(i for i, dof in enumerate(out)
                  if dof.shared and dof.face is not None and fr.d not in dof.face.vertex_ids)
         out[i] = dataclasses.replace(out[i], shared=False)
         return out
 
-    spec = _with_spec(monkeypatch, family, dofs=one_on_face_interior)
+    spec = _with_spec(monkeypatch, family, faces=one_on_face_interior)
     patch = reflected_patch(random_frame(2, random.Random(8)))
     left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
     assert conformity._shared_block_solution(patch, spec, left, right, k) is None
@@ -542,14 +573,19 @@ def test_control_without_a_jump_falls_back(monkeypatch, fallbacks, family, k):
 
 @pytest.mark.parametrize("family,rank", [("BDM", 11), ("HdivS", 17)])
 def test_singular_right_element_is_a_fail_record(monkeypatch, family, rank):
-    # the last DoF replaced by the first: the right DoF matrix is singular
-    dofs = FAMILIES[family].dofs
+    # the last DoF, an interior moment, replaced by the first, a face DoF:
+    # the right DoF matrix is singular
+    spec = FAMILIES[family]
+    kind, tests, shift, label = spec.interior[-1]
 
     def duplicated(fr, k):
-        out = dofs(fr, k)
-        return out[:-1] + out[:1]
+        out = spec.faces(fr, k)
+        return out + out[:1]
 
-    _with_spec(monkeypatch, family, dofs=duplicated)
+    def one_less(fr, deg):
+        return tests(fr, deg)[:-1]
+
+    _with_spec(monkeypatch, family, faces=duplicated, interior=spec.interior[:-1] + ((kind, one_less, shift, label),))
     patch = reflected_patch(reference_simplex(2))
     res = conformity._full_solve_check(patch, family, 2)
     assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", rank)

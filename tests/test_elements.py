@@ -547,6 +547,43 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     assert block.as_dict() == reference_trace_block_rank(e).as_dict()
 
 
+def _by_hand(e, k, basis):
+    """``e`` built by hand on the shape basis ``basis`` over the degree-k
+    frame, its DoF matrix applied member by member."""
+    space = spaces.PolySpace(e.frame, e.space.kind, k, basis)
+    return Element(e.family, e.frame, e.k, space, e.dofs,
+                   Matrix([[apply_dof(e.frame, dof, m) for m in space.members()] for dof in e.dofs]))
+
+
+@pytest.mark.parametrize("family,k,swap", [("BDM", 2, (3, 11)), ("RT", 1, None), ("HdivS", 2, None),
+                                           ("HdivS_minus", 2, None)])
+def test_trace_block_of_another_shape_basis_matches_the_reference(tri, family, k, swap):
+    # the same shape space with its members reordered (two swapped, or all
+    # reversed): the bubble is taken against the element's own basis
+    e = build_element(tri, family, k)
+    order = list(reversed(range(e.dim)))
+    if swap is not None:
+        order = list(range(e.dim))
+        order[swap[0]], order[swap[1]] = swap[1], swap[0]
+    columns = e.space.basis.columns()
+    hand = _by_hand(e, e.space.k, Matrix.from_columns([columns[j] for j in order]))
+    res = trace_block_rank(hand)
+    assert res.as_dict() == trace_block_rank(e).as_dict() == reference_trace_block_rank(hand).as_dict()
+
+
+def test_bubble_outside_the_shape_space_fails_the_trace_block(tri):
+    # BDM k=2 with member 3 replaced by a cubic bubble generator: unisolvent,
+    # and ker S has the bubble's dimension, but not the bubble
+    e = build_element(tri, "BDM", 2)
+    columns = e.space.with_degree(3).basis.columns()
+    columns[3] = spaces.bubble_generator_matrix(tri, "vector", 3).column(1)
+    hand = _by_hand(e, 3, Matrix.from_columns(columns))
+    res = trace_block_rank(hand)
+    assert check_unisolvence(hand).passed
+    assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", 3)
+    assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
+
+
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
 def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k):
     e = build_element(tri, family, k)
