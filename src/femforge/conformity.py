@@ -80,7 +80,7 @@ from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
 from .simplex import Face, SimplexFrame
-from .spaces import PolySpace, build_standard, operator_matrix
+from .spaces import PolySpace, build_standard
 
 _ZERO = Fraction(0)
 
@@ -269,13 +269,12 @@ def green_form(frame: SimplexFrame, k_tau: int, k_v: int) -> Matrix:
     one product of the stacked factors s T with the stacked factors M R."""
     d = frame.d
     c = frame.jac_factor
-    p_scalar = build_standard(frame, "P_scalar", k_v)
-    dd = operator_matrix("divdiv", build_standard(frame, "P_sym", k_tau))
-    hess = operator_matrix("hess", p_scalar)
-    grad = operator_matrix("grad", p_scalar)
+    dd, k_dd = poly.operator_table("divdiv", "sym", d, k_tau), poly.operator_target("divdiv", k_tau)[1]
+    hess, k_hess = poly.operator_table("hess", "scalar", d, k_v), poly.operator_target("hess", k_v)[1]
+    grad, k_grad = poly.operator_table("grad", "scalar", d, k_v), poly.operator_target("grad", k_v)[1]
     # (divdiv tau, v)_K - (tau, hess v)_K
-    lhs = [dd.matrix, frame_gram(frame, "sym", hess.target_k, k_tau).scale(-1)]
-    rhs = [frame_gram(frame, "scalar", dd.target_k, k_v), hess.matrix]
+    lhs = [dd, frame_gram(frame, "sym", k_hess, k_tau).scale(-1)]
+    rhs = [frame_gram(frame, "scalar", k_dd, k_v), hess]
     edges = {e.opposite_ids: e for e in frame.faces(2)}
     edge_v = {ids: chart_mass(e.dim, k_tau, k_v).matmul(e.trace("scalar", k_v, (1,)))
               for ids, e in edges.items()}
@@ -294,14 +293,13 @@ def green_form(frame: SimplexFrame, k_tau: int, k_v: int) -> Matrix:
         # normal-normal against the normal derivative, with the 1/(g.g) factor
         gg = sum((a * b for a, b in zip(gi, gi)), _ZERO)
         lhs.append(face.trace("sym", k_tau, gi, gi).scale(c / gg))
-        rhs.append(chart_mass(face.dim, k_tau, grad.target_k)
-                   .matmul(face.trace("vector", grad.target_k, gi)).matmul(grad.matrix))
+        rhs.append(chart_mass(face.dim, k_tau, k_grad).matmul(face.trace("vector", k_grad, gi)).matmul(grad))
 
         # combo trace against v
         chart_k, (combo,) = face.traces("sym", k_tau, "combo")
         lhs.append(combo.scale(-c))
         rhs.append(chart_mass(face.dim, chart_k, k_v).matmul(face.trace("scalar", k_v, (1,))))
-    n_tau, n_v = dd.matrix.cols, hess.matrix.cols
+    n_tau, n_v = dd.cols, hess.cols
     return Matrix.vstack(lhs, n_tau).transpose().matmul(Matrix.vstack(rhs, n_v))
 
 

@@ -196,8 +196,8 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, 
             name = "divdiv"
         else:
             raise UnsupportedTagError(f"unknown DoF kind {first.kind!r}")
-        op = spaces.operator_matrix(name, spaces.build_standard(frame, f"P_{kind}", k))
-        return q.matmul(frame_gram(frame, op.target_kind, deg, op.target_k)).matmul(op.matrix)
+        tkind, tk = poly.operator_target(name, k)
+        return q.matmul(frame_gram(frame, tkind, deg, tk)).matmul(poly.operator_table(name, kind, d, k))
     face = first.face
     if first.kind == FACE_NN:
         a, b = first.comp

@@ -12,6 +12,14 @@ stored components of the shape and ``exponents`` is a length-d multi-index.
 that pairings with integer rows (DoF rows, coefficient frames) are integer
 dot products.
 
+The differential and Koszul operators are integer stencil tables.  Each
+first-order operator is a list of rules on the stored components (d/dx_j or
+x_j times a weight in halves), and each second-order one the product of two
+first-order tables.  ``operator_table(op, kind, d, k)`` is the matrix
+between the two monomial frames, built once; the catalog's operator
+matrices and the ``Polynomial`` functions (``grad``, ``div``, ...) are
+products with it.
+
 Affine pull-backs run in integers as well.  ``AffinePowers`` clears a map
 ``x = c + L s`` over one denominator D and memoizes each power ``x^e`` as
 ``(D^|e|, {s-exponents: int})``, one multiplication by an integer affine row
@@ -345,150 +353,6 @@ def partial(p: Polynomial, var: int) -> Polynomial:
     return Polynomial(p.d, p.kind, _partial_terms(p.terms, var), vdim=p.vdim)
 
 
-def _require_ambient(p: Polynomial, what: str) -> None:
-    if p.vdim != p.d:
-        raise ShapeMismatchError(f"{what} applies to ambient fields, not chart restrictions")
-
-
-def grad(p: Polynomial) -> Polynomial:
-    if p.kind != "scalar":
-        raise ShapeMismatchError("grad needs a scalar")
-    return Polynomial.vector_from([partial(p, i) for i in range(p.d)])
-
-
-def div(v: Polynomial) -> Polynomial:
-    if v.kind != "vector":
-        raise ShapeMismatchError("div needs a vector")
-    _require_ambient(v, "div")
-    out = Polynomial(v.d, "scalar")
-    for i in range(v.d):
-        out = out + partial(v.component(i), i)
-    return out
-
-
-def div_rowwise(tau: Polynomial) -> Polynomial:
-    """Row-wise divergence of a matrix field: (div tau)_i = sum_j d_j tau_ij."""
-    if tau.kind not in ("sym", "skw", "matrix"):
-        raise ShapeMismatchError("div_rowwise needs a matrix shape")
-    _require_ambient(tau, "div_rowwise")
-    comps = []
-    for i in range(tau.d):
-        acc = Polynomial(tau.d, "scalar")
-        for j in range(tau.d):
-            acc = acc + partial(tau.entry(i, j), j)
-        comps.append(acc)
-    return Polynomial.vector_from(comps)
-
-
-def sym_grad(v: Polynomial) -> Polynomial:
-    """Symmetric gradient (deformation): (grad v + grad v^T) / 2."""
-    if v.kind != "vector":
-        raise ShapeMismatchError("sym_grad needs a vector")
-    _require_ambient(v, "sym_grad")
-    d = v.d
-    terms = {}
-    for c, (i, j) in enumerate(sym_pairs(d)):
-        pij = partial(v.component(i), j) + partial(v.component(j), i)
-        for (_, exps), val in pij.terms.items():
-            terms[(c, exps)] = val / 2
-    return Polynomial(d, "sym", terms)
-
-
-def skw_grad(v: Polynomial) -> Polynomial:
-    """Skew part of the gradient: entries (d_j v_i - d_i v_j) / 2."""
-    if v.kind != "vector":
-        raise ShapeMismatchError("skw_grad needs a vector")
-    _require_ambient(v, "skw_grad")
-    d = v.d
-    terms = {}
-    for c, (i, j) in enumerate(skw_pairs(d)):
-        pij = partial(v.component(i), j) - partial(v.component(j), i)
-        for (_, exps), val in pij.terms.items():
-            terms[(c, exps)] = val / 2
-    return Polynomial(d, "skw", terms)
-
-
-def hess(p: Polynomial) -> Polynomial:
-    if p.kind != "scalar":
-        raise ShapeMismatchError("hess needs a scalar")
-    d = p.d
-    terms = {}
-    for c, (i, j) in enumerate(sym_pairs(d)):
-        pij = partial(partial(p, i), j)
-        for (_, exps), val in pij.terms.items():
-            terms[(c, exps)] = val
-    return Polynomial(d, "sym", terms)
-
-
-def divdiv(tau: Polynomial) -> Polynomial:
-    if tau.kind not in ("sym", "matrix"):
-        raise ShapeMismatchError("divdiv needs a (symmetric) matrix")
-    return div(div_rowwise(tau))
-
-
-# -- Koszul-type multiplication operators -----------------------------------------
-
-
-def koszul_x(q: Polynomial) -> Polynomial:
-    """q x for a scalar q (vector valued)."""
-    if q.kind != "scalar":
-        raise ShapeMismatchError("koszul_x needs a scalar")
-    d = q.d
-    terms = {}
-    for c in range(d):
-        for (_, exps), val in q.terms.items():
-            new = list(exps)
-            new[c] += 1
-            terms[(c, tuple(new))] = val
-    return Polynomial(d, "vector", terms)
-
-
-def koszul_dot_x(v: Polynomial) -> Polynomial:
-    """v . x for a vector field v."""
-    if v.kind != "vector":
-        raise ShapeMismatchError("koszul_dot_x needs a vector")
-    _require_ambient(v, "koszul_dot_x")
-    terms: dict = {}
-    for (c, exps), val in v.terms.items():
-        new = list(exps)
-        new[c] += 1
-        key = (0, tuple(new))
-        acc = terms.get(key)
-        terms[key] = val if acc is None else acc + val
-    return Polynomial(v.d, "scalar", terms)
-
-
-def koszul_mat_x(tau: Polynomial) -> Polynomial:
-    """tau x: row-wise dot with the position vector."""
-    if tau.kind not in ("sym", "skw", "matrix"):
-        raise ShapeMismatchError("koszul_mat_x needs a matrix shape")
-    _require_ambient(tau, "koszul_mat_x")
-    comps = []
-    for i in range(tau.d):
-        acc = Polynomial(tau.d, "scalar")
-        for j in range(tau.d):
-            acc = acc + multiply(Polynomial.coordinate(tau.d, j), tau.entry(i, j))
-        comps.append(acc)
-    return Polynomial.vector_from(comps)
-
-
-def koszul_xxT(q: Polynomial) -> Polynomial:
-    """x x^T q for a scalar q (symmetric matrix valued)."""
-    if q.kind != "scalar":
-        raise ShapeMismatchError("koszul_xxT needs a scalar")
-    d = q.d
-    terms = {}
-    for c, (i, j) in enumerate(sym_pairs(d)):
-        for (_, exps), val in q.terms.items():
-            new = list(exps)
-            new[i] += 1
-            new[j] += 1
-            key = (c, tuple(new))
-            acc = terms.get(key)
-            terms[key] = val if acc is None else acc + val
-    return Polynomial(d, "sym", terms)
-
-
 def homogeneous_component(p: Polynomial, r: int) -> Polynomial:
     if r < 0:
         raise ValueError("degree selector must be non-negative")
@@ -636,6 +500,155 @@ def coeff_matrix(polys: Iterable[Polynomial], k: int) -> Matrix:
     if not polys:
         raise ValueError("need at least one polynomial to infer the frame")
     return Matrix.from_int_rows([coeff_row(p, k) for p in polys]).transpose()
+
+
+# -- operators as integer stencil tables ---------------------------------------------
+#
+# A first-order operator is a list of rules (source component, target component,
+# variable j, weight in halves) together with one action: d/dx_j maps the
+# monomial (c, e) to weight/2 * e_j (target, e - e_j), and x_j maps it to
+# weight/2 (target, e + e_j).  A second-order operator is the product of two
+# first-order tables: hess = def grad, divdiv = div div_rowwise and
+# x x^T = (sym x) x, where sym x is v -> (v x^T + x v^T) / 2.
+
+_MATRIX_KINDS = ("sym", "skw", "matrix")
+
+# op -> (source kinds, target kind, degree change, (outer, inner) for a product)
+OPERATORS: dict[str, tuple[tuple[str, ...], str, int, tuple[str, str] | None]] = {
+    "grad": (("scalar",), "vector", -1, None),
+    "div": (("vector",), "scalar", -1, None),
+    "div_rowwise": (_MATRIX_KINDS, "vector", -1, None),
+    "def": (("vector",), "sym", -1, None),
+    "skw_grad": (("vector",), "skw", -1, None),
+    "dot_x": (("vector",), "scalar", 1, None),
+    "x": (("scalar",), "vector", 1, None),
+    "mat_x": (_MATRIX_KINDS, "vector", 1, None),
+    "sym_x": (("vector",), "sym", 1, None),
+    "hess": (("scalar",), "sym", -2, ("def", "grad")),
+    "divdiv": (("sym", "matrix"), "scalar", -2, ("div", "div_rowwise")),
+    "xxT": (("scalar",), "sym", 2, ("sym_x", "x")),
+}
+
+
+def operator_target(op: str, k: int) -> tuple[str, int]:
+    """(kind, degree) of the frame that ``op`` maps the degree-k frame into."""
+    _, kind, shift, _ = OPERATORS[op]
+    return kind, max(k + shift, 0)
+
+
+def _rules(op: str, kind: str, d: int) -> list[tuple[int, int, int, int]]:
+    """The (source component, target component, variable, weight in halves)
+    rules of a first-order operator on ``kind`` fields in d variables."""
+    if op in ("grad", "x"):
+        return [(0, j, j, 2) for j in range(d)]
+    if op in ("div", "dot_x"):
+        return [(j, 0, j, 2) for j in range(d)]
+    if op in ("div_rowwise", "mat_x"):
+        # row i: sum_j d_j tau_ij, or sum_j tau_ij x_j
+        return [(c, i, j, 2 * sign) for i in range(d) for j in range(d)
+                for c, sign in [entry_comp(kind, d, i, j)] if sign]
+    # entry (i, j) of def, sym x and skw_grad: (D_j v_i +- D_i v_j) / 2
+    pairs, sign = (skw_pairs(d), -1) if op == "skw_grad" else (sym_pairs(d), 1)
+    return [rule for c, (i, j) in enumerate(pairs) for rule in ((i, c, j, 1), (j, c, i, sign))]
+
+
+@lru_cache(maxsize=None)
+def operator_table(op: str, kind: str, d: int, k: int) -> Matrix:
+    """The matrix of ``op`` from the frame (kind, d, k) to the frame of
+    ``operator_target(op, k)`` in d variables: column j is the image of the
+    j-th monomial of the source frame."""
+    if op not in OPERATORS:
+        raise ValueError(f"unknown operator {op!r}")
+    sources, tkind, shift, product = OPERATORS[op]
+    if kind not in sources:
+        raise ShapeMismatchError(f"{op} needs a {' or '.join(sources)} field, not {kind}")
+    if product is not None:
+        outer, inner = product
+        mid_kind, mid_k = operator_target(inner, k)
+        return operator_table(outer, mid_kind, d, mid_k).matmul(operator_table(inner, kind, d, k))
+    index = _frame_index(tkind, d, operator_target(op, k)[1])
+    by_source: dict[int, list] = {}
+    for src, tgt, j, w in _rules(op, kind, d):
+        by_source.setdefault(src, []).append((tgt, j, w))
+    source = frame(kind, d, k)
+    rows = [[0] * len(source) for _ in index]
+    for col, (c, e) in enumerate(source):
+        for tgt, j, w in by_source.get(c, ()):
+            if shift > 0:
+                rows[index[(tgt, e[:j] + (e[j] + 1,) + e[j + 1:])]][col] += w
+            elif e[j]:
+                rows[index[(tgt, e[:j] + (e[j] - 1,) + e[j + 1:])]][col] += w * e[j]
+    return Matrix.from_int_rows([(2, row) for row in rows], len(source))
+
+
+def _apply(op: str, p: Polynomial) -> Polynomial:
+    """op(p): the operator's table times p's coefficients."""
+    if p.vdim != p.d:
+        raise ShapeMismatchError(f"{op} applies to ambient fields, not chart restrictions")
+    den, deg, items = p.int_terms()
+    k = max(deg, 0)
+    table = operator_table(op, p.kind, p.d, k)
+    index = _frame_index(p.kind, p.d, k)
+    coeffs = [(index[key], v) for key, v in items]
+    tkind, tk = operator_target(op, k)
+    terms = {}
+    for i, key in enumerate(frame(tkind, p.d, tk)):
+        tden, ints = table.int_row(i)
+        s = sum(ints[j] * v for j, v in coeffs)
+        if s:
+            terms[key] = Fraction(s, tden * den)
+    return Polynomial(p.d, tkind, terms)
+
+
+def grad(p: Polynomial) -> Polynomial:
+    return _apply("grad", p)
+
+
+def div(v: Polynomial) -> Polynomial:
+    return _apply("div", v)
+
+
+def div_rowwise(tau: Polynomial) -> Polynomial:
+    """Row-wise divergence of a matrix field: (div tau)_i = sum_j d_j tau_ij."""
+    return _apply("div_rowwise", tau)
+
+
+def sym_grad(v: Polynomial) -> Polynomial:
+    """Symmetric gradient (deformation): (grad v + grad v^T) / 2."""
+    return _apply("def", v)
+
+
+def skw_grad(v: Polynomial) -> Polynomial:
+    """Skew part of the gradient: entries (d_j v_i - d_i v_j) / 2."""
+    return _apply("skw_grad", v)
+
+
+def hess(p: Polynomial) -> Polynomial:
+    return _apply("hess", p)
+
+
+def divdiv(tau: Polynomial) -> Polynomial:
+    return _apply("divdiv", tau)
+
+
+def koszul_x(q: Polynomial) -> Polynomial:
+    """q x for a scalar q (vector valued)."""
+    return _apply("x", q)
+
+
+def koszul_dot_x(v: Polynomial) -> Polynomial:
+    """v . x for a vector field v."""
+    return _apply("dot_x", v)
+
+
+def koszul_mat_x(tau: Polynomial) -> Polynomial:
+    """tau x: row-wise dot with the position vector."""
+    return _apply("mat_x", tau)
+
+
+def koszul_xxT(q: Polynomial) -> Polynomial:
+    """x x^T q for a scalar q (symmetric matrix valued)."""
+    return _apply("xxT", q)
 
 
 # -- serialization ------------------------------------------------------------------

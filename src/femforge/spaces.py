@@ -247,54 +247,23 @@ def nd_basis(d: int, k: int) -> tuple[Polynomial, ...]:
 # -- operator matrices ---------------------------------------------------------------
 
 
-_OPS: dict[str, tuple[Callable[[Polynomial], Polynomial], str, Callable[[int], int]]] = {
-    "grad": (poly.grad, "vector", lambda k: max(k - 1, 0)),
-    "div": (poly.div, "scalar", lambda k: max(k - 1, 0)),
-    "div_rowwise": (poly.div_rowwise, "vector", lambda k: max(k - 1, 0)),
-    "def": (poly.sym_grad, "sym", lambda k: max(k - 1, 0)),
-    "hess": (poly.hess, "sym", lambda k: max(k - 2, 0)),
-    "dot_x": (poly.koszul_dot_x, "scalar", lambda k: k + 1),
-    "x": (poly.koszul_x, "vector", lambda k: k + 1),
-    "mat_x": (poly.koszul_mat_x, "vector", lambda k: k + 1),
-    "xxT": (poly.koszul_xxT, "sym", lambda k: k + 2),
-    "divdiv": (poly.divdiv, "scalar", lambda k: max(k - 2, 0)),
-}
-
-
-class OperatorMatrix:
-    """Matrix of a linear operator from a space's basis to a target frame."""
-
-    __slots__ = ("target_kind", "target_k", "matrix")
-
-    def __init__(self, target_kind: str, target_k: int, matrix: Matrix):
-        self.target_kind = target_kind
-        self.target_k = target_k
-        self.matrix = matrix
-
-
-def operator_matrix(op: str, source: PolySpace) -> OperatorMatrix:
-    got = _OPS.get(op)
-    if got is None:
+def operator_matrix(op: str, source: PolySpace) -> Matrix:
+    """The images of ``source``'s members under ``op``, as columns over the
+    frame ``poly.operator_target(op, source.k)``: the operator's table times
+    the basis."""
+    if op not in poly.OPERATORS:
         raise UnsupportedTagError(f"unknown operator tag {op!r}")
-    fn, tkind, tk = got
-    target_k = tk(source.k)
-    images = [fn(p) for p in source.members()]
-    if images:
-        matrix = poly.coeff_matrix(images, target_k)
-    else:
-        matrix = Matrix.zeros(len(poly.frame(tkind, source.frame.d, target_k)), 0)
-    return OperatorMatrix(tkind, target_k, matrix)
+    return poly.operator_table(op, source.kind, source.frame.d, source.k).matmul(source.basis)
 
 
 def image_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
-    m = operator_matrix(op, source)
-    return PolySpace(
-        source.frame, m.target_kind, m.target_k, exact.image_basis(m.matrix), tag or f"img_{op}({source.tag})"
-    )
+    kind, k = poly.operator_target(op, source.k)
+    basis = exact.image_basis(operator_matrix(op, source))
+    return PolySpace(source.frame, kind, k, basis, tag or f"img_{op}({source.tag})")
 
 
 def kernel_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
-    coords = operator_matrix(op, source).matrix.null_space()
+    coords = operator_matrix(op, source).null_space()
     basis = exact.image_basis(source.basis.matmul(coords))
     return PolySpace(source.frame, source.kind, source.k, basis, tag or f"ker_{op}({source.tag})")
 
@@ -456,11 +425,9 @@ def certify_decompositions(frame: SimplexFrame, k: int) -> list[CheckResult]:
     symx = image_space("mat_x", p_sym, "P_sym_times_x")
     add("image-def-x-equals-sym-x", space_equal(defx, symx), symx.dim, defx.dim)
 
-    p_vec_k = build_standard(frame, "P_vector", k)
-    # kernel of q -> (def q) x on P_k(R^d), assembled directly
-    imgs = [poly.koszul_mat_x(poly.sym_grad(q)) for q in p_vec_k.members()]
-    coords = poly.coeff_matrix(imgs, p_vec_k.k).null_space()
-    ker_defx = PolySpace(frame, "vector", p_vec_k.k, exact.image_basis(p_vec_k.basis.matmul(coords)), "ker_def_x")
+    # kernel of q -> (def q) x on P_k(R^d), as the product of the two tables
+    def_x = poly.operator_table("mat_x", "sym", d, k - 1).matmul(poly.operator_table("def", "vector", d, k))
+    ker_defx = PolySpace(frame, "vector", k, exact.image_basis(def_x.null_space()), "ker_def_x")
     rm = build_standard(frame, "RM", 0)
     add("kernel-def-x-equals-rigid-motions", space_equal(ker_defx, rm), dim_RM(d), ker_defx.dim)
     return out
@@ -474,9 +441,9 @@ def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolyS
     preimage is read off one exact elimination of ``[M | tgt]`` and
     re-verified.
     """
-    dm = operator_matrix("div_rowwise" if space.kind == "sym" else "div", space)
-    m = dm.matrix
-    tgt = target.with_degree(dm.target_k).basis
+    op = "div_rowwise" if space.kind == "sym" else "div"
+    m = operator_matrix(op, space)
+    tgt = target.with_degree(poly.operator_target(op, space.k)[1]).basis
     if target.dim == 0 or space.dim == 0:
         return empty_space(space.frame, space.kind, space.k, tag)
     n = m.cols
@@ -493,10 +460,10 @@ def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolyS
     )
 
 
-def _div_free_coords(gens: list[Polynomial], k: int) -> Matrix:
-    """Coordinates, over the degree-k symmetric fields ``gens``, of their
-    divergence-free combinations."""
-    return poly.coeff_matrix([poly.div_rowwise(g) for g in gens], k - 1).null_space()
+def _div_free_coords(gens: Matrix, d: int, k: int) -> Matrix:
+    """Coordinates, over the columns of ``gens`` (symmetric fields over the
+    frame (sym, d, k)), of their divergence-free combinations."""
+    return poly.operator_table("div_rowwise", "sym", d, k).matmul(gens).null_space()
 
 
 def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
@@ -530,10 +497,9 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
 
 
 def _enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
-    gens = _edge_generators(frame, k + 1, frame.tensor_T)
-    bubble = poly.coeff_matrix(gens, k + 1)
-    e0 = bubble.matmul(_div_free_coords(gens, k + 1))
-    deform = operator_matrix("def", build_standard(frame, "P_vector", k - 1)).matrix
+    bubble = poly.coeff_matrix(_edge_generators(frame, k + 1, frame.tensor_T), k + 1)
+    e0 = bubble.matmul(_div_free_coords(bubble, frame.d, k + 1))
+    deform = poly.operator_table("def", "vector", frame.d, k - 1)
     blocks = [deform.transpose().matmul(frame_gram(frame, "sym", k - 2, k + 1))]
     if e0.cols:  # E0 is empty at k = 2, and so is its degree-(k+1) Gram block
         blocks.append(e0.transpose().matmul(frame_gram(frame, "sym", k + 1, k + 1)))

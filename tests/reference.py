@@ -9,7 +9,9 @@ enrichment through L2 complements and a divergence preimage, the oracle for
 the pairing kernel of ``spaces.bubble_enrichment_sym``.  The ``Fraction``
 polynomial routines below (affine substitution, face restriction, monomial
 moments and named face traces, one polynomial at a time) are the oracles for
-the integer power tables of ``poly.AffinePowers``.
+the integer power tables of ``poly.AffinePowers``, and the per-term
+differential and Koszul operators those for the stencil tables of
+``poly.operator_table``.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from typing import Sequence
 from femforge import poly
 from femforge.exact import Matrix, _check_ambient, image_basis
 from femforge.integrate import pair_simplex, reference_monomial_integral
-from femforge.poly import Polynomial, div_rowwise, multiply, partial
+from femforge.poly import Polynomial, ShapeMismatchError, multiply, partial
 from femforge.simplex import Face, SimplexFrame
 from femforge.spaces import (
     PolySpace,
@@ -244,3 +246,169 @@ def face_traces(face: Face, kind: str, k: int, mode: str) -> list[Matrix]:
                for c, e in poly.frame(kind, face.d, k)]
     return [Matrix.from_columns([[col[t].terms.get((0, se), 0) for se in chart] for col in columns], len(chart))
             for t in range(len(columns[0]))]
+
+
+# -- per-term operators -------------------------------------------------------------
+#
+# The differential and Koszul operators one term and one component at a time:
+# the oracles for the stencil tables of ``poly.operator_table``.
+
+
+def _require_ambient(p: Polynomial, what: str) -> None:
+    if p.vdim != p.d:
+        raise ShapeMismatchError(f"{what} applies to ambient fields, not chart restrictions")
+
+
+def grad(p: Polynomial) -> Polynomial:
+    if p.kind != "scalar":
+        raise ShapeMismatchError("grad needs a scalar")
+    return Polynomial.vector_from([partial(p, i) for i in range(p.d)])
+
+
+def div(v: Polynomial) -> Polynomial:
+    if v.kind != "vector":
+        raise ShapeMismatchError("div needs a vector")
+    _require_ambient(v, "div")
+    out = Polynomial(v.d, "scalar")
+    for i in range(v.d):
+        out = out + partial(v.component(i), i)
+    return out
+
+
+def div_rowwise(tau: Polynomial) -> Polynomial:
+    """Row-wise divergence of a matrix field: (div tau)_i = sum_j d_j tau_ij."""
+    if tau.kind not in ("sym", "skw", "matrix"):
+        raise ShapeMismatchError("div_rowwise needs a matrix shape")
+    _require_ambient(tau, "div_rowwise")
+    comps = []
+    for i in range(tau.d):
+        acc = Polynomial(tau.d, "scalar")
+        for j in range(tau.d):
+            acc = acc + partial(tau.entry(i, j), j)
+        comps.append(acc)
+    return Polynomial.vector_from(comps)
+
+
+def sym_grad(v: Polynomial) -> Polynomial:
+    """Symmetric gradient (deformation): (grad v + grad v^T) / 2."""
+    if v.kind != "vector":
+        raise ShapeMismatchError("sym_grad needs a vector")
+    _require_ambient(v, "sym_grad")
+    d = v.d
+    terms = {}
+    for c, (i, j) in enumerate(poly.sym_pairs(d)):
+        pij = partial(v.component(i), j) + partial(v.component(j), i)
+        for (_, exps), val in pij.terms.items():
+            terms[(c, exps)] = val / 2
+    return Polynomial(d, "sym", terms)
+
+
+def skw_grad(v: Polynomial) -> Polynomial:
+    """Skew part of the gradient: entries (d_j v_i - d_i v_j) / 2."""
+    if v.kind != "vector":
+        raise ShapeMismatchError("skw_grad needs a vector")
+    _require_ambient(v, "skw_grad")
+    d = v.d
+    terms = {}
+    for c, (i, j) in enumerate(poly.skw_pairs(d)):
+        pij = partial(v.component(i), j) - partial(v.component(j), i)
+        for (_, exps), val in pij.terms.items():
+            terms[(c, exps)] = val / 2
+    return Polynomial(d, "skw", terms)
+
+
+def hess(p: Polynomial) -> Polynomial:
+    if p.kind != "scalar":
+        raise ShapeMismatchError("hess needs a scalar")
+    d = p.d
+    terms = {}
+    for c, (i, j) in enumerate(poly.sym_pairs(d)):
+        pij = partial(partial(p, i), j)
+        for (_, exps), val in pij.terms.items():
+            terms[(c, exps)] = val
+    return Polynomial(d, "sym", terms)
+
+
+def divdiv(tau: Polynomial) -> Polynomial:
+    if tau.kind not in ("sym", "matrix"):
+        raise ShapeMismatchError("divdiv needs a (symmetric) matrix")
+    return div(div_rowwise(tau))
+
+
+# -- Koszul-type multiplication operators -----------------------------------------
+
+
+def koszul_x(q: Polynomial) -> Polynomial:
+    """q x for a scalar q (vector valued)."""
+    if q.kind != "scalar":
+        raise ShapeMismatchError("koszul_x needs a scalar")
+    d = q.d
+    terms = {}
+    for c in range(d):
+        for (_, exps), val in q.terms.items():
+            new = list(exps)
+            new[c] += 1
+            terms[(c, tuple(new))] = val
+    return Polynomial(d, "vector", terms)
+
+
+def koszul_dot_x(v: Polynomial) -> Polynomial:
+    """v . x for a vector field v."""
+    if v.kind != "vector":
+        raise ShapeMismatchError("koszul_dot_x needs a vector")
+    _require_ambient(v, "koszul_dot_x")
+    terms: dict = {}
+    for (c, exps), val in v.terms.items():
+        new = list(exps)
+        new[c] += 1
+        key = (0, tuple(new))
+        acc = terms.get(key)
+        terms[key] = val if acc is None else acc + val
+    return Polynomial(v.d, "scalar", terms)
+
+
+def koszul_mat_x(tau: Polynomial) -> Polynomial:
+    """tau x: row-wise dot with the position vector."""
+    if tau.kind not in ("sym", "skw", "matrix"):
+        raise ShapeMismatchError("koszul_mat_x needs a matrix shape")
+    _require_ambient(tau, "koszul_mat_x")
+    comps = []
+    for i in range(tau.d):
+        acc = Polynomial(tau.d, "scalar")
+        for j in range(tau.d):
+            acc = acc + multiply(Polynomial.coordinate(tau.d, j), tau.entry(i, j))
+        comps.append(acc)
+    return Polynomial.vector_from(comps)
+
+
+def koszul_xxT(q: Polynomial) -> Polynomial:
+    """x x^T q for a scalar q (symmetric matrix valued)."""
+    if q.kind != "scalar":
+        raise ShapeMismatchError("koszul_xxT needs a scalar")
+    d = q.d
+    terms = {}
+    for c, (i, j) in enumerate(poly.sym_pairs(d)):
+        for (_, exps), val in q.terms.items():
+            new = list(exps)
+            new[i] += 1
+            new[j] += 1
+            key = (c, tuple(new))
+            acc = terms.get(key)
+            terms[key] = val if acc is None else acc + val
+    return Polynomial(d, "sym", terms)
+
+
+OPERATOR_FUNCTIONS = {
+    "grad": grad, "div": div, "div_rowwise": div_rowwise, "def": sym_grad, "skw_grad": skw_grad,
+    "hess": hess, "divdiv": divdiv, "dot_x": koszul_dot_x, "x": koszul_x, "mat_x": koszul_mat_x,
+    "xxT": koszul_xxT,
+}
+
+
+def operator_images(op: str, kind: str, d: int, k: int) -> Matrix:
+    """The images of the monomials of the frame (kind, d, k) under ``op``,
+    as columns over the operator's target frame."""
+    fn = OPERATOR_FUNCTIONS[op]
+    tkind, tk = poly.operator_target(op, k)
+    images = [fn(Polynomial.monomial(d, kind, c, e)) for c, e in poly.frame(kind, d, k)]
+    return Matrix.from_columns([poly.coeff_vector(q, tk) for q in images], len(poly.frame(tkind, d, tk)))

@@ -291,3 +291,58 @@ def test_evaluate_full_matrix_shapes():
 def test_float_coefficients_are_rejected(build):
     with pytest.raises(TypeError):
         build()
+
+
+# -- stencil tables against the per-term oracle ---------------------------------------
+
+import reference  # noqa: E402
+
+_PUBLIC_OPERATORS = {
+    "grad": grad, "div": div, "div_rowwise": div_rowwise, "def": sym_grad, "skw_grad": skw_grad,
+    "hess": hess, "divdiv": divdiv, "dot_x": koszul_dot_x, "x": koszul_x, "mat_x": koszul_mat_x,
+    "xxT": koszul_xxT,
+}
+_OPERATOR_KINDS = [(op, kind) for op in _PUBLIC_OPERATORS for kind in poly.OPERATORS[op][0]]
+
+
+@pytest.mark.parametrize("op,kind", _OPERATOR_KINDS)
+def test_operator_table_equals_the_per_term_images(op, kind):
+    # every admissible kind, d = 1..4 (no skew fields at d = 1), k = 0..5
+    for d in range(1, 5):
+        if poly.ncomp(kind, d) == 0:
+            continue
+        for k in range(6):
+            assert poly.operator_table(op, kind, d, k) == reference.operator_images(op, kind, d, k), (d, k)
+
+
+@pytest.mark.parametrize("op,kind", _OPERATOR_KINDS)
+def test_operator_functions_match_the_oracle_on_random_fields(op, kind):
+    rng = random.Random(f"{op}-{kind}")
+    for d in (2, 3):
+        terms = {(c, e): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for c, e in frame(kind, d, 3) if rng.random() < 0.4}
+        p = Polynomial(d, kind, terms)
+        assert _PUBLIC_OPERATORS[op](p) == reference.OPERATOR_FUNCTIONS[op](p)
+
+
+_WRONG_KIND = {"scalar": "vector", "vector": "sym", "sym": "scalar", "skw": "vector", "matrix": "scalar"}
+
+
+@pytest.mark.parametrize("op", list(_PUBLIC_OPERATORS))
+def test_operators_reject_a_wrong_kind_and_a_chart_restriction(op):
+    from femforge.simplex import reference_simplex
+
+    kind = poly.OPERATORS[op][0][0]
+    fn = _PUBLIC_OPERATORS[op]
+    wrong = _WRONG_KIND[kind]
+    with pytest.raises(ShapeMismatchError):
+        fn(Polynomial.monomial(3, wrong, 0, (1, 0, 0)))
+    with pytest.raises(ShapeMismatchError):
+        poly.operator_table(op, wrong, 3, 2)
+    if kind != "scalar":
+        # a field restricted to a face chart: 2 chart variables, 3 value dimensions
+        field = Polynomial.monomial(3, kind, 0, (1, 1, 0))
+        restricted = reference_simplex(3).face_opposite(0).restrict(field)
+        assert (restricted.d, restricted.vdim) == (2, 3)
+        with pytest.raises(ShapeMismatchError):
+            fn(restricted)

@@ -40,6 +40,7 @@ from femforge.spaces import (
     split_bubble,
     trace_matrix,
 )
+import reference
 from reference import preimage_enrichment_sym
 
 
@@ -285,7 +286,7 @@ def test_divdiv_splits_dims(tri):
     e0, e0perp = split_bubble(tri, "div_sym", 4)
     assert f0.dim + ftr.dim == e0perp.dim
     # div restricted to E0perp is injective
-    assert operator_matrix("div_rowwise", e0perp).matrix.rank() == e0perp.dim
+    assert operator_matrix("div_rowwise", e0perp).rank() == e0perp.dim
     # the trace of div(Ftr) spans the whole achievable trace space
     tr = trace_matrix(tri, image_space("div_rowwise", ftr), "vector_normal")
     assert tr.rank() == ftr.dim == dim_trace_vector(2, 3)
@@ -392,10 +393,10 @@ def _ref_face_trace_rows(face, member, mode, chart_k):
     elif mode == "tensor_normal":
         polys = [face.restrict(row_g(i)) for i in range(d)]
     elif mode == "normal_div":
-        polys = [face.restrict(dot_g(poly.div_rowwise(member)))]
+        polys = [face.restrict(dot_g(reference.div_rowwise(member)))]
     elif mode == "combo":
         taug = Polynomial.vector_from([row_g(i) for i in range(d)])
-        polys = [face.restrict(dot_g(poly.div_rowwise(member))) + surface_div(face, taug)]
+        polys = [face.restrict(dot_g(reference.div_rowwise(member))) + surface_div(face, taug)]
     rows = []
     for p in polys:
         chart = Polynomial(face.dim, "scalar", {(0, e): v for (_, e), v in p.terms.items()})
@@ -618,7 +619,7 @@ def test_bubble_enrichment_guard_rejects_a_missing_e0_block(monkeypatch):
     # the E0 rows the null space keeps it and comes out one dimension too large
     fr = reference_simplex(2)
     assert split_bubble(fr, "div_sym", 4)[0].dim == dim_E0_sym(2, 4) == 1
-    monkeypatch.setattr(spaces, "_div_free_coords", lambda gens, k: Matrix.zeros(len(gens), 0))
+    monkeypatch.setattr(spaces, "_div_free_coords", lambda gens, d, k: Matrix.zeros(gens.cols, 0))
     with pytest.raises(ArithmeticError, match="dimension 9"):
         spaces.bubble_enrichment_sym(fr, 3)
     assert ("enrichment", 3) not in fr._space_cache
@@ -657,3 +658,20 @@ def test_shape_sym_minus_is_the_cached_space_sum(d, k):
             else:
                 assert got.basis == ref.basis
             assert build_standard(fr, tag, j) is got
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_operator_matrix_of_a_non_identity_source_matches_the_per_member_images(k):
+    # def on ND_k, mat_x on the skew P_k, and div_rowwise on the enrichment's
+    # degree-(k+1) generators, against the per-term oracle member by member
+    for fr in (reference_simplex(3), random_frame(3, random.Random(k))):
+        bubble = poly.coeff_matrix(spaces._edge_generators(fr, k + 1, fr.tensor_T), k + 1)
+        cases = [("def", build_standard(fr, "ND", k)), ("mat_x", build_standard(fr, "P_skw", k)),
+                 ("div_rowwise", spaces.PolySpace(fr, "sym", k + 1, bubble))]
+        for op, source in cases:
+            tk = poly.operator_target(op, source.k)[1]
+            fn = reference.OPERATOR_FUNCTIONS[op]
+            expected = poly.coeff_matrix([fn(p) for p in source.members()], tk)
+            assert operator_matrix(op, source) == expected
+        # expected is now the generators' per-member divergences
+        assert spaces._div_free_coords(bubble, 3, k + 1) == expected.null_space()
