@@ -33,13 +33,17 @@ paper's bubble space with one product and one rank in member coordinates
 the catalog's).
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
-from the trace matrices of ``simplex.Face`` and the chart mass and frame Gram
-matrices of ``integrate``, one product per run of DoFs that share a face and
-a trace; applying a DoF to a polynomial is a sparse dot product with its
+from the chart mass and frame Gram matrices of ``integrate``, one run of
+DoFs that share a face and a trace at a time.  A face run multiplies its
+test moments against the chart mass by each scalar restriction table of its
+trace (``Face.trace_parts``, ``Face.table``) and scatters the products into
+the component columns by the trace's weights, so no trace matrix is formed.
+Applying a DoF to a polynomial is a sparse dot product with its
 coefficients, over the polynomial's memoized integer terms
 (``Polynomial.int_terms``; the members of a shape space come with them).
-The Bernstein rows of the shared DoFs are the same products with the
-Bernstein traces.
+``build_element`` clears each row of the DoF matrix to integers as soon as
+it is applied.  The Bernstein rows of the shared DoFs are the same products
+with the Bernstein tables.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -57,11 +61,11 @@ from itertools import groupby
 from typing import Callable, Sequence
 
 from . import exact, poly, spaces
-from .exact import Matrix, SingularMatrixError
+from .exact import Matrix, SingularMatrixError, _cleared
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
-from .simplex import Face, SimplexFrame
+from .simplex import Face, SimplexFrame, _weights
 from .spaces import BadDegreeError, PolySpace, UnsupportedTagError
 
 _ZERO = Fraction(0)
@@ -111,11 +115,11 @@ class Element:
 # -- DoF rows --------------------------------------------------------------------------
 #
 # A DoF is a row over the shaped monomial frame (kind, d, k) of the shape space.
-# Rows are assembled one matrix product per run of DoFs sharing a kind, a face
-# and a component pair:
-#   face moments      tests^T x chart mass x trace matrix (Face.trace/traces)
+# Rows are assembled per run of DoFs sharing a kind, a face and a component pair:
+#   face moments      tests_j^T x chart mass x scalar table, scattered by the
+#                     trace's weights (Face.trace_parts, exact.kron_sum)
 #   interior moments  tests^T x frame Gram x operator (identity, div, div div)
-#   vertex values     the evaluation rows of the vertex
+#   vertex values     the scalar table of the vertex
 # and kept as integer rows with one denominator each.
 
 _FACE_TRACES = {
@@ -173,9 +177,8 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, 
     d = frame.d
     width = len(poly.frame(kind, d, k))
     if first.kind == VERTEX_EVAL:
-        # the values at the vertex: the scalar trace on a 0-dimensional face
-        vertex = frame.faces(d)[first.vertex]
-        den, values = (vertex.bernstein_trace if bernstein else vertex.trace)("scalar", k, (1,)).int_row(0)
+        # the values at the vertex: the scalar table of a 0-dimensional face
+        den, values = frame.faces(d)[first.vertex].table(k, None, bernstein).int_row(0)
         nc = poly.ncomp(kind, d)
         rows = []
         for dof in run:
@@ -200,21 +203,21 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, 
         return q.matmul(frame_gram(frame, tkind, deg, tk)).matmul(poly.operator_table(name, kind, d, k))
     face = first.face
     if first.kind == FACE_NN:
-        a, b = first.comp
-        trace = face.bernstein_trace if bernstein else face.trace
-        chart_k, traces = k, [trace(kind, k, face.normal_frame[a], face.normal_frame[b])]
+        a, b = (face.normal_frame[i] for i in first.comp)
+        chart_k, parts = k, ([(_weights(kind, d, a, b), None)],)
     elif first.kind in _FACE_TRACES:
-        named = face.bernstein_traces if bernstein else face.traces
-        chart_k, traces = named(kind, k, _FACE_TRACES[first.kind])
+        chart_k, parts = face.trace_parts(kind, k, _FACE_TRACES[first.kind])
     else:
         raise UnsupportedTagError(f"unknown DoF kind {first.kind!r}")
-    # sum_j (tests_j^T M) T_j over the test components j, as one product
-    lhs = None
-    for j in range(len(traces)):
+    # sum_j (tests_j^T M) T_j over the test components j, with each trace
+    # T_j = sum_p table_p (x) w_p: the products with the scalar tables,
+    # scattered by the weights
+    terms = []
+    for j, trace in enumerate(parts):
         q, deg = _coeff_rows([test if test.kind == "scalar" else test.component(j) for test in tests])
-        block = q.matmul(chart_mass(face.dim, deg, chart_k))
-        lhs = block if lhs is None else lhs.hstack(block)
-    return lhs.matmul(Matrix.vstack(traces, width))
+        lhs = q.matmul(chart_mass(face.dim, deg, chart_k))
+        terms += [(lhs.matmul(face.table(k, op, bernstein)), w) for w, op in trace]
+    return exact.kron_sum(terms, poly.ncomp(kind, d))
 
 
 def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, cache: dict | None = None) -> Fraction:
@@ -420,10 +423,11 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
     members = space.members()
     values = []
     for _, run in groupby(dofs, key=_run_key):
-        # one run's rows at a time, released once applied
+        # one run's rows at a time, released once applied; each DoF row of
+        # the matrix is cleared to integers as soon as it is applied
         rows = _dof_rows(frame, list(run), space.kind, space.k)
-        values += [[apply_dof(frame, row.dof, m, rows) for m in members] for row in rows.values()]
-    element = Element(family, frame, k, space, dofs, Matrix(values, len(members)))
+        values += [_cleared([apply_dof(frame, row.dof, m, rows) for m in members]) for row in rows.values()]
+    element = Element(family, frame, k, space, dofs, Matrix.from_int_rows(values, len(members)))
     element._assembled = element.dof_matrix
     return element
 
@@ -463,13 +467,10 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
     if n == space.basis.cols:
         return face.bernstein_traces(space.kind, lead, mode)[1]
     tail = space.basis.take(range(space.basis.rows), n)
-    out = []
-    for i, t in enumerate(face.traces(space.kind, space.k, mode)[1]):
-        t = t.matmul(tail)
-        if n:
-            b = face.bernstein_traces(space.kind, lead, mode)[1][i]
-            t = Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t)
-        out.append(t)
+    out = [t.matmul(tail) for t in face.traces(space.kind, space.k, mode)[1]]
+    if n:
+        lead_traces = face.bernstein_traces(space.kind, lead, mode)[1]
+        out = [Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t) for b, t in zip(lead_traces, out)]
     return tuple(out)
 
 

@@ -5,8 +5,10 @@ denominator: row i is ``ints_i / den_i`` in lowest terms, that is
 ``gcd(den_i, *ints_i) == 1`` and a zero row has ``den_i == 1``.  The storage
 of a matrix is therefore canonical, and ``==`` and ``hash`` compare it
 directly.  Every operation runs on these integers.  A product takes one lcm
-over the right factor's row denominators, one integer dot product per entry
-and one gcd per output row.  Elimination and back-substitution work on the
+over the right factor's row denominators and accumulates each output row as
+a sparse sum of right rows, one per nonzero of the left row, with one gcd
+per output row; ``kron_sum`` scatters weighted blocks into component
+columns the same way.  Elimination and back-substitution work on the
 rows scaled to coprime integers, by fraction-free cross-multiplication with
 gcd reduction to keep entries small; where the pivot divides the entry it
 clears, a row is updated only where the pivot row is nonzero, so sparse
@@ -130,7 +132,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of([(1, tuple(int(i == j) for j in range(n))) for i in range(n)], n)
+        return cls._of([(1, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -229,7 +231,8 @@ class Matrix:
         integer matrix B, so row i of the product is ``(a_i B) / (den_i l)``,
         with one gcd per row.  ``a_i B`` is accumulated over the nonzero
         entries of a_i and B alone: the trace, DoF and basis matrices are
-        mostly zeros.
+        mostly zeros.  A row of B is scaled to l and sparsified the first
+        time a nonzero of A meets it, so rows no nonzero meets cost nothing.
         """
         if self.cols != other.rows:
             raise DimensionMismatchError("matmul shape mismatch")
@@ -238,13 +241,17 @@ class Matrix:
         if self.is_identity():
             return other
         l = lcm(*other._dens)
-        sparse = [[(j, v * (l // den)) for j, v in enumerate(ints) if v]
-                  for den, ints in zip(other._dens, other._ints)]
+        dens, ints = other._dens, other._ints
+        sparse: list = [None] * other.rows
         out = []
         for den, a in zip(self._dens, self._ints):
             acc = [0] * other.cols
-            for v, row in zip(a, sparse):
+            for i, v in enumerate(a):
                 if v:
+                    row = sparse[i]
+                    if row is None:
+                        f = l // dens[i]
+                        row = sparse[i] = [(j, b * f) for j, b in enumerate(ints[i]) if b]
                     for j, b in row:
                         acc[j] += v * b
             out.append(_reduced(den * l, acc))
@@ -373,6 +380,36 @@ def rref_kernel(red: Matrix, pivots: Sequence[int], cols: int) -> Matrix:
             vec = [-v for v in vec]
         basis.append(vec)
     return Matrix.from_columns(basis, rows=cols)
+
+
+def kron_sum(terms: Sequence[tuple[Matrix, Sequence]], width: int) -> Matrix:
+    """``sum_p A_p (x) w_p`` for the (A_p, w_p) of ``terms``: matrices A_p of
+    one shape and rational row vectors w_p of length ``width``, so that
+    column ``j * width + c`` is ``sum_p w_p[c] A_p[:, j]``.  Each output row
+    is accumulated in integers over one common denominator."""
+    rows, cols = terms[0][0].rows, terms[0][0].cols
+    if any((a.rows, a.cols) != (rows, cols) for a, _ in terms):
+        raise DimensionMismatchError("kron_sum needs equal shapes")
+    parts = []
+    for a, w in terms:
+        lw, wints = _cleared(w)
+        nonzero = [(c, v) for c, v in enumerate(wints) if v]
+        if nonzero:
+            parts.append((a._dens, a._ints, lw, nonzero))
+    out = []
+    for i in range(rows):
+        l = lcm(*(dens[i] * lw for dens, _, lw, _ in parts))
+        acc = [0] * (cols * width)
+        for dens, ints, lw, nonzero in parts:
+            f = l // (dens[i] * lw)
+            for j, v in enumerate(ints[i]):
+                if v:
+                    v *= f
+                    base = j * width
+                    for c, wc in nonzero:
+                        acc[base + c] += v * wc
+        out.append(_reduced(l, acc))
+    return Matrix._of(out, cols * width)
 
 
 def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:

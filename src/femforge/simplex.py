@@ -10,31 +10,37 @@ charts when they enumerate the shared vertices in the same order.
 Every affine map here carries an integer power table (``poly.AffinePowers``):
 the frame's map from the reference simplex, which ``integrate`` reads for
 monomial moments, each face's chart, from which ``Face.restrict`` and the
-trace operators read restricted monomials ``x^e = table / D^|e|``, and the
+scalar trace tables read restricted monomials ``x^e = table / D^|e|``, and the
 barycentric map x -> lambda, whose powers are the columns of the Bernstein
 matrix ``SimplexFrame.bernstein``.
 
 Every face trace is a linear map from shape coefficients (over the shaped
-monomial frame ``(kind, d, k)`` of ``poly.frame``) to chart coefficients, and
-``Face.trace``/``Face.traces`` return it as an exact matrix, memoized on the
-face.  A column ``(c, e)`` is assembled from the chart table of ``x^e`` with
-one weight per stored component ``c``: pointwise traces ``a^T tau b`` weight
-the restriction itself, ``g . div tau`` weights restricted partial
-derivatives and ``div_F(tau g)`` weights chart derivatives of the
-restriction, all accumulated in integers over one denominator.  Element DoFs,
-patch jumps and the divdiv Green identity are products with these matrices.
+monomial frame ``(kind, d, k)`` of ``poly.frame``) to chart coefficients.
+Each one is a short list of parts (w, op) (``Face.trace_parts``): a weight
+vector w over the stored components times the scalar restriction table of
+op (``Face.table``), whose column e holds the chart coefficients of x^e, or
+of one first partial of it, restricted to the face.  Pointwise traces
+``a^T tau b`` weight the restriction itself, ``g . div tau`` weights
+restricted partial derivatives and ``div_F(tau g)`` weights chart
+derivatives of the restriction.  The tables are integer rows over one
+denominator, built once per (face, k, op, Bernstein) and memoized on the
+face; ``Face.trace``/``Face.traces`` scatter the weights into the component
+columns (``exact.kron_sum``) on every call and keep nothing.  Element DoFs
+multiply their test moments by the tables and scatter the products, so no
+DoF row forms a trace matrix; patch jumps, the trace block and the divdiv
+Green identity are products with the trace matrices.
 
 ``Face.bernstein_trace``/``Face.bernstein_traces`` return the same traces
 already multiplied by the Bernstein matrix G, without that product: column
-``(alpha, c)`` is the trace of ``D^k lambda^alpha e_c``.  On a face with
-vertices v_0 < v_1 < ..., lambda^alpha restricts to zero unless alpha lives
-on the face, and otherwise to the chart's own barycentric monomial
-``(1 - sum s)^alpha_{v_0} prod_m s_m^alpha_{v_m}``, an integer polynomial
-that does not depend on the geometry (one table per face dimension and
-degree); derivatives go through ``d_j lambda^alpha = sum_i alpha_i
-lambda^(alpha - e_i) d_j lambda_i``.  The shared DoF blocks of the element
-certificates and of the patch check, and their trace tests, are assembled
-from these.
+``(alpha, c)`` is the trace of ``D^k lambda^alpha e_c``, from the Bernstein
+tables of the face.  On a face with vertices v_0 < v_1 < ..., lambda^alpha
+restricts to zero unless alpha lives on the face, and otherwise to the
+chart's own barycentric monomial ``(1 - sum s)^alpha_{v_0} prod_m
+s_m^alpha_{v_m}``, an integer polynomial that does not depend on the
+geometry (one table per face dimension and degree); derivatives go through
+``d_j lambda^alpha = sum_i alpha_i lambda^(alpha - e_i) d_j lambda_i``.  The
+shared DoF blocks of the element certificates and of the patch check, and
+their trace tests, are assembled from these.
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Sequence
 
-from .exact import Matrix, SingularMatrixError, _as_fraction, _cleared
+from .exact import Matrix, SingularMatrixError, _as_fraction, kron_sum
 from .poly import AffinePowers, Polynomial, entry_comp, monomials, ncomp, partial
 
 _ZERO = Fraction(0)
@@ -80,7 +86,7 @@ class Face:
         "powers",
         "bary_den",
         "bary_grads",
-        "_traces",
+        "_tables",
     )
 
     def __init__(self, frame: "SimplexFrame", vertex_ids: tuple[int, ...]):
@@ -101,7 +107,7 @@ class Face:
         # the frame's barycentric denominator D and the integers D grad(lambda_i)
         self.bary_den = den = frame._bary.den
         self.bary_grads = tuple(tuple(int(den * x) for x in g) for g in frame.grad_lambda)
-        self._traces: dict = {}
+        self._tables: dict = {}
 
     @property
     def dim(self) -> int:
@@ -119,12 +125,12 @@ class Face:
         """The pointwise trace ``a^T tau b`` (``v . a`` for a vector field) as a
         matrix from shape coefficients over the frame ``(kind, d, k)`` to chart
         coefficients of degree <= k."""
-        return self._pointwise(kind, k, a, b, False)
+        return self._assemble(kind, k, [(_weights(kind, self.d, a, b), None)], False)
 
     def bernstein_trace(self, kind: str, k: int, a, b=None) -> Matrix:
         """``trace(kind, k, a, b)`` times the frame's Bernstein matrix
         G(kind, k), built from the restrictions of lambda^alpha alone."""
-        return self._pointwise(kind, k, a, b, True)
+        return self._assemble(kind, k, [(_weights(kind, self.d, a, b), None)], True)
 
     def traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
         """Chart degree and trace matrices of a named trace, g the face's
@@ -143,47 +149,65 @@ class Face:
         lambda^alpha alone."""
         return self._named(kind, k, mode, True)
 
-    def _pointwise(self, kind: str, k: int, a, b, bernstein: bool) -> Matrix:
-        key = (bernstein, kind, k, tuple(a), None if b is None else tuple(b))
-        got = self._traces.get(key)
-        if got is None:
-            w = _weights(kind, self.d, a, b)
-            got = self._traces[key] = self._operator(kind, k, k, [(w, None)], bernstein)
-        return got
-
-    def _named(self, kind: str, k: int, mode: str, bernstein: bool) -> tuple[int, tuple[Matrix, ...]]:
-        key = (bernstein, kind, k, mode)
-        got = self._traces.get(key)
-        if got is None:
-            got = self._traces[key] = self._named_traces(kind, k, mode, bernstein)
-        return got
-
-    def _named_traces(self, kind: str, k: int, mode: str, bernstein: bool) -> tuple[int, tuple[Matrix, ...]]:
+    def trace_parts(self, kind: str, k: int, mode: str) -> tuple[int, tuple[list, ...]]:
+        """Chart degree and, per matrix of ``traces(kind, k, mode)``, its
+        parts [(w, op)]: the matrix is sum over the parts of ``table(k, op)``
+        scattered into component c with weight w[c]."""
         d = self.d
         g = self.normal_frame[0]
-        trace = self.bernstein_trace if bernstein else self.trace
         if mode == "vector_normal":
-            return k, (trace(kind, k, g),)
-        if mode == "tensor_normal":
-            return k, tuple(trace(kind, k, _unit(d, i), g) for i in range(d))
-        if mode == "normal_normal":
-            return k, (trace(kind, k, g, g),)
-        if mode == "tangential":
-            return k, tuple(trace(kind, k, t, None if kind == "vector" else g) for t in self.tangents)
-        if mode == "tangential_tangential":
-            return k, (trace(kind, k, self.tangents[0], self.tangents[0]),)
-        if mode not in ("normal_div", "combo"):
+            pairs = [(g, None)]
+        elif mode == "tensor_normal":
+            pairs = [(_unit(d, i), g) for i in range(d)]
+        elif mode == "normal_normal":
+            pairs = [(g, g)]
+        elif mode == "tangential":
+            pairs = [(t, None if kind == "vector" else g) for t in self.tangents]
+        elif mode == "tangential_tangential":
+            pairs = [(self.tangents[0], self.tangents[0])]
+        elif mode in ("normal_div", "combo"):
+            # g . div tau = sum_j d_j (g^T tau e_j): restrictions of partials
+            parts = [(_weights(kind, d, g, _unit(d, j)), ("x", j)) for j in range(d)]
+            if mode == "combo":
+                # div_F(tau g) = sum_m d/ds_m restrict(c_m^T tau g), c_m = sum_n Ginv[m, n] t_n
+                for m in range(self.dim):
+                    c_m = [sum((self.gram_inv[m, n] * tn[t] for n, tn in enumerate(self.tangents)), _ZERO)
+                           for t in range(d)]
+                    parts.append((_weights(kind, d, c_m, g), ("s", m)))
+            return max(k - 1, 0), (parts,)
+        else:
             raise ValueError(f"unknown trace mode {mode!r}")
-        # g . div tau = sum_j d_j (g^T tau e_j): restrictions of partials
-        parts = [(_weights(kind, d, g, _unit(d, j)), ("x", j)) for j in range(d)]
-        if mode == "combo":
-            # div_F(tau g) = sum_m d/ds_m restrict(c_m^T tau g), c_m = sum_n Ginv[m, n] t_n
-            for m in range(self.dim):
-                c_m = [sum((self.gram_inv[m, n] * tn[t] for n, tn in enumerate(self.tangents)), _ZERO)
-                       for t in range(d)]
-                parts.append((_weights(kind, d, c_m, g), ("s", m)))
-        chart_k = max(k - 1, 0)
-        return chart_k, (self._operator(kind, k, chart_k, parts, bernstein),)
+        return k, tuple([(_weights(kind, d, a, b), None)] for a, b in pairs)
+
+    def table(self, k: int, op, bernstein: bool = False) -> Matrix:
+        """The scalar table of ``op`` at degree k, memoized: column e (the
+        order of ``monomials(d, k)``), or column alpha (the Bernstein columns
+        of degree k), holds the chart coefficients of op(x^e), or of
+        op(D^k lambda^alpha), restricted to the face (see ``_monomial_terms``
+        and ``_bernstein_terms``); op None is the value, of chart degree k,
+        and a first partial has chart degree max(k - 1, 0)."""
+        key = (bernstein, k, op)
+        got = self._tables.get(key)
+        if got is None:
+            index = {e: i for i, e in enumerate(monomials(self.dim, k if op is None else max(k - 1, 0)))}
+            if bernstein:
+                keys, top, terms_of = _bernstein_alphas(self.d, k), 1, self._bernstein_terms
+            else:
+                keys, top, terms_of = monomials(self.d, k), self.powers.den ** k, self._monomial_terms
+            rows = [[0] * len(keys) for _ in index]
+            for ie, key_e in enumerate(keys):
+                for f, terms in terms_of(key_e, op, k):
+                    for se, v in terms.items():
+                        rows[index[se]][ie] += f * v
+            got = self._tables[key] = Matrix.from_int_rows([(top, row) for row in rows], len(keys))
+        return got
+
+    def _assemble(self, kind: str, k: int, parts, bernstein: bool) -> Matrix:
+        return kron_sum([(self.table(k, op, bernstein), w) for w, op in parts], ncomp(kind, self.d))
+
+    def _named(self, kind: str, k: int, mode: str, bernstein: bool) -> tuple[int, tuple[Matrix, ...]]:
+        chart_k, parts = self.trace_parts(kind, k, mode)
+        return chart_k, tuple(self._assemble(kind, k, p, bernstein) for p in parts)
 
     def _monomial_terms(self, e: tuple[int, ...], op, k: int) -> list[tuple[int, dict]]:
         """op(x^e) restricted, for op None (the value), ("x", j) (d/dx_j
@@ -233,33 +257,6 @@ class Face:
             if alpha[i]:
                 return None
         return _chart_bernstein(self.dim, sum(alpha))[tuple([alpha[v] for v in self.vertex_ids])]
-
-    def _operator(self, kind: str, k: int, chart_k: int, parts, bernstein: bool) -> Matrix:
-        """Column (c, e) of the frame (kind, d, k), or column (alpha, c) of the
-        Bernstein matrix G(kind, k), holds the chart coefficients (degree <=
-        chart_k) of the sum over ``parts`` of ``w[c]`` times an operator of
-        ``x^e`` or of ``D^k lambda^alpha`` (see ``_monomial_terms`` and
-        ``_bernstein_terms``), accumulated in integers over one common
-        denominator."""
-        index = {e: i for i, e in enumerate(monomials(self.dim, chart_k))}
-        nc = ncomp(kind, self.d)
-        if bernstein:
-            keys, top, terms_of = _bernstein_alphas(self.d, k), 1, self._bernstein_terms
-        else:
-            keys, top, terms_of = monomials(self.d, k), self.powers.den ** k, self._monomial_terms
-        weights = [_cleared(w) for w, _ in parts]
-        lw = lcm(*(l for l, _ in weights))
-        rows = [[0] * (nc * len(keys)) for _ in index]
-        for (l, wints), (_, op) in zip(weights, parts):
-            for ie, key in enumerate(keys):
-                for f, terms in terms_of(key, op, k):
-                    f *= lw // l
-                    for c, wc in enumerate(wints):
-                        if wc:
-                            col, m = ie * nc + c, wc * f
-                            for se, v in terms.items():
-                                rows[index[se]][col] += m * v
-        return Matrix.from_int_rows([(lw * top, row) for row in rows], nc * len(keys))
 
 
 def _chart_partial(table: dict, m: int) -> dict:

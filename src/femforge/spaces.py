@@ -163,7 +163,8 @@ def _homogeneous(frame: SimplexFrame, kind: str, k: int, tag: str = "") -> PolyS
     """The monomials of degree exactly k, as unit columns."""
     fr = poly.frame(kind, frame.d, k)
     cols = [i for i, (_, exps) in enumerate(fr) if sum(exps) == k]
-    return PolySpace(frame, kind, k, Matrix([[int(i == c) for c in cols] for i in range(len(fr))]), tag)
+    rows = [(1, [int(i == c) for c in cols]) for i in range(len(fr))]
+    return PolySpace(frame, kind, k, Matrix.from_int_rows(rows, len(cols)), tag)
 
 
 def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:

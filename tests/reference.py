@@ -9,7 +9,9 @@ enrichment through L2 complements and a divergence preimage, the oracle for
 the pairing kernel of ``spaces.bubble_enrichment_sym``.  The ``Fraction``
 polynomial routines below (affine substitution, face restriction, monomial
 moments and named face traces, one polynomial at a time) are the oracles for
-the integer power tables of ``poly.AffinePowers``, and the per-term
+the integer power tables of ``poly.AffinePowers``; ``face_dof_rows``, the
+product of the test moments with the stacked full-width traces, is the
+oracle for the face DoF rows scattered from scalar tables; and the per-term
 differential and Koszul operators those for the stencil tables of
 ``poly.operator_table``.
 """
@@ -19,8 +21,9 @@ from math import factorial
 from typing import Sequence
 
 from femforge import poly
+from femforge.elements import _FACE_TRACES, FACE_NN
 from femforge.exact import Matrix, _check_ambient, image_basis
-from femforge.integrate import pair_simplex, reference_monomial_integral
+from femforge.integrate import chart_mass, pair_simplex, reference_monomial_integral
 from femforge.poly import Polynomial, ShapeMismatchError, multiply, partial
 from femforge.simplex import Face, SimplexFrame
 from femforge.spaces import (
@@ -246,6 +249,30 @@ def face_traces(face: Face, kind: str, k: int, mode: str) -> list[Matrix]:
                for c, e in poly.frame(kind, face.d, k)]
     return [Matrix.from_columns([[col[t].terms.get((0, se), 0) for se in chart] for col in columns], len(chart))
             for t in range(len(columns[0]))]
+
+
+def face_dof_rows(run, kind: str, k: int, bernstein: bool = False) -> Matrix:
+    """The rows of a run of face DoFs on one face, as ``elements._run_rows``
+    builds them, from the full-width traces: sum_j (tests_j^T M) T_j, one
+    product of the test moments against the chart mass M with the stacked
+    trace matrices T_j of ``Face.trace``/``traces`` (or their Bernstein
+    forms), j over the test components."""
+    first = run[0]
+    face = first.face
+    if first.kind == FACE_NN:
+        a, b = (face.normal_frame[i] for i in first.comp)
+        chart_k, traces = k, [(face.bernstein_trace if bernstein else face.trace)(kind, k, a, b)]
+    else:
+        named = face.bernstein_traces if bernstein else face.traces
+        chart_k, traces = named(kind, k, _FACE_TRACES[first.kind])
+    tests = [dof.test for dof in run]
+    deg = max(max(q.degree() for q in tests), 0)
+    lhs = None
+    for j in range(len(traces)):
+        q = Matrix.from_int_rows([poly.coeff_row(t if t.kind == "scalar" else t.component(j), deg) for t in tests])
+        block = q.matmul(chart_mass(face.dim, deg, chart_k))
+        lhs = block if lhs is None else lhs.hstack(block)
+    return lhs.matmul(Matrix.vstack(traces, traces[0].cols))
 
 
 # -- per-term operators -------------------------------------------------------------

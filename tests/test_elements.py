@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -22,6 +24,7 @@ from femforge.poly import Polynomial
 from femforge.report import CheckResult
 from femforge.simplex import random_frame, reference_simplex
 from femforge.spaces import BadDegreeError, UnsupportedTagError, dim_trace_sym
+import reference
 from reference import div, div_rowwise, space_contains, subspace_contains
 
 
@@ -469,6 +472,58 @@ def test_dof_matrix_product_equals_per_member_dofs(family, step):
     rows = el._dof_matrix(fr, e.dofs, e.space.kind, e.space.k)
     assert rows.rows == len(e.dofs)
     assert rows.matmul(e.space.basis) == e.dof_matrix
+
+
+# -- face DoF rows from scalar tables -------------------------------------------------
+#
+# _run_rows multiplies the test moments of a run by each scalar restriction
+# table of the face and scatters the products by the trace weights; the
+# product with the stacked full-width traces (reference.face_dof_rows) is the
+# oracle.
+
+
+def _face_dof_runs(frame, kind, k):
+    if kind == "vector":
+        dofs = el._normal_faces(frame, k)
+    else:
+        dofs = (el._nn_dofs(frame, k) + el._facet_dofs(frame, el.FACE_TN, k - 2, True, "tn", el._chart_nd_twisted)
+                + el._facet_dofs(frame, el.FACE_NORMAL_DIV, k - 1, True, "ndiv")
+                + el._facet_dofs(frame, el.FACE_DIVDIV_COMBO, k - 1, True, "combo"))
+    return [list(run) for _, run in groupby(dofs, key=el._run_key)]
+
+
+@pytest.mark.parametrize("kind,d,k", [("vector", d, k) for d in (2, 3, 4) for k in range(5)]
+                         + [("sym", d, k) for d in (2, 3, 4) for k in range(1, 5)])
+def test_face_dof_rows_match_the_full_trace_product(kind, d, k):
+    seen = set()
+    for frame in (reference_simplex(d), random_frame(d, random.Random(60 + d))):
+        for run in _face_dof_runs(frame, kind, k):
+            seen.add(run[0].kind)
+            for bernstein in (False, True):
+                assert el._run_rows(frame, run, kind, k, bernstein) == reference.face_dof_rows(run, kind, k, bernstein)
+    if kind == "vector":
+        assert seen == {FACE_SCALAR_NORMAL}
+    else:
+        # every sym face DoF kind once its test degree is reached
+        assert seen >= {el.FACE_NORMAL_DIV, el.FACE_DIVDIV_COMBO}
+        assert (el.FACE_TN in seen) == (k >= 2) and (el.FACE_NN in seen) == (k >= 2)
+
+
+def test_build_element_clears_each_dof_row_without_the_checking_constructor(monkeypatch):
+    # the DoF matrix is assembled from integer rows, each cleared as soon as
+    # its values are applied, with no grid of Fractions for Matrix(...) to clear
+    callers = []
+    init = Matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", spy)
+    e = build_element(reference_simplex(3), "DivDiv", 3)
+    monkeypatch.undo()
+    assert "femforge.elements" not in callers
+    assert e.dof_matrix.rows == len(e.dofs) == e.dim == 120
 
 
 # -- the split certificates against direct references ----------------------------

@@ -10,6 +10,7 @@ from femforge.exact import (
     SingularMatrixError,
     _int_echelon,
     image_basis,
+    kron_sum,
     is_direct_sum,
     rref_kernel,
     subspace_equal,
@@ -325,6 +326,29 @@ def test_matmul_matches_fraction_reference(a):
         b = _random_matrix(rng, a.cols, cols, -40, 40)
         assert a.matmul(b) == _reference_matmul(a, b)
     assert a.transpose().matmul(a) == _reference_matmul(a.transpose(), a)
+
+
+@pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
+def test_kron_sum_matches_fraction_reference(a):
+    # sum_p A_p (x) w_p: column j * width + c is sum_p w_p[c] A_p[:, j]
+    rng = random.Random(a.rows * 17 + a.cols)
+    for width in (1, 3):
+        terms = [(Matrix(frac_rows(_random_matrix(rng, a.rows, a.cols, -9, 9)), a.cols),
+                  [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(width)]) for _ in range(2)]
+        terms.append((a, [0] * width))  # an all-zero weight adds nothing
+        terms.append((a, [Fraction(1, 3)] + [0] * (width - 1)))
+        expected = [[sum((w[c] * m[i, j] for m, w in terms), Fraction(0)) for j in range(a.cols) for c in range(width)]
+                    for i in range(a.rows)]
+        got = kron_sum(terms, width)
+        _assert_normal_form(got)
+        assert got == Matrix(expected, a.cols * width)
+    with pytest.raises(DimensionMismatchError):
+        kron_sum([(a, [1]), (Matrix.zeros(a.rows + 1, a.cols), [1])], 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_identity_storage_is_the_unit_rows(n):
+    assert Matrix.identity(n) == Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 @pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")

@@ -109,7 +109,7 @@ def test_every_trace_mode_matches_restricted_members(frame, kind, k, seed):
         chart_k, mats = face.traces(kind, k, mode)
         assert chart_k == (max(k - 1, 0) if mode in ("normal_div", "combo") else k)
         assert list(mats) == reference.face_traces(face, kind, k, mode)
-        assert face.traces(kind, k, mode)[1][0] is mats[0]  # memoized on the face
+        assert face.traces(kind, k, mode)[1] == mats
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

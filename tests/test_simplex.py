@@ -286,7 +286,7 @@ def test_bernstein_traces_are_the_traces_times_g(kind, d, k):
                 chart_k, mats = face.traces(kind, k, mode)
                 got_k, got = face.bernstein_traces(kind, k, mode)
                 assert got_k == chart_k and len(got) == len(mats)
-                assert face.bernstein_traces(kind, k, mode)[1] is got
+                assert face.bernstein_traces(kind, k, mode)[1] == got
                 for t, tb in zip(mats, got):
                     assert tb == t.matmul(g)
 
@@ -319,7 +319,10 @@ def test_bernstein_trace_of_a_vertex_is_d_to_the_k_at_k_e_v():
         assert row == Matrix([want])
 
 
-def test_pointwise_trace_weights_are_computed_on_a_memo_miss_only(monkeypatch):
+def test_pointwise_traces_share_one_memoized_scalar_table(monkeypatch):
+    # a pointwise trace is its weights scattered over the face's scalar table
+    # of the restriction: the table is built once per (k, op, bernstein), the
+    # weights once per call
     face = random_frame(3, random.Random(5)).face_opposite(0)
     calls = []
     weights = simplex._weights
@@ -328,6 +331,10 @@ def test_pointwise_trace_weights_are_computed_on_a_memo_miss_only(monkeypatch):
     for bernstein in (False, True):
         trace = face.bernstein_trace if bernstein else face.trace
         t = trace("sym", 2, g, e0)
-        assert trace("sym", 2, g, e0) is t and len(calls) == 1 + 2 * bernstein
-        # (a, b) and (b, a) weigh a symmetric field alike: equal traces, two entries
-        assert trace("sym", 2, e0, g) == t and len(calls) == 2 + 2 * bernstein
+        table = face.table(2, None, bernstein)
+        assert trace("sym", 2, g, e0) == t and len(calls) == 2 + 4 * bernstein
+        # (a, b) and (b, a) weigh a symmetric field alike: equal traces
+        assert trace("sym", 2, e0, g) == t and len(calls) == 3 + 4 * bernstein
+        trace("vector", 2, g)  # another kind, the same scalar table
+        assert face.table(2, None, bernstein) is table and len(calls) == 4 + 4 * bernstein
+    assert sorted(face._tables, key=str) == [(False, 2, None), (True, 2, None)]
