@@ -331,29 +331,27 @@ def _members(tag: str) -> _Tests:
     return lambda frame, deg: spaces.build_standard(frame, tag, deg).members()
 
 
-def _complement(tag: str, sub_tag: str, sub_deg: int, name: str) -> _Tests:
+def _complement(tag: str, sub_tag: str, sub_deg: int) -> _Tests:
     """The members of ``tag`` orthogonal to ``sub_tag`` of degree
-    min(sub_deg, deg), labelled ``name.format(deg)``."""
+    min(sub_deg, deg)."""
     def tests(frame: SimplexFrame, deg: int) -> list[Polynomial]:
-        big = spaces.build_standard(frame, tag, deg)
-        small = spaces.build_standard(frame, sub_tag, min(sub_deg, deg))
-        return spaces.orthocomplement_in(big, small, name.format(deg)).members()
+        sub = spaces.build_standard(frame, sub_tag, min(sub_deg, deg))
+        return spaces.orthocomplement_in(spaces.build_standard(frame, tag, deg), sub).members()
     return tests
 
 
 def _def_image(tag: str) -> _Tests:
-    return lambda frame, deg: spaces.image_space(
-        "def", spaces.build_standard(frame, tag, deg), f"def_{tag}_{deg}").members()
+    return lambda frame, deg: spaces.image_space("def", spaces.build_standard(frame, tag, deg)).members()
 
 
 def _ker_sym(frame: SimplexFrame, deg: int) -> list[Polynomial]:
     return spaces.ker_mat_x_sym(frame, deg).members()
 
 
-_P_PERP_RM = _complement("P_vector", "RM", 0, "P{}_vec_perp_RM")
+_P_PERP_RM = _complement("P_vector", "RM", 0)
 _KER = (INTERIOR_PAIR, _ker_sym, -2, "ker")
-_SKW_X = (INTERIOR_DIV, _complement("skwPx", "skwPx", 0, "skwPx{}_mod_const"), -3, "skwx")
-_SCALAR_MOD_P1 = _complement("P_scalar", "P_scalar", 1, "P{}_mod_P1")
+_SKW_X = (INTERIOR_DIV, _complement("skwPx", "skwPx", 0), -3, "skwx")
+_SCALAR_MOD_P1 = _complement("P_scalar", "P_scalar", 1)
 
 
 # -- family definitions ---------------------------------------------------------------------
@@ -465,11 +463,11 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
     columns past it (zero rows pad the lower chart degree)."""
     n = len(poly.frame(space.kind, space.frame.d, lead)) if lead is not None else 0
     if n == space.basis.cols:
-        return face.bernstein_traces(space.kind, lead, mode)[1]
+        return face.traces(space.kind, lead, mode, True)[1]
     tail = space.basis.take(range(space.basis.rows), n)
     out = [t.matmul(tail) for t in face.traces(space.kind, space.k, mode)[1]]
     if n:
-        lead_traces = face.bernstein_traces(space.kind, lead, mode)[1]
+        lead_traces = face.traces(space.kind, lead, mode, True)[1]
         out = [Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t) for b, t in zip(lead_traces, out)]
     return tuple(out)
 
@@ -665,11 +663,11 @@ def _dof_to_json(dof: DoFDescriptor) -> dict:
     return out
 
 
-def element_to_json(element: Element, with_nodal_basis: bool = True) -> dict:
+def element_to_json(element: Element) -> dict:
     space = element.space
     # the shape basis in canonical form, whatever basis the space was built with
     canonical = PolySpace(element.frame, space.kind, space.k, exact.image_basis(space.basis))
-    data = {
+    return {
         "schema": "femforge-element/1",
         "family": element.family,
         "d": element.frame.d,
@@ -684,7 +682,5 @@ def element_to_json(element: Element, with_nodal_basis: bool = True) -> dict:
             check_unisolvence(element).as_dict(),
             trace_block_rank(element).as_dict(),
         ],
+        "nodal_basis": [poly.poly_to_json(p) for p in nodal_basis(element)],
     }
-    if with_nodal_basis:
-        data["nodal_basis"] = [poly.poly_to_json(p) for p in nodal_basis(element)]
-    return data

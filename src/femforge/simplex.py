@@ -30,12 +30,12 @@ multiply their test moments by the tables and scatter the products, so no
 DoF row forms a trace matrix; patch jumps, the trace block and the divdiv
 Green identity are products with the trace matrices.
 
-``Face.bernstein_trace``/``Face.bernstein_traces`` return the same traces
-already multiplied by the Bernstein matrix G, without that product: column
-``(alpha, c)`` is the trace of ``D^k lambda^alpha e_c``, from the Bernstein
-tables of the face.  On a face with vertices v_0 < v_1 < ..., lambda^alpha
-restricts to zero unless alpha lives on the face, and otherwise to the
-chart's own barycentric monomial ``(1 - sum s)^alpha_{v_0} prod_m
+With ``bernstein=True``, ``Face.trace``/``Face.traces`` return the same
+traces already multiplied by the Bernstein matrix G, without that product:
+column ``(alpha, c)`` is the trace of ``D^k lambda^alpha e_c``, from the
+Bernstein tables of the face.  On a face with vertices v_0 < v_1 < ...,
+lambda^alpha restricts to zero unless alpha lives on the face, and otherwise
+to the chart's own barycentric monomial ``(1 - sum s)^alpha_{v_0} prod_m
 s_m^alpha_{v_m}``, an integer polynomial that does not depend on the
 geometry (one table per face dimension and degree); derivatives go through
 ``d_j lambda^alpha = sum_i alpha_i lambda^(alpha - e_i) d_j lambda_i``.  The
@@ -121,33 +121,27 @@ class Face:
 
     # -- trace operators ---------------------------------------------------------
 
-    def trace(self, kind: str, k: int, a, b=None) -> Matrix:
+    def trace(self, kind: str, k: int, a, b=None, bernstein: bool = False) -> Matrix:
         """The pointwise trace ``a^T tau b`` (``v . a`` for a vector field) as a
         matrix from shape coefficients over the frame ``(kind, d, k)`` to chart
-        coefficients of degree <= k."""
-        return self._assemble(kind, k, [(_weights(kind, self.d, a, b), None)], False)
+        coefficients of degree <= k; with ``bernstein``, that matrix times the
+        frame's Bernstein matrix G(kind, k), built from the restrictions of
+        lambda^alpha alone."""
+        return kron_sum([(self.table(k, None, bernstein), _weights(kind, self.d, a, b))], ncomp(kind, self.d))
 
-    def bernstein_trace(self, kind: str, k: int, a, b=None) -> Matrix:
-        """``trace(kind, k, a, b)`` times the frame's Bernstein matrix
-        G(kind, k), built from the restrictions of lambda^alpha alone."""
-        return self._assemble(kind, k, [(_weights(kind, self.d, a, b), None)], True)
-
-    def traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
-        """Chart degree and trace matrices of a named trace, g the face's
-        scaled normal and t_m its chart tangents:
+    def traces(self, kind: str, k: int, mode: str, bernstein: bool = False) -> tuple[int, tuple[Matrix, ...]]:
+        """Chart degree and trace matrices of a named trace (each times
+        G(kind, k) with ``bernstein``, as in ``trace``), g the face's scaled
+        normal and t_m its chart tangents:
 
         vector_normal: v . g;  tensor_normal: (tau g)_i for i < d;
         normal_normal: g^T tau g;  tangential: v . t_m or t_m^T tau g;
         tangential_tangential: t_1^T tau t_1 (all of chart degree k);
         normal_div: g . div tau;  combo: g . div tau + div_F(tau g) (degree k-1).
         """
-        return self._named(kind, k, mode, False)
-
-    def bernstein_traces(self, kind: str, k: int, mode: str) -> tuple[int, tuple[Matrix, ...]]:
-        """``traces(kind, k, mode)`` with each matrix times the frame's
-        Bernstein matrix G(kind, k), built from the restrictions of
-        lambda^alpha alone."""
-        return self._named(kind, k, mode, True)
+        chart_k, parts = self.trace_parts(kind, k, mode)
+        nc = ncomp(kind, self.d)
+        return chart_k, tuple(kron_sum([(self.table(k, op, bernstein), w) for w, op in p], nc) for p in parts)
 
     def trace_parts(self, kind: str, k: int, mode: str) -> tuple[int, tuple[list, ...]]:
         """Chart degree and, per matrix of ``traces(kind, k, mode)``, its
@@ -201,13 +195,6 @@ class Face:
                         rows[index[se]][ie] += f * v
             got = self._tables[key] = Matrix.from_int_rows([(top, row) for row in rows], len(keys))
         return got
-
-    def _assemble(self, kind: str, k: int, parts, bernstein: bool) -> Matrix:
-        return kron_sum([(self.table(k, op, bernstein), w) for w, op in parts], ncomp(kind, self.d))
-
-    def _named(self, kind: str, k: int, mode: str, bernstein: bool) -> tuple[int, tuple[Matrix, ...]]:
-        chart_k, parts = self.trace_parts(kind, k, mode)
-        return chart_k, tuple(self._assemble(kind, k, p, bernstein) for p in parts)
 
     def _monomial_terms(self, e: tuple[int, ...], op, k: int) -> list[tuple[int, dict]]:
         """op(x^e) restricted, for op None (the value), ("x", j) (d/dx_j

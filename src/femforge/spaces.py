@@ -33,14 +33,13 @@ class BadDegreeError(ValueError):
 
 
 class PolySpace:
-    __slots__ = ("frame", "kind", "k", "basis", "tag", "_members")
+    __slots__ = ("frame", "kind", "k", "basis", "_members")
 
-    def __init__(self, frame: SimplexFrame, kind: str, k: int, basis: Matrix, tag: str = ""):
+    def __init__(self, frame: SimplexFrame, kind: str, k: int, basis: Matrix):
         self.frame = frame
         self.kind = kind
         self.k = k
         self.basis = basis
-        self.tag = tag
         self._members = None
         if basis.rows != len(poly.frame(kind, frame.d, k)):
             raise ValueError("basis row count does not match the monomial frame")
@@ -62,17 +61,22 @@ class PolySpace:
         if k < self.k:
             raise BadDegreeError("cannot shrink the frame below the space degree")
         pad = Matrix.zeros(len(poly.frame(self.kind, self.frame.d, k)) - self.basis.rows, self.basis.cols)
-        return PolySpace(self.frame, self.kind, k, Matrix.vstack([self.basis, pad], self.basis.cols), self.tag)
+        return PolySpace(self.frame, self.kind, k, Matrix.vstack([self.basis, pad], self.basis.cols))
 
     def __repr__(self):
-        return f"PolySpace({self.tag or self.kind}, d={self.frame.d}, k={self.k}, dim={self.dim})"
+        return f"PolySpace({self.kind}, d={self.frame.d}, k={self.k}, dim={self.dim})"
+
+
+def _check_same(frame: SimplexFrame, kind: str, space: PolySpace) -> None:
+    """Raise unless ``space`` lives on ``frame`` with value shape ``kind``."""
+    if space.frame is not frame and space.frame.vertices != frame.vertices:
+        raise ValueError("spaces live on different simplices")
+    if space.kind != kind:
+        raise poly.ShapeMismatchError("spaces have different value shapes")
 
 
 def _common_frames(a: PolySpace, b: PolySpace) -> tuple[Matrix, Matrix]:
-    if a.frame is not b.frame and a.frame.vertices != b.frame.vertices:
-        raise ValueError("spaces live on different simplices")
-    if a.kind != b.kind:
-        raise poly.ShapeMismatchError("spaces have different value shapes")
+    _check_same(a.frame, a.kind, b)
     k = max(a.k, b.k)
     return a.with_degree(k).basis, b.with_degree(k).basis
 
@@ -82,10 +86,10 @@ def space_equal(a: PolySpace, b: PolySpace) -> bool:
     return exact.subspace_equal(ma, mb)
 
 
-def space_sum(a: PolySpace, b: PolySpace, tag: str = "") -> PolySpace:
+def space_sum(a: PolySpace, b: PolySpace) -> PolySpace:
     ma, mb = _common_frames(a, b)
     k = max(a.k, b.k)
-    return PolySpace(a.frame, a.kind, k, exact.subspace_sum(ma, mb), tag)
+    return PolySpace(a.frame, a.kind, k, exact.subspace_sum(ma, mb))
 
 
 def space_is_direct_sum(a: PolySpace, b: PolySpace) -> bool:
@@ -154,17 +158,12 @@ def dim_trace_sym(d: int, k: int) -> int:
 _P_TAGS = {"P_scalar": "scalar", "P_vector": "vector", "P_sym": "sym", "P_skw": "skw"}
 
 
-def _monomial_space(frame: SimplexFrame, kind: str, k: int, tag: str) -> PolySpace:
-    n = len(poly.frame(kind, frame.d, k))
-    return PolySpace(frame, kind, k, Matrix.identity(n), tag)
-
-
-def _homogeneous(frame: SimplexFrame, kind: str, k: int, tag: str = "") -> PolySpace:
+def _homogeneous(frame: SimplexFrame, kind: str, k: int) -> PolySpace:
     """The monomials of degree exactly k, as unit columns."""
     fr = poly.frame(kind, frame.d, k)
     cols = [i for i, (_, exps) in enumerate(fr) if sum(exps) == k]
     rows = [(1, [int(i == c) for c in cols]) for i in range(len(fr))]
-    return PolySpace(frame, kind, k, Matrix.from_int_rows(rows, len(cols)), tag)
+    return PolySpace(frame, kind, k, Matrix.from_int_rows(rows, len(cols)))
 
 
 def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
@@ -205,35 +204,36 @@ def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace
     if k < 0:
         raise BadDegreeError(f"{tag} needs k >= 0")
     if tag in _P_TAGS:
-        return _monomial_space(frame, _P_TAGS[tag], k, f"{tag}_{k}")
+        kind = _P_TAGS[tag]
+        return PolySpace(frame, kind, k, Matrix.identity(len(poly.frame(kind, frame.d, k))))
     if tag == "H_scalar":
-        return _homogeneous(frame, "scalar", k, f"H_{k}")
+        return _homogeneous(frame, "scalar", k)
     if tag == "xxT_H":
-        return image_space("xxT", build_standard(frame, "H_scalar", k), f"xxT_H_{k}")
+        return image_space("xxT", build_standard(frame, "H_scalar", k))
     if tag == "skwPx":
-        return image_space("mat_x", build_standard(frame, "P_skw", k), f"skwPx_{k}")
+        return image_space("mat_x", build_standard(frame, "P_skw", k))
     if tag == "P_minus_sym":
-        return _direct_sum(build_standard(frame, "P_sym", k), bubble_enrichment_sym(frame, k), f"{tag}_{k + 1}")
+        return _direct_sum(build_standard(frame, "P_sym", k), bubble_enrichment_sym(frame, k))
     if tag == "P_sym_plus_xxT":
-        return _direct_sum(build_standard(frame, "P_sym", k), build_standard(frame, "xxT_H", k - 1), f"{tag}_{k}")
+        return _direct_sum(build_standard(frame, "P_sym", k), build_standard(frame, "xxT_H", k - 1))
     p_k = build_standard(frame, "P_vector", k)
     if tag == "ND":
-        return _direct_sum(p_k, image_space("mat_x", _homogeneous(frame, "skw", k)), f"ND_{k}")
-    return _direct_sum(p_k, image_space("x", build_standard(frame, "H_scalar", k)), f"RT_{k}")
+        return _direct_sum(p_k, image_space("mat_x", _homogeneous(frame, "skw", k)))
+    return _direct_sum(p_k, image_space("x", build_standard(frame, "H_scalar", k)))
 
 
-def _direct_sum(p_k: PolySpace, w: PolySpace, tag: str) -> PolySpace:
+def _direct_sum(p_k: PolySpace, w: PolySpace) -> PolySpace:
     """P_k + W as diag(I_n, W's rows past degree k), W of degree k + 1: those
     rows are independent where W meets P_k only in 0 (a vanishing combination
     is a member of W in P_k).  Were it not so, dim would exceed the DoF rank
     and unisolvence would fail; it cannot pass silently."""
     top = w.basis.take(range(p_k.dim, w.basis.rows))
-    return PolySpace(p_k.frame, p_k.kind, w.k, Matrix.block_diag(p_k.basis, top), tag)
+    return PolySpace(p_k.frame, p_k.kind, w.k, Matrix.block_diag(p_k.basis, top))
 
 
-def empty_space(frame: SimplexFrame, kind: str, k: int = 0, tag: str = "") -> PolySpace:
+def empty_space(frame: SimplexFrame, kind: str, k: int = 0) -> PolySpace:
     n = len(poly.frame(kind, frame.d, max(k, 0)))
-    return PolySpace(frame, kind, max(k, 0), Matrix.zeros(n, 0), tag)
+    return PolySpace(frame, kind, max(k, 0), Matrix.zeros(n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -257,16 +257,16 @@ def operator_matrix(op: str, source: PolySpace) -> Matrix:
     return poly.operator_table(op, source.kind, source.frame.d, source.k).matmul(source.basis)
 
 
-def image_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
+def image_space(op: str, source: PolySpace) -> PolySpace:
     kind, k = poly.operator_target(op, source.k)
     basis = exact.image_basis(operator_matrix(op, source))
-    return PolySpace(source.frame, kind, k, basis, tag or f"img_{op}({source.tag})")
+    return PolySpace(source.frame, kind, k, basis)
 
 
-def kernel_space(op: str, source: PolySpace, tag: str = "") -> PolySpace:
+def kernel_space(op: str, source: PolySpace) -> PolySpace:
     coords = operator_matrix(op, source).null_space()
     basis = exact.image_basis(source.basis.matmul(coords))
-    return PolySpace(source.frame, source.kind, source.k, basis, tag or f"ker_{op}({source.tag})")
+    return PolySpace(source.frame, source.kind, source.k, basis)
 
 
 # -- traces and bubbles ----------------------------------------------------------------
@@ -308,7 +308,7 @@ def _bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     shape = build_standard(frame, tag, k)
     coords = trace_matrix(frame, shape, mode).null_space()
     basis = exact.image_basis(shape.basis.matmul(coords))
-    return PolySpace(frame, shape.kind, shape.k, basis, f"bubble_{family}_{k}")
+    return PolySpace(frame, shape.kind, shape.k, basis)
 
 
 def _edge_generators(frame: SimplexFrame, k: int, edge_values: dict) -> list[Polynomial]:
@@ -338,27 +338,23 @@ def bubble_generator_matrix(frame: SimplexFrame, kind: str, k: int) -> Matrix:
 def bubble_vector_generators(frame: SimplexFrame, k: int) -> PolySpace:
     """span{lambda_i lambda_j m t_ij : |m| <= k-2}, t_ij = x_j - x_i (the
     generator-side bubble of P_k(R^d); empty below k = 2), in canonical form."""
-    gens = bubble_generator_matrix(frame, "vector", k)
-    return PolySpace(frame, "vector", max(k, 0), exact.image_basis(gens), f"bubble_vec_gen_{k}")
+    return PolySpace(frame, "vector", max(k, 0), exact.image_basis(bubble_generator_matrix(frame, "vector", k)))
 
 
 def bubble_sym_generators(frame: SimplexFrame, k: int) -> PolySpace:
     """span{lambda_i lambda_j m T_ij : |m| <= k-2} (the generator-side bubble
     of P_k(S); empty below k = 2), in canonical form."""
-    gens = bubble_generator_matrix(frame, "sym", k)
-    return PolySpace(frame, "sym", max(k, 0), exact.image_basis(gens), f"bubble_sym_gen_{k}")
+    return PolySpace(frame, "sym", max(k, 0), exact.image_basis(bubble_generator_matrix(frame, "sym", k)))
 
 
-def orthocomplement_in(parent: PolySpace, sub: PolySpace, tag: str = "") -> PolySpace:
+def orthocomplement_in(parent: PolySpace, sub: PolySpace) -> PolySpace:
     """{p in parent : (p, s)_K = 0 for all s in sub} via the exact pairing."""
+    _check_same(parent.frame, parent.kind, sub)
     if sub.dim == 0:
-        return PolySpace(parent.frame, parent.kind, parent.k, parent.basis, tag or parent.tag)
-    frame = parent.frame
-    gram = frame_gram(frame, parent.kind, sub.k, parent.k)
+        return parent
+    gram = frame_gram(parent.frame, parent.kind, sub.k, parent.k)
     coords = sub.basis.transpose().matmul(gram).matmul(parent.basis).null_space()
-    return PolySpace(
-        frame, parent.kind, parent.k, exact.image_basis(parent.basis.matmul(coords)), tag
-    )
+    return PolySpace(parent.frame, parent.kind, parent.k, exact.image_basis(parent.basis.matmul(coords)))
 
 
 _BUBBLE_GENERATORS = {"div_vector": bubble_vector_generators, "div_sym": bubble_sym_generators}
@@ -376,22 +372,22 @@ def split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, P
 
 def _split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, PolySpace]:
     bubble = _BUBBLE_GENERATORS[family](frame, k)
-    e0 = kernel_space("div" if bubble.kind == "vector" else "div_rowwise", bubble, f"E0_{family}_{k}")
-    return e0, orthocomplement_in(bubble, e0, f"E0perp_{family}_{k}")
+    e0 = kernel_space("div" if bubble.kind == "vector" else "div_rowwise", bubble)
+    return e0, orthocomplement_in(bubble, e0)
 
 
 def ker_dot_x_vector(frame: SimplexFrame, k: int) -> PolySpace:
     """ker(. x) inside P_k(K; R^d)."""
     if k < 0:
-        return empty_space(frame, "vector", 0, "ker_dot_x_empty")
-    return kernel_space("dot_x", build_standard(frame, "P_vector", k), f"ker_dot_x_vec_{k}")
+        return empty_space(frame, "vector")
+    return kernel_space("dot_x", build_standard(frame, "P_vector", k))
 
 
 def ker_mat_x_sym(frame: SimplexFrame, k: int) -> PolySpace:
     """ker(. x) inside P_k(K; S) (row-wise product with x)."""
     if k < 0:
-        return empty_space(frame, "sym", 0, "ker_mat_x_empty")
-    return kernel_space("mat_x", build_standard(frame, "P_sym", k), f"ker_mat_x_sym_{k}")
+        return empty_space(frame, "sym")
+    return kernel_space("mat_x", build_standard(frame, "P_sym", k))
 
 
 # -- certifications ----------------------------------------------------------------------
@@ -412,41 +408,43 @@ def certify_decompositions(frame: SimplexFrame, k: int) -> list[CheckResult]:
         add(check_id, ok, whole.dim, a.dim + b.dim)
 
     p_vec = build_standard(frame, "P_vector", k - 1)
-    grad_pk = image_space("grad", build_standard(frame, "P_scalar", k), "grad_Pk")
+    grad_pk = image_space("grad", build_standard(frame, "P_scalar", k))
     ker_vec = ker_dot_x_vector(frame, k - 1)
-    skw_px = build_standard(frame, "skwPx", k - 2) if k >= 2 else empty_space(frame, "vector", 0, "skwPx_empty")
+    skw_px = build_standard(frame, "skwPx", k - 2) if k >= 2 else empty_space(frame, "vector")
     add_decomp("decomp-vector-grad-plus-koszul-kernel", grad_pk, ker_vec, p_vec)
     add("kernel-dot-x-equals-skw-times-x", space_equal(ker_vec, skw_px), ker_vec.dim, skw_px.dim)
     add_decomp("decomp-vector-grad-plus-skw-x", grad_pk, skw_px, p_vec)
 
     p_sym = build_standard(frame, "P_sym", k - 1)
-    def_pk = image_space("def", build_standard(frame, "P_vector", k), "def_Pk")
+    def_pk = image_space("def", build_standard(frame, "P_vector", k))
     add_decomp("decomp-sym-def-plus-koszul-kernel", def_pk, ker_mat_x_sym(frame, k - 1), p_sym)
-    defx = image_space("mat_x", def_pk, "def_Pk_times_x")
-    symx = image_space("mat_x", p_sym, "P_sym_times_x")
+    defx = image_space("mat_x", def_pk)
+    symx = image_space("mat_x", p_sym)
     add("image-def-x-equals-sym-x", space_equal(defx, symx), symx.dim, defx.dim)
 
     # kernel of q -> (def q) x on P_k(R^d), as the product of the two tables
     def_x = poly.operator_table("mat_x", "sym", d, k - 1).matmul(poly.operator_table("def", "vector", d, k))
-    ker_defx = PolySpace(frame, "vector", k, exact.image_basis(def_x.null_space()), "ker_def_x")
+    ker_defx = PolySpace(frame, "vector", k, exact.image_basis(def_x.null_space()))
     rm = build_standard(frame, "RM", 0)
     add("kernel-def-x-equals-rigid-motions", space_equal(ker_defx, rm), dim_RM(d), ker_defx.dim)
     return out
 
 
-def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolySpace:
+def div_preimage_in(space: PolySpace, target: PolySpace) -> PolySpace:
     """The subspace of `space` whose row-wise divergence lands in `target`.
 
-    Requires div to be injective on `space` and target to lie inside its
-    image (both hold for the complements of divergence-free bubbles); the
-    preimage is read off one exact elimination of ``[M | tgt]`` and
-    re-verified.
+    Requires `target` on the same simplex with the divergence's value shape,
+    div injective on `space` and target inside its image (both hold for the
+    complements of divergence-free bubbles); the preimage is read off one
+    exact elimination of ``[M | tgt]`` and re-verified.
     """
     op = "div_rowwise" if space.kind == "sym" else "div"
+    kind, k = poly.operator_target(op, space.k)
+    _check_same(space.frame, kind, target)
     m = operator_matrix(op, space)
-    tgt = target.with_degree(poly.operator_target(op, space.k)[1]).basis
+    tgt = target.with_degree(k).basis
     if target.dim == 0 or space.dim == 0:
-        return empty_space(space.frame, space.kind, space.k, tag)
+        return empty_space(space.frame, space.kind, space.k)
     n = m.cols
     red, pivots = m.hstack(tgt).rref()
     if pivots[:n] != tuple(range(n)):
@@ -456,9 +454,7 @@ def div_preimage_in(space: PolySpace, target: PolySpace, tag: str = "") -> PolyS
     coords = red.take(range(n), n)
     if not m.matmul(coords) == tgt:
         raise ArithmeticError("divergence preimage fell outside the image")
-    return PolySpace(
-        space.frame, space.kind, space.k, exact.image_basis(space.basis.matmul(coords)), tag
-    )
+    return PolySpace(space.frame, space.kind, space.k, exact.image_basis(space.basis.matmul(coords)))
 
 
 def _div_free_coords(gens: Matrix, d: int, k: int) -> Matrix:
@@ -509,7 +505,7 @@ def _enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     expected = frame.d * dim_H(frame.d, k)
     if basis.cols != expected:
         raise ArithmeticError(f"enrichment has dimension {basis.cols}, not d dim H_k = {expected}")
-    return PolySpace(frame, "sym", k + 1, basis, f"bubble_enrichment_sym_{k + 1}")
+    return PolySpace(frame, "sym", k + 1, basis)
 
 
 def divdiv_splits(frame: SimplexFrame, k: int) -> tuple[PolySpace, PolySpace]:
@@ -519,7 +515,7 @@ def divdiv_splits(frame: SimplexFrame, k: int) -> tuple[PolySpace, PolySpace]:
     e0, e0perp = split_bubble(frame, "div_sym", k)
     bub_vec = bubble_vector_generators(frame, k - 1)
     rm = build_standard(frame, "RM", 0)
-    b_rm = orthocomplement_in(bub_vec, rm, f"bubble_vec_perp_RM_{k - 1}")
-    f0 = div_preimage_in(e0perp, b_rm, f"F0_sym_{k}")
-    ftr = orthocomplement_in(e0perp, f0, f"Ftr_sym_{k}")
+    b_rm = orthocomplement_in(bub_vec, rm)
+    f0 = div_preimage_in(e0perp, b_rm)
+    ftr = orthocomplement_in(e0perp, f0)
     return f0, ftr

@@ -90,8 +90,8 @@ def preimage_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     rm = build_standard(frame, "RM", 0)
     perp_k = orthocomplement_in(build_standard(frame, "P_vector", k), rm)
     perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
-    extension = orthocomplement_in(perp_k, perp_km1.with_degree(k), f"div_extension_{k}")
-    return div_preimage_in(e0perp, extension, f"bubble_enrichment_sym_{k + 1}")
+    extension = orthocomplement_in(perp_k, perp_km1.with_degree(k))
+    return div_preimage_in(e0perp, extension)
 
 
 # -- all-Fraction matrix algebra ------------------------------------------------
@@ -255,16 +255,15 @@ def face_dof_rows(run, kind: str, k: int, bernstein: bool = False) -> Matrix:
     """The rows of a run of face DoFs on one face, as ``elements._run_rows``
     builds them, from the full-width traces: sum_j (tests_j^T M) T_j, one
     product of the test moments against the chart mass M with the stacked
-    trace matrices T_j of ``Face.trace``/``traces`` (or their Bernstein
-    forms), j over the test components."""
+    trace matrices T_j of ``Face.trace``/``traces`` (Bernstein with
+    ``bernstein``), j over the test components."""
     first = run[0]
     face = first.face
     if first.kind == FACE_NN:
         a, b = (face.normal_frame[i] for i in first.comp)
-        chart_k, traces = k, [(face.bernstein_trace if bernstein else face.trace)(kind, k, a, b)]
+        chart_k, traces = k, [face.trace(kind, k, a, b, bernstein)]
     else:
-        named = face.bernstein_traces if bernstein else face.traces
-        chart_k, traces = named(kind, k, _FACE_TRACES[first.kind])
+        chart_k, traces = face.traces(kind, k, _FACE_TRACES[first.kind], bernstein)
     tests = [dof.test for dof in run]
     deg = max(max(q.degree() for q in tests), 0)
     lhs = None

@@ -489,9 +489,9 @@ def test_passing_patch_builds_no_right_interior_tests(monkeypatch, family, k):
             return fn(*args)
         monkeypatch.setattr(spaces, name, recording)
 
-    spy("orthocomplement_in", lambda parent, sub, tag="": parent.frame)
+    spy("orthocomplement_in", lambda parent, sub: parent.frame)
     spy("ker_mat_x_sym", lambda frame, deg: frame)
-    spy("image_space", lambda op, src, tag="": src.frame if op == "def" else None)
+    spy("image_space", lambda op, src: src.frame if op == "def" else None)
     spy("build_standard", lambda frame, tag, deg: frame if tag == "ND" else None)
     assert conformity_check(patch, family, k).passed
     assert [name for name, frame in built if frame is patch.right] == []

@@ -150,9 +150,7 @@ def test_bdm_interior_merge_rowspace(tri):
         [e.dof_matrix.row(i) for i, dof in enumerate(e.dofs) if not dof.shared]
     )
     members = e.space.members()
-    grads = spaces.image_space(
-        "grad", spaces.build_standard(tri, "P_scalar", k - 1), "gradPk-1"
-    ).members()
+    grads = spaces.image_space("grad", spaces.build_standard(tri, "P_scalar", k - 1)).members()
     skwx = spaces.build_standard(tri, "skwPx", k - 2).members()
     alt_rows = Matrix(
         [[__import__("femforge.integrate", fromlist=["pair_simplex"]).pair_simplex(tri, q, m)
@@ -248,7 +246,7 @@ def test_element_export_json(tri):
 def test_export_carries_certification(tri):
     from femforge.elements import element_to_json
 
-    data = element_to_json(build_element(tri, "BDM", 1), with_nodal_basis=False)
+    data = element_to_json(build_element(tri, "BDM", 1))
     ids = {c["id"] for c in data["certification"]}
     assert ids == {"unisolvence", "trace-block"}
     assert all(c["status"] == "pass" for c in data["certification"])
@@ -776,7 +774,7 @@ def _block_diag(g, rest):
     return Matrix.vstack([top, Matrix.zeros(rest, n).hstack(Matrix.identity(rest))], n + rest)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
     fr = random_frame(d, random.Random(71))
     # a P_k space is the identity: the change of basis is G itself
@@ -787,6 +785,13 @@ def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
         rest = space.dim - len(poly.frame(kind, d, k))
         assert rest > 0
         assert _bernstein_change(space) == _block_diag(fr.bernstein(kind, k), rest)
+    # every family's shape space of degree parameter k leads with the identity
+    # on the degree <= k frame: the block the certificates, and the bubble of
+    # HdivS_minus written against diag(I_n, W_top), assume
+    for frame in (reference_simplex(d), fr):
+        for spec in FAMILIES.values():
+            for k in (spec.floor(d), spec.floor(d) + 1):
+                assert el._bernstein_lead(spaces.build_standard(frame, spec.shape, k)) == k
 
 
 def test_bernstein_change_of_basis_without_a_leading_identity_block_is_the_identity():
@@ -867,7 +872,7 @@ def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
     _, shared, rank_s, g, ker, lead = el._split_memo(e)
-    assert lead is not None and g == _bernstein_change(e.space)
+    assert lead == k and g == _bernstein_change(e.space)
     rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, lead, True)
     oracle = e.dof_matrix.take(shared).matmul(g)
     assert rows.hstack(e.dof_matrix.take(shared, rows.cols)) == oracle

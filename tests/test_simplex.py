@@ -259,9 +259,9 @@ def test_bernstein_matrix_has_full_rank(d):
 
 # -- the Bernstein traces -------------------------------------------------------------
 #
-# Face.bernstein_trace(s) build T G, a face trace T times the frame's Bernstein
-# matrix G, from the restrictions of lambda^alpha alone; the product T G is the
-# oracle.
+# Face.trace(s) with bernstein=True build T G, a face trace T times the frame's
+# Bernstein matrix G, from the restrictions of lambda^alpha alone; the product
+# T G is the oracle.
 
 _NAMED_MODES = {"vector": ("vector_normal", "tangential"),
                 "sym": ("tensor_normal", "normal_normal", "tangential", "tangential_tangential",
@@ -284,9 +284,9 @@ def test_bernstein_traces_are_the_traces_times_g(kind, d, k):
         for face in faces:
             for mode in _NAMED_MODES[kind]:
                 chart_k, mats = face.traces(kind, k, mode)
-                got_k, got = face.bernstein_traces(kind, k, mode)
+                got_k, got = face.traces(kind, k, mode, bernstein=True)
                 assert got_k == chart_k and len(got) == len(mats)
-                assert face.bernstein_traces(kind, k, mode)[1] == got
+                assert face.traces(kind, k, mode, bernstein=True)[1] == got
                 for t, tb in zip(mats, got):
                     assert tb == t.matmul(g)
 
@@ -304,7 +304,7 @@ def test_bernstein_trace_is_the_trace_times_g_on_every_face(kind, d, k):
                     for b in range(a, r):
                         ga, gb = face.normal_frame[a], face.normal_frame[b]
                         args = (ga,) if kind == "vector" else (ga, gb)
-                        assert face.bernstein_trace(kind, k, *args) == face.trace(kind, k, *args).matmul(g)
+                        assert face.trace(kind, k, *args, bernstein=True) == face.trace(kind, k, *args).matmul(g)
 
 
 def test_bernstein_trace_of_a_vertex_is_d_to_the_k_at_k_e_v():
@@ -313,7 +313,7 @@ def test_bernstein_trace_of_a_vertex_is_d_to_the_k_at_k_e_v():
     assert fr.faces(1)[0].bary_den > 1
     for face in fr.faces(3):
         (v,) = face.vertex_ids
-        row = face.bernstein_trace("scalar", 3, (1,))
+        row = face.trace("scalar", 3, (1,), bernstein=True)
         alphas = [a for a in poly.monomials(4, 3) if sum(a) == 3]
         want = [face.bary_den ** 3 if a[v] == 3 else 0 for a in alphas]
         assert row == Matrix([want])
@@ -329,12 +329,11 @@ def test_pointwise_traces_share_one_memoized_scalar_table(monkeypatch):
     monkeypatch.setattr(simplex, "_weights", lambda *args: calls.append(args) or weights(*args))
     g, e0 = face.normal_frame[0], (1, 0, 0)
     for bernstein in (False, True):
-        trace = face.bernstein_trace if bernstein else face.trace
-        t = trace("sym", 2, g, e0)
+        t = face.trace("sym", 2, g, e0, bernstein)
         table = face.table(2, None, bernstein)
-        assert trace("sym", 2, g, e0) == t and len(calls) == 2 + 4 * bernstein
+        assert face.trace("sym", 2, g, e0, bernstein) == t and len(calls) == 2 + 4 * bernstein
         # (a, b) and (b, a) weigh a symmetric field alike: equal traces
-        assert trace("sym", 2, e0, g) == t and len(calls) == 3 + 4 * bernstein
-        trace("vector", 2, g)  # another kind, the same scalar table
+        assert face.trace("sym", 2, e0, g, bernstein) == t and len(calls) == 3 + 4 * bernstein
+        face.trace("vector", 2, g, bernstein=bernstein)  # another kind, the same scalar table
         assert face.table(2, None, bernstein) is table and len(calls) == 4 + 4 * bernstein
     assert sorted(face._tables, key=str) == [(False, 2, None), (True, 2, None)]

@@ -184,7 +184,7 @@ def test_rt_kernel_stability(d, k):
     fr = reference_simplex(d)
     rt_bubble = bubble_space(fr, "div_RT_minus", k)
     assert rt_bubble.dim == spaces.dim_bubble_rt(d, k)
-    ker = kernel_space("div", rt_bubble, "ker")
+    ker = kernel_space("div", rt_bubble)
     e0, _ = split_bubble(fr, "div_vector", k)
     assert space_equal(ker, e0.with_degree(ker.k))
 
@@ -237,7 +237,7 @@ def test_div_bubble_sym_is_rm_perp(d, k):
     img = image_space("div_rowwise", bubble_space(fr, "div_sym", k))
     p = build_standard(fr, "P_vector", k - 1)
     rm = build_standard(fr, "RM", 0)
-    rm_perp = orthocomplement_in(p, rm, "P_perp_RM")
+    rm_perp = orthocomplement_in(p, rm)
     assert space_equal(img, rm_perp)
     assert rm_perp.dim == p.dim - dim_RM(d)
 
@@ -264,7 +264,7 @@ def test_ker_mat_x_sym_d2_characterization(tri):
         for (_, e), v in prod.terms.items():
             entries[(c, e)] = v
     xperp_mat = Polynomial(2, "sym", entries)
-    target = spaces.PolySpace(tri, "sym", 2, poly.coeff_matrix([xperp_mat], 2), "xperp")
+    target = spaces.PolySpace(tri, "sym", 2, poly.coeff_matrix([xperp_mat], 2))
     assert space_equal(ker, target)
 
 
@@ -302,6 +302,27 @@ def test_div_preimage_in(tri):
     # div has a kernel on P_4(S): the preimage is not unique
     with pytest.raises(exact.SingularMatrixError):
         div_preimage_in(build_standard(tri, "P_sym", 4), image_space("div_rowwise", f0))
+
+
+def test_complement_and_preimage_reject_another_shape_or_simplex():
+    # on a tetrahedron P_vector and P_skw both store 3 components, so only the
+    # value shape tells them apart
+    tet, other = reference_simplex(3), random_frame(3, random.Random(7))
+    p2 = build_standard(tet, "P_vector", 2)
+    _, e0perp = split_bubble(tet, "div_sym", 3)
+    for parent, sub in [(p2, build_standard(tet, "P_skw", 1)), (p2, spaces.empty_space(tet, "skw")),
+                        (e0perp, build_standard(tet, "P_vector", 1))]:
+        with pytest.raises(poly.ShapeMismatchError):
+            orthocomplement_in(parent, sub)
+    with pytest.raises(ValueError, match="different simplices"):
+        orthocomplement_in(p2, build_standard(other, "P_vector", 1))
+    # the divergence of a symmetric field is a vector field on the same simplex
+    with pytest.raises(poly.ShapeMismatchError):
+        div_preimage_in(e0perp, build_standard(tet, "P_skw", 1))
+    with pytest.raises(ValueError, match="different simplices"):
+        div_preimage_in(e0perp, build_standard(other, "P_vector", 1))
+    # an empty sub of the parent's shape leaves the parent itself
+    assert orthocomplement_in(p2, spaces.empty_space(tet, "vector")) is p2
 
 
 def test_e0_pairing_nondegenerate(tri):
@@ -503,7 +524,7 @@ def reference_build_standard(frame, tag, k):
         gens = [poly.koszul_mat_x(Polynomial.monomial(d, "skw", c, e))
                 for c in range(poly.ncomp("skw", d)) for e in poly.monomials(d, k)]
         kind, deg = "vector", k + 1
-    return spaces.PolySpace(frame, kind, deg, exact.image_basis(poly.coeff_matrix(gens, deg)), tag)
+    return spaces.PolySpace(frame, kind, deg, exact.image_basis(poly.coeff_matrix(gens, deg)))
 
 
 _CATALOG_GRID = [(d, k) for d in (2, 3) for k in range(5)] + [(4, k) for k in range(3)]
@@ -609,7 +630,7 @@ def test_bubble_enrichment_matches_preimage_reference(d, k):
     for fr in _enrichment_frames(d):
         got = spaces.bubble_enrichment_sym(fr, k)
         ref = preimage_enrichment_sym(fr, k)
-        assert (got.kind, got.k, got.tag) == (ref.kind, ref.k, ref.tag)
+        assert (got.kind, got.k) == (ref.kind, ref.k)
         assert got.dim == d * spaces.dim_H(d, k)
         assert exact.image_basis(got.basis) == ref.basis
 
@@ -639,16 +660,16 @@ def test_shape_sym_minus_is_the_cached_space_sum(d, k):
     # homogeneous it is space_sum's canonical basis itself
     for fr in _enrichment_frames(d):
         enrichment = spaces.bubble_enrichment_sym(fr, k)
-        cells = [("P_minus_sym", "P_sym", k, enrichment, f"P_minus_sym_{k + 1}"),
-                 ("P_sym_plus_xxT", "P_sym", k, build_standard(fr, "xxT_H", k - 1), f"P_sym_plus_xxT_{k}")]
+        cells = [("P_minus_sym", "P_sym", k, enrichment),
+                 ("P_sym_plus_xxT", "P_sym", k, build_standard(fr, "xxT_H", k - 1))]
         for j in range(k + 1):
-            cells += [("ND", "P_vector", j, build_standard(fr, "skwPx", j), f"ND_{j}"),
-                      ("RT_shape", "P_vector", j, image_space("x", build_standard(fr, "H_scalar", j)), f"RT_{j}")]
-        for tag, p_tag, j, extra, name in cells:
+            cells += [("ND", "P_vector", j, build_standard(fr, "skwPx", j)),
+                      ("RT_shape", "P_vector", j, image_space("x", build_standard(fr, "H_scalar", j)))]
+        for tag, p_tag, j, extra in cells:
             p = build_standard(fr, p_tag, j)
             got = build_standard(fr, tag, j)
             ref = space_sum(p, extra)
-            assert (got.kind, got.k, got.tag) == (p.kind, j + 1, name)
+            assert (got.kind, got.k) == (p.kind, j + 1)
             assert got.dim == ref.dim and space_equal(got, ref)
             n = p.dim
             top = got.basis.take(range(n, got.basis.rows), n)
