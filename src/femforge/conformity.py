@@ -9,11 +9,13 @@ for that matches every right DoF living on the shared face (applied directly
 to the left function), with the right side's other shared DoFs set to zero.
 The left side is only its shape space, never a full element, and the matched
 shared DoFs of all left members are one product: the right side's shared DoF
-rows times the left shape basis.  The right side needs only those rows S
-too, taken from its face DoFs (no interior test space is built), and
-eliminated in Bernstein coordinates: ``elements._shared_block`` forms
-the sparse S G_s, as it does for the element certificates, with G_s mapping
-Bernstein to member coordinates.  One RREF of [S G_s | rhs], the zero
+rows times the left shape basis, built for the DoFs on the face alone.  The
+right side needs only its shared rows S too, taken from its face DoFs (no
+interior test space is built), and eliminated in Bernstein coordinates:
+``elements._bernstein_block`` forms the sparse S G_s, as it does for the
+element certificates, with G_s mapping Bernstein to member coordinates; the
+monomial rows of all of S are built only for shape bases with columns past
+their Bernstein block.  One RREF of [S G_s | rhs], the zero
 right-hand sides left out, gives a particular solution (free Bernstein
 coordinates zero) and ker(S G_s), both mapped back by G_s.  When every
 member of ker S has zero declared traces on the face, all right functions
@@ -73,8 +75,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _dof_matrix, _first_nonzero_trace, _nonzero_trace_mode, _shared_block,
-                       build_element)
+from .elements import (FAMILIES, _bernstein_block, _bernstein_lead, _change_of_basis, _dof_matrix,
+                       _first_nonzero_trace, _nonzero_trace_mode, build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -161,24 +163,30 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     DoFs of every left member on the shared face, the right side's other
     shared DoFs zero, from the right side's shared DoF rows S alone (all of
     them face DoFs); None
-    unless ``_shared_block`` gives S G_s, the system is consistent and ker S
-    has zero declared traces on the face, so that every such right function
-    has the same declared traces.
+    unless the right basis has a Bernstein block, the system is consistent
+    and ker S has zero declared traces on the face, so that every such right
+    function has the same declared traces.
 
     One RREF of [S G_s | rhs] gives both a particular solution (free
     Bernstein coordinates zero) and ker S, each mapped back by G_s.  The
     zero right-hand sides (left members with no DoF on the face) stay out of
     the RREF: their solution is zero."""
     d = patch.left.d
-    shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
-    rows = _dof_matrix(patch.right, shared, right.kind, right.k)
-    block = _shared_block(patch.right, shared, right,
-                          lambda n: rows.matmul(right.basis.take(range(right.basis.rows), n)))
-    if block is None:
+    lead = _bernstein_lead(right)
+    if lead is None:
         return None
-    s, g, lead = block
-    on_face = rows.take([i if _on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
-    rhs = on_face.matmul(left.basis).transpose()
+    shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
+
+    def tail(n: int) -> Matrix:
+        # the monomial rows of every shared DoF, needed only past the Bernstein block
+        rows = _dof_matrix(patch.right, shared, right.kind, right.k)
+        return rows.matmul(right.basis.take(range(right.basis.rows), n))
+
+    s = _bernstein_block(patch.right, shared, right, lead, tail)
+    on_face = [dof for dof in shared if _on_shared_face(dof, d)]
+    at = {id(dof): r for r, dof in enumerate(on_face)}
+    matched = _dof_matrix(patch.right, on_face, right.kind, right.k).matmul(left.basis)
+    rhs = matched.take([at.get(id(dof)) for dof in shared]).transpose()
     nonzero = [j for j in range(rhs.rows) if any(rhs.int_row(j)[1])]
     n = right.dim
     red, pivots = s.hstack(rhs.take(nonzero).transpose()).rref()
@@ -191,7 +199,7 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     sol = red.take([row_of.get(c) for c in range(n)], n).transpose()
     col_of = {j: c for c, j in enumerate(nonzero)}
     sol = sol.take([col_of.get(j) for j in range(rhs.rows)]).transpose()
-    return right.basis.matmul(g.matmul(sol))
+    return right.basis.matmul(_change_of_basis(right, lead).matmul(sol))
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:

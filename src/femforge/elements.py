@@ -19,18 +19,20 @@ the shared DoF rows S are eliminated once per element, and their kernel K
 runs in Bernstein coordinates, where that split is local: with G the integer
 matrix of the barycentric monomials lambda^alpha, |alpha| = k
 (``SimplexFrame.bernstein``), a face's DoFs see only the lambda^alpha that
-do not vanish on it, so S G is sparse, and K = G ker(S G).  ``_shared_block`` forms S G for the element
-certificates and for the patch check of ``conformity`` alike, on the leading
-degree-k' block of the shape basis (k' = 0 included), from the faces'
-Bernstein traces rather than a product with G.  A DoF matrix that
-``build_element`` did not assemble is eliminated as it stands.  The DoF matrix
-[S; I] is invertible exactly when S has full row rank and the square
-interior block I G K is nonsingular; any other case falls back to the exact
-rank of the full matrix and a kernel witness.  The trace-block check
-multiplies the Bernstein traces with K, and proves ker S equal to the
-paper's bubble space with one product and one rank in member coordinates
-(of the element's own shape basis, through one RREF where that basis is not
-the catalog's).
+do not vanish on it, so S G is sparse, and K = G ker(S G).
+``_bernstein_block`` forms S G for the element certificates and for the
+patch check of ``conformity`` alike, on the leading degree-k' block of the
+shape basis (k' = 0 included), from the faces' Bernstein traces rather than
+a product with G; it forms the interior block I G the same way, from the
+closed-form Bernstein moments of ``integrate.bernstein_gram``.  A DoF matrix
+that ``build_element`` did not assemble is eliminated as it stands (G_s the
+identity).  The DoF matrix [S; I] is invertible exactly when S has full row
+rank and the square interior block I G K is nonsingular; any other case
+falls back to the exact rank of the full matrix and a kernel witness.  The
+trace-block check multiplies the Bernstein traces with K, and proves ker S
+equal to the paper's bubble space with one product and one rank in member
+coordinates (of the element's own shape basis, through one RREF where that
+basis is not the catalog's).
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
 from the chart mass and frame Gram matrices of ``integrate``, one run of
@@ -42,8 +44,9 @@ Applying a DoF to a polynomial is a sparse dot product with its
 coefficients, over the polynomial's memoized integer terms
 (``Polynomial.int_terms``; the members of a shape space come with them).
 ``build_element`` clears each row of the DoF matrix to integers as soon as
-it is applied.  The Bernstein rows of the shared DoFs are the same products
-with the Bernstein tables.
+it is applied.  The Bernstein rows of a DoF are the same products with the
+Bernstein tables of the faces, and for an interior moment with the
+Bernstein moments (``bernstein_gram``) or the stencil table times G.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -62,7 +65,7 @@ from typing import Callable, Sequence
 
 from . import exact, poly, spaces
 from .exact import Matrix, SingularMatrixError, _cleared
-from .integrate import chart_mass, frame_gram
+from .integrate import bernstein_gram, chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
 from .simplex import Face, SimplexFrame, _weights
@@ -102,7 +105,9 @@ class Element:
     dofs: list[DoFDescriptor]
     dof_matrix: Matrix
     # (dof_matrix, shared row indices, rank of S, change of basis G_s, basis
-    # of ker(S G_s), degree of its Bernstein block); see _split_memo
+    # of ker(S G_s), degree k' of its Bernstein block, None unless the DoF
+    # matrix is the assembled one); see _split_memo.  With k' set, both the
+    # shared and the interior rows are taken in Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # the DoF matrix build_element assembled from ``dofs``; None on any other Element
     _assembled: Matrix | None = field(default=None, init=False, repr=False, compare=False)
@@ -120,7 +125,11 @@ class Element:
 #                     trace's weights (Face.trace_parts, exact.kron_sum)
 #   interior moments  tests^T x frame Gram x operator (identity, div, div div)
 #   vertex values     the scalar table of the vertex
-# and kept as integer rows with one denominator each.
+# and kept as integer rows with one denominator each.  Against the Bernstein
+# columns of G(kind, k) (``bernstein``), a face run takes the faces' Bernstein
+# tables, a pair run the Bernstein moments (integrate.bernstein_gram), a div or
+# divdiv run the stencil table times G, and a vertex run the Bernstein table
+# of the vertex.
 
 _FACE_TRACES = {
     FACE_SCALAR_NORMAL: "vector_normal",
@@ -128,7 +137,6 @@ _FACE_TRACES = {
     FACE_NORMAL_DIV: "normal_div",
     FACE_DIVDIV_COMBO: "combo",
 }
-_FACE_KINDS = {FACE_NN, *_FACE_TRACES}
 
 
 class _Row:
@@ -192,7 +200,7 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, 
     if first.face is None:
         q, deg = _coeff_rows(tests)
         if first.kind == INTERIOR_PAIR:
-            return q.matmul(frame_gram(frame, kind, deg, k))
+            return q.matmul((bernstein_gram if bernstein else frame_gram)(frame, kind, deg, k))
         if first.kind == INTERIOR_DIV:
             name = "div" if kind == "vector" else "div_rowwise"
         elif first.kind == INTERIOR_DIVDIV:
@@ -200,7 +208,11 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, 
         else:
             raise UnsupportedTagError(f"unknown DoF kind {first.kind!r}")
         tkind, tk = poly.operator_target(name, k)
-        return q.matmul(frame_gram(frame, tkind, deg, tk)).matmul(poly.operator_table(name, kind, d, k))
+        table = poly.operator_table(name, kind, d, k)
+        if bernstein:
+            # the stencil table is sparse, so it takes G rather than the dense moments
+            table = table.matmul(frame.bernstein(kind, k))
+        return q.matmul(frame_gram(frame, tkind, deg, tk)).matmul(table)
     face = first.face
     if first.kind == FACE_NN:
         a, b = (face.normal_frame[i] for i in first.comp)
@@ -472,21 +484,18 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
     return tuple(out)
 
 
-def _shared_block(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
-                  tail: Callable[[int], Matrix]) -> tuple[Matrix, Matrix, int] | None:
-    """(S G_s, G_s, k') for the rows S of ``dofs`` against ``space.basis``,
-    G_s = ``_change_of_basis(space, k')``: the DoFs' own Bernstein rows of
-    degree k', beside ``tail(n)``, S times the basis columns from n on.  None
-    where the basis has no Bernstein block or a DoF is neither a face moment
-    nor a vertex value."""
-    lead = _bernstein_lead(space)
-    if lead is None or any(dof.kind != VERTEX_EVAL and (dof.face is None or dof.kind not in _FACE_KINDS)
-                           for dof in dofs):
-        return None
+def _bernstein_block(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace, lead: int,
+                     tail: Callable[[int], Matrix]) -> Matrix:
+    """The rows of ``dofs`` (face, vertex or interior DoFs) against
+    ``space.basis`` times G_s = ``_change_of_basis(space, lead)``, for the
+    degree ``lead`` of ``_bernstein_lead(space)``: the DoFs' own Bernstein
+    rows of degree lead, beside ``tail(n)``, the rows times the basis columns
+    from n on.  No DoF row is multiplied by G; only a div or divdiv run's
+    sparse stencil table is."""
     block = _dof_matrix(frame, dofs, space.kind, lead, True)
     if block.cols < space.basis.cols:
         block = block.hstack(tail(block.cols))
-    return block, _change_of_basis(space, lead), lead
+    return block
 
 
 def _split_memo(element: Element) -> tuple:
@@ -494,23 +503,30 @@ def _split_memo(element: Element) -> tuple:
     k') with ker S = G_s K, from one elimination of S per element.
 
     The DoF matrix that ``build_element`` assembled is eliminated in the
-    Bernstein coordinates of ``_shared_block``, its columns past the leading
-    block taken as they stand; any other DoF matrix is eliminated as it is,
-    with G_s the identity (k' None).  K = ker(S G_s) as columns.  Only the
-    kernel is kept, not the echelon form; the memo is dropped when the DoF
-    matrix or the shared rows change."""
+    Bernstein coordinates of ``_bernstein_block``, its columns past the
+    leading block taken as they stand; any other DoF matrix is eliminated as
+    it is, with G_s the identity (k' None).  K = ker(S G_s) as columns.
+    Only the kernel is kept, not the echelon form; the memo is dropped when
+    the DoF matrix or the shared rows change."""
     shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
     memo = element._split
     if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
-        m, space = element.dof_matrix, element.space
-        block = None
-        if m is element._assembled:
-            block = _shared_block(element.frame, [element.dofs[i] for i in shared], space,
-                                  lambda n: m.take(shared, n))
-        s, g, lead = block or (m.take(shared), _change_of_basis(space, None), None)
-        ker = s.null_space()
-        memo = element._split = (m, shared, m.cols - ker.cols, g, ker, lead)
+        m = element.dof_matrix
+        lead = _bernstein_lead(element.space) if m is element._assembled else None
+        ker = _rows_times_g_s(element, shared, lead).null_space()
+        memo = element._split = (m, shared, m.cols - ker.cols, _change_of_basis(element.space, lead), ker, lead)
     return memo
+
+
+def _rows_times_g_s(element: Element, rows: list[int], lead: int | None) -> Matrix:
+    """The DoF matrix rows at ``rows`` times G_s = ``_change_of_basis(space,
+    lead)``: their own Bernstein rows (``_bernstein_block``), or the rows as
+    they stand where ``lead`` is None and G_s is the identity."""
+    m = element.dof_matrix
+    if lead is None:
+        return m.take(rows)
+    return _bernstein_block(element.frame, [element.dofs[i] for i in rows], element.space, lead,
+                            lambda n: m.take(rows, n))
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -519,11 +535,11 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    _, shared, rank_s, g, ker, _ = _split_memo(element)
+    _, shared, rank_s, _, ker, lead = _split_memo(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
-        interior = element.dof_matrix.take([i for i, dof in enumerate(element.dofs) if not dof.shared])
-        if interior.matmul(g).matmul(ker).rank() == ker.cols:
+        interior = [i for i, dof in enumerate(element.dofs) if not dof.shared]
+        if _rows_times_g_s(element, interior, lead).matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:

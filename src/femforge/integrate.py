@@ -11,6 +11,16 @@ the table in integers over the common denominator ``(|e| + d)!``: one
 ``Fraction`` per monomial moment, memoized in ``frame._mono_integrals``.
 Pairings and frame Gram matrices are sums of these moments.
 
+The Bernstein moments int_K x^e lambda^alpha (``bernstein_gram``) come from
+the Dirichlet integral over the d + 1 barycentric coordinates,
+
+    int_K lambda^a dx = a! d! |K| / (|a| + d)!,
+
+with x^e taken from the same power table: the reference coordinates are
+s_j = lambda_j (j >= 1) and lambda_0 = 1 - sum s, so s^beta lambda^alpha is
+lambda^a with a = (alpha_0, beta + alpha_1..d).  No product with the
+Bernstein matrix is taken.
+
 Face integrals use the face's canonical chart with its intrinsic Lebesgue
 measure; the (generally irrational) metric area factor is intentionally not
 applied.  Every face functional built on top of this is therefore a fixed
@@ -29,16 +39,22 @@ from operator import add
 from .exact import Matrix, _cleared
 from .poly import Polynomial, dot, frobenius_weight, monomials, ncomp
 from .poly import frame as shape_frame
-from .simplex import Face, SimplexFrame
+from .simplex import Face, SimplexFrame, _bernstein_alphas
 
 _ZERO = Fraction(0)
 
 
+def _dirichlet_weight(a: tuple[int, ...], top: int) -> int:
+    """a! top! / (|a| + m)!: the integral of lambda^a over the reference
+    simplex of dimension m = len(a) - 1, times top!."""
+    return prod(map(factorial, a)) * perm(top, top - sum(a) - len(a) + 1)
+
+
 @lru_cache(maxsize=None)
 def _reference_weight(beta: tuple[int, ...], top: int) -> int:
-    """beta! top! / (|beta| + m)!: the integral of s^beta over the reference
-    simplex of dimension m = len(beta), times top!."""
-    return prod(map(factorial, beta)) * perm(top, top - sum(beta) - len(beta))
+    """The integral of s^beta = lambda^(0, beta) over the reference simplex
+    of dimension len(beta), times top!."""
+    return _dirichlet_weight((0, *beta), top)
 
 
 @lru_cache(maxsize=None)
@@ -106,18 +122,46 @@ def chart_mass(m: int, k1: int, k2: int) -> Matrix:
     )
 
 
+def _scattered(kind: str, d: int, k1: int, scalar: dict, cols: int) -> Matrix:
+    """The shaped Gram matrix with rows the frame (kind, d, k1), from one
+    integer row ``scalar[e] = (den, ints)`` per monomial e over ``cols``
+    scalar columns, weighted into the columns of each component c."""
+    nc = ncomp(kind, d)
+    weights = [frobenius_weight(kind, d, c) for c in range(nc)]
+    rows = []
+    for c, e in shape_frame(kind, d, k1):
+        den, ints = scalar[e]
+        row = [0] * (nc * cols)
+        row[c::nc] = [weights[c] * v for v in ints]
+        rows.append((den, row))
+    return Matrix.from_int_rows(rows, nc * cols)
+
+
 def frame_gram(frame: SimplexFrame, kind: str, k1: int, k2: int) -> Matrix:
     """The ``pair_simplex`` Gram matrix of the shaped monomial frames
     ``(kind, d, k1)`` (rows) and ``(kind, d, k2)`` (columns)."""
     d = frame.d
-    nc, cols = ncomp(kind, d), monomials(d, k2)
-    # one integer row per monomial e, weighted into the columns of component c
+    cols = monomials(d, k2)
     scalar = {e: _cleared([_monomial_integral(frame, tuple(map(add, e, e2))) for e2 in cols])
               for e in monomials(d, k1)}
-    rows = []
-    for c, e in shape_frame(kind, d, k1):
-        den, ints = scalar[e]
-        row = [0] * (nc * len(cols))
-        row[c::nc] = [frobenius_weight(kind, d, c) * v for v in ints]
-        rows.append((den, row))
-    return Matrix.from_int_rows(rows, nc * len(cols))
+    return _scattered(kind, d, k1, scalar, len(cols))
+
+
+def bernstein_gram(frame: SimplexFrame, kind: str, k1: int, k2: int) -> Matrix:
+    """``frame_gram(frame, kind, k1, k2)`` times the Bernstein matrix
+    ``frame.bernstein(kind, k2)``, without that product: column (alpha, c)
+    pairs the rows with D^k2 lambda^alpha e_c, each entry a sum of Dirichlet
+    weights over the power table of x^e."""
+    d = frame.d
+    alphas = _bernstein_alphas(d, k2)
+    jac, scale = frame.jac_factor, frame._bary.den ** k2
+    scalar = {}
+    for e in monomials(d, k1):
+        # x^e = table / den over s, and s^beta lambda^alpha = lambda^(alpha_0, beta + alpha_1..d)
+        den, table = frame.powers.power(e)
+        top = sum(e) + k2 + d
+        ints = [jac.numerator * scale * sum(v * _dirichlet_weight((alpha[0], *map(add, beta, alpha[1:])), top)
+                                            for beta, v in table.items())
+                for alpha in alphas]
+        scalar[e] = (jac.denominator * den * factorial(top), ints)
+    return _scattered(kind, d, k1, scalar, len(alphas))

@@ -353,12 +353,6 @@ def partial(p: Polynomial, var: int) -> Polynomial:
     return Polynomial(p.d, p.kind, _partial_terms(p.terms, var), vdim=p.vdim)
 
 
-def homogeneous_component(p: Polynomial, r: int) -> Polynomial:
-    if r < 0:
-        raise ValueError("degree selector must be non-negative")
-    return Polynomial(p.d, p.kind, {k: v for k, v in p.terms.items() if sum(k[1]) == r}, vdim=p.vdim)
-
-
 class AffinePowers:
     """The powers of an affine map ``x = c + L s`` (d x-variables, m
     s-variables), in integers.
@@ -407,14 +401,6 @@ class AffinePowers:
                 acc[key] = acc.get(key, 0) + f * w
         den *= top
         return Polynomial(self.m, p.kind, {key: Fraction(v, den) for key, v in acc.items() if v}, vdim=p.vdim)
-
-
-def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -> Polynomial:
-    """Substitute x_t = const[t] + sum_m lin[t][m] s_m; result lives in len(s) vars.
-
-    Shape is preserved; the value components are untouched by the substitution.
-    """
-    return AffinePowers(const, lin if p.d else []).substitute(p)
 
 
 # -- monomial frames ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 does not call.
 
 ``integrate_barycentric`` is the closed form for barycentric monomials,
-``gram_matrix`` the entrywise Gram matrix of a basis, and the subspace
+``gram_matrix`` the entrywise Gram matrix of a basis,
+``homogeneous_component`` the terms of one total degree, and the subspace
 containment and intersection tests are column-space routines over
 ``exact.Matrix``.  ``preimage_enrichment_sym`` builds the symmetric
 enrichment through L2 complements and a divergence preimage, the oracle for
@@ -166,6 +167,13 @@ def _affine_rows(const: Sequence, lin: Sequence[Sequence], m: int) -> list[Polyn
             terms[(0, tuple(e))] = Fraction(lin[t][j])
         out.append(Polynomial(m, "scalar", terms))
     return out
+
+
+def homogeneous_component(p: Polynomial, r: int) -> Polynomial:
+    """The terms of p of total degree r."""
+    if r < 0:
+        raise ValueError("degree selector must be non-negative")
+    return Polynomial(p.d, p.kind, {k: v for k, v in p.terms.items() if sum(k[1]) == r}, vdim=p.vdim)
 
 
 def substitute_affine(p: Polynomial, const: Sequence, lin: Sequence[Sequence]) -> Polynomial:

@@ -598,6 +598,12 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     assert uni.passed and block.passed
     assert uni.as_dict() == reference_check_unisolvence(e).as_dict()
     assert block.as_dict() == reference_trace_block_rank(e).as_dict()
+    # a unisolvent element passes whatever the interior block, so check that
+    # block too: the interior DoFs' Bernstein rows are the DoF rows times G_s
+    _, _, _, g, _, lead = el._split_memo(e)
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    assert lead is not None
+    assert el._rows_times_g_s(e, interior, lead) == e.dof_matrix.take(interior).matmul(g)
 
 
 def _by_hand(e, k, basis):
@@ -883,6 +889,45 @@ def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
         for mode in FAMILIES[family].trace_modes:
             got = el._split_traces(face, e.space, lead, mode)
             assert got == tuple(t.matmul(basis) for t in face.traces(e.space.kind, e.space.k, mode)[1])
+
+
+_INTERIOR_CELLS = [(fam, d, FAMILIES[fam].floor(d) + step) for fam in sorted(FAMILIES)
+                   for d, steps in ((2, (0, 1)), (3, (0, 1)), (4, (0,))) for step in steps]
+
+
+@pytest.mark.parametrize("family,d,k", _INTERIOR_CELLS)
+def test_bernstein_interior_rows_are_the_monomial_rows_times_g(family, d, k):
+    # pair runs from the Dirichlet moments, div and divdiv runs from the
+    # stencil table times G, tangential-normal face runs from the face tables
+    fr = random_frame(d, random.Random(47 + d))
+    spec = FAMILIES[family]
+    kind = "vector" if spec.shape in ("P_vector", "RT_shape") else "sym"
+    interior = [dof for dof in spec.dofs(fr, k) if not dof.shared]  # none for BDM and RT at the floor
+    rows = el._dof_matrix(fr, interior, kind, k, True)
+    assert rows == el._dof_matrix(fr, interior, kind, k).matmul(fr.bernstein(kind, k))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_unisolvence_of_a_built_element_takes_no_product_with_g(monkeypatch, family):
+    # I G_s comes from the interior DoFs' own Bernstein rows: only the sparse
+    # div and divdiv stencil tables multiply G
+    fr = random_frame(2, random.Random(43))
+    k = FAMILIES[family].floor(2)
+    e = build_element(fr, family, k)
+    kind = e.space.kind
+    g_s, g = el._split_memo(e)[3], fr.bernstein(kind, k)
+    tables = [poly.operator_table(op, kind, 2, k) for op in (("div",) if kind == "vector" else ("div_rowwise", "divdiv"))]
+    lefts = []
+    matmul = Matrix.matmul
+
+    def spy(self, other):
+        if other is g_s or other is g:
+            lefts.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "matmul", spy)
+    assert check_unisolvence(e).passed
+    assert all(any(left is t for t in tables) for left in lefts)
 
 
 @pytest.mark.parametrize("family,k", [("RT", 0), ("BDM", 2), ("HdivS_minus", 2), ("DivDiv", 3)])

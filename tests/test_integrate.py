@@ -5,13 +5,15 @@ import pytest
 
 from femforge.exact import Matrix
 from femforge.integrate import (
+    bernstein_gram,
     chart_mass,
+    frame_gram,
     integrate_face,
     integrate_simplex,
     pair_simplex,
 )
 from femforge.poly import Polynomial, dot, grad, div, multiply
-from femforge.simplex import random_frame, reference_simplex
+from femforge.simplex import SimplexFrame, random_frame, reference_simplex
 from reference import gram_matrix, integrate_barycentric
 
 
@@ -51,6 +53,27 @@ def test_dual_integration_oracles_agree(d):
     for _ in range(samples):
         alpha = tuple(rng.randint(0, 2) for _ in range(d + 1))
         assert integrate_simplex(fr, bary_monomial(fr, alpha)) == integrate_barycentric(fr, alpha)
+
+
+def _fractional_simplex(d):
+    """A simplex off the origin whose barycentric map has a denominator > 1."""
+    verts = [[Fraction(0)] * d] + [[Fraction(3 if i == j else (j - i) % 3, 2 + j) for j in range(d)]
+                                   for i in range(d)]
+    return SimplexFrame([[x + Fraction(1, 3) for x in v] for v in verts])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("where", ["reference", "random", "fractional"])
+def test_bernstein_gram_is_the_frame_gram_times_g(d, where):
+    # the Dirichlet weights over the power table against the product with G
+    fr = {"reference": lambda: reference_simplex(d), "random": lambda: random_frame(d, random.Random(70 + d)),
+          "fractional": lambda: _fractional_simplex(d)}[where]()
+    assert where != "fractional" or fr._bary.den > 1
+    for kind in ("scalar", "vector", "sym"):
+        for k2 in range(5):
+            g = fr.bernstein(kind, k2)
+            for k1 in range(4):
+                assert bernstein_gram(fr, kind, k1, k2) == frame_gram(fr, kind, k1, k2).matmul(g), (kind, k1, k2)
 
 
 def test_face_chart_basics():

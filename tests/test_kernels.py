@@ -18,7 +18,7 @@ from femforge import poly
 from femforge.conformity import reflected_patch
 from femforge.elements import FAMILIES, apply_dof, build_element
 from femforge.integrate import integrate_simplex
-from femforge.poly import Polynomial, multiply, substitute_affine
+from femforge.poly import AffinePowers, Polynomial, multiply
 from femforge.simplex import DegenerateSimplexError, SimplexFrame
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,7 +92,7 @@ def test_restrict_and_substitute_match_reference(frame, kind, k, seed):
     m = rng.randint(0, frame.d)
     const = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(frame.d)]
     lin = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)] for _ in range(frame.d)]
-    assert substitute_affine(p, const, lin) == reference.substitute_affine(p, const, lin)
+    assert AffinePowers(const, lin).substitute(p) == reference.substitute_affine(p, const, lin)
 
 
 _MODES = {
@@ -154,7 +154,7 @@ def test_kernels_leave_no_cyclic_garbage():
             for r in (1, 2, 3):
                 for face in frame.faces(r):
                     face.restrict(tau)
-            substitute_affine(p, [Fraction(1, 3), 2, 0], [[1, Fraction(1, 2)], [0, 1], [3, -1]])
+            AffinePowers([Fraction(1, 3), 2, 0], [[1, Fraction(1, 2)], [0, 1], [3, -1]]).substitute(p)
             poly.monomials.__wrapped__(3, 5)
             assert gc.collect() == 0
             del frame, face
