@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import spaces
-from .conformity import conformity_check, green_identity_check, reflected_patch
+from .conformity import Patch, conformity_check, green_identity_check, reflected_patch
 from .elements import FAMILIES, build_element, check_unisolvence, element_to_json, trace_block_rank
 from .poly import Polynomial, grad, koszul_dot_x, koszul_x, koszul_xxT, divdiv, div, monomials
 from .report import CheckResult
@@ -60,36 +60,21 @@ def _load_frame_file(path: str) -> SimplexFrame:
 
 # One frame per (d, --simplex mode) for the non-random modes, and its
 # reflected patch, shared by the grid cells of one ``main`` call or of one
-# worker process; None outside them, so nothing outlives the call.
-_memo: dict | None = None
-
-
-def _set_memo(memo: dict | None) -> None:
-    global _memo
-    _memo = memo
-
-
-def _memoized(key, make):
-    """``make()``, built once per key while the memo is open."""
-    if _memo is None:
-        return make()
-    if key not in _memo:
-        _memo[key] = make()
-    return _memo[key]
-
-
+# worker process; ``main`` clears both on return, so nothing outlives the call.
+@functools.lru_cache(maxsize=None)
 def _fixed_frame(d: int, mode: str) -> SimplexFrame:
-    if mode == "ref":
-        return reference_simplex(d)
-    fr = _load_frame_file(mode)  # a path to a JSON simplex description
-    if fr.d != d:
-        raise ValueError(f"simplex file has d={fr.d}, grid cell wants d={d}")
-    return fr
+    # mode is "ref" or a path to a JSON simplex description, whose d main checks
+    return reference_simplex(d) if mode == "ref" else _load_frame_file(mode)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_patch(d: int, mode: str) -> Patch:
+    return reflected_patch(_fixed_frame(d, mode))
 
 
 def _make_frame(d: int, mode: str, seed: int, key: str) -> tuple[SimplexFrame, dict]:
     if mode != "random":
-        return _memoized((d, mode), lambda: _fixed_frame(d, mode)), {"simplex": mode}
+        return _fixed_frame(d, mode), {"simplex": mode}
     rng = random.Random(f"{seed}:{key}")
     fr = random_frame(d, rng)
     verts = [[f"{x.numerator}/{x.denominator}" for x in v] for v in fr.vertices]
@@ -99,41 +84,12 @@ def _make_frame(d: int, mode: str, seed: int, key: str) -> tuple[SimplexFrame, d
 # -- check runners -----------------------------------------------------------------
 
 
-def _cell_checks_element(family: str, d: int, k: int, mode: str, seed: int):
-    out = []
-    frame, sinfo = _make_frame(d, mode, seed, f"{family}:{d}:{k}")
+def _cell_checks_element(family: str, k: int, frame: SimplexFrame, patch: Patch) -> list[CheckResult]:
     elem = build_element(frame, family, k)
-    stability_floor = FAMILIES[family].stability_floor
-    if stability_floor is not None:
-        sinfo = dict(sinfo, stability_range=bool(k >= stability_floor(d)))
-    for res in (check_unisolvence(elem), trace_block_rank(elem)):
-        res.context.update(sinfo)
+    out = [check_unisolvence(elem), trace_block_rank(elem)]
+    for res in out:
         res.check_id = f"{res.check_id}-{family}"
-        out.append((family, d, k, res))
-    if mode == "random":
-        patch = reflected_patch(frame)
-    else:
-        patch = _memoized(("patch", d, mode), lambda: reflected_patch(frame))
-    res = conformity_check(patch, family, k)
-    res.context.update(sinfo)
-    out.append((family, d, k, res))
-    return out
-
-
-def _cell_checks_decomp(d: int, k: int, mode: str, seed: int):
-    frame, sinfo = _make_frame(d, mode, seed, f"decomp:{d}:{k}")
-    out = []
-    for res in spaces.certify_decompositions(frame, k):
-        res.context.update(sinfo)
-        out.append(("decomp", d, k, res))
-    return out
-
-
-def _cell_checks_green(d: int, k: int, mode: str, seed: int):
-    frame, sinfo = _make_frame(d, mode, seed, f"green:{d}:{k}")
-    res = green_identity_check(frame, k, k, samples=20, seed=seed + 17 * d + k)
-    res.context.update(sinfo)
-    return [("green", d, k, res)]
+    return out + [conformity_check(patch, family, k)]
 
 
 def _random_homogeneous(rng, d: int, r: int) -> Polynomial:
@@ -163,7 +119,7 @@ def _cell_checks_ops(d: int, r: int, seed: int):
 
 
 def _dims_checks(d: int, k: int):
-    frame = reference_simplex(d)
+    frame = _fixed_frame(d, "ref")
     out = []
 
     def add(check_id, got, expected):
@@ -261,7 +217,7 @@ def _run_cells(tasks, args) -> list:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_memo, initargs=({},)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, tasks))
     else:
         chunks = map(run, tasks)
@@ -317,16 +273,26 @@ def _run_family_grid(args, families):
 
 
 def _run_task(task, args):
+    """The checks of one grid cell, as (family, d, k, result) tuples."""
     kind, fam, d, k = task
-    if kind == "elem":
-        return _cell_checks_element(fam, d, k, args.simplex, args.seed)
-    if kind == "decomp":
-        return _cell_checks_decomp(d, k, args.simplex, args.seed)
-    if kind == "green":
-        return _cell_checks_green(d, k, args.simplex, args.seed)
+    if kind == "ops":
+        return _cell_checks_ops(d, k, args.seed)
     if kind == "dims":
         return _dims_checks(d, k)
-    return _cell_checks_ops(d, k, args.seed)
+    frame, sinfo = _make_frame(d, args.simplex, args.seed, f"{fam}:{d}:{k}")
+    if kind == "elem":
+        patch = reflected_patch(frame) if args.simplex == "random" else _fixed_patch(d, args.simplex)
+        results = _cell_checks_element(fam, k, frame, patch)
+        stability_floor = FAMILIES[fam].stability_floor
+        if stability_floor is not None:
+            sinfo = dict(sinfo, stability_range=bool(k >= stability_floor(d)))
+    elif kind == "decomp":
+        results = spaces.certify_decompositions(frame, k)
+    else:
+        results = [green_identity_check(frame, k, k, samples=20, seed=args.seed + 17 * d + k)]
+    for res in results:
+        res.context.update(sinfo)
+    return [(fam, d, k, res) for res in results]
 
 
 def _cmd_verify(args) -> int:
@@ -428,19 +394,19 @@ def main(argv=None) -> int:
         parser.error("--jobs must be at least 1")
     if k_lo > k_hi or k_hi > DEFAULT_MAX_K:
         parser.error(f"degree range must be increasing and capped at {DEFAULT_MAX_K}")
-    if getattr(args, "simplex", "ref") not in ("ref", "random"):
-        try:
-            fr = _load_frame_file(args.simplex)
-        except (OSError, ValueError, KeyError) as err:
-            parser.error(f"cannot read simplex file {args.simplex}: {err}")
-        if (d_lo, d_hi) != (fr.d, fr.d):
-            parser.error(f"simplex file has d={fr.d}; pass --d {fr.d}..{fr.d}")
     commands = {"dims": _cmd_dims, "verify": _cmd_verify, "export": _cmd_export}
-    _set_memo({})
     try:
+        if getattr(args, "simplex", "ref") not in ("ref", "random"):
+            try:
+                fr = _fixed_frame(d_lo, args.simplex)
+            except (OSError, ValueError, KeyError) as err:
+                parser.error(f"cannot read simplex file {args.simplex}: {err}")
+            if (d_lo, d_hi) != (fr.d, fr.d):
+                parser.error(f"simplex file has d={fr.d}; pass --d {fr.d}..{fr.d}")
         return commands[args.command](args)
     finally:
-        _set_memo(None)
+        _fixed_frame.cache_clear()
+        _fixed_patch.cache_clear()
 
 
 if __name__ == "__main__":

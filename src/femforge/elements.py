@@ -104,10 +104,10 @@ class Element:
     space: PolySpace
     dofs: list[DoFDescriptor]
     dof_matrix: Matrix
-    # (dof_matrix, shared row indices, rank of S, change of basis G_s, basis
-    # of ker(S G_s), degree k' of its Bernstein block, None unless the DoF
-    # matrix is the assembled one); see _split_memo.  With k' set, both the
-    # shared and the interior rows are taken in Bernstein coordinates
+    # (dof_matrix, shared row indices, rank of S, basis of ker(S G_s), degree
+    # k' of the Bernstein block of G_s, None unless the DoF matrix is the
+    # assembled one); see _split_memo.  With k' set, both the shared and the
+    # interior rows are taken in Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # the DoF matrix build_element assembled from ``dofs``; None on any other Element
     _assembled: Matrix | None = field(default=None, init=False, repr=False, compare=False)
@@ -170,7 +170,7 @@ def _dof_matrix(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k
 
 def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> dict[int, _Row]:
     """The rows of ``dofs`` over the frame (kind, d, k), keyed by ``id(dof)``."""
-    index = {key: i for i, key in enumerate(poly.frame(kind, frame.d, k))}
+    index = poly._frame_index(kind, frame.d, k)
     mat = _dof_matrix(frame, dofs, kind, k)
     return {id(dof): _Row(dof, kind, k, mat.int_row(i), index) for i, dof in enumerate(dofs)}
 
@@ -499,8 +499,9 @@ def _bernstein_block(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: 
 
 
 def _split_memo(element: Element) -> tuple:
-    """(dof_matrix, shared row indices, rank of the shared block S, G_s, K,
-    k') with ker S = G_s K, from one elimination of S per element.
+    """(dof_matrix, shared row indices, rank of the shared block S, K, k')
+    with ker S = G_s K, G_s = ``_change_of_basis(space, k')``, from one
+    elimination of S per element.
 
     The DoF matrix that ``build_element`` assembled is eliminated in the
     Bernstein coordinates of ``_bernstein_block``, its columns past the
@@ -514,7 +515,7 @@ def _split_memo(element: Element) -> tuple:
         m = element.dof_matrix
         lead = _bernstein_lead(element.space) if m is element._assembled else None
         ker = _rows_times_g_s(element, shared, lead).null_space()
-        memo = element._split = (m, shared, m.cols - ker.cols, _change_of_basis(element.space, lead), ker, lead)
+        memo = element._split = (m, shared, m.cols - ker.cols, ker, lead)
     return memo
 
 
@@ -535,7 +536,7 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    _, shared, rank_s, _, ker, lead = _split_memo(element)
+    _, shared, rank_s, ker, lead = _split_memo(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = [i for i, dof in enumerate(element.dofs) if not dof.shared]
@@ -637,7 +638,7 @@ def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
     and ker S equals a known bubble C: S C = 0 and rank C = dim ker S."""
-    _, shared_rows, _, _, ker, lead = _split_memo(element)
+    _, shared_rows, _, ker, lead = _split_memo(element)
     frame = element.frame
     ctx = {
         "family": element.family,

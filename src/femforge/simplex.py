@@ -307,7 +307,6 @@ class SimplexFrame:
         "volume",
         "jac_factor",
         "tensor_T",
-        "tensor_N",
         "_faces",
         "_space_cache",
         "_mono_integrals",
@@ -359,19 +358,11 @@ class SimplexFrame:
         self.volume = self.jac_factor / fact
 
         T = {}
-        N = {}
         for i in range(d + 1):
             for j in range(i + 1, d + 1):
                 t = self.tangent(i, j)
-                gi = self.scaled_normals[i]
-                gj = self.scaled_normals[j]
                 T[(i, j)] = Polynomial.constant_sym(d, [[a * b for b in t] for a in t])
-                denom = 2 * _dot(gi, t) * _dot(gj, t)
-                N[(i, j)] = Polynomial.constant_sym(
-                    d, [[(gi[a] * gj[b] + gj[a] * gi[b]) / denom for b in range(d)] for a in range(d)]
-                )
         self.tensor_T = T
-        self.tensor_N = N
 
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._space_cache: dict = {}

@@ -2,7 +2,8 @@
 does not call.
 
 ``integrate_barycentric`` is the closed form for barycentric monomials,
-``gram_matrix`` the entrywise Gram matrix of a basis,
+``gram_matrix`` the entrywise Gram matrix of a basis, ``tensor_N`` the
+symmetric tensors N_ij dual to the frame's edge tensors t_ij t_ij^T,
 ``homogeneous_component`` the terms of one total degree, and the subspace
 containment and intersection tests are column-space routines over
 ``exact.Matrix``.  ``preimage_enrichment_sym`` builds the symmetric
@@ -64,6 +65,20 @@ def gram_matrix(frame: SimplexFrame, polys) -> Matrix:
             rows[i][j] = val
             rows[j][i] = val
     return Matrix(rows)
+
+
+def tensor_N(frame: SimplexFrame) -> dict[tuple[int, int], Polynomial]:
+    """N_ij = (g_i g_j^T + g_j g_i^T) / (2 (g_i . t_ij)(g_j . t_ij)) for i < j,
+    with g the scaled normals and t_ij the edge tangent."""
+    d = frame.d
+    out = {}
+    for i in range(d + 1):
+        for j in range(i + 1, d + 1):
+            t, gi, gj = frame.tangent(i, j), frame.scaled_normals[i], frame.scaled_normals[j]
+            denom = 2 * sum(a * b for a, b in zip(gi, t)) * sum(a * b for a, b in zip(gj, t))
+            out[(i, j)] = Polynomial.constant_sym(
+                d, [[(gi[a] * gj[b] + gj[a] * gi[b]) / denom for b in range(d)] for a in range(d)])
+    return out
 
 
 def subspace_contains(a: Matrix, b: Matrix) -> bool:

@@ -425,18 +425,42 @@ def test_export_hdivs_30_functions(tmp_path):
     assert data["dim"] == 30 and len(data["nodal_basis"]) == 30
 
 
+def _cached_frames() -> int:
+    """Frames and patches held by the CLI's per-call caches."""
+    return cli._fixed_frame.cache_info().currsize + cli._fixed_patch.cache_info().currsize
+
+
 def test_verify_in_process_repeats_and_keeps_no_frame_memo(tmp_path, monkeypatch):
     # one reference frame per dimension within a call, none kept after it
-    built = []
     reference = cli.reference_simplex
-    monkeypatch.setattr(cli, "reference_simplex", lambda d: built.append(d) or reference(d))
-    argv = ["verify", "--family", "BDM", "--family", "HdivS", "--family", "decomp", "--d", "2..2",
-            "--k", "1..3"]
-    for name in ("a.json", "b.json"):
-        assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
-        assert cli._memo is None
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    assert built == [2, 2]
+    for argv in (["verify", "--family", "BDM", "--family", "HdivS", "--family", "decomp", "--d", "2..2",
+                  "--k", "1..3"],
+                 ["dims", "--d", "2..2", "--k", "1..3"]):
+        built = []
+        monkeypatch.setattr(cli, "reference_simplex", lambda d: built.append(d) or reference(d))
+        for name in ("a.json", "b.json"):
+            assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+            assert _cached_frames() == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert built == [2, 2], argv[0]
+
+
+def test_simplex_file_is_read_once_per_call(tmp_path, monkeypatch):
+    path = tmp_path / "tri.json"
+    path.write_text('{"d": 2, "vertices": [["0/1","0/1"], ["2/1","1/3"], ["-1/2","1/1"]]}')
+    read = []
+    load = cli._load_frame_file
+    monkeypatch.setattr(cli, "_load_frame_file", lambda p: read.append(p) or load(p))
+    argv = ["verify", "--family", "BDM", "--family", "green", "--d", "2..2", "--k", "1..2",
+            "--simplex", str(path), "--out", str(tmp_path / "r.json")]
+    for calls in (1, 2):
+        assert cli.main(argv) == 0
+        assert read == [str(path)] * calls and _cached_frames() == 0
+    # the usage error of a dimension mismatch keeps no frame either
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "BDM", "--d", "3..3", "--k", "1..1", "--simplex", str(path)])
+    assert exc.value.code == 1
+    assert read == [str(path)] * 3 and _cached_frames() == 0
 
 
 def test_random_simplex_cells_get_fresh_frames(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,18 @@ def test_conformity_failure_carries_a_replayable_jump(patch2, monkeypatch):
         _replay_conformity_failure(patch2, monkeypatch, family, k)
 
 
+def _run_element_cell(family, d, k):
+    """One element cell of the CLI grid on the reference simplex, through the
+    CLI's cell runner; the frame caches it fills are cleared afterwards."""
+    from femforge import cli
+
+    try:
+        return cli._run_task(("elem", family, d, k), Namespace(simplex="ref", seed=0))
+    finally:
+        cli._fixed_frame.cache_clear()
+        cli._fixed_patch.cache_clear()
+
+
 def test_cell_checks_build_one_element_per_simplex(monkeypatch):
     from femforge import cli
 
@@ -290,7 +303,7 @@ def test_cell_checks_build_one_element_per_simplex(monkeypatch):
 
     monkeypatch.setattr(cli, "build_element", counting)
     monkeypatch.setattr(conformity, "build_element", counting)
-    out = cli._cell_checks_element("HdivS", 2, 2, "ref", 0)
+    out = _run_element_cell("HdivS", 2, 2)
     assert [res.passed for *_, res in out] == [True, True, True]
     assert len(built) == 1
 
@@ -598,9 +611,7 @@ def test_singular_right_element_is_a_fail_record(monkeypatch, family, rank):
     monkeypatch.setitem(conformity._NEGATIVE_CONTROL, mode, mode)
     assert conformity_check(patch, family, 2).as_dict() == res.as_dict()
     # and the grid cell reports instead of crashing
-    from femforge import cli
-
-    out = cli._cell_checks_element(family, 2, 2, "ref", 0)
+    out = _run_element_cell(family, 2, 2)
     assert [res.check_id for *_, res in out][0] == f"unisolvence-{family}"
     assert not out[0][3].passed
 

@@ -600,9 +600,10 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     assert block.as_dict() == reference_trace_block_rank(e).as_dict()
     # a unisolvent element passes whatever the interior block, so check that
     # block too: the interior DoFs' Bernstein rows are the DoF rows times G_s
-    _, _, _, g, _, lead = el._split_memo(e)
+    lead = el._split_memo(e)[4]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     assert lead is not None
+    g = el._change_of_basis(e.space, lead)
     assert el._rows_times_g_s(e, interior, lead) == e.dof_matrix.take(interior).matmul(g)
 
 
@@ -826,7 +827,8 @@ _KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
 @pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
 def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
     e = build_element(random_frame(d, random.Random(45 + d)), family, k)
-    _, shared, rank_s, g, ker, _ = el._split_memo(e)
+    _, shared, rank_s, ker, lead = el._split_memo(e)
+    g = el._change_of_basis(e.space, lead)
     monomial = e.dof_matrix.take(shared).null_space()
     assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
     assert exact.image_basis(g.matmul(ker)) == exact.image_basis(monomial)
@@ -877,7 +879,8 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
 def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
-    _, shared, rank_s, g, ker, lead = el._split_memo(e)
+    _, shared, rank_s, ker, lead = el._split_memo(e)
+    g = el._change_of_basis(e.space, lead)
     assert lead == k and g == _bernstein_change(e.space)
     rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, lead, True)
     oracle = e.dof_matrix.take(shared).matmul(g)
@@ -909,19 +912,19 @@ def test_bernstein_interior_rows_are_the_monomial_rows_times_g(family, d, k):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_unisolvence_of_a_built_element_takes_no_product_with_g(monkeypatch, family):
-    # I G_s comes from the interior DoFs' own Bernstein rows: only the sparse
+    # S G_s and I G_s come from the DoFs' own Bernstein rows: only the sparse
     # div and divdiv stencil tables multiply G
     fr = random_frame(2, random.Random(43))
     k = FAMILIES[family].floor(2)
     e = build_element(fr, family, k)
     kind = e.space.kind
-    g_s, g = el._split_memo(e)[3], fr.bernstein(kind, k)
+    g_s, g = el._change_of_basis(e.space, el._bernstein_lead(e.space)), fr.bernstein(kind, k)
     tables = [poly.operator_table(op, kind, 2, k) for op in (("div",) if kind == "vector" else ("div_rowwise", "divdiv"))]
     lefts = []
     matmul = Matrix.matmul
 
     def spy(self, other):
-        if other is g_s or other is g:
+        if other is g or other == g_s:  # G_s equal to the one the certificate would use
             lefts.append(self)
         return matmul(self, other)
 
@@ -945,7 +948,7 @@ def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, 
     monkeypatch.setattr(el, "_run_rows", spy)
     assert check_unisolvence(e).passed and trace_block_rank(e).passed
     assert assembled and all(assembled)
-    assert e._split[5] is not None
+    assert e._split[4] is not None
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("RT", 1), ("HdivS_minus", 2), ("DivDiv", 3)])
@@ -958,8 +961,8 @@ def test_shared_rows_not_assembled_from_their_dofs_are_eliminated_as_they_are(fa
     rows[shared[0]] = [2 * x for x in rows[shared[0]]]
     broken = _with_rows(e, rows)
     uni, block = check_unisolvence(broken), trace_block_rank(broken)
-    assert broken._split[5] is None and broken._split[3] == Matrix.identity(e.dim)
+    assert broken._split[4] is None and el._change_of_basis(e.space, None) == Matrix.identity(e.dim)
     assert uni.passed and block.passed
     assert uni.as_dict() == reference_check_unisolvence(broken).as_dict() == check_unisolvence(e).as_dict()
     assert block.as_dict() == reference_trace_block_rank(broken).as_dict() == trace_block_rank(e).as_dict()
-    assert e._split[5] is not None
+    assert e._split[4] is not None
