@@ -12,7 +12,9 @@ bubble split.  A negative degree gives no moments.  Every shared DoF is a
 face DoF, so the patch check builds the face DoFs alone.
 
 The square DoF matrix (rows = DoFs, columns = shape basis members) is
-assembled with exact face and cell moments.  Both certificates go through
+assembled with exact face and cell moments when it is first read (by the
+export, the nodal basis and the fallbacks of the unisolvence and patch
+checks); the certificates do not read it.  Both certificates go through
 the paper's split of the shape space into a trace part and a bubble part:
 the shared DoF rows S are eliminated once per element, and their kernel K
 (the shape functions with zero shared DoFs) serves both.  The elimination
@@ -24,15 +26,16 @@ do not vanish on it, so S G is sparse, and K = G ker(S G).
 patch check of ``conformity`` alike, on the leading degree-k' block of the
 shape basis (k' = 0 included), from the faces' Bernstein traces rather than
 a product with G; it forms the interior block I G the same way, from the
-closed-form Bernstein moments of ``integrate.bernstein_gram``.  A DoF matrix
-that ``build_element`` did not assemble is eliminated as it stands (G_s the
-identity).  The DoF matrix [S; I] is invertible exactly when S has full row
-rank and the square interior block I G K is nonsingular; any other case
-falls back to the exact rank of the full matrix and a kernel witness.  The
-trace-block check multiplies the Bernstein traces with K, and proves ker S
-equal to the paper's bubble space with one product and one rank in member
-coordinates (of the element's own shape basis, through one RREF where that
-basis is not the catalog's).
+closed-form Bernstein moments of ``integrate.bernstein_gram``.  The columns
+past that block, and the shared rows of the trace-block check, are the DoF
+rows times the shape basis.  A DoF matrix given or assigned is eliminated
+as it stands (G_s the identity).  The DoF matrix [S; I] is invertible
+exactly when S has full row rank and the square interior block I G K is
+nonsingular; any other case falls back to the exact rank of the full matrix
+and a kernel witness.  The trace-block check multiplies the Bernstein
+traces with K, and proves ker S equal to the paper's bubble space with one
+product and one rank in member coordinates (of the element's own shape
+basis, through one RREF where that basis is not the catalog's).
 
 Every DoF is a row over the shaped monomial frame of the shape space, built
 from the chart mass and frame Gram matrices of ``integrate``, one run of
@@ -43,10 +46,11 @@ the component columns by the trace's weights, so no trace matrix is formed.
 Applying a DoF to a polynomial is a sparse dot product with its
 coefficients, over the polynomial's memoized integer terms
 (``Polynomial.int_terms``; the members of a shape space come with them).
-``build_element`` clears each row of the DoF matrix to integers as soon as
-it is applied.  The Bernstein rows of a DoF are the same products with the
-Bernstein tables of the faces, and for an interior moment with the
-Bernstein moments (``bernstein_gram``) or the stencil table times G.
+The DoF matrix is assembled that way, one DoF and one member at a time,
+and each row is cleared to integers as soon as it is applied.  The
+Bernstein rows of a DoF are the same products with the Bernstein tables of
+the faces, and for an interior moment with the Bernstein moments
+(``bernstein_gram``) or the stencil table times G.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -103,14 +107,15 @@ class Element:
     k: int
     space: PolySpace
     dofs: list[DoFDescriptor]
+    # rows = DoFs, columns = shape basis members; None (build_element's) makes
+    # an assembled element, its matrix assembled from ``dofs`` at the first
+    # read.  A matrix given or assigned stands as it is; assigning drops _split
     dof_matrix: Matrix
-    # (dof_matrix, shared row indices, rank of S, basis of ker(S G_s), degree
-    # k' of the Bernstein block of G_s, None unless the DoF matrix is the
-    # assembled one); see _split_memo.  With k' set, both the shared and the
-    # interior rows are taken in Bernstein coordinates
+    # (S in member coordinates or None, shared row indices, rank of S, basis
+    # of ker(S G_s), degree k' of the Bernstein block of G_s, None unless the
+    # element is assembled); see _split_memo.  With k' set, both the shared
+    # and the interior rows are taken in Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # the DoF matrix build_element assembled from ``dofs``; None on any other Element
-    _assembled: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -429,17 +434,29 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
             f"{family} needs k >= {spec.floor(frame.d)} in dimension {frame.d}"
         )
     space = spaces.build_standard(frame, spec.shape, k)
-    dofs = spec.dofs(frame, k)
-    members = space.members()
-    values = []
-    for _, run in groupby(dofs, key=_run_key):
-        # one run's rows at a time, released once applied; each DoF row of
-        # the matrix is cleared to integers as soon as it is applied
-        rows = _dof_rows(frame, list(run), space.kind, space.k)
-        values += [_cleared([apply_dof(frame, row.dof, m, rows) for m in members]) for row in rows.values()]
-    element = Element(family, frame, k, space, dofs, Matrix.from_int_rows(values, len(members)))
-    element._assembled = element.dof_matrix
-    return element
+    return Element(family, frame, k, space, spec.dofs(frame, k), None)
+
+
+def _read_dof_matrix(element: Element) -> Matrix:
+    """The DoF matrix, assembled at its first read one DoF and one member at a time."""
+    if element._matrix is None:
+        frame, space = element.frame, element.space
+        members = space.members()
+        values = []
+        for _, run in groupby(element.dofs, key=_run_key):
+            # one run's rows at a time, released once applied; each DoF row of
+            # the matrix is cleared to integers as soon as it is applied
+            rows = _dof_rows(frame, list(run), space.kind, space.k)
+            values += [_cleared([apply_dof(frame, row.dof, m, rows) for m in members]) for row in rows.values()]
+        element._matrix = Matrix.from_int_rows(values, len(members))
+    return element._matrix
+
+
+def _set_dof_matrix(element: Element, m: Matrix | None) -> None:
+    element._matrix, element._assembled, element._split = m, m is None, None
+
+
+Element.dof_matrix = property(_read_dof_matrix, _set_dof_matrix)
 
 
 def _bernstein_lead(space: PolySpace) -> int | None:
@@ -499,35 +516,47 @@ def _bernstein_block(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: 
 
 
 def _split_memo(element: Element) -> tuple:
-    """(dof_matrix, shared row indices, rank of the shared block S, K, k')
-    with ker S = G_s K, G_s = ``_change_of_basis(space, k')``, from one
-    elimination of S per element.
+    """(S in member coordinates or None, shared row indices, rank of the
+    shared block S, K, k') with ker S = G_s K, G_s = ``_change_of_basis(space,
+    k')``, from one elimination of S per element.
 
-    The DoF matrix that ``build_element`` assembled is eliminated in the
-    Bernstein coordinates of ``_bernstein_block``, its columns past the
-    leading block taken as they stand; any other DoF matrix is eliminated as
-    it is, with G_s the identity (k' None).  K = ker(S G_s) as columns.
-    Only the kernel is kept, not the echelon form; the memo is dropped when
-    the DoF matrix or the shared rows change."""
+    An assembled element is eliminated in the Bernstein coordinates of
+    ``_bernstein_block``, whether its DoF matrix was read or not; any other
+    DoF matrix is eliminated as it stands, with G_s the identity (k' None).
+    K = ker(S G_s) as columns.  Only the kernel is kept, not the echelon
+    form, beside S where the elimination built it in member coordinates; the
+    memo is dropped when a DoF matrix is assigned or the shared rows change."""
     shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
     memo = element._split
-    if memo is None or memo[0] is not element.dof_matrix or memo[1] != shared:
-        m = element.dof_matrix
-        lead = _bernstein_lead(element.space) if m is element._assembled else None
-        ker = _rows_times_g_s(element, shared, lead).null_space()
-        memo = element._split = (m, shared, m.cols - ker.cols, ker, lead)
+    if memo is None or memo[1] != shared:
+        lead = _bernstein_lead(element.space) if element._assembled else None
+        s_g, s = _rows_times_g_s(element, shared, lead)
+        ker = s_g.null_space()
+        memo = element._split = (s, shared, s_g.cols - ker.cols, ker, lead)
     return memo
 
 
-def _rows_times_g_s(element: Element, rows: list[int], lead: int | None) -> Matrix:
+def _member_rows(element: Element, rows: list[int]) -> Matrix:
+    """The DoF matrix rows at ``rows``, taken from the matrix once it is
+    held, else the DoFs' monomial rows times the shape basis."""
+    if element._matrix is not None:
+        return element._matrix.take(rows)
+    space = element.space
+    return _dof_matrix(element.frame, [element.dofs[i] for i in rows], space.kind, space.k).matmul(space.basis)
+
+
+def _rows_times_g_s(element: Element, rows: list[int], lead: int | None) -> tuple[Matrix, Matrix | None]:
     """The DoF matrix rows at ``rows`` times G_s = ``_change_of_basis(space,
-    lead)``: their own Bernstein rows (``_bernstein_block``), or the rows as
-    they stand where ``lead`` is None and G_s is the identity."""
-    m = element.dof_matrix
+    lead)`` (their own Bernstein rows, ``_bernstein_block``, or the rows as
+    they stand where ``lead`` is None), and the rows in member coordinates
+    where the product needed them (``_member_rows``), else None."""
+    space = element.space
+    n = len(poly.frame(space.kind, space.frame.d, lead)) if lead is not None else 0
+    member = _member_rows(element, rows) if n < space.dim else None
     if lead is None:
-        return m.take(rows)
-    return _bernstein_block(element.frame, [element.dofs[i] for i in rows], element.space, lead,
-                            lambda n: m.take(rows, n))
+        return member, member
+    return _bernstein_block(element.frame, [element.dofs[i] for i in rows], space, lead,
+                            lambda c: member.take(range(len(rows)), c)), member
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -540,7 +569,7 @@ def check_unisolvence(element: Element) -> CheckResult:
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = [i for i, dof in enumerate(element.dofs) if not dof.shared]
-        if _rows_times_g_s(element, interior, lead).matmul(ker).rank() == ker.cols:
+        if _rows_times_g_s(element, interior, lead)[0].matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:
@@ -638,7 +667,7 @@ def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
     and ker S equals a known bubble C: S C = 0 and rank C = dim ker S."""
-    _, shared_rows, _, ker, lead = _split_memo(element)
+    s, shared_rows, _, ker, lead = _split_memo(element)
     frame = element.frame
     ctx = {
         "family": element.family,
@@ -659,7 +688,8 @@ def trace_block_rank(element: Element) -> CheckResult:
     if element.space.basis != catalog.basis:
         # an element built with another shape basis: C against that basis
         coords = _member_coords(element.space, catalog, coords)
-    if dim != ker.cols or coords is None or not element.dof_matrix.take(shared_rows).matmul(coords).is_zero():
+    s = _member_rows(element, shared_rows) if s is None else s
+    if dim != ker.cols or coords is None or not s.matmul(coords).is_zero():
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 

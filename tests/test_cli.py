@@ -162,6 +162,22 @@ def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_verify_grid_assembles_no_dof_matrix(tmp_path, monkeypatch):
+    # every cell of the verify-d2 grid passes from DoF rows times the shape
+    # basis: no DoF matrix is assembled, no DoF applied member by member
+    from femforge import elements
+
+    argv, digest = next(p.values for p in _GOLDEN_REPORTS if p.id == "verify-d2")
+    per_member = []
+    for name in ("apply_dof", "_dof_rows"):
+        fn = getattr(elements, name)
+        monkeypatch.setattr(elements, name, lambda *args, fn=fn, name=name: per_member.append(name) or fn(*args))
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 0
+    assert per_member == []
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # sha256 of the exported files of the three minus families, whose shape
 # spaces are sums of two catalog spaces
 _GOLDEN_EXPORTS = {

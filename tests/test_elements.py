@@ -604,7 +604,7 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     assert lead is not None
     g = el._change_of_basis(e.space, lead)
-    assert el._rows_times_g_s(e, interior, lead) == e.dof_matrix.take(interior).matmul(g)
+    assert el._rows_times_g_s(e, interior, lead)[0] == e.dof_matrix.take(interior).matmul(g)
 
 
 def _by_hand(e, k, basis):
@@ -846,26 +846,61 @@ def test_certificates_do_not_depend_on_their_order(family, k):
 def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     e = build_element(tri, "HdivS", 2)
     assert check_unisolvence(e).passed and trace_block_rank(e).passed
+    memo = e._split
+    # the first read assembles the DoF matrix and keeps the memo, so nothing
+    # is eliminated twice
+    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    assert e._split is memo and memo[4] is not None
+    assert check_unisolvence(e).passed and trace_block_rank(e).passed and e._split is memo
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
     # the pair of test_unisolvence_failure_reports_kernel_witness: a new
-    # Element over the same frame, space and DoFs starts without a memo
+    # Element over the same frame, space and DoFs starts without a memo, and
+    # its tampered rows are eliminated as they stand
     rows[interior[-1]] = rows[interior[0]]
     broken = _with_rows(e, rows)
     assert broken._split is None
     assert not check_unisolvence(broken).passed
-    assert broken._split[0] is broken.dof_matrix and e._split[0] is e.dof_matrix
+    assert broken._split[4] is None and e._split is memo
     # the memo is neither compared nor printed, and a copy starts afresh
     twin = dataclasses.replace(e)
     assert twin._split is None and twin == e and repr(twin) == repr(e)
-    # replacing the DoF matrix of an element drops its memo
+    # assigning the DoF matrix of an element drops its memo, and the new
+    # matrix is eliminated as it stands
     rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
     rows[shared[-1]] = rows[shared[0]]
     e.dof_matrix = Matrix(rows)
+    assert e._split is None
     res = check_unisolvence(e)
     assert not res.passed and res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
-    assert el._split_memo(e)[2] == len(shared) - 1
+    assert el._split_memo(e)[2] == len(shared) - 1 and e._split[4] is None
+
+
+_LAZY_CELLS = [(fam, d) for fam in ("BDM", "RT", "HdivS_minus", "DivDiv", "DivDivPlusMinus") for d in (2, 3)]
+
+
+@pytest.mark.parametrize("family,d", _LAZY_CELLS)
+def test_dof_matrix_is_assembled_when_first_read(monkeypatch, family, d):
+    # building and certifying apply no DoF; the first read applies every DoF
+    # to every member, once, and the certificates do not depend on whether
+    # it came before or after them
+    fr = random_frame(d, random.Random(59 + d))
+    k = FAMILIES[family].floor(d)
+    applied = []
+    apply = el.apply_dof
+    monkeypatch.setattr(el, "apply_dof", lambda *args: applied.append(args) or apply(*args))
+    e = build_element(fr, family, k)
+    certified = (check_unisolvence(e).as_dict(), trace_block_rank(e).as_dict())
+    assert certified[0]["status"] == certified[1]["status"] == "pass"
+    assert not applied
+    memo = e._split
+    m = e.dof_matrix
+    assert len(applied) == len(e.dofs) * e.dim
+    assert m == el._dof_matrix(fr, e.dofs, e.space.kind, e.space.k).matmul(e.space.basis)
+    assert e.dof_matrix is m and len(applied) == len(e.dofs) * e.dim and e._split is memo
+    read_first = build_element(fr, family, k)
+    assert read_first.dof_matrix == m
+    assert (check_unisolvence(read_first).as_dict(), trace_block_rank(read_first).as_dict()) == certified
 
 
 # -- the shared block assembled in Bernstein coordinates ---------------------------------
@@ -933,22 +968,32 @@ def test_unisolvence_of_a_built_element_takes_no_product_with_g(monkeypatch, fam
     assert all(any(left is t for t in tables) for left in lefts)
 
 
+# The DoFs with monomial rows: the shared ones where the shape basis reaches
+# past its Bernstein block (RT_shape, P_minus_sym) or the trace block
+# multiplies S with a known bubble (RT, BDM, HdivS_minus), the interior ones
+# where the basis reaches past the block
+_MONOMIAL_ROWS = {"RT": "shared", "BDM": "shared", "HdivS_minus": "all", "DivDiv": "none"}
+
+
 @pytest.mark.parametrize("family,k", [("RT", 0), ("BDM", 2), ("HdivS_minus", 2), ("DivDiv", 3)])
 def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, family, k):
-    # the leading block of S G_s comes from the Bernstein traces, the columns
-    # past it from the DoF matrix build_element assembled
+    # no DoF is applied member by member; the leading block of S G_s comes
+    # from the Bernstein rows, and monomial rows are built, each once, only
+    # for the columns past that block and for S C
     e = build_element(random_frame(2, random.Random(43)), family, k)
-    assembled = []
-    run_rows = el._run_rows
+    applied, bernstein_rows, built = [], [], []
+    run_rows, apply = el._run_rows, el.apply_dof
 
     def spy(frame, run, kind, k, bernstein=False):
-        assembled.append(bernstein)
+        (bernstein_rows if bernstein else built).extend(run)
         return run_rows(frame, run, kind, k, bernstein)
 
     monkeypatch.setattr(el, "_run_rows", spy)
+    monkeypatch.setattr(el, "apply_dof", lambda *args: applied.append(args) or apply(*args))
     assert check_unisolvence(e).passed and trace_block_rank(e).passed
-    assert assembled and all(assembled)
-    assert e._split[4] is not None
+    assert bernstein_rows and not applied and e._split[4] is not None
+    want = {"none": [], "shared": [dof for dof in e.dofs if dof.shared], "all": e.dofs}[_MONOMIAL_ROWS[family]]
+    assert sorted(map(id, built)) == sorted(map(id, want))
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("RT", 1), ("HdivS_minus", 2), ("DivDiv", 3)])
