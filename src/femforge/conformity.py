@@ -12,7 +12,7 @@ shared DoFs of all left members are one product: the right side's shared DoF
 rows times the left shape basis, built for the DoFs on the face alone.  The
 right side needs only its shared rows S too, taken from its face DoFs (no
 interior test space is built), and eliminated in Bernstein coordinates:
-``elements._bernstein_block`` forms the sparse S G_s, as it does for the
+``elements._rows_times_g_s`` forms the sparse S G_s, as it does for the
 element certificates, with G_s mapping Bernstein to member coordinates; the
 monomial rows of all of S are built only for shape bases with columns past
 their Bernstein block.  One RREF of [S G_s | rhs], the zero
@@ -75,8 +75,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _bernstein_block, _bernstein_lead, _change_of_basis, _dof_matrix,
-                       _first_nonzero_trace, _nonzero_trace_mode, build_element)
+from .elements import (FAMILIES, _bernstein_lead, _change_of_basis, _dof_matrix, _first_nonzero_trace,
+                       _nonzero_trace_mode, _rows_times_g_s, build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -176,13 +176,7 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     if lead is None:
         return None
     shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
-
-    def tail(n: int) -> Matrix:
-        # the monomial rows of every shared DoF, needed only past the Bernstein block
-        rows = _dof_matrix(patch.right, shared, right.kind, right.k)
-        return rows.matmul(right.basis.take(range(right.basis.rows), n))
-
-    s = _bernstein_block(patch.right, shared, right, lead, tail)
+    s = _rows_times_g_s(patch.right, shared, right, lead)[0]
     on_face = [dof for dof in shared if _on_shared_face(dof, d)]
     at = {id(dof): r for r, dof in enumerate(on_face)}
     matched = _dof_matrix(patch.right, on_face, right.kind, right.k).matmul(left.basis)

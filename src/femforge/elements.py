@@ -11,9 +11,10 @@ polynomial spaces, and the null spaces and orthogonal complements of the
 bubble split.  A negative degree gives no moments.  Every shared DoF is a
 face DoF, so the patch check builds the face DoFs alone.
 
-The square DoF matrix (rows = DoFs, columns = shape basis members) is
-assembled with exact face and cell moments when it is first read (by the
-export, the nodal basis and the fallbacks of the unisolvence and patch
+An element is its shape space and its DoFs: the square DoF matrix (rows =
+DoFs, columns = shape basis members) has no other source.  It is assembled
+from the DoFs with exact face and cell moments when it is first read (by
+the export, the nodal basis and the fallbacks of the unisolvence and patch
 checks); the certificates do not read it.  Both certificates go through
 the paper's split of the shape space into a trace part and a bubble part:
 the shared DoF rows S are eliminated once per element, and their kernel K
@@ -22,14 +23,14 @@ runs in Bernstein coordinates, where that split is local: with G the integer
 matrix of the barycentric monomials lambda^alpha, |alpha| = k
 (``SimplexFrame.bernstein``), a face's DoFs see only the lambda^alpha that
 do not vanish on it, so S G is sparse, and K = G ker(S G).
-``_bernstein_block`` forms S G for the element certificates and for the
+``_rows_times_g_s`` forms S G for the element certificates and for the
 patch check of ``conformity`` alike, on the leading degree-k' block of the
 shape basis (k' = 0 included), from the faces' Bernstein traces rather than
 a product with G; it forms the interior block I G the same way, from the
 closed-form Bernstein moments of ``integrate.bernstein_gram``.  The columns
 past that block, and the shared rows of the trace-block check, are the DoF
-rows times the shape basis.  A DoF matrix given or assigned is eliminated
-as it stands (G_s the identity).  The DoF matrix [S; I] is invertible
+rows times the shape basis; a shape basis without a leading identity block
+is eliminated with G_s the identity.  The DoF matrix [S; I] is invertible
 exactly when S has full row rank and the square interior block I G K is
 nonsingular; any other case falls back to the exact rank of the full matrix
 and a kernel witness.  The trace-block check multiplies the Bernstein
@@ -102,24 +103,41 @@ class DoFDescriptor:
 
 @dataclass
 class Element:
+    """A family's element on ``frame``: its shape space and its DoFs, the
+    only source of its read-only DoF matrix."""
+
     family: str
     frame: SimplexFrame
     k: int
     space: PolySpace
     dofs: list[DoFDescriptor]
-    # rows = DoFs, columns = shape basis members; None (build_element's) makes
-    # an assembled element, its matrix assembled from ``dofs`` at the first
-    # read.  A matrix given or assigned stands as it is; assigning drops _split
-    dof_matrix: Matrix
+    _matrix: Matrix | None = field(default=None, init=False, repr=False, compare=False)
     # (S in member coordinates or None, shared row indices, rank of S, basis
-    # of ker(S G_s), degree k' of the Bernstein block of G_s, None unless the
-    # element is assembled); see _split_memo.  With k' set, both the shared
-    # and the interior rows are taken in Bernstein coordinates
+    # of ker(S G_s), degree k' of the Bernstein block of G_s); see _split_memo.
+    # With k' set, both the shared and the interior rows are taken in
+    # Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @property
+    def dof_matrix(self) -> Matrix:
+        """Rows = DoFs, columns = shape basis members, assembled from ``dofs``
+        at the first read, one DoF and one member at a time."""
+        if self._matrix is None:
+            frame, space = self.frame, self.space
+            members = space.members()
+            values = []
+            for _, run in groupby(self.dofs, key=_run_key):
+                # one run's rows at a time, released once applied; each DoF row of
+                # the matrix is cleared to integers as soon as it is applied
+                run = list(run)
+                rows = _dof_rows(frame, run, space.kind, space.k)
+                values += [_cleared([apply_dof(frame, dof, m, rows) for m in members]) for dof in run]
+            self._matrix = Matrix.from_int_rows(values, len(members))
+        return self._matrix
 
 
 # -- DoF rows --------------------------------------------------------------------------
@@ -434,29 +452,7 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
             f"{family} needs k >= {spec.floor(frame.d)} in dimension {frame.d}"
         )
     space = spaces.build_standard(frame, spec.shape, k)
-    return Element(family, frame, k, space, spec.dofs(frame, k), None)
-
-
-def _read_dof_matrix(element: Element) -> Matrix:
-    """The DoF matrix, assembled at its first read one DoF and one member at a time."""
-    if element._matrix is None:
-        frame, space = element.frame, element.space
-        members = space.members()
-        values = []
-        for _, run in groupby(element.dofs, key=_run_key):
-            # one run's rows at a time, released once applied; each DoF row of
-            # the matrix is cleared to integers as soon as it is applied
-            rows = _dof_rows(frame, list(run), space.kind, space.k)
-            values += [_cleared([apply_dof(frame, row.dof, m, rows) for m in members]) for row in rows.values()]
-        element._matrix = Matrix.from_int_rows(values, len(members))
-    return element._matrix
-
-
-def _set_dof_matrix(element: Element, m: Matrix | None) -> None:
-    element._matrix, element._assembled, element._split = m, m is None, None
-
-
-Element.dof_matrix = property(_read_dof_matrix, _set_dof_matrix)
+    return Element(family, frame, k, space, spec.dofs(frame, k))
 
 
 def _bernstein_lead(space: PolySpace) -> int | None:
@@ -501,62 +497,46 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
     return tuple(out)
 
 
-def _bernstein_block(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace, lead: int,
-                     tail: Callable[[int], Matrix]) -> Matrix:
-    """The rows of ``dofs`` (face, vertex or interior DoFs) against
-    ``space.basis`` times G_s = ``_change_of_basis(space, lead)``, for the
-    degree ``lead`` of ``_bernstein_lead(space)``: the DoFs' own Bernstein
-    rows of degree lead, beside ``tail(n)``, the rows times the basis columns
-    from n on.  No DoF row is multiplied by G; only a div or divdiv run's
-    sparse stencil table is."""
-    block = _dof_matrix(frame, dofs, space.kind, lead, True)
-    if block.cols < space.basis.cols:
-        block = block.hstack(tail(block.cols))
-    return block
-
-
 def _split_memo(element: Element) -> tuple:
     """(S in member coordinates or None, shared row indices, rank of the
     shared block S, K, k') with ker S = G_s K, G_s = ``_change_of_basis(space,
-    k')``, from one elimination of S per element.
-
-    An assembled element is eliminated in the Bernstein coordinates of
-    ``_bernstein_block``, whether its DoF matrix was read or not; any other
-    DoF matrix is eliminated as it stands, with G_s the identity (k' None).
+    k')`` and k' = ``_bernstein_lead(space)``, from one elimination of S G_s
+    (``_rows_times_g_s``) per element, whether its DoF matrix was read or not.
     K = ker(S G_s) as columns.  Only the kernel is kept, not the echelon
     form, beside S where the elimination built it in member coordinates; the
-    memo is dropped when a DoF matrix is assigned or the shared rows change."""
+    memo is dropped when the shared rows change."""
     shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
     memo = element._split
     if memo is None or memo[1] != shared:
-        lead = _bernstein_lead(element.space) if element._assembled else None
-        s_g, s = _rows_times_g_s(element, shared, lead)
+        lead = _bernstein_lead(element.space)
+        s_g, s = _rows_times_g_s(element.frame, [element.dofs[i] for i in shared], element.space, lead)
         ker = s_g.null_space()
         memo = element._split = (s, shared, s_g.cols - ker.cols, ker, lead)
     return memo
 
 
-def _member_rows(element: Element, rows: list[int]) -> Matrix:
-    """The DoF matrix rows at ``rows``, taken from the matrix once it is
-    held, else the DoFs' monomial rows times the shape basis."""
-    if element._matrix is not None:
-        return element._matrix.take(rows)
-    space = element.space
-    return _dof_matrix(element.frame, [element.dofs[i] for i in rows], space.kind, space.k).matmul(space.basis)
+def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
+                    lead: int | None) -> tuple[Matrix, Matrix | None]:
+    """The rows of ``dofs`` (face, vertex or interior DoFs) against
+    ``space.basis`` times G_s = ``_change_of_basis(space, lead)``, and their
+    rows in member coordinates where a product built them, else None.
 
-
-def _rows_times_g_s(element: Element, rows: list[int], lead: int | None) -> tuple[Matrix, Matrix | None]:
-    """The DoF matrix rows at ``rows`` times G_s = ``_change_of_basis(space,
-    lead)`` (their own Bernstein rows, ``_bernstein_block``, or the rows as
-    they stand where ``lead`` is None), and the rows in member coordinates
-    where the product needed them (``_member_rows``), else None."""
-    space = element.space
-    n = len(poly.frame(space.kind, space.frame.d, lead)) if lead is not None else 0
-    member = _member_rows(element, rows) if n < space.dim else None
-    if lead is None:
-        return member, member
-    return _bernstein_block(element.frame, [element.dofs[i] for i in rows], space, lead,
-                            lambda c: member.take(range(len(rows)), c)), member
+    The basis is diag(I_n, H), n the size of the frame (kind, d, lead) (n = 0
+    where ``lead`` is None; ``_bernstein_lead``): the rows against basis G_s
+    are the DoFs' own Bernstein rows of degree lead beside the monomial rows
+    times H, and the member rows [rows[:, :n] | rows H].  No DoF row is
+    multiplied by G; only a div or divdiv run's sparse stencil table is."""
+    basis = space.basis
+    n = len(poly.frame(space.kind, frame.d, lead)) if lead is not None else 0
+    block = _dof_matrix(frame, dofs, space.kind, lead, True) if n else None
+    if n == basis.cols:
+        return block, None
+    rows = _dof_matrix(frame, dofs, space.kind, space.k)
+    every = range(rows.rows)
+    tail = rows.take(every, n).matmul(basis.take(range(n, basis.rows), n))
+    if not n:
+        return tail, tail
+    return block.hstack(tail), rows.take(every, 0, n).hstack(tail)
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -568,8 +548,8 @@ def check_unisolvence(element: Element) -> CheckResult:
     _, shared, rank_s, ker, lead = _split_memo(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
-        interior = [i for i, dof in enumerate(element.dofs) if not dof.shared]
-        if _rows_times_g_s(element, interior, lead)[0].matmul(ker).rank() == ker.cols:
+        interior = [dof for dof in element.dofs if not dof.shared]
+        if _rows_times_g_s(element.frame, interior, element.space, lead)[0].matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:
@@ -688,7 +668,8 @@ def trace_block_rank(element: Element) -> CheckResult:
     if element.space.basis != catalog.basis:
         # an element built with another shape basis: C against that basis
         coords = _member_coords(element.space, catalog, coords)
-    s = _member_rows(element, shared_rows) if s is None else s
+    if s is None:
+        s = _rows_times_g_s(frame, [element.dofs[i] for i in shared_rows], element.space, None)[0]
     if dim != ker.cols or coords is None or not s.matmul(coords).is_zero():
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)

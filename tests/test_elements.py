@@ -254,25 +254,20 @@ def test_export_carries_certification(tri):
 
 def test_nodal_basis_requires_unisolvence(tri):
     from femforge.exact import SingularMatrixError
-    from femforge.elements import Element
 
     e = build_element(tri, "HdivS", 2)
-    crippled = Element(
-        e.family, e.frame, e.k, e.space, e.dofs[:-1],
-        Matrix([e.dof_matrix.row(i) for i in range(len(e.dofs) - 1)]),
-    )
+    crippled = Element(e.family, e.frame, e.k, e.space, e.dofs[:-1])  # the last DoF dropped
+    assert crippled.dof_matrix.rows == e.dim - 1
     with pytest.raises(SingularMatrixError):
         nodal_basis(crippled)
 
 
 def test_unisolvence_failure_reports_kernel_witness(tri):
-    from femforge.elements import Element
-
     e = build_element(tri, "HdivS", 2)
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
-    rows = [list(e.dof_matrix.row(i)) for i in range(len(e.dofs))]
-    rows[interior[-1]] = rows[interior[0]]  # duplicate one functional
-    broken = Element(e.family, e.frame, e.k, e.space, e.dofs, Matrix(rows))
+    dofs = list(e.dofs)
+    dofs[interior[-1]] = dofs[interior[0]]  # duplicate one functional
+    broken = Element(e.family, e.frame, e.k, e.space, dofs)
     res = check_unisolvence(broken)
     assert not res.passed
     assert res.got == e.dim - 1
@@ -581,8 +576,10 @@ def reference_trace_block_rank(element):
     return CheckResult("trace-block", True, expected=bubble.dim, got=ker.cols, context=ctx)
 
 
-def _with_rows(e, rows):
-    return Element(e.family, e.frame, e.k, e.space, e.dofs, Matrix(rows))
+def _with_dofs(e, edits):
+    """``e`` rebuilt on its shape space, with the DoF at each index of
+    ``edits`` replaced by the DoF it maps to."""
+    return Element(e.family, e.frame, e.k, e.space, [edits.get(i, dof) for i, dof in enumerate(e.dofs)])
 
 
 _SPLIT_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step, where)
@@ -604,15 +601,35 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     assert lead is not None
     g = el._change_of_basis(e.space, lead)
-    assert el._rows_times_g_s(e, interior, lead)[0] == e.dof_matrix.take(interior).matmul(g)
+    rows = el._rows_times_g_s(fr, [e.dofs[i] for i in interior], e.space, lead)[0]
+    assert rows == e.dof_matrix.take(interior).matmul(g)
 
 
-def _by_hand(e, k, basis):
-    """``e`` built by hand on the shape basis ``basis`` over the degree-k
-    frame, its DoF matrix applied member by member."""
-    space = spaces.PolySpace(e.frame, e.space.kind, k, basis)
-    return Element(e.family, e.frame, e.k, space, e.dofs,
-                   Matrix([[apply_dof(e.frame, dof, m) for m in space.members()] for dof in e.dofs]))
+def test_a_repeated_dof_keeps_its_row_of_the_dof_matrix(tri):
+    # the last interior DoF replaced by the first: the one descriptor fills two rows
+    e = build_element(tri, "HdivS", 2)
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    broken = _with_dofs(e, {interior[-1]: e.dofs[interior[0]]})
+    assert broken.dof_matrix.rows == len(broken.dofs) == 18
+    assert broken.dof_matrix == reference_dof_matrix(broken)
+    assert check_unisolvence(broken).as_dict() == reference_check_unisolvence(broken).as_dict()
+
+
+def test_repr_eq_and_replace_apply_no_dof(monkeypatch, tri):
+    # the DoF matrix is not a field: printing, comparing and copying an
+    # element leave it unread, and a copy certifies from its own DoFs
+    applied = []
+    apply = el.apply_dof
+    monkeypatch.setattr(el, "apply_dof", lambda *args: applied.append(args) or apply(*args))
+    e, f = build_element(tri, "HdivS", 2), build_element(tri, "HdivS", 2)
+    assert "dof_matrix" not in repr(e) and e == f
+    assert not applied and e._matrix is None
+    m = e.dof_matrix
+    applied.clear()
+    twin = dataclasses.replace(e)
+    assert twin._matrix is None and twin == e and repr(twin) == repr(e)
+    assert check_unisolvence(twin).passed and twin._split[4] == 2
+    assert not applied and twin.dof_matrix == m
 
 
 @pytest.mark.parametrize("family,k,swap", [("BDM", 2, (3, 11)), ("RT", 1, None), ("HdivS", 2, None),
@@ -626,9 +643,27 @@ def test_trace_block_of_another_shape_basis_matches_the_reference(tri, family, k
         order = list(range(e.dim))
         order[swap[0]], order[swap[1]] = swap[1], swap[0]
     columns = e.space.basis.columns()
-    hand = _by_hand(e, e.space.k, Matrix.from_columns([columns[j] for j in order]))
+    space = spaces.PolySpace(tri, e.space.kind, e.space.k, Matrix.from_columns([columns[j] for j in order]))
+    hand = Element(e.family, tri, e.k, space, e.dofs)
     res = trace_block_rank(hand)
     assert res.as_dict() == trace_block_rank(e).as_dict() == reference_trace_block_rank(hand).as_dict()
+    # two swapped members past the first keep a Bernstein block (k' = 0); reversed, none is left
+    assert (el._split_memo(hand)[4] is None) == (swap is None)
+
+
+def test_a_shape_basis_without_a_bernstein_block_certifies_in_member_coordinates():
+    # RT k=1 on a random tetrahedron, its members reversed: no leading
+    # identity block, so S is eliminated with G_s the identity (k' None)
+    fr = random_frame(3, random.Random(61))
+    e = build_element(fr, "RT", 1)
+    columns = e.space.basis.columns()
+    space = spaces.PolySpace(fr, e.space.kind, e.space.k, Matrix.from_columns(columns[::-1]))
+    hand = Element(e.family, fr, e.k, space, e.dofs)
+    uni, block = check_unisolvence(hand), trace_block_rank(hand)
+    assert el._bernstein_lead(space) is None and el._split_memo(hand)[4] is None
+    assert uni.passed and block.passed
+    assert uni.as_dict() == reference_check_unisolvence(hand).as_dict() == check_unisolvence(e).as_dict()
+    assert block.as_dict() == reference_trace_block_rank(hand).as_dict() == trace_block_rank(e).as_dict()
 
 
 def test_bubble_outside_the_shape_space_fails_the_trace_block(tri):
@@ -637,55 +672,57 @@ def test_bubble_outside_the_shape_space_fails_the_trace_block(tri):
     e = build_element(tri, "BDM", 2)
     columns = e.space.with_degree(3).basis.columns()
     columns[3] = spaces.bubble_generator_matrix(tri, "vector", 3).column(1)
-    hand = _by_hand(e, 3, Matrix.from_columns(columns))
+    hand = Element(e.family, tri, e.k, spaces.PolySpace(tri, "vector", 3, Matrix.from_columns(columns)), e.dofs)
     res = trace_block_rank(hand)
-    assert check_unisolvence(hand).passed
+    assert check_unisolvence(hand).passed and el._split_memo(hand)[4] is not None
     assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", 3)
     assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
 def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k):
+    # the last shared DoF replaced by the first
     e = build_element(tri, family, k)
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
-    rows[shared[-1]] = rows[shared[0]]
-    broken = _with_rows(e, rows)
+    broken = _with_dofs(e, {shared[-1]: e.dofs[shared[0]]})
     res = check_unisolvence(broken)
-    assert el._split_memo(broken)[2] == len(shared) - 1
+    _, _, rank_s, _, lead = el._split_memo(broken)
+    assert rank_s == len(shared) - 1 and lead is not None
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
-    assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+    assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
 def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family, k):
-    # S keeps full row rank; the overwritten interior row vanishes on ker S
+    # S keeps full row rank; the first interior DoF, overwritten by the first
+    # shared DoF demoted to interior, vanishes on ker S
     e = build_element(tri, family, k)
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
-    rows[interior[0]] = rows[shared[0]]
-    broken = _with_rows(e, rows)
+    demoted = dataclasses.replace(e.dofs[shared[0]], shared=False)
+    broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
-    assert el._split_memo(broken)[2] == len(shared)
+    _, _, rank_s, _, lead = el._split_memo(broken)
+    assert rank_s == len(shared) and lead is not None
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
-    assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+    assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
 def test_interior_block_is_taken_on_ker_s_in_member_coordinates(family, k):
-    # an interior row overwritten by a shared row vanishes on ker S = G_s K;
-    # on a random simplex it does not vanish on the Bernstein coordinates K
-    # alone, so only I G_s K shows the singular interior block
+    # an interior DoF overwritten by a shared DoF demoted to interior vanishes
+    # on ker S = G_s K; on a random simplex it does not vanish on the
+    # Bernstein coordinates K alone, so only I G_s K shows the singular
+    # interior block
     e = build_element(random_frame(2, random.Random(43)), family, k)
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
-    rows[interior[0]] = rows[shared[-1]]
-    broken = _with_rows(e, rows)
+    demoted = dataclasses.replace(e.dofs[shared[-1]], shared=False)
+    broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
+    assert el._split_memo(broken)[4] is not None
     assert not res.passed and res.got == e.dim - 1
-    assert res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
+    assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 3), ("HdivS", 3)])
@@ -696,8 +733,9 @@ def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(fa
     dofs = list(e.dofs)
     i = next(i for i, dof in enumerate(dofs) if not dof.shared)
     dofs[i] = dataclasses.replace(dofs[i], shared=True)
-    broken = Element(e.family, e.frame, e.k, e.space, dofs, e.dof_matrix)
+    broken = Element(e.family, e.frame, e.k, e.space, dofs)
     res = trace_block_rank(broken)
+    assert el._split_memo(broken)[4] is not None
     assert not res.passed and res.expected == "kernel == bubble"
     assert res.got == res.context["kernel_dim"] == res.context["bubble_dim"] - 1
     assert "nonzero_trace_mode" not in res.context
@@ -721,8 +759,9 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
     e = build_element(random_frame(2, random.Random(47)), family, 3)
     dofs = [dataclasses.replace(dof, shared=False) if dof.label in demoted else dof for dof in e.dofs]
     assert sum(a.shared != b.shared for a, b in zip(dofs, e.dofs)) == 2
-    broken = Element(e.family, e.frame, e.k, e.space, dofs, e.dof_matrix)
+    broken = Element(e.family, e.frame, e.k, e.space, dofs)
     res = trace_block_rank(broken)
+    assert el._split_memo(broken)[4] is not None
     assert (res.passed, res.got, res.context["nonzero_trace_mode"]) == (False, mode, mode)
     assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
 
@@ -849,31 +888,24 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     memo = e._split
     # the first read assembles the DoF matrix and keeps the memo, so nothing
     # is eliminated twice
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
+    assert e.dof_matrix.rows == len(e.dofs)
     assert e._split is memo and memo[4] is not None
     assert check_unisolvence(e).passed and trace_block_rank(e).passed and e._split is memo
-    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     # the pair of test_unisolvence_failure_reports_kernel_witness: a new
-    # Element over the same frame, space and DoFs starts without a memo, and
-    # its tampered rows are eliminated as they stand
-    rows[interior[-1]] = rows[interior[0]]
-    broken = _with_rows(e, rows)
-    assert broken._split is None
+    # Element over the same frame and space, one interior DoF copied over
+    # another, starts without a memo or a matrix, and is eliminated in
+    # Bernstein coordinates like any element
+    broken = _with_dofs(e, {interior[-1]: e.dofs[interior[0]]})
+    assert broken._split is None and broken._matrix is None
     assert not check_unisolvence(broken).passed
-    assert broken._split[4] is None and e._split is memo
+    assert broken._split[4] == memo[4] and e._split is memo
     # the memo is neither compared nor printed, and a copy starts afresh
     twin = dataclasses.replace(e)
     assert twin._split is None and twin == e and repr(twin) == repr(e)
-    # assigning the DoF matrix of an element drops its memo, and the new
-    # matrix is eliminated as it stands
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
-    rows[shared[-1]] = rows[shared[0]]
-    e.dof_matrix = Matrix(rows)
-    assert e._split is None
-    res = check_unisolvence(e)
-    assert not res.passed and res.as_dict() == reference_check_unisolvence(_with_rows(e, rows)).as_dict()
-    assert el._split_memo(e)[2] == len(shared) - 1 and e._split[4] is None
+    # declaring an interior DoF shared drops the memo, and S gains its row
+    e.dofs[interior[0]] = dataclasses.replace(e.dofs[interior[0]], shared=True)
+    assert el._split_memo(e) is not memo and e._split[1] == memo[1] + [interior[0]]
 
 
 _LAZY_CELLS = [(fam, d) for fam in ("BDM", "RT", "HdivS_minus", "DivDiv", "DivDivPlusMinus") for d in (2, 3)]
@@ -998,16 +1030,16 @@ def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("RT", 1), ("HdivS_minus", 2), ("DivDiv", 3)])
 def test_shared_rows_not_assembled_from_their_dofs_are_eliminated_as_they_are(family, k):
-    # a shared row scaled by 2 keeps every certificate; the split then runs in
-    # member coordinates (G_s the identity), as the DoF matrix stands
+    # a shared DoF with its test scaled by 2 gives a shared row that the
+    # built element does not have, and keeps every certificate; the row is
+    # eliminated as it is, from the scaled DoF's own Bernstein rows
     e = build_element(random_frame(2, random.Random(43)), family, k)
-    shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
-    rows = [e.dof_matrix.row(i) for i in range(len(e.dofs))]
-    rows[shared[0]] = [2 * x for x in rows[shared[0]]]
-    broken = _with_rows(e, rows)
+    i = next(i for i, dof in enumerate(e.dofs) if dof.shared and dof.test is not None)
+    broken = _with_dofs(e, {i: dataclasses.replace(e.dofs[i], test=e.dofs[i].test.scale(2))})
     uni, block = check_unisolvence(broken), trace_block_rank(broken)
-    assert broken._split[4] is None and el._change_of_basis(e.space, None) == Matrix.identity(e.dim)
+    assert broken._split[4] is not None
     assert uni.passed and block.passed
+    assert broken.dof_matrix.row(i) == tuple(2 * x for x in e.dof_matrix.row(i))
     assert uni.as_dict() == reference_check_unisolvence(broken).as_dict() == check_unisolvence(e).as_dict()
     assert block.as_dict() == reference_trace_block_rank(broken).as_dict() == trace_block_rank(e).as_dict()
     assert e._split[4] is not None
