@@ -11,16 +11,16 @@ polynomial spaces, and the null spaces and orthogonal complements of the
 bubble split.  A negative degree gives no moments.  Every shared DoF is a
 face DoF, so the patch check builds the face DoFs alone.
 
-An element is its shape space and its DoFs: the square DoF matrix (rows =
-DoFs, columns = shape basis members) has no other source.  It is assembled
-from the DoFs with exact face and cell moments when it is first read (by
-the export, the nodal basis and the fallbacks of the unisolvence and patch
-checks); the certificates do not read it.  Both certificates go through
-the paper's split of the shape space into a trace part and a bubble part:
-the shared DoF rows S are eliminated once per element, and their kernel K
-(the shape functions with zero shared DoFs) serves both.  The elimination
-runs in Bernstein coordinates, where that split is local: with G the integer
-matrix of the barycentric monomials lambda^alpha, |alpha| = k
+An element is its shape space and its DoFs, a tuple: the square DoF matrix
+(rows = DoFs, columns = shape basis members) has no other source.  It is
+assembled from the DoFs, one DoF and one member at a time, when first read
+(by the export, the nodal basis and the fallbacks of the unisolvence and
+patch checks); the certificates do not read it.  Both go through the
+paper's split of the shape space into a trace part and a bubble part: the
+shared DoF rows S are eliminated once per element, and their kernel K (the
+shape functions with zero shared DoFs) serves both.  The elimination runs in
+Bernstein coordinates, where that split is local: with G the integer matrix
+of the barycentric monomials lambda^alpha, |alpha| = k
 (``SimplexFrame.bernstein``), a face's DoFs see only the lambda^alpha that
 do not vanish on it, so S G is sparse, and K = G ker(S G).
 ``_rows_times_g_s`` forms S G for the element certificates and for the
@@ -28,30 +28,22 @@ patch check of ``conformity`` alike, on the leading degree-k' block of the
 shape basis (k' = 0 included), from the faces' Bernstein traces rather than
 a product with G; it forms the interior block I G the same way, from the
 closed-form Bernstein moments of ``integrate.bernstein_gram``.  The columns
-past that block, and the shared rows of the trace-block check, are the DoF
-rows times the shape basis; a shape basis without a leading identity block
-is eliminated with G_s the identity.  The DoF matrix [S; I] is invertible
-exactly when S has full row rank and the square interior block I G K is
-nonsingular; any other case falls back to the exact rank of the full matrix
-and a kernel witness.  The trace-block check multiplies the Bernstein
-traces with K, and proves ker S equal to the paper's bubble space with one
-product and one rank in member coordinates (of the element's own shape
-basis, through one RREF where that basis is not the catalog's).
+past that block are the DoF rows times the shape basis; a shape basis
+without a leading identity block is eliminated with G_s the identity.  The
+DoF matrix [S; I] is invertible exactly when S has full row rank and the
+square interior block I G K is nonsingular; any other case falls back to the
+exact rank of the full matrix and a kernel witness.  The trace-block check
+multiplies the Bernstein traces with K, and proves ker S equal to the
+paper's bubble C by S C = 0 and rank C = dim ker S in the same coordinates:
+the generators lambda_i lambda_j lambda^beta c_ij are sparse integer columns
+over G, met by the Bernstein rows of S; only the HdivS_minus enrichment and
+the RT trace kernel are taken in member coordinates.
 
-Every DoF is a row over the shaped monomial frame of the shape space, built
-from the chart mass and frame Gram matrices of ``integrate``, one run of
-DoFs that share a face and a trace at a time.  A face run multiplies its
-test moments against the chart mass by each scalar restriction table of its
-trace (``Face.trace_parts``, ``Face.table``) and scatters the products into
-the component columns by the trace's weights, so no trace matrix is formed.
-Applying a DoF to a polynomial is a sparse dot product with its
-coefficients, over the polynomial's memoized integer terms
-(``Polynomial.int_terms``; the members of a shape space come with them).
-The DoF matrix is assembled that way, one DoF and one member at a time,
-and each row is cleared to integers as soon as it is applied.  The
-Bernstein rows of a DoF are the same products with the Bernstein tables of
-the faces, and for an interior moment with the Bernstein moments
-(``bernstein_gram``) or the stencil table times G.
+A DoF is a row over the shaped monomial frame of the shape space (see the
+DoF rows section below); applying it to a polynomial is a sparse dot
+product with the polynomial's memoized integer terms
+(``Polynomial.int_terms``), and each row of the DoF matrix is cleared to
+integers as soon as it is applied.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -101,22 +93,25 @@ class DoFDescriptor:
     label: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Element:
-    """A family's element on ``frame``: its shape space and its DoFs, the
-    only source of its read-only DoF matrix."""
+    """A family's element on ``frame``, frozen: its shape space and its DoFs
+    (a tuple), the only source of its read-only DoF matrix."""
 
     family: str
     frame: SimplexFrame
     k: int
     space: PolySpace
-    dofs: list[DoFDescriptor]
+    dofs: tuple[DoFDescriptor, ...]  # frozen, so that no edit leaves the caches below stale
     _matrix: Matrix | None = field(default=None, init=False, repr=False, compare=False)
     # (S in member coordinates or None, shared row indices, rank of S, basis
     # of ker(S G_s), degree k' of the Bernstein block of G_s); see _split_memo.
     # With k' set, both the shared and the interior rows are taken in
     # Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dofs", tuple(self.dofs))
 
     @property
     def dim(self) -> int:
@@ -136,7 +131,7 @@ class Element:
                 run = list(run)
                 rows = _dof_rows(frame, run, space.kind, space.k)
                 values += [_cleared([apply_dof(frame, dof, m, rows) for m in members]) for dof in run]
-            self._matrix = Matrix.from_int_rows(values, len(members))
+            object.__setattr__(self, "_matrix", Matrix.from_int_rows(values, len(members)))
         return self._matrix
 
 
@@ -503,16 +498,14 @@ def _split_memo(element: Element) -> tuple:
     k')`` and k' = ``_bernstein_lead(space)``, from one elimination of S G_s
     (``_rows_times_g_s``) per element, whether its DoF matrix was read or not.
     K = ker(S G_s) as columns.  Only the kernel is kept, not the echelon
-    form, beside S where the elimination built it in member coordinates; the
-    memo is dropped when the shared rows change."""
-    shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
-    memo = element._split
-    if memo is None or memo[1] != shared:
+    form, beside S where the elimination built it in member coordinates."""
+    if element._split is None:
+        shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
         lead = _bernstein_lead(element.space)
         s_g, s = _rows_times_g_s(element.frame, [element.dofs[i] for i in shared], element.space, lead)
         ker = s_g.null_space()
-        memo = element._split = (s, shared, s_g.cols - ker.cols, ker, lead)
-    return memo
+        object.__setattr__(element, "_split", (s, shared, s_g.cols - ker.cols, ker, lead))
+    return element._split
 
 
 def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
@@ -555,12 +548,8 @@ def check_unisolvence(element: Element) -> CheckResult:
     if r == dim:
         return CheckResult("unisolvence", True, expected=dim, got=r, context=ctx)
     ker = element.dof_matrix.null_space()
-    witness = poly.from_coeff_vector(
-        element.frame.d,
-        element.space.kind,
-        element.space.k,
-        element.space.basis.matmul(ker).column(0),
-    )
+    space = element.space
+    witness = poly.from_coeff_vector(element.frame.d, space.kind, space.k, space.basis.matmul(ker).column(0))
     ctx["kernel_witness"] = poly.poly_to_json(witness)
     return CheckResult("unisolvence", False, expected=dim, got=r, context=ctx)
 
@@ -573,11 +562,8 @@ def nodal_basis(element: Element) -> list[Polynomial]:
     except (SingularMatrixError, exact.DimensionMismatchError) as err:
         raise SingularMatrixError(f"element is not unisolvent: {err}") from None
     coeffs = element.space.basis.matmul(sol)
-    d = element.frame.d
-    return [
-        poly.from_coeff_vector(d, element.space.kind, element.space.k, coeffs.column(j))
-        for j in range(n)
-    ]
+    d, kind, k = element.frame.d, element.space.kind, element.space.k
+    return [poly.from_coeff_vector(d, kind, k, coeffs.column(j)) for j in range(n)]
 
 
 def _nonzero_trace_mode(faces, modes, space: PolySpace, lead: int | None, coeffs: Matrix) -> str | None:
@@ -611,25 +597,24 @@ def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
     return best
 
 
-def _expected_kernel(element: Element) -> Matrix | None:
-    """Columns C spanning, in the family's catalog shape basis, the bubble
-    that ker S must equal, where one is known: the paper's generators
-    (identity basis), [B | W_low; 0 | I] for HdivS_minus (B the generators,
-    W the enrichment, W_top the basis past P_k), and for RT a trace kernel."""
+def _expected_kernel(element: Element) -> tuple[Matrix | None, Matrix | None] | None:
+    """The bubble that ker S must equal, where one is known, as (C_B, E),
+    either part possibly None: the paper's generators lambda_i lambda_j
+    lambda^beta c_ij as integer columns over the Bernstein columns of G(kind,
+    k) (``spaces.bubble_generator_bernstein``), and columns E against the
+    family's catalog shape basis: [W_low; I] for the HdivS_minus enrichment
+    (W its basis, W_low its rows up to degree k) and for RT a trace kernel."""
     frame, k, family = element.frame, element.k, element.family
-    if family == "BDM":
-        return spaces.bubble_generator_matrix(frame, "vector", k)
     if family == "RT":
         catalog = spaces.build_standard(frame, FAMILIES[family].shape, k)
-        return spaces.trace_matrix(frame, catalog, "vector_normal").null_space()
-    if family not in ("HdivS", "HdivS_split", "HdivS_minus"):
+        return None, spaces.trace_matrix(frame, catalog, "vector_normal").null_space()
+    if family not in ("BDM", "HdivS", "HdivS_split", "HdivS_minus"):
         return None
-    gens = spaces.bubble_generator_matrix(frame, "sym", k)
+    gens = spaces.bubble_generator_bernstein(frame, "vector" if family == "BDM" else "sym", k)
     if family != "HdivS_minus":
-        return gens
+        return gens, None
     w = spaces.bubble_enrichment_sym(frame, k).basis
-    low = gens.hstack(w.take(range(gens.rows)))
-    return Matrix.vstack([low, Matrix.zeros(w.cols, gens.cols).hstack(Matrix.identity(w.cols))], low.cols)
+    return gens, Matrix.vstack([w.take(range(gens.rows)), Matrix.identity(w.cols)], w.cols)
 
 
 def _member_coords(space: PolySpace, catalog: PolySpace, coords: Matrix) -> Matrix | None:
@@ -643,34 +628,47 @@ def _member_coords(space: PolySpace, catalog: PolySpace, coords: Matrix) -> Matr
     return red.take(range(space.dim), space.dim)
 
 
+def _kills_bubble(element: Element, gens: Matrix | None, rest: Matrix | None) -> bool:
+    """S C = 0 for the bubble (C_B, E) of ``_expected_kernel``.  Against the
+    catalog basis diag(I_n, W_top), whose Bernstein block has degree k, C_B
+    meets the Bernstein rows of S and E its member rows; against another
+    basis, C = [G C_B; 0 | E] is re-expressed in its members."""
+    s, shared_rows, _, _, _ = _split_memo(element)
+    frame, kind, k = element.frame, element.space.kind, element.k
+    catalog = spaces.build_standard(frame, FAMILIES[element.family].shape, k)
+    if element.space.basis == catalog.basis:
+        shared = [element.dofs[i] for i in shared_rows]
+        return ((gens is None or _dof_matrix(frame, shared, kind, k, True).matmul(gens).is_zero())
+                and (rest is None or s.matmul(rest).is_zero()))
+    coords = rest
+    if gens is not None:
+        g = frame.bernstein(kind, k).matmul(gens).take([*range(gens.rows)] + [None] * (catalog.dim - gens.rows))
+        coords = g if rest is None else g.hstack(rest)
+    coords = _member_coords(element.space, catalog, coords)
+    if coords is None:
+        return False
+    # no member rows were built where the Bernstein block is the whole basis
+    return (element.dof_matrix.take(shared_rows) if s is None else s).matmul(coords).is_zero()
+
+
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
     and ker S equals a known bubble C: S C = 0 and rank C = dim ker S."""
-    s, shared_rows, _, ker, lead = _split_memo(element)
+    _, shared_rows, _, ker, lead = _split_memo(element)
     frame = element.frame
-    ctx = {
-        "family": element.family,
-        "d": frame.d,
-        "k": element.k,
-        "shared_dofs": len(shared_rows),
-        "kernel_dim": ker.cols,
-    }
+    ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared_rows),
+           "kernel_dim": ker.cols}
     mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, element.space, lead, ker)
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
-    coords = _expected_kernel(element)
-    if coords is None:
+    expected = _expected_kernel(element)
+    if expected is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
-    dim = ctx["bubble_dim"] = coords.rank()
-    catalog = spaces.build_standard(frame, FAMILIES[element.family].shape, element.k)
-    if element.space.basis != catalog.basis:
-        # an element built with another shape basis: C against that basis
-        coords = _member_coords(element.space, catalog, coords)
-    if s is None:
-        s = _rows_times_g_s(frame, [element.dofs[i] for i in shared_rows], element.space, None)[0]
-    if dim != ker.cols or coords is None or not s.matmul(coords).is_zero():
+    # rank [G C_B, W_low; 0, I] = rank C_B + w
+    dim = ctx["bubble_dim"] = sum(c.rank() for c in expected if c is not None)
+    if dim != ker.cols or not _kills_bubble(element, *expected):
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 

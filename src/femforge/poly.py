@@ -599,16 +599,6 @@ def div_rowwise(tau: Polynomial) -> Polynomial:
     return _apply("div_rowwise", tau)
 
 
-def sym_grad(v: Polynomial) -> Polynomial:
-    """Symmetric gradient (deformation): (grad v + grad v^T) / 2."""
-    return _apply("def", v)
-
-
-def skw_grad(v: Polynomial) -> Polynomial:
-    """Skew part of the gradient: entries (d_j v_i - d_i v_j) / 2."""
-    return _apply("skw_grad", v)
-
-
 def hess(p: Polynomial) -> Polynomial:
     return _apply("hess", p)
 
@@ -625,11 +615,6 @@ def koszul_x(q: Polynomial) -> Polynomial:
 def koszul_dot_x(v: Polynomial) -> Polynomial:
     """v . x for a vector field v."""
     return _apply("dot_x", v)
-
-
-def koszul_mat_x(tau: Polynomial) -> Polynomial:
-    """tau x: row-wise dot with the position vector."""
-    return _apply("mat_x", tau)
 
 
 def koszul_xxT(q: Polynomial) -> Polynomial:

@@ -19,7 +19,7 @@ from .exact import Matrix
 from .integrate import frame_gram
 from .poly import Polynomial
 from .report import CheckResult
-from .simplex import SimplexFrame, reference_simplex
+from .simplex import SimplexFrame, _bernstein_alphas, reference_simplex
 
 _ONE = Fraction(1)
 
@@ -311,28 +311,45 @@ def _bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     return PolySpace(frame, shape.kind, shape.k, basis)
 
 
-def _edge_generators(frame: SimplexFrame, k: int, edge_values: dict) -> list[Polynomial]:
-    """lambda_i lambda_j m c_ij for |m| <= k-2 over the edges (i, j) of the
-    simplex, c_ij the constant polynomial ``edge_values[(i, j)]``."""
-    gens = []
-    for (i, j), c in sorted(edge_values.items()):
-        lamlam = poly.multiply(frame.lambdas[i], frame.lambdas[j])
-        for exps in poly.monomials(frame.d, k - 2):
-            mono = Polynomial(frame.d, "scalar", {(0, exps): _ONE})
-            gens.append(poly.multiply(poly.multiply(lamlam, mono), c))
-    return gens
+def _edge_values(frame: SimplexFrame, kind: str) -> dict:
+    """c_ij per edge (i, j), i < j, as a constant polynomial: t_ij = x_j - x_i
+    for "vector" and T_ij for "sym"."""
+    if kind == "sym":
+        return frame.tensor_T
+    return {ij: Polynomial.constant_vector(frame.d, frame.tangent(*ij)) for ij in combinations(range(frame.d + 1), 2)}
 
 
 def bubble_generator_matrix(frame: SimplexFrame, kind: str, k: int) -> Matrix:
     """Coefficients over the frame (kind, d, k) of the generators
-    lambda_i lambda_j m c_ij, |m| <= k-2, with c_ij = t_ij = x_j - x_i for
-    "vector" and T_ij for "sym": they span the bubble (a basis for "sym",
-    not for "vector"); no columns below k = 2."""
+    lambda_i lambda_j m c_ij, |m| <= k-2 (``_edge_values``): they span the
+    bubble (a basis for "sym", not for "vector"); no columns below k = 2."""
     if k < 2:
         return Matrix.zeros(len(poly.frame(kind, frame.d, max(k, 0))), 0)
-    values = frame.tensor_T if kind == "sym" else {
-        ij: Polynomial.constant_vector(frame.d, frame.tangent(*ij)) for ij in combinations(range(frame.d + 1), 2)}
-    return poly.coeff_matrix(_edge_generators(frame, k, values), k)
+    gens = []
+    for (i, j), c in sorted(_edge_values(frame, kind).items()):
+        lamlam = poly.multiply(frame.lambdas[i], frame.lambdas[j])
+        for exps in poly.monomials(frame.d, k - 2):
+            gens.append(poly.multiply(poly.multiply(lamlam, Polynomial(frame.d, "scalar", {(0, exps): _ONE})), c))
+    return poly.coeff_matrix(gens, k)
+
+
+def bubble_generator_bernstein(frame: SimplexFrame, kind: str, k: int) -> Matrix:
+    """The generators lambda_i lambda_j lambda^beta c_ij, |beta| = k-2, as
+    integer columns C_B against the Bernstein columns (alpha, c) of G(kind, k)
+    (``SimplexFrame.bernstein``): column (ij, beta) is c_ij, cleared to
+    integers, in the rows of alpha = beta + e_i + e_j.  As the lambda^beta
+    span P_{k-2}, G C_B spans what ``bubble_generator_matrix`` spans."""
+    d, nc = frame.d, poly.ncomp(kind, frame.d)
+    index = {alpha: i * nc for i, alpha in enumerate(_bernstein_alphas(d, max(k, 0)))}
+    betas = _bernstein_alphas(d, k - 2) if k >= 2 else ()
+    edges = sorted(_edge_values(frame, kind).items())
+    rows = [[0] * (len(edges) * len(betas)) for _ in range(nc * len(index))]
+    for e, ((i, j), c) in enumerate(edges):
+        for b, beta in enumerate(betas):
+            a = index[tuple(n + (t == i) + (t == j) for t, n in enumerate(beta))]
+            for (comp, _), v in c.int_terms()[2]:
+                rows[a + comp][e * len(betas) + b] = v
+    return Matrix.from_int_rows([(1, row) for row in rows], len(edges) * len(betas))
 
 
 def bubble_vector_generators(frame: SimplexFrame, k: int) -> PolySpace:
@@ -494,7 +511,7 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
 
 
 def _enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
-    bubble = poly.coeff_matrix(_edge_generators(frame, k + 1, frame.tensor_T), k + 1)
+    bubble = bubble_generator_matrix(frame, "sym", k + 1)
     e0 = bubble.matmul(_div_free_coords(bubble, frame.d, k + 1))
     deform = poly.operator_table("def", "vector", frame.d, k - 1)
     blocks = [deform.transpose().matmul(frame_gram(frame, "sym", k - 2, k + 1))]

@@ -147,6 +147,10 @@ _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "3", "--k", "4", "--family", "BDM", "--family", "DivDiv",
                   "--simplex", "random", "--seed", "7"],
                  "0ebdfb29582b392c0a615263af4241b061d5a0f87e2fbca67cd718292fe903de", id="verify-d3-k4-random-7"),
+    # the symmetric div families, whose trace blocks check the sym bubble generators
+    pytest.param(["verify", "--d", "3", "--k", "2..3", "--family", "HdivS", "--family", "HdivS_split",
+                  "--family", "HdivS_minus", "--simplex", "random", "--seed", "7"],
+                 "a801d34c7cc4412ab03db49516e9cd43b09a4fdc3300af92402b2638d4d7e643", id="verify-d3-hdivs-random-7"),
     # RT k=0, whose shared block is the Bernstein block of degree 0
     pytest.param(["verify", "--d", "2..3", "--k", "0..1", "--family", "RT"],
                  "d7ced5b0892241de05e790e1f9a72fa5c4d4366ef399a39c3895d46e1d7ad436", id="verify-rt-k0-1"),

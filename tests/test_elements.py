@@ -651,6 +651,18 @@ def test_trace_block_of_another_shape_basis_matches_the_reference(tri, family, k
     assert (el._split_memo(hand)[4] is None) == (swap is None)
 
 
+@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2)])
+def test_trace_block_of_the_shape_basis_at_a_higher_degree_matches_the_reference(tri, family, k):
+    # P_k written over the frame of degree k + 1: its Bernstein block is the
+    # whole basis, so the elimination builds no member rows, and the bubble,
+    # taken against this basis, meets the shared rows of the DoF matrix
+    e = build_element(tri, family, k)
+    hand = Element(e.family, tri, e.k, e.space.with_degree(k + 1), e.dofs)
+    res = trace_block_rank(hand)
+    assert el._split_memo(hand)[0] is None and el._split_memo(hand)[4] == k
+    assert res.passed and res.as_dict() == reference_trace_block_rank(hand).as_dict() == trace_block_rank(e).as_dict()
+
+
 def test_a_shape_basis_without_a_bernstein_block_certifies_in_member_coordinates():
     # RT k=1 on a random tetrahedron, its members reversed: no leading
     # identity block, so S is eliminated with G_s the identity (k' None)
@@ -769,20 +781,27 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
 @pytest.mark.parametrize("family,k", [("RT", 1), ("HdivS", 2), ("HdivS_minus", 2)])
 @pytest.mark.parametrize("how", ["drop", "swap"])
 def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family, k, how):
-    # the bubble coordinates lose one column (rank below dim ker S), or one
-    # column becomes a member with a nonzero shared DoF (S C != 0)
+    # the bubble loses one column (rank below dim ker S), or one column
+    # becomes a unit vector that some shared DoF does not annihilate
+    # (S C != 0): a generator column C_B over the Bernstein rows of S, and
+    # for RT, which has no generators, a trace kernel column in member
+    # coordinates
     e = build_element(random_frame(2, random.Random(43)), family, k)
-    s = e.dof_matrix.take([i for i, dof in enumerate(e.dofs) if dof.shared])
-    j = next(j for j in range(e.dim) if any(s.column(j)))
+    shared = el._split_memo(e)[1]
+    bernstein_rows = el._dof_matrix(e.frame, [e.dofs[i] for i in shared], e.space.kind, k, True)
     expected = el._expected_kernel
 
     def wrong(element):
-        cols = expected(element).columns()
+        gens, rest = expected(element)
+        part, s = (rest, e.dof_matrix.take(shared)) if gens is None else (gens, bernstein_rows)
+        j = next(j for j in range(part.rows) if any(s.column(j)))
+        cols = part.columns()
         if how == "drop":
             cols = cols[1:]
         else:
-            cols[0] = tuple(int(i == j) for i in range(e.dim))
-        return Matrix.from_columns(cols, e.dim)
+            cols[0] = tuple(int(i == j) for i in range(part.rows))
+        part = Matrix.from_columns(cols, part.rows)
+        return (None, part) if gens is None else (part, rest)
 
     monkeypatch.setattr(el, "_expected_kernel", wrong)
     res = trace_block_rank(e)
@@ -903,9 +922,13 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     # the memo is neither compared nor printed, and a copy starts afresh
     twin = dataclasses.replace(e)
     assert twin._split is None and twin == e and repr(twin) == repr(e)
-    # declaring an interior DoF shared drops the memo, and S gains its row
-    e.dofs[interior[0]] = dataclasses.replace(e.dofs[interior[0]], shared=True)
-    assert el._split_memo(e) is not memo and e._split[1] == memo[1] + [interior[0]]
+    # the element is frozen and its DoFs are a tuple (also when built over a
+    # list), so no edit can leave the memo or the matrix stale
+    with pytest.raises(TypeError):
+        e.dofs[interior[0]] = dataclasses.replace(e.dofs[interior[0]], shared=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.dofs = broken.dofs
+    assert el._split_memo(e) is memo and isinstance(broken.dofs, tuple)
 
 
 _LAZY_CELLS = [(fam, d) for fam in ("BDM", "RT", "HdivS_minus", "DivDiv", "DivDivPlusMinus") for d in (2, 3)]
@@ -1000,18 +1023,18 @@ def test_unisolvence_of_a_built_element_takes_no_product_with_g(monkeypatch, fam
     assert all(any(left is t for t in tables) for left in lefts)
 
 
-# The DoFs with monomial rows: the shared ones where the shape basis reaches
-# past its Bernstein block (RT_shape, P_minus_sym) or the trace block
-# multiplies S with a known bubble (RT, BDM, HdivS_minus), the interior ones
-# where the basis reaches past the block
-_MONOMIAL_ROWS = {"RT": "shared", "BDM": "shared", "HdivS_minus": "all", "DivDiv": "none"}
+# The DoFs with monomial rows: the shared and the interior ones where the
+# shape basis reaches past its Bernstein block (RT_shape, P_minus_sym; RT has
+# no interior DoF at k=0).  The trace block takes the bubble generators in
+# Bernstein coordinates, so BDM builds none
+_MONOMIAL_ROWS = {"RT": "shared", "BDM": "none", "HdivS_minus": "all", "DivDiv": "none"}
 
 
 @pytest.mark.parametrize("family,k", [("RT", 0), ("BDM", 2), ("HdivS_minus", 2), ("DivDiv", 3)])
 def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, family, k):
     # no DoF is applied member by member; the leading block of S G_s comes
     # from the Bernstein rows, and monomial rows are built, each once, only
-    # for the columns past that block and for S C
+    # for the columns past that block
     e = build_element(random_frame(2, random.Random(43)), family, k)
     applied, bernstein_rows, built = [], [], []
     run_rows, apply = el._run_rows, el.apply_dof
@@ -1026,6 +1049,30 @@ def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, 
     assert bernstein_rows and not applied and e._split[4] is not None
     want = {"none": [], "shared": [dof for dof in e.dofs if dof.shared], "all": e.dofs}[_MONOMIAL_ROWS[family]]
     assert sorted(map(id, built)) == sorted(map(id, want))
+
+
+@pytest.mark.parametrize("family", ["BDM", "HdivS", "HdivS_split"])
+@pytest.mark.parametrize("where", ["reference", "random"])
+def test_trace_block_of_the_generator_families_takes_no_polynomial_product(monkeypatch, family, where):
+    # the bubble generators are integer columns against the Bernstein block
+    # of S G_s: no generator polynomial and no monomial shared row is built
+    fr = reference_simplex(3) if where == "reference" else random_frame(3, random.Random(67))
+    e = build_element(fr, family, 3)
+    calls = []
+    multiply, dof_matrix = poly.multiply, el._dof_matrix
+    monkeypatch.setattr(poly, "multiply", lambda *args: calls.append("multiply") or multiply(*args))
+
+    def spy(frame, dofs, kind, k, bernstein=False):
+        if not bernstein:
+            calls.append("monomial rows")
+        return dof_matrix(frame, dofs, kind, k, bernstein)
+
+    monkeypatch.setattr(el, "_dof_matrix", spy)
+    res = trace_block_rank(e)
+    assert res.passed and res.context["bubble_dim"] == res.got > 0
+    assert calls == []
+    monkeypatch.undo()
+    assert res.as_dict() == reference_trace_block_rank(e).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("RT", 1), ("HdivS_minus", 2), ("DivDiv", 3)])

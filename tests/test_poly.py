@@ -18,7 +18,6 @@ from femforge.poly import (
     grad,
     hess,
     koszul_dot_x,
-    koszul_mat_x,
     koszul_x,
     koszul_xxT,
     monomials,
@@ -26,8 +25,6 @@ from femforge.poly import (
     partial,
     poly_from_json,
     poly_to_json,
-    skw_grad,
-    sym_grad,
 )
 from reference import homogeneous_component
 
@@ -97,7 +94,7 @@ def test_koszul_dot_x_euler():
 
 def test_koszul_mat_x_zero():
     d = 3
-    assert koszul_mat_x(Polynomial.zero(d, "sym")).is_zero()
+    assert poly._apply("mat_x", Polynomial.zero(d, "sym")).is_zero()
 
 
 def test_koszul_x_unrolled():
@@ -162,8 +159,8 @@ def test_divdiv_eigenvalue(d, r):
 def test_sym_skw_split_of_gradient(d):
     rng = random.Random(77 + d)
     v = random_homogeneous(rng, d, 3, kind="vector")
-    s = sym_grad(v)
-    w = skw_grad(v)
+    s = poly._apply("def", v)
+    w = poly._apply("skw_grad", v)
     for i in range(d):
         for j in range(d):
             dji = partial(v.component(i), j)
@@ -177,7 +174,7 @@ def test_hess_is_sym_grad_of_grad():
     d = 3
     rng = random.Random(5)
     p = random_homogeneous(rng, d, 4)
-    assert hess(p) == sym_grad(grad(p))
+    assert hess(p) == poly._apply("def", grad(p))
 
 
 def test_divdiv_equals_div_of_rowwise_div():
@@ -296,10 +293,12 @@ def test_float_coefficients_are_rejected(build):
 
 import reference  # noqa: E402
 
+# def, skw_grad and mat_x have no function of their own: they are applied
+# through the table operator
 _PUBLIC_OPERATORS = {
-    "grad": grad, "div": div, "div_rowwise": div_rowwise, "def": sym_grad, "skw_grad": skw_grad,
-    "hess": hess, "divdiv": divdiv, "dot_x": koszul_dot_x, "x": koszul_x, "mat_x": koszul_mat_x,
-    "xxT": koszul_xxT,
+    "grad": grad, "div": div, "div_rowwise": div_rowwise, "def": lambda v: poly._apply("def", v),
+    "skw_grad": lambda v: poly._apply("skw_grad", v), "hess": hess, "divdiv": divdiv, "dot_x": koszul_dot_x,
+    "x": koszul_x, "mat_x": lambda tau: poly._apply("mat_x", tau), "xxT": koszul_xxT,
 }
 _OPERATOR_KINDS = [(op, kind) for op in _PUBLIC_OPERATORS for kind in poly.OPERATORS[op][0]]
 

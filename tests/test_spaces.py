@@ -113,6 +113,19 @@ def test_bubble_vector_generators_match_kernel(d, k):
         assert gen.basis == bubble_space(fr, "div_vector", k).basis
 
 
+@pytest.mark.parametrize("kind", ["vector", "sym"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bernstein_generator_columns_span_the_polynomial_generators(kind, d, k):
+    # lambda_i lambda_j lambda^beta c_ij against G, and lambda_i lambda_j m c_ij
+    # as products of polynomials: one column per edge and per basis of P_{k-2}
+    for fr in (reference_simplex(d), random_frame(d, random.Random(70 + 10 * d + k))):
+        c_b = spaces.bubble_generator_bernstein(fr, kind, k)
+        gens = spaces.bubble_generator_matrix(fr, kind, k)
+        assert c_b.cols == gens.cols and c_b.rank() == gens.rank()
+        assert exact.image_basis(fr.bernstein(kind, k).matmul(c_b)) == exact.image_basis(gens)
+
+
 def test_generator_traces_vanish(tri):
     gen = bubble_sym_generators(tri, 2)
     tr = trace_matrix(tri, gen, "tensor_normal")
@@ -504,7 +517,7 @@ def _vector_monomials(d, k):
 def _reference_nd_generators(d, k):
     gens = _vector_monomials(d, k)
     for c in range(poly.ncomp("skw", d)):
-        nx = poly.koszul_mat_x(Polynomial.monomial(d, "skw", c, (0,) * d))
+        nx = poly._apply("mat_x", Polynomial.monomial(d, "skw", c, (0,) * d))
         gens += [poly.multiply(q, nx) for q in _homogeneous_monomials(d, k)]
     return gens
 
@@ -521,7 +534,7 @@ def reference_build_standard(frame, tag, k):
         kind, deg, gens = "sym", k + 2, [poly.koszul_xxT(q) for q in _homogeneous_monomials(d, k)]
     else:
         assert tag == "skwPx"
-        gens = [poly.koszul_mat_x(Polynomial.monomial(d, "skw", c, e))
+        gens = [poly._apply("mat_x", Polynomial.monomial(d, "skw", c, e))
                 for c in range(poly.ncomp("skw", d)) for e in poly.monomials(d, k)]
         kind, deg = "vector", k + 1
     return spaces.PolySpace(frame, kind, deg, exact.image_basis(poly.coeff_matrix(gens, deg)))
@@ -686,7 +699,7 @@ def test_operator_matrix_of_a_non_identity_source_matches_the_per_member_images(
     # def on ND_k, mat_x on the skew P_k, and div_rowwise on the enrichment's
     # degree-(k+1) generators, against the per-term oracle member by member
     for fr in (reference_simplex(3), random_frame(3, random.Random(k))):
-        bubble = poly.coeff_matrix(spaces._edge_generators(fr, k + 1, fr.tensor_T), k + 1)
+        bubble = spaces.bubble_generator_matrix(fr, "sym", k + 1)
         cases = [("def", build_standard(fr, "ND", k)), ("mat_x", build_standard(fr, "P_skw", k)),
                  ("div_rowwise", spaces.PolySpace(fr, "sym", k + 1, bubble))]
         for op, source in cases:
