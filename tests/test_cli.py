@@ -151,6 +151,10 @@ _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "3", "--k", "2..3", "--family", "HdivS", "--family", "HdivS_split",
                   "--family", "HdivS_minus", "--simplex", "random", "--seed", "7"],
                  "a801d34c7cc4412ab03db49516e9cd43b09a4fdc3300af92402b2638d4d7e643", id="verify-d3-hdivs-random-7"),
+    # d=4, where the order of the Bernstein columns changes the most eliminations
+    pytest.param(["verify", "--d", "4", "--k", "2..3", "--family", "BDM", "--family", "HdivS",
+                  "--family", "HdivS_split"],
+                 "b3b424d88c7f1a10ce4206bd6463797ae4de4f29d171b227eef9f342b7e9d792", id="verify-d4-hdivs"),
     # RT k=0, whose shared block is the Bernstein block of degree 0
     pytest.param(["verify", "--d", "2..3", "--k", "0..1", "--family", "RT"],
                  "d7ced5b0892241de05e790e1f9a72fa5c4d4366ef399a39c3895d46e1d7ad436", id="verify-rt-k0-1"),
