@@ -105,9 +105,9 @@ class Element:
     dofs: tuple[DoFDescriptor, ...]  # frozen, so that no edit leaves the caches below stale
     _matrix: Matrix | None = field(default=None, init=False, repr=False, compare=False)
     # (S in member coordinates or None, shared row indices, rank of S, basis
-    # of ker(S G_s), degree k' of the Bernstein block of G_s); see _split_memo.
-    # With k' set, both the shared and the interior rows are taken in
-    # Bernstein coordinates
+    # of ker(S G_s), degree k' of the Bernstein block of G_s, whether S G_s
+    # kills the bubble generators); see _split_memo.  With k' set, both the
+    # shared and the interior rows are taken in Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -289,16 +289,8 @@ def _chart_nd_twisted(face: Face, deg: int) -> list[Polynomial]:
 
 
 def _vertex_dofs(frame: SimplexFrame) -> list[DoFDescriptor]:
-    d = frame.d
-    out = []
-    for v in range(d + 1):
-        for (i, j) in poly.sym_pairs(d):
-            out.append(
-                DoFDescriptor(
-                    VERTEX_EVAL, True, vertex=v, comp=(i, j), label=f"vertex{v}:entry{i}{j}"
-                )
-            )
-    return out
+    return [DoFDescriptor(VERTEX_EVAL, True, vertex=v, comp=(i, j), label=f"vertex{v}:entry{i}{j}")
+            for v in range(frame.d + 1) for i, j in poly.sym_pairs(frame.d)]
 
 
 def _nn_dofs(frame: SimplexFrame, k: int) -> list[DoFDescriptor]:
@@ -494,17 +486,20 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
 
 def _split_memo(element: Element) -> tuple:
     """(S in member coordinates or None, shared row indices, rank of the
-    shared block S, K, k') with ker S = G_s K, G_s = ``_change_of_basis(space,
-    k')`` and k' = ``_bernstein_lead(space)``, from one elimination of S G_s
-    (``_rows_times_g_s``) per element, whether its DoF matrix was read or not.
-    K = ker(S G_s) as columns.  Only the kernel is kept, not the echelon
-    form, beside S where the elimination built it in member coordinates."""
+    shared block S, K, k', kills) with ker S = G_s K, G_s =
+    ``_change_of_basis(space, k')`` and k' = ``_bernstein_lead(space)``, from
+    one elimination of S G_s (``_rows_times_g_s``) per element, whether its
+    DoF matrix was read or not.  K = ker(S G_s) as columns; kills is S G_s
+    C_B == 0 for C_B of ``_bubble_generators`` where k' = k, else None."""
     if element._split is None:
         shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
         lead = _bernstein_lead(element.space)
         s_g, s = _rows_times_g_s(element.frame, [element.dofs[i] for i in shared], element.space, lead)
         ker = s_g.null_space()
-        object.__setattr__(element, "_split", (s, shared, s_g.cols - ker.cols, ker, lead))
+        # with k' = k, C_B meets the Bernstein block of S G_s alone
+        gens = _bubble_generators(element) if lead == element.k else None
+        kills = None if gens is None else s_g.take(range(s_g.rows), 0, gens.rows).matmul(gens).is_zero()
+        object.__setattr__(element, "_split", (s, shared, s_g.cols - ker.cols, ker, lead, kills))
     return element._split
 
 
@@ -538,7 +533,7 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    _, shared, rank_s, ker, lead = _split_memo(element)
+    _, shared, rank_s, ker, lead, _ = _split_memo(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = [dof for dof in element.dofs if not dof.shared]
@@ -608,13 +603,20 @@ def _expected_kernel(element: Element) -> tuple[Matrix | None, Matrix | None] | 
     if family == "RT":
         catalog = spaces.build_standard(frame, FAMILIES[family].shape, k)
         return None, spaces.trace_matrix(frame, catalog, "vector_normal").null_space()
-    if family not in ("BDM", "HdivS", "HdivS_split", "HdivS_minus"):
+    gens = _bubble_generators(element)
+    if gens is None:
         return None
-    gens = spaces.bubble_generator_bernstein(frame, "vector" if family == "BDM" else "sym", k)
     if family != "HdivS_minus":
         return gens, None
     w = spaces.bubble_enrichment_sym(frame, k).basis
     return gens, Matrix.vstack([w.take(range(gens.rows)), Matrix.identity(w.cols)], w.cols)
+
+
+def _bubble_generators(element: Element) -> Matrix | None:
+    """C_B (``spaces.bubble_generator_bernstein``) of the div families whose bubble the paper generates."""
+    if element.family in ("BDM", "HdivS", "HdivS_split", "HdivS_minus"):
+        kind = "vector" if element.family == "BDM" else "sym"
+        return spaces.bubble_generator_bernstein(element.frame, kind, element.k)
 
 
 def _member_coords(space: PolySpace, catalog: PolySpace, coords: Matrix) -> Matrix | None:
@@ -631,15 +633,13 @@ def _member_coords(space: PolySpace, catalog: PolySpace, coords: Matrix) -> Matr
 def _kills_bubble(element: Element, gens: Matrix | None, rest: Matrix | None) -> bool:
     """S C = 0 for the bubble (C_B, E) of ``_expected_kernel``.  Against the
     catalog basis diag(I_n, W_top), whose Bernstein block has degree k, C_B
-    meets the Bernstein rows of S and E its member rows; against another
-    basis, C = [G C_B; 0 | E] is re-expressed in its members."""
-    s, shared_rows, _, _, _ = _split_memo(element)
+    meets the Bernstein rows of S (``_split_memo``'s verdict) and E its member
+    rows; against another basis, C = [G C_B; 0 | E] is re-expressed in its members."""
+    s, shared_rows, _, _, _, kills = _split_memo(element)
     frame, kind, k = element.frame, element.space.kind, element.k
     catalog = spaces.build_standard(frame, FAMILIES[element.family].shape, k)
     if element.space.basis == catalog.basis:
-        shared = [element.dofs[i] for i in shared_rows]
-        return ((gens is None or _dof_matrix(frame, shared, kind, k, True).matmul(gens).is_zero())
-                and (rest is None or s.matmul(rest).is_zero()))
+        return (gens is None or kills) and (rest is None or s.matmul(rest).is_zero())
     coords = rest
     if gens is not None:
         g = frame.bernstein(kind, k).matmul(gens).take([*range(gens.rows)] + [None] * (catalog.dim - gens.rows))
@@ -655,7 +655,7 @@ def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
     and ker S equals a known bubble C: S C = 0 and rank C = dim ker S."""
-    _, shared_rows, _, ker, lead = _split_memo(element)
+    _, shared_rows, _, ker, lead, _ = _split_memo(element)
     frame = element.frame
     ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared_rows),
            "kernel_dim": ker.cols}

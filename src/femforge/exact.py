@@ -331,12 +331,9 @@ class Matrix:
         """Reduced row echelon form and pivot columns (rational, leading 1s)."""
         if self._rref is None:
             ech, pivots = _int_echelon(self._int_rows(), self.cols)
-            # each back-reduced row is primitive, so over its pivot it is in
-            # lowest terms
-            out = []
-            for row, pc in zip(_back_reduce(ech, pivots), pivots):
-                p = row[pc]
-                out.append((p, tuple(row)) if p > 0 else (-p, tuple(-v for v in row)))
+            # each back-reduced tail is primitive with a positive pivot, so
+            # over that pivot its row is in lowest terms
+            out = [(tail[0], (0,) * pc + tuple(tail)) for tail, pc in zip(_back_reduce(ech, pivots), pivots)]
             self._rref = (Matrix._of(out, self.cols), tuple(pivots))
             if self._rank is None:
                 self._rank = len(pivots)
@@ -472,19 +469,23 @@ def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], lis
 def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[int]]:
     """Clear every pivot column above its pivot, in integers and in place.
 
-    Bottom-up, each row above pivot row r with entry f in r's pivot column
-    (pivot p > 0, g = gcd(p, f)) becomes ``(p/g) row - (f/g) row_r``, divided
-    by its content; when p divides f that changes the row only where row_r
-    is nonzero.  Row r divided by its pivot is then row r of the RREF.
-    """
+    Each echelon row is zero left of its pivot, so ech[i] becomes its tail
+    from column pivots[i] on.  Bottom-up, each row above pivot row r with
+    entry f in r's pivot column (pivot p > 0, g = gcd(p, f)) becomes
+    ``(p/g) row - (f/g) row_r``, divided by its content; when p divides f
+    that changes the tail only where row_r is nonzero.  Tail r over tail[0]
+    is row r of the RREF from column pivots[r] on."""
+    for i, pc in enumerate(pivots):
+        ech[i] = ech[i][pc:]  # one row at a time: no second copy of the echelon form
     for r in range(len(pivots) - 1, 0, -1):
         pc = pivots[r]
         row_r = ech[r]
-        p = row_r[pc]
+        p = row_r[0]
         nonzero = None
         for i in range(r):
             row_i = ech[i]
-            f = row_i[pc]
+            off = pc - pivots[i]
+            f = row_i[off]
             if not f:
                 continue
             g = gcd(p, f)
@@ -493,10 +494,10 @@ def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[int]]:
                 if nonzero is None:
                     nonzero = [(j, y) for j, y in enumerate(row_r) if y]
                 for j, y in nonzero:
-                    row_i[j] -= b * y
+                    row_i[off + j] -= b * y
                 ech[i] = _primitive(row_i)
             else:
-                ech[i] = _primitive([a * x - b * y for x, y in zip(row_i, row_r)])
+                ech[i] = _primitive([a * x for x in row_i[:off]] + [a * x - b * y for x, y in zip(row_i[off:], row_r)])
     return ech
 
 

@@ -599,10 +599,6 @@ def div_rowwise(tau: Polynomial) -> Polynomial:
     return _apply("div_rowwise", tau)
 
 
-def hess(p: Polynomial) -> Polynomial:
-    return _apply("hess", p)
-
-
 def divdiv(tau: Polynomial) -> Polynomial:
     return _apply("divdiv", tau)
 

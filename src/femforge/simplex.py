@@ -253,9 +253,10 @@ def _chart_partial(table: dict, m: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _bernstein_alphas(d: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The alpha with |alpha| = k over the d + 1 barycentric coordinates, in
-    the order of ``monomials(d + 1, k)``: the Bernstein columns of degree k."""
-    return monomials(d + 1, k)[len(monomials(d + 1, k - 1)):]
+    """The Bernstein columns of degree k: the alpha with |alpha| = k over the d + 1 barycentric
+    coordinates by decreasing support size (nonzero alpha_i), stable from ``monomials(d + 1, k)``.
+    Few face DoF rows touch the first columns, so those go first in an elimination, the vertices last."""
+    return tuple(sorted(monomials(d + 1, k)[len(monomials(d + 1, k - 1)):], key=lambda a: a.count(0)))
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +376,7 @@ class SimplexFrame:
 
     def bernstein(self, kind: str, k: int) -> Matrix:
         """The Bernstein matrix G(kind, k), memoized: column (alpha, c), for
-        |alpha| = k in the order of ``monomials(d + 1, k)`` and c a stored
+        |alpha| = k in the order of ``_bernstein_alphas`` and c a stored
         component, holds the coefficients of D^k lambda^alpha e_c over the
         frame (kind, d, k), with D the denominator of the barycentric map, so
         G is an integer matrix.  The lambda^alpha with |alpha| = k are a

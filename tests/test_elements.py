@@ -698,7 +698,7 @@ def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k)
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     broken = _with_dofs(e, {shared[-1]: e.dofs[shared[0]]})
     res = check_unisolvence(broken)
-    _, _, rank_s, _, lead = el._split_memo(broken)
+    _, _, rank_s, _, lead, _ = el._split_memo(broken)
     assert rank_s == len(shared) - 1 and lead is not None
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
@@ -714,7 +714,7 @@ def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family,
     demoted = dataclasses.replace(e.dofs[shared[0]], shared=False)
     broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
-    _, _, rank_s, _, lead = el._split_memo(broken)
+    _, _, rank_s, _, lead, _ = el._split_memo(broken)
     assert rank_s == len(shared) and lead is not None
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
@@ -783,34 +783,38 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
 def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family, k, how):
     # the bubble loses one column (rank below dim ker S), or one column
     # becomes a unit vector that some shared DoF does not annihilate
-    # (S C != 0): a generator column C_B over the Bernstein rows of S, and
-    # for RT, which has no generators, a trace kernel column in member
+    # (S C != 0): a generator column C_B over the Bernstein rows of S, in
+    # place before the split memo takes its verdict S G_s C_B == 0, and for
+    # RT, which has no generators, a trace kernel column in member
     # coordinates
-    e = build_element(random_frame(2, random.Random(43)), family, k)
+    fr = random_frame(2, random.Random(43))
+    e = build_element(fr, family, k)
     shared = el._split_memo(e)[1]
     bernstein_rows = el._dof_matrix(e.frame, [e.dofs[i] for i in shared], e.space.kind, k, True)
-    expected = el._expected_kernel
 
-    def wrong(element):
-        gens, rest = expected(element)
-        part, s = (rest, e.dof_matrix.take(shared)) if gens is None else (gens, bernstein_rows)
+    def wrong(part, s):
         j = next(j for j in range(part.rows) if any(s.column(j)))
         cols = part.columns()
         if how == "drop":
             cols = cols[1:]
         else:
             cols[0] = tuple(int(i == j) for i in range(part.rows))
-        part = Matrix.from_columns(cols, part.rows)
-        return (None, part) if gens is None else (part, rest)
+        return Matrix.from_columns(cols, part.rows)
 
-    monkeypatch.setattr(el, "_expected_kernel", wrong)
-    res = trace_block_rank(e)
+    if family == "RT":
+        expected = el._expected_kernel
+        monkeypatch.setattr(el, "_expected_kernel",
+                            lambda element: (None, wrong(expected(element)[1], e.dof_matrix.take(shared))))
+    else:
+        gens = el._bubble_generators
+        monkeypatch.setattr(el, "_bubble_generators", lambda element: wrong(gens(element), bernstein_rows))
+    res = trace_block_rank(build_element(fr, family, k))
     dim = res.context["kernel_dim"]
     assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", dim)
     assert res.context["bubble_dim"] == (dim - 1 if how == "drop" else dim)
     assert "nonzero_trace_mode" not in res.context
     monkeypatch.undo()
-    assert trace_block_rank(e).passed
+    assert trace_block_rank(build_element(fr, family, k)).passed
 
 
 @pytest.mark.parametrize("family", ["HdivS_minus", "RT"])
@@ -885,7 +889,7 @@ _KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
 @pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
 def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
     e = build_element(random_frame(d, random.Random(45 + d)), family, k)
-    _, shared, rank_s, ker, lead = el._split_memo(e)
+    _, shared, rank_s, ker, lead, _ = el._split_memo(e)
     g = el._change_of_basis(e.space, lead)
     monomial = e.dof_matrix.take(shared).null_space()
     assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
@@ -969,7 +973,7 @@ def test_dof_matrix_is_assembled_when_first_read(monkeypatch, family, d):
 def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
-    _, shared, rank_s, ker, lead = el._split_memo(e)
+    _, shared, rank_s, ker, lead, _ = el._split_memo(e)
     g = el._change_of_basis(e.space, lead)
     assert lead == k and g == _bernstein_change(e.space)
     rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, lead, True)

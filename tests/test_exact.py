@@ -261,6 +261,19 @@ def _primitive_column(vec):
     return tuple(Fraction(v) for v in ints)
 
 
+def _reference_null_space(red_rows, pivots, cols):
+    """The kernel basis read off a rational RREF, one primitive column per
+    free column."""
+    expected = []
+    for f in (j for j in range(cols) if j not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for row, pc in zip(red_rows, pivots):
+            vec[pc] = -row[f]
+        expected.append(_primitive_column(vec))
+    return Matrix.from_columns(expected, rows=cols)
+
+
 def _qq(x):
     return Fraction(int(x.numerator), int(x.denominator))
 
@@ -308,15 +321,7 @@ def test_rref_and_null_space_match_fraction_reference(a):
     red, pivots = a.rref()
     assert (red, pivots) == _reference_rref(a)
     assert red.cols == a.cols
-    ns = a.null_space()
-    expected = []
-    for f in (j for j in range(a.cols) if j not in pivots):
-        vec = [Fraction(0)] * a.cols
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r, f]
-        expected.append(_primitive_column(vec))
-    assert ns == Matrix.from_columns(expected, rows=a.cols)
+    assert a.null_space() == _reference_null_space(frac_rows(red), pivots, a.cols)
 
 
 @pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
@@ -422,6 +427,46 @@ def test_rank_nullity_properties():
         assert a.rank() == a.transpose().rank()
         assert a.matmul(ns).is_zero()
         assert (a.rref(), a.matmul(Matrix.identity(a.cols))) == (_reference_rref(a), a)
+
+    check()
+
+
+def _staircases():
+    """Wide, rank-deficient matrices in staircase form: row i is zero left of
+    its pivot column, the pivots skip columns, and rows that are rational
+    combinations of the others are mixed in, so that back-reduction updates
+    rows whose tails start at many different offsets."""
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    lead = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6))
+
+    @st.composite
+    def build(draw):
+        gaps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+        pivots = [sum(gaps[:i + 1]) + i for i in range(len(gaps))]
+        cols = pivots[-1] + 1 + draw(st.integers(3, 6))  # wider than it is tall
+        rows = [[Fraction(0)] * p + [draw(lead)] + draw(st.lists(entry, min_size=cols - 1 - p, max_size=cols - 1 - p))
+                for p in pivots]
+        for _ in range(draw(st.integers(1, 3))):
+            weights = draw(st.lists(entry, min_size=len(pivots), max_size=len(pivots)))
+            rows.append([sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(cols)])
+        return Matrix(draw(st.permutations(rows)), cols)
+
+    return build()
+
+
+def test_rref_of_staircases_matches_the_fraction_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_staircases())
+    def check(a):
+        red, pivots = a.rref()
+        assert len(pivots) < a.rows <= a.cols
+        assert (red, pivots) == _reference_rref(a)
+        frac_red, frac_pivots = frac_rref(frac_rows(a), a.cols)
+        assert (red, pivots) == (Matrix(frac_red, a.cols), frac_pivots)
+        assert a.null_space() == _reference_null_space(frac_red, frac_pivots, a.cols)
 
     check()
 

@@ -16,7 +16,6 @@ from femforge.poly import (
     frame,
     from_coeff_vector,
     grad,
-    hess,
     koszul_dot_x,
     koszul_x,
     koszul_xxT,
@@ -174,7 +173,7 @@ def test_hess_is_sym_grad_of_grad():
     d = 3
     rng = random.Random(5)
     p = random_homogeneous(rng, d, 4)
-    assert hess(p) == poly._apply("def", grad(p))
+    assert poly._apply("hess", p) == poly._apply("def", grad(p))
 
 
 def test_divdiv_equals_div_of_rowwise_div():
@@ -293,12 +292,12 @@ def test_float_coefficients_are_rejected(build):
 
 import reference  # noqa: E402
 
-# def, skw_grad and mat_x have no function of their own: they are applied
+# def, skw_grad, hess and mat_x have no function of their own: they are applied
 # through the table operator
 _PUBLIC_OPERATORS = {
     "grad": grad, "div": div, "div_rowwise": div_rowwise, "def": lambda v: poly._apply("def", v),
-    "skw_grad": lambda v: poly._apply("skw_grad", v), "hess": hess, "divdiv": divdiv, "dot_x": koszul_dot_x,
-    "x": koszul_x, "mat_x": lambda tau: poly._apply("mat_x", tau), "xxT": koszul_xxT,
+    "skw_grad": lambda v: poly._apply("skw_grad", v), "hess": lambda p: poly._apply("hess", p), "divdiv": divdiv,
+    "dot_x": koszul_dot_x, "x": koszul_x, "mat_x": lambda tau: poly._apply("mat_x", tau), "xxT": koszul_xxT,
 }
 _OPERATOR_KINDS = [(op, kind) for op in _PUBLIC_OPERATORS for kind in poly.OPERATORS[op][0]]
 

@@ -215,10 +215,19 @@ def _lambda_power(fr, alpha):
     return out
 
 
+@pytest.mark.parametrize("d,k", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (3, 4), (4, 3)])
+def test_bernstein_order_covers_each_alpha_once_by_decreasing_support(d, k):
+    alphas = simplex._bernstein_alphas(d, k)
+    assert sorted(alphas) == sorted(a for a in poly.monomials(d + 1, k) if sum(a) == k)
+    assert len(set(alphas)) == len(alphas) == comb(k + d, d)
+    supports = [sum(map(bool, a)) for a in alphas]
+    assert supports == sorted(supports, reverse=True)
+
+
 @pytest.mark.parametrize("kind", ["scalar", "vector", "sym"])
 @pytest.mark.parametrize("d,k", [(1, 3), (2, 0), (2, 3), (3, 2)])
 def test_bernstein_columns_are_products_of_barycentric_coordinates(kind, d, k):
-    alphas = [a for a in poly.monomials(d + 1, k) if sum(a) == k]
+    alphas = simplex._bernstein_alphas(d, k)
     nc = poly.ncomp(kind, d)
     for fr in _bernstein_frames(d):
         g = fr.bernstein(kind, k)
@@ -316,8 +325,7 @@ def test_bernstein_trace_of_a_vertex_is_d_to_the_k_at_k_e_v():
     for face in fr.faces(3):
         (v,) = face.vertex_ids
         row = face.trace("scalar", 3, (1,), bernstein=True)
-        alphas = [a for a in poly.monomials(4, 3) if sum(a) == 3]
-        want = [face.bary_den ** 3 if a[v] == 3 else 0 for a in alphas]
+        want = [face.bary_den ** 3 if a[v] == 3 else 0 for a in simplex._bernstein_alphas(3, 3)]
         assert row == Matrix([want])
 
 
