@@ -155,6 +155,10 @@ _GOLDEN_REPORTS = [
     pytest.param(["verify", "--d", "4", "--k", "2..3", "--family", "BDM", "--family", "HdivS",
                   "--family", "HdivS_split"],
                  "b3b424d88c7f1a10ce4206bd6463797ae4de4f29d171b227eef9f342b7e9d792", id="verify-d4-hdivs"),
+    # d=4 for the two families whose bubble is not the span of degree-k generators alone:
+    # the HdivS_minus enrichment and the RT trace kernel
+    pytest.param(["verify", "--d", "4", "--k", "2..3", "--family", "HdivS_minus", "--family", "RT"],
+                 "29999a91c3572a3dec3380215cf2ef0f7ee6e5c076294c4056e444d88759befc", id="verify-d4-minus-rt"),
     # RT k=0, whose shared block is the Bernstein block of degree 0
     pytest.param(["verify", "--d", "2..3", "--k", "0..1", "--family", "RT"],
                  "d7ced5b0892241de05e790e1f9a72fa5c4d4366ef399a39c3895d46e1d7ad436", id="verify-rt-k0-1"),
