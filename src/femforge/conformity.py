@@ -176,7 +176,7 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     if lead is None:
         return None
     shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
-    s = _rows_times_g_s(patch.right, shared, right, lead)[0]
+    s = _rows_times_g_s(patch.right, shared, right, lead)
     on_face = [dof for dof in shared if _on_shared_face(dof, d)]
     at = {id(dof): r for r, dof in enumerate(on_face)}
     matched = _dof_matrix(patch.right, on_face, right.kind, right.k).matmul(left.basis)

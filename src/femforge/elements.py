@@ -34,10 +34,13 @@ DoF matrix [S; I] is invertible exactly when S has full row rank and the
 square interior block I G K is nonsingular; any other case falls back to the
 exact rank of the full matrix and a kernel witness.  The trace-block check
 multiplies the Bernstein traces with K, and proves ker S equal to the
-paper's bubble C by S C = 0 and rank C = dim ker S in the same coordinates:
-the generators lambda_i lambda_j lambda^beta c_ij are sparse integer columns
-over G, met by the Bernstein rows of S; only the HdivS_minus enrichment and
-the RT trace kernel are taken in member coordinates.
+paper's bubble C by S C = 0, C inside the shape space and rank C = dim ker S,
+in Bernstein coordinates alone: the generators lambda_i lambda_j lambda^beta
+c_ij are sparse integer columns C_B over G, met by the Bernstein rows S_B of
+the shared DoFs, which do not depend on the shape basis.  The HdivS_minus
+enrichment is G C_B times its coordinates at degree k + 1, so S_B C_B = 0 at
+that degree kills it too.  For RT, ker S lies in the trace kernel of the
+shape space once its traces vanish, so the dimensions decide.
 
 A DoF is a row over the shaped monomial frame of the shape space (see the
 DoF rows section below); applying it to a polynomial is a sparse dot
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -82,7 +86,7 @@ INTERIOR_DIV = "interior_moment_div"
 INTERIOR_DIVDIV = "interior_moment_divdiv"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoFDescriptor:
     kind: str
     shared: bool
@@ -104,10 +108,8 @@ class Element:
     space: PolySpace
     dofs: tuple[DoFDescriptor, ...]  # frozen, so that no edit leaves the caches below stale
     _matrix: Matrix | None = field(default=None, init=False, repr=False, compare=False)
-    # (S in member coordinates or None, shared row indices, rank of S, basis
-    # of ker(S G_s), degree k' of the Bernstein block of G_s, whether S G_s
-    # kills the bubble generators); see _split_memo.  With k' set, both the
-    # shared and the interior rows are taken in Bernstein coordinates
+    # the tuple of _split_memo; with k' set, both the shared and the interior
+    # rows are taken in Bernstein coordinates
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -485,46 +487,63 @@ def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> 
 
 
 def _split_memo(element: Element) -> tuple:
-    """(S in member coordinates or None, shared row indices, rank of the
-    shared block S, K, k', kills) with ker S = G_s K, G_s =
-    ``_change_of_basis(space, k')`` and k' = ``_bernstein_lead(space)``, from
-    one elimination of S G_s (``_rows_times_g_s``) per element, whether its
-    DoF matrix was read or not.  K = ker(S G_s) as columns; kills is S G_s
-    C_B == 0 for C_B of ``_bubble_generators`` where k' = k, else None."""
+    """(shared row indices, rank of the shared block S, K, k', verdict) with
+    ker S = G_s K, G_s = ``_change_of_basis(space, k')`` and k' =
+    ``_bernstein_lead(space)``, from one elimination of S G_s
+    (``_rows_times_g_s``) per element, whether its DoF matrix was read or
+    not.  K = ker(S G_s) as columns; verdict is ``_generator_verdict``."""
     if element._split is None:
         shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
+        dofs = [element.dofs[i] for i in shared]
         lead = _bernstein_lead(element.space)
-        s_g, s = _rows_times_g_s(element.frame, [element.dofs[i] for i in shared], element.space, lead)
+        s_g = _rows_times_g_s(element.frame, dofs, element.space, lead)
         ker = s_g.null_space()
-        # with k' = k, C_B meets the Bernstein block of S G_s alone
-        gens = _bubble_generators(element) if lead == element.k else None
-        kills = None if gens is None else s_g.take(range(s_g.rows), 0, gens.rows).matmul(gens).is_zero()
-        object.__setattr__(element, "_split", (s, shared, s_g.cols - ker.cols, ker, lead, kills))
+        verdict = _generator_verdict(element, dofs, s_g, lead)
+        object.__setattr__(element, "_split", (shared, s_g.cols - ker.cols, ker, lead, verdict))
     return element._split
 
 
+def _generator_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix,
+                       lead: int | None) -> tuple[bool, int] | None:
+    """(S_B C_B == 0, rank C_B) for the generators C_B of degree k
+    (``_bubble_generators``) and S_B, the Bernstein rows of the shared
+    ``dofs`` of the same degree: the leading block of ``s_g`` = S G_s where
+    k' = k, else rows that do not depend on the shape basis.  For
+    HdivS_minus, S_B C_B == 0 at degree k + 1 too, which kills the
+    enrichment.  None for a family without generators."""
+    k = element.k
+    gens = _bubble_generators(element, k)
+    if gens is None:
+        return None
+    kills = True
+    for j in (k, k + 1) if element.family == "HdivS_minus" else (k,):
+        c_b = gens if j == k else _bubble_generators(element, j)
+        if j == lead:
+            s_b = s_g.take(range(s_g.rows), 0, c_b.rows)
+        else:
+            s_b = _dof_matrix(element.frame, dofs, element.space.kind, j, True)
+        kills = kills and s_b.matmul(c_b).is_zero()
+    return kills, gens.rank()
+
+
 def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
-                    lead: int | None) -> tuple[Matrix, Matrix | None]:
+                    lead: int | None) -> Matrix:
     """The rows of ``dofs`` (face, vertex or interior DoFs) against
-    ``space.basis`` times G_s = ``_change_of_basis(space, lead)``, and their
-    rows in member coordinates where a product built them, else None.
+    ``space.basis`` times G_s = ``_change_of_basis(space, lead)``.
 
     The basis is diag(I_n, H), n the size of the frame (kind, d, lead) (n = 0
     where ``lead`` is None; ``_bernstein_lead``): the rows against basis G_s
     are the DoFs' own Bernstein rows of degree lead beside the monomial rows
-    times H, and the member rows [rows[:, :n] | rows H].  No DoF row is
-    multiplied by G; only a div or divdiv run's sparse stencil table is."""
+    times H.  No DoF row is multiplied by G; only a div or divdiv run's
+    sparse stencil table is."""
     basis = space.basis
     n = len(poly.frame(space.kind, frame.d, lead)) if lead is not None else 0
     block = _dof_matrix(frame, dofs, space.kind, lead, True) if n else None
     if n == basis.cols:
-        return block, None
+        return block
     rows = _dof_matrix(frame, dofs, space.kind, space.k)
-    every = range(rows.rows)
-    tail = rows.take(every, n).matmul(basis.take(range(n, basis.rows), n))
-    if not n:
-        return tail, tail
-    return block.hstack(tail), rows.take(every, 0, n).hstack(tail)
+    tail = rows.take(range(rows.rows), n).matmul(basis.take(range(n, basis.rows), n))
+    return block.hstack(tail) if n else tail
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -533,11 +552,11 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    _, shared, rank_s, ker, lead, _ = _split_memo(element)
+    shared, rank_s, ker, lead, _ = _split_memo(element)
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = [dof for dof in element.dofs if not dof.shared]
-        if _rows_times_g_s(element.frame, interior, element.space, lead)[0].matmul(ker).rank() == ker.cols:
+        if _rows_times_g_s(element.frame, interior, element.space, lead).matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:
@@ -592,83 +611,54 @@ def _first_nonzero_trace(faces, kind: str, k: int, modes, coeffs: Matrix):
     return best
 
 
-def _expected_kernel(element: Element) -> tuple[Matrix | None, Matrix | None] | None:
-    """The bubble that ker S must equal, where one is known, as (C_B, E),
-    either part possibly None: the paper's generators lambda_i lambda_j
-    lambda^beta c_ij as integer columns over the Bernstein columns of G(kind,
-    k) (``spaces.bubble_generator_bernstein``), and columns E against the
-    family's catalog shape basis: [W_low; I] for the HdivS_minus enrichment
-    (W its basis, W_low its rows up to degree k) and for RT a trace kernel."""
-    frame, k, family = element.frame, element.k, element.family
-    if family == "RT":
-        catalog = spaces.build_standard(frame, FAMILIES[family].shape, k)
-        return None, spaces.trace_matrix(frame, catalog, "vector_normal").null_space()
-    gens = _bubble_generators(element)
-    if gens is None:
-        return None
-    if family != "HdivS_minus":
-        return gens, None
-    w = spaces.bubble_enrichment_sym(frame, k).basis
-    return gens, Matrix.vstack([w.take(range(gens.rows)), Matrix.identity(w.cols)], w.cols)
-
-
-def _bubble_generators(element: Element) -> Matrix | None:
-    """C_B (``spaces.bubble_generator_bernstein``) of the div families whose bubble the paper generates."""
+def _bubble_generators(element: Element, k: int) -> Matrix | None:
+    """C_B of degree k (``spaces.bubble_generator_bernstein``) of the div
+    families whose bubble the paper generates, else None."""
     if element.family in ("BDM", "HdivS", "HdivS_split", "HdivS_minus"):
-        kind = "vector" if element.family == "BDM" else "sym"
-        return spaces.bubble_generator_bernstein(element.frame, kind, element.k)
+        return spaces.bubble_generator_bernstein(element.frame, element.space.kind, k)
 
 
-def _member_coords(space: PolySpace, catalog: PolySpace, coords: Matrix) -> Matrix | None:
-    """``coords`` against ``catalog.basis`` re-expressed against
-    ``space.basis``, from one RREF; None outside the span of that basis."""
-    k = max(space.k, catalog.k)
-    basis = space.with_degree(k).basis
-    red, pivots = basis.hstack(catalog.with_degree(k).basis.matmul(coords)).rref()
-    if pivots != tuple(range(space.dim)):
-        return None
-    return red.take(range(space.dim), space.dim)
-
-
-def _kills_bubble(element: Element, gens: Matrix | None, rest: Matrix | None) -> bool:
-    """S C = 0 for the bubble (C_B, E) of ``_expected_kernel``.  Against the
-    catalog basis diag(I_n, W_top), whose Bernstein block has degree k, C_B
-    meets the Bernstein rows of S (``_split_memo``'s verdict) and E its member
-    rows; against another basis, C = [G C_B; 0 | E] is re-expressed in its members."""
-    s, shared_rows, _, _, _, kills = _split_memo(element)
-    frame, kind, k = element.frame, element.space.kind, element.k
-    catalog = spaces.build_standard(frame, FAMILIES[element.family].shape, k)
-    if element.space.basis == catalog.basis:
-        return (gens is None or kills) and (rest is None or s.matmul(rest).is_zero())
-    coords = rest
-    if gens is not None:
-        g = frame.bernstein(kind, k).matmul(gens).take([*range(gens.rows)] + [None] * (catalog.dim - gens.rows))
-        coords = g if rest is None else g.hstack(rest)
-    coords = _member_coords(element.space, catalog, coords)
-    if coords is None:
-        return False
-    # no member rows were built where the Bernstein block is the whole basis
-    return (element.dof_matrix.take(shared_rows) if s is None else s).matmul(coords).is_zero()
+def _holds_bubble(element: Element) -> bool:
+    """Whether the shape space holds the bubble, the span of G C_B
+    (``spaces.bubble_generator_matrix``) and for HdivS_minus the enrichment:
+    by construction for the family's catalog space, else by one rank,
+    rank [basis | G C_B (| W)] = dim."""
+    frame, space, k = element.frame, element.space, element.k
+    if space.basis == spaces.build_standard(frame, FAMILIES[element.family].shape, k).basis:
+        return True
+    parts = [space, PolySpace(frame, space.kind, k, spaces.bubble_generator_matrix(frame, space.kind, k))]
+    if element.family == "HdivS_minus":
+        parts.append(spaces.bubble_enrichment_sym(frame, k))
+    return reduce(spaces.space_sum, parts).dim == space.dim
 
 
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
-    and ker S equals a known bubble C: S C = 0 and rank C = dim ker S."""
-    _, shared_rows, _, ker, lead, _ = _split_memo(element)
-    frame = element.frame
+    and ker S equals a known bubble C.  For RT, C is the trace kernel of the
+    shape space, which holds ker S once its traces vanish, so dim C = dim
+    ker S decides; for the generator families, S C = 0, C inside the shape
+    space and rank C = dim ker S."""
+    shared_rows, _, ker, lead, verdict = _split_memo(element)
+    frame, space = element.frame, element.space
     ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared_rows),
            "kernel_dim": ker.cols}
-    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, element.space, lead, ker)
+    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, space, lead, ker)
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
-    expected = _expected_kernel(element)
-    if expected is None:
+    if element.family == "RT":
+        holds, dim = True, space.dim - spaces.trace_matrix(frame, space, "vector_normal").rank()
+    elif verdict is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
-    # rank [G C_B, W_low; 0, I] = rank C_B + w
-    dim = ctx["bubble_dim"] = sum(c.rank() for c in expected if c is not None)
-    if dim != ker.cols or not _kills_bubble(element, *expected):
+    else:
+        # rank [G C_B, W] = rank C_B + w
+        kills, dim = verdict
+        if element.family == "HdivS_minus":
+            dim += spaces.bubble_enrichment_sym(frame, element.k).dim
+        holds = kills and _holds_bubble(element)
+    ctx["bubble_dim"] = dim
+    if dim != ker.cols or not holds:
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 

@@ -8,7 +8,6 @@ pads zero rows, so subspace algebra across degrees is one matrix problem.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -20,8 +19,6 @@ from .integrate import frame_gram
 from .poly import Polynomial
 from .report import CheckResult
 from .simplex import SimplexFrame, _bernstein_alphas, reference_simplex
-
-_ONE = Fraction(1)
 
 
 class UnsupportedTagError(ValueError):
@@ -319,26 +316,13 @@ def _edge_values(frame: SimplexFrame, kind: str) -> dict:
     return {ij: Polynomial.constant_vector(frame.d, frame.tangent(*ij)) for ij in combinations(range(frame.d + 1), 2)}
 
 
-def bubble_generator_matrix(frame: SimplexFrame, kind: str, k: int) -> Matrix:
-    """Coefficients over the frame (kind, d, k) of the generators
-    lambda_i lambda_j m c_ij, |m| <= k-2 (``_edge_values``): they span the
-    bubble (a basis for "sym", not for "vector"); no columns below k = 2."""
-    if k < 2:
-        return Matrix.zeros(len(poly.frame(kind, frame.d, max(k, 0))), 0)
-    gens = []
-    for (i, j), c in sorted(_edge_values(frame, kind).items()):
-        lamlam = poly.multiply(frame.lambdas[i], frame.lambdas[j])
-        for exps in poly.monomials(frame.d, k - 2):
-            gens.append(poly.multiply(poly.multiply(lamlam, Polynomial(frame.d, "scalar", {(0, exps): _ONE})), c))
-    return poly.coeff_matrix(gens, k)
-
-
 def bubble_generator_bernstein(frame: SimplexFrame, kind: str, k: int) -> Matrix:
-    """The generators lambda_i lambda_j lambda^beta c_ij, |beta| = k-2, as
-    integer columns C_B against the Bernstein columns (alpha, c) of G(kind, k)
-    (``SimplexFrame.bernstein``): column (ij, beta) is c_ij, cleared to
-    integers, in the rows of alpha = beta + e_i + e_j.  As the lambda^beta
-    span P_{k-2}, G C_B spans what ``bubble_generator_matrix`` spans."""
+    """The generators lambda_i lambda_j lambda^beta c_ij, |beta| = k-2
+    (``_edge_values``), as integer columns C_B against the Bernstein columns
+    (alpha, c) of G(kind, k) (``SimplexFrame.bernstein``): column (ij, beta)
+    is c_ij, cleared to integers, in the rows of alpha = beta + e_i + e_j.
+    As the lambda^beta span P_{k-2}, G C_B spans the bubble; no columns below
+    k = 2."""
     d, nc = frame.d, poly.ncomp(kind, frame.d)
     index = {alpha: i * nc for i, alpha in enumerate(_bernstein_alphas(d, max(k, 0)))}
     betas = _bernstein_alphas(d, k - 2) if k >= 2 else ()
@@ -352,14 +336,21 @@ def bubble_generator_bernstein(frame: SimplexFrame, kind: str, k: int) -> Matrix
     return Matrix.from_int_rows([(1, row) for row in rows], len(edges) * len(betas))
 
 
+def bubble_generator_matrix(frame: SimplexFrame, kind: str, k: int) -> Matrix:
+    """The generators of ``bubble_generator_bernstein`` over the frame (kind,
+    d, k), G C_B: they span the bubble (a basis for "sym", not for
+    "vector")."""
+    return frame.bernstein(kind, max(k, 0)).matmul(bubble_generator_bernstein(frame, kind, k))
+
+
 def bubble_vector_generators(frame: SimplexFrame, k: int) -> PolySpace:
-    """span{lambda_i lambda_j m t_ij : |m| <= k-2}, t_ij = x_j - x_i (the
+    """span{lambda_i lambda_j lambda^beta t_ij : |beta| = k-2}, t_ij = x_j - x_i (the
     generator-side bubble of P_k(R^d); empty below k = 2), in canonical form."""
     return PolySpace(frame, "vector", max(k, 0), exact.image_basis(bubble_generator_matrix(frame, "vector", k)))
 
 
 def bubble_sym_generators(frame: SimplexFrame, k: int) -> PolySpace:
-    """span{lambda_i lambda_j m T_ij : |m| <= k-2} (the generator-side bubble
+    """span{lambda_i lambda_j lambda^beta T_ij : |beta| = k-2} (the generator-side bubble
     of P_k(S); empty below k = 2), in canonical form."""
     return PolySpace(frame, "sym", max(k, 0), exact.image_basis(bubble_generator_matrix(frame, "sym", k)))
 
@@ -497,13 +488,15 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     dimension is d dim H_k.  Summing it onto P_k(S) raises the divergence
     range by one degree while keeping every trace.
 
-    B enters through its generators lambda_i lambda_j m T_ij (|m| <= k-1, see
-    ``bubble_generator_matrix``), which are sparser than its canonical basis.
-    They are dim B many, so a basis, and the enrichment's basis is their
-    combinations by the null space's columns as computed, not brought to
-    canonical form; the ``P_minus_sym`` sum of ``build_standard`` keeps its
-    rows past degree k as they are.  A result of any dimension other than
-    d dim H_k raises ``ArithmeticError``.
+    B enters through its generators G C_B, lambda_i lambda_j lambda^beta T_ij
+    with |beta| = k-1 (``bubble_generator_matrix`` of degree k+1), rather than
+    its canonical basis.  They are dim B many, so a basis, and the
+    enrichment's basis is their combinations by the null space's columns as
+    computed, W = G C_B coords, not brought to canonical form; the
+    ``P_minus_sym`` sum of ``build_standard`` keeps its rows past degree k as
+    they are.  So every DoF that vanishes on the generators, S_B C_B = 0 in
+    Bernstein coordinates, vanishes on W.  A result of any dimension other
+    than d dim H_k raises ``ArithmeticError``.
     """
     if k < 2:
         raise BadDegreeError("the symmetric enrichment needs k >= 2")

@@ -8,7 +8,9 @@ symmetric tensors N_ij dual to the frame's edge tensors t_ij t_ij^T,
 containment and intersection tests are column-space routines over
 ``exact.Matrix``.  ``preimage_enrichment_sym`` builds the symmetric
 enrichment through L2 complements and a divergence preimage, the oracle for
-the pairing kernel of ``spaces.bubble_enrichment_sym``.  The ``Fraction``
+the pairing kernel of ``spaces.bubble_enrichment_sym``, and
+``bubble_generator_products`` builds the bubble generators as products of
+polynomials, the oracle for their Bernstein columns.  The ``Fraction``
 polynomial routines below (affine substitution, face restriction, monomial
 moments and named face traces, one polynomial at a time) are the oracles for
 the integer power tables of ``poly.AffinePowers``; ``face_dof_rows``, the
@@ -31,6 +33,7 @@ from femforge.simplex import Face, SimplexFrame
 from femforge.spaces import (
     PolySpace,
     _common_frames,
+    _edge_values,
     build_standard,
     div_preimage_in,
     orthocomplement_in,
@@ -108,6 +111,17 @@ def preimage_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     perp_km1 = orthocomplement_in(build_standard(frame, "P_vector", k - 1), rm)
     extension = orthocomplement_in(perp_k, perp_km1.with_degree(k))
     return div_preimage_in(e0perp, extension)
+
+
+def bubble_generator_products(frame: SimplexFrame, kind: str, k: int) -> Matrix:
+    """The bubble generators lambda_i lambda_j m c_ij, |m| <= k-2, one column
+    per edge and per monomial m, over the frame (kind, d, k), for k >= 2."""
+    gens = []
+    for (i, j), c in sorted(_edge_values(frame, kind).items()):
+        lamlam = multiply(frame.lambdas[i], frame.lambdas[j])
+        for exps in poly.monomials(frame.d, k - 2):
+            gens.append(multiply(multiply(lamlam, Polynomial(frame.d, "scalar", {(0, exps): Fraction(1)})), c))
+    return poly.coeff_matrix(gens, k)
 
 
 # -- all-Fraction matrix algebra ------------------------------------------------

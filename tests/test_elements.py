@@ -597,11 +597,11 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     assert block.as_dict() == reference_trace_block_rank(e).as_dict()
     # a unisolvent element passes whatever the interior block, so check that
     # block too: the interior DoFs' Bernstein rows are the DoF rows times G_s
-    lead = el._split_memo(e)[4]
+    lead = el._split_memo(e)[3]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     assert lead is not None
     g = el._change_of_basis(e.space, lead)
-    rows = el._rows_times_g_s(fr, [e.dofs[i] for i in interior], e.space, lead)[0]
+    rows = el._rows_times_g_s(fr, [e.dofs[i] for i in interior], e.space, lead)
     assert rows == e.dof_matrix.take(interior).matmul(g)
 
 
@@ -628,7 +628,7 @@ def test_repr_eq_and_replace_apply_no_dof(monkeypatch, tri):
     applied.clear()
     twin = dataclasses.replace(e)
     assert twin._matrix is None and twin == e and repr(twin) == repr(e)
-    assert check_unisolvence(twin).passed and twin._split[4] == 2
+    assert check_unisolvence(twin).passed and twin._split[3] == 2
     assert not applied and twin.dof_matrix == m
 
 
@@ -648,18 +648,18 @@ def test_trace_block_of_another_shape_basis_matches_the_reference(tri, family, k
     res = trace_block_rank(hand)
     assert res.as_dict() == trace_block_rank(e).as_dict() == reference_trace_block_rank(hand).as_dict()
     # two swapped members past the first keep a Bernstein block (k' = 0); reversed, none is left
-    assert (el._split_memo(hand)[4] is None) == (swap is None)
+    assert (el._split_memo(hand)[3] is None) == (swap is None)
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2)])
 def test_trace_block_of_the_shape_basis_at_a_higher_degree_matches_the_reference(tri, family, k):
     # P_k written over the frame of degree k + 1: its Bernstein block is the
-    # whole basis, so the elimination builds no member rows, and the bubble,
-    # taken against this basis, meets the shared rows of the DoF matrix
+    # whole basis, the verdict S_B C_B == 0 is read off it, and the basis,
+    # not the catalog's, holds the bubble by one rank
     e = build_element(tri, family, k)
     hand = Element(e.family, tri, e.k, e.space.with_degree(k + 1), e.dofs)
     res = trace_block_rank(hand)
-    assert el._split_memo(hand)[0] is None and el._split_memo(hand)[4] == k
+    assert el._split_memo(hand)[3] == k
     assert res.passed and res.as_dict() == reference_trace_block_rank(hand).as_dict() == trace_block_rank(e).as_dict()
 
 
@@ -672,7 +672,7 @@ def test_a_shape_basis_without_a_bernstein_block_certifies_in_member_coordinates
     space = spaces.PolySpace(fr, e.space.kind, e.space.k, Matrix.from_columns(columns[::-1]))
     hand = Element(e.family, fr, e.k, space, e.dofs)
     uni, block = check_unisolvence(hand), trace_block_rank(hand)
-    assert el._bernstein_lead(space) is None and el._split_memo(hand)[4] is None
+    assert el._bernstein_lead(space) is None and el._split_memo(hand)[3] is None
     assert uni.passed and block.passed
     assert uni.as_dict() == reference_check_unisolvence(hand).as_dict() == check_unisolvence(e).as_dict()
     assert block.as_dict() == reference_trace_block_rank(hand).as_dict() == trace_block_rank(e).as_dict()
@@ -686,7 +686,7 @@ def test_bubble_outside_the_shape_space_fails_the_trace_block(tri):
     columns[3] = spaces.bubble_generator_matrix(tri, "vector", 3).column(1)
     hand = Element(e.family, tri, e.k, spaces.PolySpace(tri, "vector", 3, Matrix.from_columns(columns)), e.dofs)
     res = trace_block_rank(hand)
-    assert check_unisolvence(hand).passed and el._split_memo(hand)[4] is not None
+    assert check_unisolvence(hand).passed and el._split_memo(hand)[3] is not None
     assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", 3)
     assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
 
@@ -698,7 +698,7 @@ def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k)
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     broken = _with_dofs(e, {shared[-1]: e.dofs[shared[0]]})
     res = check_unisolvence(broken)
-    _, _, rank_s, _, lead, _ = el._split_memo(broken)
+    _, rank_s, _, lead, _ = el._split_memo(broken)
     assert rank_s == len(shared) - 1 and lead is not None
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
@@ -714,7 +714,7 @@ def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family,
     demoted = dataclasses.replace(e.dofs[shared[0]], shared=False)
     broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
-    _, _, rank_s, _, lead, _ = el._split_memo(broken)
+    _, rank_s, _, lead, _ = el._split_memo(broken)
     assert rank_s == len(shared) and lead is not None
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
@@ -732,12 +732,12 @@ def test_interior_block_is_taken_on_ker_s_in_member_coordinates(family, k):
     demoted = dataclasses.replace(e.dofs[shared[-1]], shared=False)
     broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
-    assert el._split_memo(broken)[4] is not None
+    assert el._split_memo(broken)[3] is not None
     assert not res.passed and res.got == e.dim - 1
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
 
-@pytest.mark.parametrize("family,k", [("BDM", 3), ("HdivS", 3)])
+@pytest.mark.parametrize("family,k", [("BDM", 3), ("HdivS", 3), ("RT", 1)])
 def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(family, k):
     # one interior DoF declared shared: ker S loses a bubble, its traces stay zero
     fr = random_frame(2, random.Random(47))
@@ -747,7 +747,7 @@ def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(fa
     dofs[i] = dataclasses.replace(dofs[i], shared=True)
     broken = Element(e.family, e.frame, e.k, e.space, dofs)
     res = trace_block_rank(broken)
-    assert el._split_memo(broken)[4] is not None
+    assert el._split_memo(broken)[3] is not None
     assert not res.passed and res.expected == "kernel == bubble"
     assert res.got == res.context["kernel_dim"] == res.context["bubble_dim"] - 1
     assert "nonzero_trace_mode" not in res.context
@@ -773,23 +773,21 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
     assert sum(a.shared != b.shared for a, b in zip(dofs, e.dofs)) == 2
     broken = Element(e.family, e.frame, e.k, e.space, dofs)
     res = trace_block_rank(broken)
-    assert el._split_memo(broken)[4] is not None
+    assert el._split_memo(broken)[3] is not None
     assert (res.passed, res.got, res.context["nonzero_trace_mode"]) == (False, mode, mode)
     assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
 
 
-@pytest.mark.parametrize("family,k", [("RT", 1), ("HdivS", 2), ("HdivS_minus", 2)])
+@pytest.mark.parametrize("family,k", [("HdivS", 2), ("HdivS_minus", 2)])
 @pytest.mark.parametrize("how", ["drop", "swap"])
 def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family, k, how):
-    # the bubble loses one column (rank below dim ker S), or one column
-    # becomes a unit vector that some shared DoF does not annihilate
-    # (S C != 0): a generator column C_B over the Bernstein rows of S, in
-    # place before the split memo takes its verdict S G_s C_B == 0, and for
-    # RT, which has no generators, a trace kernel column in member
-    # coordinates
+    # the generators of degree k lose one column (rank below dim ker S), or
+    # one column becomes a unit vector that some shared DoF does not
+    # annihilate (S C != 0): a generator column C_B over the Bernstein rows
+    # of S, in place before the split memo takes its verdict S_B C_B == 0
     fr = random_frame(2, random.Random(43))
     e = build_element(fr, family, k)
-    shared = el._split_memo(e)[1]
+    shared = el._split_memo(e)[0]
     bernstein_rows = el._dof_matrix(e.frame, [e.dofs[i] for i in shared], e.space.kind, k, True)
 
     def wrong(part, s):
@@ -801,13 +799,9 @@ def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family
             cols[0] = tuple(int(i == j) for i in range(part.rows))
         return Matrix.from_columns(cols, part.rows)
 
-    if family == "RT":
-        expected = el._expected_kernel
-        monkeypatch.setattr(el, "_expected_kernel",
-                            lambda element: (None, wrong(expected(element)[1], e.dof_matrix.take(shared))))
-    else:
-        gens = el._bubble_generators
-        monkeypatch.setattr(el, "_bubble_generators", lambda element: wrong(gens(element), bernstein_rows))
+    gens = el._bubble_generators
+    monkeypatch.setattr(el, "_bubble_generators",
+                        lambda element, deg: wrong(gens(element, deg), bernstein_rows) if deg == k else gens(element, deg))
     res = trace_block_rank(build_element(fr, family, k))
     dim = res.context["kernel_dim"]
     assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", dim)
@@ -815,6 +809,37 @@ def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family
     assert "nonzero_trace_mode" not in res.context
     monkeypatch.undo()
     assert trace_block_rank(build_element(fr, family, k)).passed
+
+
+@pytest.mark.parametrize("where", ["reference", "random"])
+def test_trace_block_fails_when_a_shared_dof_misses_a_degree_k_plus_1_generator(monkeypatch, where):
+    # HdivS_minus: the enrichment is G C_B times its coordinates at degree
+    # k + 1, so S_B C_B == 0 at that degree kills it; one such column made a
+    # unit vector that some shared DoF does not annihilate fails the trace
+    # block with the dimensions still equal
+    fr = reference_simplex(2) if where == "reference" else random_frame(2, random.Random(43))
+    k = 2
+    e = build_element(fr, "HdivS_minus", k)
+    shared = el._split_memo(e)[0]
+    rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], "sym", k + 1, True)
+    j = next(j for j in range(rows.cols) if any(rows.column(j)))
+    gens = el._bubble_generators
+
+    def wrong(element, deg):
+        c_b = gens(element, deg)
+        if deg != k + 1:
+            return c_b
+        cols = c_b.columns()
+        cols[-1] = tuple(int(i == j) for i in range(c_b.rows))
+        return Matrix.from_columns(cols, c_b.rows)
+
+    monkeypatch.setattr(el, "_bubble_generators", wrong)
+    res = trace_block_rank(build_element(fr, "HdivS_minus", k))
+    dim = res.context["kernel_dim"]
+    assert (res.passed, res.expected, res.got, res.context["bubble_dim"]) == (False, "kernel == bubble", dim, dim)
+    assert "nonzero_trace_mode" not in res.context
+    monkeypatch.undo()
+    assert trace_block_rank(build_element(fr, "HdivS_minus", k)).passed
 
 
 @pytest.mark.parametrize("family", ["HdivS_minus", "RT"])
@@ -889,7 +914,7 @@ _KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
 @pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
 def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
     e = build_element(random_frame(d, random.Random(45 + d)), family, k)
-    _, shared, rank_s, ker, lead, _ = el._split_memo(e)
+    shared, rank_s, ker, lead, _ = el._split_memo(e)
     g = el._change_of_basis(e.space, lead)
     monomial = e.dof_matrix.take(shared).null_space()
     assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
@@ -912,7 +937,7 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     # the first read assembles the DoF matrix and keeps the memo, so nothing
     # is eliminated twice
     assert e.dof_matrix.rows == len(e.dofs)
-    assert e._split is memo and memo[4] is not None
+    assert e._split is memo and memo[3] is not None
     assert check_unisolvence(e).passed and trace_block_rank(e).passed and e._split is memo
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     # the pair of test_unisolvence_failure_reports_kernel_witness: a new
@@ -922,7 +947,7 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     broken = _with_dofs(e, {interior[-1]: e.dofs[interior[0]]})
     assert broken._split is None and broken._matrix is None
     assert not check_unisolvence(broken).passed
-    assert broken._split[4] == memo[4] and e._split is memo
+    assert broken._split[3] == memo[3] and e._split is memo
     # the memo is neither compared nor printed, and a copy starts afresh
     twin = dataclasses.replace(e)
     assert twin._split is None and twin == e and repr(twin) == repr(e)
@@ -933,6 +958,21 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.dofs = broken.dofs
     assert el._split_memo(e) is memo and isinstance(broken.dofs, tuple)
+
+
+def test_a_dof_cannot_be_edited_in_place(tri):
+    # a DoF is frozen like its element: an interior DoF set shared in place
+    # would leave the split memo of a certified element stale (15 shared
+    # DoFs and a kernel of dimension 3, where the same DoFs certified afresh
+    # give 16 and 2); the edit goes through a new DoF and a new element
+    e = build_element(tri, "HdivS", 2)
+    certified = trace_block_rank(e).as_dict()
+    i = next(i for i, dof in enumerate(e.dofs) if not dof.shared)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.dofs[i].shared = True
+    assert not e.dofs[i].shared and trace_block_rank(build_element(tri, "HdivS", 2)).as_dict() == certified
+    res = trace_block_rank(_with_dofs(e, {i: dataclasses.replace(e.dofs[i], shared=True)}))
+    assert not res.passed and (res.context["shared_dofs"], res.got, res.context["bubble_dim"]) == (16, 2, 3)
 
 
 _LAZY_CELLS = [(fam, d) for fam in ("BDM", "RT", "HdivS_minus", "DivDiv", "DivDivPlusMinus") for d in (2, 3)]
@@ -973,7 +1013,7 @@ def test_dof_matrix_is_assembled_when_first_read(monkeypatch, family, d):
 def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
-    _, shared, rank_s, ker, lead, _ = el._split_memo(e)
+    shared, rank_s, ker, lead, _ = el._split_memo(e)
     g = el._change_of_basis(e.space, lead)
     assert lead == k and g == _bernstein_change(e.space)
     rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, lead, True)
@@ -1050,7 +1090,7 @@ def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, 
     monkeypatch.setattr(el, "_run_rows", spy)
     monkeypatch.setattr(el, "apply_dof", lambda *args: applied.append(args) or apply(*args))
     assert check_unisolvence(e).passed and trace_block_rank(e).passed
-    assert bernstein_rows and not applied and e._split[4] is not None
+    assert bernstein_rows and not applied and e._split[3] is not None
     want = {"none": [], "shared": [dof for dof in e.dofs if dof.shared], "all": e.dofs}[_MONOMIAL_ROWS[family]]
     assert sorted(map(id, built)) == sorted(map(id, want))
 
@@ -1088,9 +1128,9 @@ def test_shared_rows_not_assembled_from_their_dofs_are_eliminated_as_they_are(fa
     i = next(i for i, dof in enumerate(e.dofs) if dof.shared and dof.test is not None)
     broken = _with_dofs(e, {i: dataclasses.replace(e.dofs[i], test=e.dofs[i].test.scale(2))})
     uni, block = check_unisolvence(broken), trace_block_rank(broken)
-    assert broken._split[4] is not None
+    assert broken._split[3] is not None
     assert uni.passed and block.passed
     assert broken.dof_matrix.row(i) == tuple(2 * x for x in e.dof_matrix.row(i))
     assert uni.as_dict() == reference_check_unisolvence(broken).as_dict() == check_unisolvence(e).as_dict()
     assert block.as_dict() == reference_trace_block_rank(broken).as_dict() == trace_block_rank(e).as_dict()
-    assert e._split[4] is not None
+    assert e._split[3] is not None

@@ -116,14 +116,20 @@ def test_bubble_vector_generators_match_kernel(d, k):
 @pytest.mark.parametrize("kind", ["vector", "sym"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_bernstein_generator_columns_span_the_polynomial_generators(kind, d, k):
+def test_bernstein_generator_columns_span_the_polynomial_generators(monkeypatch, kind, d, k):
     # lambda_i lambda_j lambda^beta c_ij against G, and lambda_i lambda_j m c_ij
-    # as products of polynomials: one column per edge and per basis of P_{k-2}
+    # as products of polynomials (the oracle): one column per edge and per
+    # basis of P_{k-2}; the monomial generators are G C_B, with no product
+    calls = []
+    multiply = poly.multiply
+    monkeypatch.setattr(poly, "multiply", lambda *args: calls.append(args) or multiply(*args))
     for fr in (reference_simplex(d), random_frame(d, random.Random(70 + 10 * d + k))):
         c_b = spaces.bubble_generator_bernstein(fr, kind, k)
-        gens = spaces.bubble_generator_matrix(fr, kind, k)
+        gens = reference.bubble_generator_products(fr, kind, k)
         assert c_b.cols == gens.cols and c_b.rank() == gens.rank()
-        assert exact.image_basis(fr.bernstein(kind, k).matmul(c_b)) == exact.image_basis(gens)
+        matrix = spaces.bubble_generator_matrix(fr, kind, k)
+        assert matrix == fr.bernstein(kind, k).matmul(c_b) and not calls
+        assert exact.image_basis(matrix) == exact.image_basis(gens)
 
 
 def test_generator_traces_vanish(tri):
