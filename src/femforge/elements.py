@@ -39,8 +39,8 @@ in Bernstein coordinates alone: the generators lambda_i lambda_j lambda^beta
 c_ij are sparse integer columns C_B over G, met by the Bernstein rows S_B of
 the shared DoFs, which do not depend on the shape basis.  The HdivS_minus
 enrichment is G C_B times its coordinates at degree k + 1, so S_B C_B = 0 at
-that degree kills it too.  For RT, ker S lies in the trace kernel of the
-shape space once its traces vanish, so the dimensions decide.
+that degree kills it too.  Every face DoF vanishes on the RT bubble, the
+trace kernel of the catalog space, which has no trace.
 
 A DoF is a row over the shaped monomial frame of the shape space (see the
 DoF rows section below); applying it to a polynomial is a sparse dot
@@ -491,39 +491,48 @@ def _split_memo(element: Element) -> tuple:
     ker S = G_s K, G_s = ``_change_of_basis(space, k')`` and k' =
     ``_bernstein_lead(space)``, from one elimination of S G_s
     (``_rows_times_g_s``) per element, whether its DoF matrix was read or
-    not.  K = ker(S G_s) as columns; verdict is ``_generator_verdict``."""
+    not.  K = ker(S G_s) as columns; verdict is ``_bubble_verdict``."""
     if element._split is None:
         shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
         dofs = [element.dofs[i] for i in shared]
         lead = _bernstein_lead(element.space)
         s_g = _rows_times_g_s(element.frame, dofs, element.space, lead)
         ker = s_g.null_space()
-        verdict = _generator_verdict(element, dofs, s_g, lead)
+        verdict = _bubble_verdict(element, dofs, s_g, lead)
         object.__setattr__(element, "_split", (shared, s_g.cols - ker.cols, ker, lead, verdict))
     return element._split
 
 
-def _generator_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix,
-                       lead: int | None) -> tuple[bool, int] | None:
-    """(S_B C_B == 0, rank C_B) for the generators C_B of degree k
-    (``_bubble_generators``) and S_B, the Bernstein rows of the shared
-    ``dofs`` of the same degree: the leading block of ``s_g`` = S G_s where
-    k' = k, else rows that do not depend on the shape basis.  For
-    HdivS_minus, S_B C_B == 0 at degree k + 1 too, which kills the
-    enrichment.  None for a family without generators."""
-    k = element.k
+def _bubble_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix,
+                    lead: int | None) -> tuple[bool, int] | None:
+    """(S C == 0, dim C) for the paper's bubble C, or None for a family
+    without one.  For RT, C is the trace kernel of the catalog space, on
+    which every face DoF vanishes.  Otherwise C is spanned by G C_B for the
+    generators C_B of degree k (``_bubble_generators``), and S C == 0 is
+    S_B C_B == 0 for S_B, the Bernstein rows of the shared ``dofs`` of the
+    same degree: the leading block of ``s_g`` = S G_s where k' = k, else
+    rows that do not depend on the shape basis.  For HdivS_minus, C also
+    holds the enrichment W, killed by S_B C_B == 0 at degree k + 1."""
+    frame, k = element.frame, element.k
+    if element.family == "RT":
+        catalog = spaces.build_standard(frame, FAMILIES["RT"].shape, k)
+        return True, catalog.dim - spaces.trace_matrix(frame, catalog, "vector_normal").rank()
     gens = _bubble_generators(element, k)
     if gens is None:
         return None
+    degrees, dim = (k,), gens.rank()
+    if element.family == "HdivS_minus":
+        # rank [G C_B, W] = rank C_B + dim W
+        degrees, dim = (k, k + 1), dim + spaces.bubble_enrichment_sym(frame, k).dim
     kills = True
-    for j in (k, k + 1) if element.family == "HdivS_minus" else (k,):
+    for j in degrees:
         c_b = gens if j == k else _bubble_generators(element, j)
         if j == lead:
             s_b = s_g.take(range(s_g.rows), 0, c_b.rows)
         else:
-            s_b = _dof_matrix(element.frame, dofs, element.space.kind, j, True)
+            s_b = _dof_matrix(frame, dofs, element.space.kind, j, True)
         kills = kills and s_b.matmul(c_b).is_zero()
-    return kills, gens.rank()
+    return kills, dim
 
 
 def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
@@ -619,26 +628,26 @@ def _bubble_generators(element: Element, k: int) -> Matrix | None:
 
 
 def _holds_bubble(element: Element) -> bool:
-    """Whether the shape space holds the bubble, the span of G C_B
-    (``spaces.bubble_generator_matrix``) and for HdivS_minus the enrichment:
-    by construction for the family's catalog space, else by one rank,
-    rank [basis | G C_B (| W)] = dim."""
+    """Whether the shape space holds the bubble C of ``_bubble_verdict``: by
+    construction for the family's catalog space, else by one rank, rank
+    [basis | C] = dim."""
     frame, space, k = element.frame, element.space, element.k
     if space.basis == spaces.build_standard(frame, FAMILIES[element.family].shape, k).basis:
         return True
-    parts = [space, PolySpace(frame, space.kind, k, spaces.bubble_generator_matrix(frame, space.kind, k))]
+    if element.family == "RT":
+        parts = [spaces.bubble_space(frame, "div_RT_minus", k)]
+    else:
+        parts = [PolySpace(frame, space.kind, k, spaces.bubble_generator_matrix(frame, space.kind, k))]
     if element.family == "HdivS_minus":
         parts.append(spaces.bubble_enrichment_sym(frame, k))
-    return reduce(spaces.space_sum, parts).dim == space.dim
+    return reduce(spaces.space_sum, parts, space).dim == space.dim
 
 
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
-    and ker S equals a known bubble C.  For RT, C is the trace kernel of the
-    shape space, which holds ker S once its traces vanish, so dim C = dim
-    ker S decides; for the generator families, S C = 0, C inside the shape
-    space and rank C = dim ker S."""
+    and ker S equals a known bubble C: S C = 0, C inside the shape space and
+    dim C = dim ker S (``_bubble_verdict``, ``_holds_bubble``)."""
     shared_rows, _, ker, lead, verdict = _split_memo(element)
     frame, space = element.frame, element.space
     ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared_rows),
@@ -647,18 +656,11 @@ def trace_block_rank(element: Element) -> CheckResult:
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
-    if element.family == "RT":
-        holds, dim = True, space.dim - spaces.trace_matrix(frame, space, "vector_normal").rank()
-    elif verdict is None:
+    if verdict is None:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
-    else:
-        # rank [G C_B, W] = rank C_B + w
-        kills, dim = verdict
-        if element.family == "HdivS_minus":
-            dim += spaces.bubble_enrichment_sym(frame, element.k).dim
-        holds = kills and _holds_bubble(element)
+    kills, dim = verdict
     ctx["bubble_dim"] = dim
-    if dim != ker.cols or not holds:
+    if dim != ker.cols or not (kills and _holds_bubble(element)):
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 

@@ -489,14 +489,12 @@ def bubble_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:
     range by one degree while keeping every trace.
 
     B enters through its generators G C_B, lambda_i lambda_j lambda^beta T_ij
-    with |beta| = k-1 (``bubble_generator_matrix`` of degree k+1), rather than
-    its canonical basis.  They are dim B many, so a basis, and the
-    enrichment's basis is their combinations by the null space's columns as
-    computed, W = G C_B coords, not brought to canonical form; the
-    ``P_minus_sym`` sum of ``build_standard`` keeps its rows past degree k as
-    they are.  So every DoF that vanishes on the generators, S_B C_B = 0 in
-    Bernstein coordinates, vanishes on W.  A result of any dimension other
-    than d dim H_k raises ``ArithmeticError``.
+    with |beta| = k-1 (``bubble_generator_matrix`` of degree k+1), a basis of
+    B.  The enrichment's basis is W = G C_B coords, the null space's columns
+    as computed, not brought to canonical form, and the ``P_minus_sym`` sum
+    of ``build_standard`` keeps its rows past degree k as they are.  So every
+    DoF with S_B C_B = 0 in Bernstein coordinates vanishes on W.  A result of
+    any dimension other than d dim H_k raises ``ArithmeticError``.
     """
     if k < 2:
         raise BadDegreeError("the symmetric enrichment needs k >= 2")

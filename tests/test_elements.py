@@ -691,6 +691,26 @@ def test_bubble_outside_the_shape_space_fails_the_trace_block(tri):
     assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
 
 
+def test_rt_bubble_outside_the_shape_space_fails_the_trace_block(tri):
+    # RT k=1 with the bubble b2 replaced by q = lambda_1 lambda_2 t_12, which
+    # has zero normal trace but lies outside RT_1: unisolvent, and ker S =
+    # span(b1, q) has the dimension of the RT bubble, but is not it
+    e = build_element(tri, "RT", 1)
+    b1, b2 = spaces.bubble_space(tri, "div_RT_minus", 1).basis.columns()
+    q = spaces.bubble_generator_matrix(tri, "vector", 2).column(2)
+    columns = [b1, b2]
+    for c in e.space.basis.columns():
+        if Matrix.from_columns(columns + [c]).rank() > len(columns):
+            columns.append(c)
+    columns = columns[2:] + [b1, q]
+    hand = Element(e.family, tri, e.k, spaces.PolySpace(tri, "vector", 2, Matrix.from_columns(columns)), e.dofs)
+    res = trace_block_rank(hand)
+    assert check_unisolvence(hand).passed
+    assert (res.passed, res.expected, res.got, res.context["bubble_dim"]) == (False, "kernel == bubble", 2, 2)
+    assert "nonzero_trace_mode" not in res.context
+    assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
+
+
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
 def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k):
     # the last shared DoF replaced by the first
@@ -778,17 +798,23 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
     assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
 
 
-@pytest.mark.parametrize("family,k", [("HdivS", 2), ("HdivS_minus", 2)])
-@pytest.mark.parametrize("how", ["drop", "swap"])
-def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family, k, how):
-    # the generators of degree k lose one column (rank below dim ker S), or
+# (how, family, k, degree of the wrong generators); HdivS_minus also takes
+# the verdict at degree k + 1, where its enrichment W = G C_B coords lives
+_WRONG_BUBBLES = [pytest.param(how, family, 2, 2, id=f"{how}-{family}-2")
+                  for how in ("drop", "swap") for family in ("HdivS", "HdivS_minus")]
+_WRONG_BUBBLES.append(pytest.param("swap", "HdivS_minus", 2, 3, id="swap-HdivS_minus-2-degree3"))
+
+
+@pytest.mark.parametrize("how,family,k,deg", _WRONG_BUBBLES)
+def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, how, family, k, deg):
+    # the generators of degree deg lose one column (rank below dim ker S), or
     # one column becomes a unit vector that some shared DoF does not
     # annihilate (S C != 0): a generator column C_B over the Bernstein rows
     # of S, in place before the split memo takes its verdict S_B C_B == 0
     fr = random_frame(2, random.Random(43))
     e = build_element(fr, family, k)
     shared = el._split_memo(e)[0]
-    bernstein_rows = el._dof_matrix(e.frame, [e.dofs[i] for i in shared], e.space.kind, k, True)
+    bernstein_rows = el._dof_matrix(e.frame, [e.dofs[i] for i in shared], e.space.kind, deg, True)
 
     def wrong(part, s):
         j = next(j for j in range(part.rows) if any(s.column(j)))
@@ -801,7 +827,7 @@ def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family
 
     gens = el._bubble_generators
     monkeypatch.setattr(el, "_bubble_generators",
-                        lambda element, deg: wrong(gens(element, deg), bernstein_rows) if deg == k else gens(element, deg))
+                        lambda element, j: wrong(gens(element, j), bernstein_rows) if j == deg else gens(element, j))
     res = trace_block_rank(build_element(fr, family, k))
     dim = res.context["kernel_dim"]
     assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", dim)
@@ -809,37 +835,6 @@ def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, family
     assert "nonzero_trace_mode" not in res.context
     monkeypatch.undo()
     assert trace_block_rank(build_element(fr, family, k)).passed
-
-
-@pytest.mark.parametrize("where", ["reference", "random"])
-def test_trace_block_fails_when_a_shared_dof_misses_a_degree_k_plus_1_generator(monkeypatch, where):
-    # HdivS_minus: the enrichment is G C_B times its coordinates at degree
-    # k + 1, so S_B C_B == 0 at that degree kills it; one such column made a
-    # unit vector that some shared DoF does not annihilate fails the trace
-    # block with the dimensions still equal
-    fr = reference_simplex(2) if where == "reference" else random_frame(2, random.Random(43))
-    k = 2
-    e = build_element(fr, "HdivS_minus", k)
-    shared = el._split_memo(e)[0]
-    rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], "sym", k + 1, True)
-    j = next(j for j in range(rows.cols) if any(rows.column(j)))
-    gens = el._bubble_generators
-
-    def wrong(element, deg):
-        c_b = gens(element, deg)
-        if deg != k + 1:
-            return c_b
-        cols = c_b.columns()
-        cols[-1] = tuple(int(i == j) for i in range(c_b.rows))
-        return Matrix.from_columns(cols, c_b.rows)
-
-    monkeypatch.setattr(el, "_bubble_generators", wrong)
-    res = trace_block_rank(build_element(fr, "HdivS_minus", k))
-    dim = res.context["kernel_dim"]
-    assert (res.passed, res.expected, res.got, res.context["bubble_dim"]) == (False, "kernel == bubble", dim, dim)
-    assert "nonzero_trace_mode" not in res.context
-    monkeypatch.undo()
-    assert trace_block_rank(build_element(fr, "HdivS_minus", k)).passed
 
 
 @pytest.mark.parametrize("family", ["HdivS_minus", "RT"])
