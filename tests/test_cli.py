@@ -236,6 +236,26 @@ def test_export_bytes_of_each_family_are_pinned(tmp_path, family):
                    if name.startswith(f"{family}_d2_")}
 
 
+# sha256 of d=3 exports on a random tetrahedron, for the three families whose
+# shape bases have columns past the Bernstein block (DivDivMinus k=2 is below
+# its floor and writes no file)
+_GOLDEN_D3_EXPORTS = {
+    "RT_d3_k2.json": "c44820093c86d3165e5b1fd65a0afd12501b12be6dfc3dfb2be043842dc72c9a",
+    "RT_d3_k3.json": "3483cab569123e1312ab24dbb468ab2d6a5965d7beef88cc295fbafb91e7d496",
+    "HdivS_minus_d3_k2.json": "2938ac518e6761fc5ca0408f50c941447ae9a0874e57fccf612a3336ae428c7d",
+    "HdivS_minus_d3_k3.json": "ed3c025f41a42e4a1953711c0473db43da7821931ee73d40f9284ed3390fec9b",
+    "DivDivMinus_d3_k3.json": "20b49b71ec0be0fbe9f1e65ac5bdd11f59dfb5d084b1edf34f7e4d178ea99b67",
+}
+
+
+def test_export_bytes_at_d3_on_a_random_simplex_are_pinned(tmp_path):
+    argv = ["export", "--family", "RT", "--family", "HdivS_minus", "--family", "DivDivMinus",
+            "--d", "3", "--k", "2..3", "--simplex", "random", "--seed", "7", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == _GOLDEN_D3_EXPORTS
+
+
 def test_repeated_family_runs_once(tmp_path, capsys):
     once, twice = tmp_path / "once.json", tmp_path / "twice.json"
     argv = ["verify", "--d", "2", "--k", "1..2", "--family", "BDM"]
