@@ -14,8 +14,8 @@ right side needs only its shared rows S too, taken from its face DoFs (no
 interior test space is built), and eliminated in Bernstein coordinates:
 ``elements._rows_times_g_s`` forms the sparse S G_s, as it does for the
 element certificates, with G_s mapping Bernstein to member coordinates; the
-monomial rows of all of S are built only for shape bases with columns past
-their Bernstein block.  One RREF of [S G_s | rhs], the zero
+monomial rows of all of S are built only for the catalog bases with columns
+past their Bernstein block.  One RREF of [S G_s | rhs], the zero
 right-hand sides left out, gives a particular solution (free Bernstein
 coordinates zero) and ker(S G_s), both mapped back by G_s.  When every
 member of ker S has zero declared traces on the face, all right functions
@@ -29,12 +29,12 @@ vacuous passes; unlike the declared traces, it can depend on the particular
 solution).  The jumps of all members are one product per trace: the shared
 face's trace matrix times the left minus the right shape coefficients.
 
-Every outcome but a pass (a shape basis without a Bernstein block, an
-inconsistent system, a kernel member with a nonzero declared trace, a
-nonzero jump, a control that does not jump) is decided again from the right
-element's whole DoF system, every right DoF off the shared face zero.  A
-failure then reports the first nonzero jump of that unique right function as
-a chart polynomial, or a singular right DoF matrix by its rank.
+Every outcome but a pass (an inconsistent system, a kernel member with a
+nonzero declared trace, a nonzero jump, a control that does not jump) is
+decided again from the right element's whole DoF system, every right DoF
+off the shared face zero.  A failure then reports the first nonzero jump of
+that unique right function as a chart polynomial, or a singular right DoF
+matrix by its rank.
 
 All jumps are formed with one fixed covector: the left element's scaled
 normal g.  Since the right element's outward scaled normal is a negative
@@ -75,8 +75,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _bernstein_lead, _change_of_basis, _dof_matrix, _first_nonzero_trace,
-                       _nonzero_trace_mode, _rows_times_g_s, build_element)
+from .elements import (FAMILIES, _change_of_basis, _dof_matrix, _first_nonzero_trace, _nonzero_trace_mode,
+                       _rows_times_g_s, build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
@@ -162,21 +162,17 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     """Right shape coefficients (over the shaped frame) that match the shared
     DoFs of every left member on the shared face, the right side's other
     shared DoFs zero, from the right side's shared DoF rows S alone (all of
-    them face DoFs); None
-    unless the right basis has a Bernstein block, the system is consistent
-    and ker S has zero declared traces on the face, so that every such right
-    function has the same declared traces.
+    them face DoFs); None unless the system is consistent and ker S has zero
+    declared traces on the face, so that every such right function has the
+    same declared traces.
 
-    One RREF of [S G_s | rhs] gives both a particular solution (free
-    Bernstein coordinates zero) and ker S, each mapped back by G_s.  The
-    zero right-hand sides (left members with no DoF on the face) stay out of
-    the RREF: their solution is zero."""
+    One RREF of [S G_s | rhs], G_s = ``_change_of_basis(right, k)``, gives
+    both a particular solution (free Bernstein coordinates zero) and ker S,
+    each mapped back by G_s.  The zero right-hand sides (left members with
+    no DoF on the face) stay out of the RREF: their solution is zero."""
     d = patch.left.d
-    lead = _bernstein_lead(right)
-    if lead is None:
-        return None
     shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
-    s = _rows_times_g_s(patch.right, shared, right, lead)
+    s = _rows_times_g_s(patch.right, shared, right, k)
     on_face = [dof for dof in shared if _on_shared_face(dof, d)]
     at = {id(dof): r for r, dof in enumerate(on_face)}
     matched = _dof_matrix(patch.right, on_face, right.kind, right.k).matmul(left.basis)
@@ -187,13 +183,13 @@ def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace
     if pivots and pivots[-1] >= n:
         return None
     ker = rref_kernel(red, pivots, n)
-    if ker.cols and _nonzero_trace_mode([patch.shared_right], spec.trace_modes, right, lead, ker) is not None:
+    if ker.cols and _nonzero_trace_mode([patch.shared_right], spec.trace_modes, right, k, ker) is not None:
         return None
     row_of = {pc: r for r, pc in enumerate(pivots)}
     sol = red.take([row_of.get(c) for c in range(n)], n).transpose()
     col_of = {j: c for c, j in enumerate(nonzero)}
     sol = sol.take([col_of.get(j) for j in range(rhs.rows)]).transpose()
-    return right.basis.matmul(_change_of_basis(right, lead).matmul(sol))
+    return right.basis.matmul(_change_of_basis(right, k).matmul(sol))
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:

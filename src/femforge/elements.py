@@ -11,36 +11,38 @@ polynomial spaces, and the null spaces and orthogonal complements of the
 bubble split.  A negative degree gives no moments.  Every shared DoF is a
 face DoF, so the patch check builds the face DoFs alone.
 
-An element is its shape space and its DoFs, a tuple: the square DoF matrix
-(rows = DoFs, columns = shape basis members) has no other source.  It is
-assembled from the DoFs, one DoF and one member at a time, when first read
-(by the export, the nodal basis and the fallbacks of the unisolvence and
-patch checks); the certificates do not read it.  Both go through the
-paper's split of the shape space into a trace part and a bubble part: the
-shared DoF rows S are eliminated once per element, and their kernel K (the
-shape functions with zero shared DoFs) serves both.  The elimination runs in
-Bernstein coordinates, where that split is local: with G the integer matrix
-of the barycentric monomials lambda^alpha, |alpha| = k
+An element is its family, frame, degree k and DoFs, a tuple; its shape space
+is the family's catalog space of degree k (``spaces.build_standard``), and
+the square DoF matrix (rows = DoFs, columns = shape basis members) has no
+other source.  It is assembled from the DoFs, one DoF and one member at a
+time, when first read (by the export, the nodal basis and the fallbacks of
+the unisolvence and patch checks); the certificates do not read it.  Both go
+through the paper's split of the shape space into a trace part and a bubble
+part: the shared DoF rows S are eliminated once per element, and their
+kernel K (the shape functions with zero shared DoFs) serves both.  The
+elimination runs in Bernstein coordinates, where that split is local: with G
+the integer matrix of the barycentric monomials lambda^alpha, |alpha| = k
 (``SimplexFrame.bernstein``), a face's DoFs see only the lambda^alpha that
-do not vanish on it, so S G is sparse, and K = G ker(S G).
-``_rows_times_g_s`` forms S G for the element certificates and for the
-patch check of ``conformity`` alike, on the leading degree-k' block of the
-shape basis (k' = 0 included), from the faces' Bernstein traces rather than
-a product with G; it forms the interior block I G the same way, from the
-closed-form Bernstein moments of ``integrate.bernstein_gram``.  The columns
-past that block are the DoF rows times the shape basis; a shape basis
-without a leading identity block is eliminated with G_s the identity.  The
-DoF matrix [S; I] is invertible exactly when S has full row rank and the
-square interior block I G K is nonsingular; any other case falls back to the
-exact rank of the full matrix and a kernel witness.  The trace-block check
-multiplies the Bernstein traces with K, and proves ker S equal to the
-paper's bubble C by S C = 0, C inside the shape space and rank C = dim ker S,
-in Bernstein coordinates alone: the generators lambda_i lambda_j lambda^beta
-c_ij are sparse integer columns C_B over G, met by the Bernstein rows S_B of
-the shared DoFs, which do not depend on the shape basis.  The HdivS_minus
-enrichment is G C_B times its coordinates at degree k + 1, so S_B C_B = 0 at
-that degree kills it too.  Every face DoF vanishes on the RT bubble, the
-trace kernel of the catalog space, which has no trace.
+do not vanish on it, so S G is sparse, and K = G ker(S G).  Every catalog
+basis is diag(I_n, H), n the size of the frame (kind, d, k): the identity for
+the full polynomial spaces, a direct sum of degree k + 1 otherwise.  So G_s =
+diag(G, I), and ``_rows_times_g_s`` forms S G_s for the element
+certificates and for the patch check of ``conformity`` alike, from the
+faces' Bernstein traces rather than a product with G; it forms the interior
+block I G_s the same way, from the closed-form Bernstein moments of
+``integrate.bernstein_gram``.  The columns past the leading block are the
+DoF rows times H.  The DoF matrix [S; I] is invertible exactly when S has
+full row rank and the square interior block I G_s K is nonsingular; any
+other case falls back to the exact rank of the full matrix and a kernel
+witness.  The trace-block check multiplies the Bernstein traces with K, and
+proves ker S equal to the paper's bubble C, which the catalog space holds by
+construction, by S C = 0 and rank C = dim ker S, in Bernstein coordinates
+alone: the generators lambda_i lambda_j lambda^beta c_ij are sparse integer
+columns C_B over G, met by the Bernstein rows S_B of the shared DoFs, the
+leading block of S G_s.  The HdivS_minus enrichment is G C_B times its
+coordinates at degree k + 1, so S_B C_B = 0 at that degree kills it too.
+Every face DoF vanishes on the RT bubble, the trace kernel of the shape
+space, which has no trace.
 
 A DoF is a row over the shaped monomial frame of the shape space (see the
 DoF rows section below); applying it to a polynomial is a sparse dot
@@ -58,9 +60,9 @@ single-valuedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -99,42 +101,55 @@ class DoFDescriptor:
 
 @dataclass(frozen=True)
 class Element:
-    """A family's element on ``frame``, frozen: its shape space and its DoFs
-    (a tuple), the only source of its read-only DoF matrix."""
+    """A family's element on ``frame``, frozen: its degree and its DoFs (a
+    tuple), the only source of its read-only DoF matrix.  Its shape space is
+    the family's catalog space of degree k."""
 
     family: str
     frame: SimplexFrame
     k: int
-    space: PolySpace
     dofs: tuple[DoFDescriptor, ...]  # frozen, so that no edit leaves the caches below stale
-    _matrix: Matrix | None = field(default=None, init=False, repr=False, compare=False)
-    # the tuple of _split_memo; with k' set, both the shared and the interior
-    # rows are taken in Bernstein coordinates
-    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise UnsupportedTagError(f"unknown element family {self.family!r}")
         object.__setattr__(self, "dofs", tuple(self.dofs))
+
+    @property
+    def space(self) -> PolySpace:
+        return spaces.build_standard(self.frame, FAMILIES[self.family].shape, self.k)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    @property
+    @cached_property
     def dof_matrix(self) -> Matrix:
         """Rows = DoFs, columns = shape basis members, assembled from ``dofs``
         at the first read, one DoF and one member at a time."""
-        if self._matrix is None:
-            frame, space = self.frame, self.space
-            members = space.members()
-            values = []
-            for _, run in groupby(self.dofs, key=_run_key):
-                # one run's rows at a time, released once applied; each DoF row of
-                # the matrix is cleared to integers as soon as it is applied
-                run = list(run)
-                rows = _dof_rows(frame, run, space.kind, space.k)
-                values += [_cleared([apply_dof(frame, dof, m, rows) for m in members]) for dof in run]
-            object.__setattr__(self, "_matrix", Matrix.from_int_rows(values, len(members)))
-        return self._matrix
+        frame, space = self.frame, self.space
+        members = space.members()
+        values = []
+        for _, run in groupby(self.dofs, key=_run_key):
+            # one run's rows at a time, released once applied; each DoF row of
+            # the matrix is cleared to integers as soon as it is applied
+            run = list(run)
+            rows = _dof_rows(frame, run, space.kind, space.k)
+            values += [_cleared([apply_dof(frame, dof, m, rows) for m in members]) for dof in run]
+        return Matrix.from_int_rows(values, len(members))
+
+    @cached_property
+    def _split(self) -> tuple:
+        """(shared row indices, rank of the shared block S, K, verdict) with
+        ker S = G_s K, G_s = ``_change_of_basis(space, k)``, from one
+        elimination of S G_s (``_rows_times_g_s``) per element, whether its
+        DoF matrix was read or not.  K = ker(S G_s) as columns; verdict is
+        ``_bubble_verdict``."""
+        shared = [i for i, dof in enumerate(self.dofs) if dof.shared]
+        dofs = [self.dofs[i] for i in shared]
+        s_g = _rows_times_g_s(self.frame, dofs, self.space, self.k)
+        ker = s_g.null_space()
+        return shared, s_g.cols - ker.cols, ker, _bubble_verdict(self, dofs, s_g)
 
 
 # -- DoF rows --------------------------------------------------------------------------
@@ -440,83 +455,46 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
         raise BadDegreeError(
             f"{family} needs k >= {spec.floor(frame.d)} in dimension {frame.d}"
         )
-    space = spaces.build_standard(frame, spec.shape, k)
-    return Element(family, frame, k, space, spec.dofs(frame, k))
+    # the shape space before the DoFs: the transients of its construction
+    # (the HdivS_minus enrichment) are freed before the DoFs' test spaces are
+    # held, which keeps the peak RSS lower (by 0.1 MB on enrich-d3)
+    spaces.build_standard(frame, spec.shape, k)
+    return Element(family, frame, k, spec.dofs(frame, k))
 
 
-def _bernstein_lead(space: PolySpace) -> int | None:
-    """The largest k' >= 0 whose frame (kind, d, k') is a leading identity
-    block of the basis, diag(I_n, H), or None when the basis has no such
-    block; at k' = 0, G(kind, 0) is the identity."""
-    basis = space.basis
-    lead = 0
-    while lead < basis.cols:
-        den, ints = basis.int_row(lead)
-        if den != 1 or ints[lead] != 1 or ints.count(0) != basis.cols - 1:
-            break
-        lead += 1
-    for k in range(space.k, -1, -1):
-        n = len(poly.frame(space.kind, space.frame.d, k))
-        if n <= lead and not any(any(basis.int_row(i)[1][:n]) for i in range(n, basis.rows)):
-            return k
-    return None
-
-
-def _change_of_basis(space: PolySpace, lead: int | None) -> Matrix:
+def _change_of_basis(space: PolySpace, k: int) -> Matrix:
+    """G_s = diag(G(kind, k), I): a catalog basis of degree parameter k is
+    diag(I_n, H), n the size of the frame (kind, d, k)."""
     cols = space.basis.cols
-    if lead is None:
-        return Matrix.identity(cols)
-    g = space.frame.bernstein(space.kind, lead)
+    g = space.frame.bernstein(space.kind, k)
     return g if g.cols == cols else Matrix.block_diag(g, Matrix.identity(cols - g.cols))
 
 
-def _split_traces(face: Face, space: PolySpace, lead: int | None, mode: str) -> tuple[Matrix, ...]:
+def _split_traces(face: Face, space: PolySpace, k: int, mode: str) -> tuple[Matrix, ...]:
     """The traces of ``mode`` on ``face`` against ``space.basis`` times
-    ``_change_of_basis(space, lead)``: the Bernstein traces of degree
-    ``lead`` on the leading block, beside the monomial traces of the basis
-    columns past it (zero rows pad the lower chart degree)."""
-    n = len(poly.frame(space.kind, space.frame.d, lead)) if lead is not None else 0
+    ``_change_of_basis(space, k)``: the Bernstein traces of degree k on the
+    leading block, beside the monomial traces of the basis columns past it
+    (zero rows pad the lower chart degree)."""
+    n = len(poly.frame(space.kind, space.frame.d, k))
+    bernstein = face.traces(space.kind, k, mode, True)[1]
     if n == space.basis.cols:
-        return face.traces(space.kind, lead, mode, True)[1]
+        return bernstein
     tail = space.basis.take(range(space.basis.rows), n)
     out = [t.matmul(tail) for t in face.traces(space.kind, space.k, mode)[1]]
-    if n:
-        lead_traces = face.traces(space.kind, lead, mode, True)[1]
-        out = [Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t) for b, t in zip(lead_traces, out)]
-    return tuple(out)
+    return tuple(Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t) for b, t in zip(bernstein, out))
 
 
-def _split_memo(element: Element) -> tuple:
-    """(shared row indices, rank of the shared block S, K, k', verdict) with
-    ker S = G_s K, G_s = ``_change_of_basis(space, k')`` and k' =
-    ``_bernstein_lead(space)``, from one elimination of S G_s
-    (``_rows_times_g_s``) per element, whether its DoF matrix was read or
-    not.  K = ker(S G_s) as columns; verdict is ``_bubble_verdict``."""
-    if element._split is None:
-        shared = [i for i, dof in enumerate(element.dofs) if dof.shared]
-        dofs = [element.dofs[i] for i in shared]
-        lead = _bernstein_lead(element.space)
-        s_g = _rows_times_g_s(element.frame, dofs, element.space, lead)
-        ker = s_g.null_space()
-        verdict = _bubble_verdict(element, dofs, s_g, lead)
-        object.__setattr__(element, "_split", (shared, s_g.cols - ker.cols, ker, lead, verdict))
-    return element._split
-
-
-def _bubble_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix,
-                    lead: int | None) -> tuple[bool, int] | None:
+def _bubble_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix) -> tuple[bool, int] | None:
     """(S C == 0, dim C) for the paper's bubble C, or None for a family
-    without one.  For RT, C is the trace kernel of the catalog space, on
-    which every face DoF vanishes.  Otherwise C is spanned by G C_B for the
+    without one.  For RT, C is the trace kernel of the shape space, on which
+    every face DoF vanishes.  Otherwise C is spanned by G C_B for the
     generators C_B of degree k (``_bubble_generators``), and S C == 0 is
     S_B C_B == 0 for S_B, the Bernstein rows of the shared ``dofs`` of the
-    same degree: the leading block of ``s_g`` = S G_s where k' = k, else
-    rows that do not depend on the shape basis.  For HdivS_minus, C also
-    holds the enrichment W, killed by S_B C_B == 0 at degree k + 1."""
-    frame, k = element.frame, element.k
+    same degree: the leading block of ``s_g`` = S G_s.  For HdivS_minus, C
+    also holds the enrichment W, killed by S_B C_B == 0 at degree k + 1."""
+    frame, space, k = element.frame, element.space, element.k
     if element.family == "RT":
-        catalog = spaces.build_standard(frame, FAMILIES["RT"].shape, k)
-        return True, catalog.dim - spaces.trace_matrix(frame, catalog, "vector_normal").rank()
+        return True, space.dim - spaces.trace_matrix(frame, space, "vector_normal").rank()
     gens = _bubble_generators(element, k)
     if gens is None:
         return None
@@ -526,33 +504,30 @@ def _bubble_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix
         degrees, dim = (k, k + 1), dim + spaces.bubble_enrichment_sym(frame, k).dim
     kills = True
     for j in degrees:
-        c_b = gens if j == k else _bubble_generators(element, j)
-        if j == lead:
-            s_b = s_g.take(range(s_g.rows), 0, c_b.rows)
+        if j == k:
+            c_b, s_b = gens, s_g.take(range(s_g.rows), 0, gens.rows)
         else:
-            s_b = _dof_matrix(frame, dofs, element.space.kind, j, True)
+            c_b, s_b = _bubble_generators(element, j), _dof_matrix(frame, dofs, space.kind, j, True)
         kills = kills and s_b.matmul(c_b).is_zero()
     return kills, dim
 
 
-def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace,
-                    lead: int | None) -> Matrix:
+def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace, k: int) -> Matrix:
     """The rows of ``dofs`` (face, vertex or interior DoFs) against
-    ``space.basis`` times G_s = ``_change_of_basis(space, lead)``.
+    ``space.basis`` times G_s = ``_change_of_basis(space, k)``.
 
-    The basis is diag(I_n, H), n the size of the frame (kind, d, lead) (n = 0
-    where ``lead`` is None; ``_bernstein_lead``): the rows against basis G_s
-    are the DoFs' own Bernstein rows of degree lead beside the monomial rows
-    times H.  No DoF row is multiplied by G; only a div or divdiv run's
-    sparse stencil table is."""
+    The catalog basis of degree parameter k is diag(I_n, H), n the size of
+    the frame (kind, d, k): the rows against basis G_s are the DoFs' own
+    Bernstein rows of degree k beside the monomial rows times H.  No DoF row
+    is multiplied by G; only a div or divdiv run's sparse stencil table is."""
     basis = space.basis
-    n = len(poly.frame(space.kind, frame.d, lead)) if lead is not None else 0
-    block = _dof_matrix(frame, dofs, space.kind, lead, True) if n else None
+    n = len(poly.frame(space.kind, frame.d, k))
+    block = _dof_matrix(frame, dofs, space.kind, k, True)
     if n == basis.cols:
         return block
     rows = _dof_matrix(frame, dofs, space.kind, space.k)
     tail = rows.take(range(rows.rows), n).matmul(basis.take(range(n, basis.rows), n))
-    return block.hstack(tail) if n else tail
+    return block.hstack(tail)
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -561,11 +536,11 @@ def check_unisolvence(element: Element) -> CheckResult:
     ctx = {"family": element.family, "d": element.frame.d, "k": element.k, "dim": dim, "dofs": n_dofs}
     if n_dofs != dim:
         return CheckResult("unisolvence", False, expected=dim, got=n_dofs, context=ctx)
-    shared, rank_s, ker, lead, _ = _split_memo(element)
+    shared, rank_s, ker, _ = element._split
     if rank_s == len(shared):
         # A = [S; I] with S of full row rank: A x = 0 iff x = G_s K y and I G_s K y = 0
         interior = [dof for dof in element.dofs if not dof.shared]
-        if _rows_times_g_s(element.frame, interior, element.space, lead).matmul(ker).rank() == ker.cols:
+        if _rows_times_g_s(element.frame, interior, element.space, element.k).matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
     r = element.dof_matrix.rank()
     if r == dim:
@@ -589,14 +564,14 @@ def nodal_basis(element: Element) -> list[Polynomial]:
     return [poly.from_coeff_vector(d, kind, k, coeffs.column(j)) for j in range(n)]
 
 
-def _nonzero_trace_mode(faces, modes, space: PolySpace, lead: int | None, coeffs: Matrix) -> str | None:
+def _nonzero_trace_mode(faces, modes, space: PolySpace, k: int, coeffs: Matrix) -> str | None:
     """The first of ``modes`` in which a column of ``coeffs`` (coordinates
-    against ``space.basis`` times ``_change_of_basis(space, lead)``) has a
+    against ``space.basis`` times ``_change_of_basis(space, k)``) has a
     nonzero trace on one of ``faces``, or None.  This depends only on the
     span of the columns, not on their basis."""
     for mode in modes:
         for face in faces:
-            if any(not t.matmul(coeffs).is_zero() for t in _split_traces(face, space, lead, mode)):
+            if any(not t.matmul(coeffs).is_zero() for t in _split_traces(face, space, k, mode)):
                 return mode
     return None
 
@@ -627,32 +602,16 @@ def _bubble_generators(element: Element, k: int) -> Matrix | None:
         return spaces.bubble_generator_bernstein(element.frame, element.space.kind, k)
 
 
-def _holds_bubble(element: Element) -> bool:
-    """Whether the shape space holds the bubble C of ``_bubble_verdict``: by
-    construction for the family's catalog space, else by one rank, rank
-    [basis | C] = dim."""
-    frame, space, k = element.frame, element.space, element.k
-    if space.basis == spaces.build_standard(frame, FAMILIES[element.family].shape, k).basis:
-        return True
-    if element.family == "RT":
-        parts = [spaces.bubble_space(frame, "div_RT_minus", k)]
-    else:
-        parts = [PolySpace(frame, space.kind, k, spaces.bubble_generator_matrix(frame, space.kind, k))]
-    if element.family == "HdivS_minus":
-        parts.append(spaces.bubble_enrichment_sym(frame, k))
-    return reduce(spaces.space_sum, parts, space).dim == space.dim
-
-
 def trace_block_rank(element: Element) -> CheckResult:
     """The shared DoF block alone must pin down the declared traces: every
     shape function annihilated by all shared DoFs has exactly zero trace,
-    and ker S equals a known bubble C: S C = 0, C inside the shape space and
-    dim C = dim ker S (``_bubble_verdict``, ``_holds_bubble``)."""
-    shared_rows, _, ker, lead, verdict = _split_memo(element)
+    and ker S equals a known bubble C, which the shape space holds by
+    construction: S C = 0 and dim C = dim ker S (``_bubble_verdict``)."""
+    shared_rows, _, ker, verdict = element._split
     frame, space = element.frame, element.space
     ctx = {"family": element.family, "d": frame.d, "k": element.k, "shared_dofs": len(shared_rows),
            "kernel_dim": ker.cols}
-    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, space, lead, ker)
+    mode = _nonzero_trace_mode(frame.faces(1), FAMILIES[element.family].trace_modes, space, element.k, ker)
     if mode is not None:
         ctx["nonzero_trace_mode"] = mode
         return CheckResult("trace-block", False, expected="zero trace", got=mode, context=ctx)
@@ -660,7 +619,7 @@ def trace_block_rank(element: Element) -> CheckResult:
         return CheckResult("trace-block", True, expected=None, got=ker.cols, context=ctx)
     kills, dim = verdict
     ctx["bubble_dim"] = dim
-    if dim != ker.cols or not (kills and _holds_bubble(element)):
+    if dim != ker.cols or not kills:
         return CheckResult("trace-block", False, expected="kernel == bubble", got=ker.cols, context=ctx)
     return CheckResult("trace-block", True, expected=dim, got=ker.cols, context=ctx)
 
@@ -683,7 +642,7 @@ def _dof_to_json(dof: DoFDescriptor) -> dict:
 
 def element_to_json(element: Element) -> dict:
     space = element.space
-    # the shape basis in canonical form, whatever basis the space was built with
+    # the shape basis in canonical form: of the catalog bases, only P_minus_sym's is not
     canonical = PolySpace(element.frame, space.kind, space.k, exact.image_basis(space.basis))
     return {
         "schema": "femforge-element/1",

@@ -18,7 +18,7 @@ from femforge.conformity import (
 from femforge.poly import Polynomial, koszul_xxT
 from femforge.integrate import pair_simplex
 from femforge.simplex import DegenerateSimplexError, SimplexFrame, random_frame, reference_simplex
-from femforge.spaces import PolySpace, build_standard, divdiv_splits, split_bubble
+from femforge.spaces import build_standard, divdiv_splits, split_bubble
 from reference import div_rowwise, divdiv, grad, hess
 
 
@@ -317,7 +317,7 @@ def test_cell_checks_build_one_element_per_simplex(monkeypatch):
 
 import dataclasses  # noqa: E402
 
-from femforge.elements import _bernstein_lead, _change_of_basis, _dof_matrix, _first_nonzero_trace  # noqa: E402
+from femforge.elements import _change_of_basis, _dof_matrix, _first_nonzero_trace  # noqa: E402
 from femforge.exact import DimensionMismatchError, SingularMatrixError, rref_kernel  # noqa: E402
 from femforge.report import CheckResult  # noqa: E402
 
@@ -403,7 +403,7 @@ def reference_shared_block_solution(patch, spec, left, right, k):
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
     on_face = rows.take([i if conformity._on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
     n = right.dim
-    basis = right.basis.matmul(_change_of_basis(right, _bernstein_lead(right)))
+    basis = right.basis.matmul(_change_of_basis(right, k))
     red, pivots = rows.matmul(basis).hstack(on_face.matmul(left.basis)).rref()
     if pivots and pivots[-1] >= n:
         return None
@@ -531,23 +531,6 @@ def test_inconsistent_shared_block_falls_back(fallbacks):
     assert fallbacks == [("BDM", 2)]
     assert res.as_dict() == reference_conformity_check(patch, "BDM", 2).as_dict()
     assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", right.dim)
-
-
-def test_shape_basis_without_a_bernstein_block_falls_back(fallbacks):
-    # the right frame's P_2 basis with its first two members swapped has no
-    # leading identity block: the shared block has no Bernstein coordinates,
-    # and the exact full solve decides the cell
-    patch = reflected_patch(reference_simplex(2))
-    spec = FAMILIES["BDM"]
-    n = len(poly.frame("vector", 2, 2))
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows[0][:2], rows[1][:2] = [0, 1], [1, 0]
-    patch.right._space_cache[("P_vector", 2)] = PolySpace(patch.right, "vector", 2, Matrix(rows))
-    left, right = build_standard(patch.left, spec.shape, 2), build_standard(patch.right, spec.shape, 2)
-    assert conformity._shared_block_solution(patch, spec, left, right, 2) is None
-    res = conformity_check(patch, "BDM", 2)
-    assert fallbacks == [("BDM", 2)] and res.passed
-    assert res.as_dict() == reference_conformity_check(patch, "BDM", 2).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])

@@ -124,6 +124,21 @@ def test_degree_floors(tri, tet):
         build_element(tri, "Nope", 1)
 
 
+def test_an_unknown_family_fails_when_the_element_is_constructed(tri):
+    with pytest.raises(UnsupportedTagError, match="unknown element family 'Nope'"):
+        Element("Nope", tri, 1, ())
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_shape_space_is_the_family_catalog_space(family):
+    fr = random_frame(2, random.Random(73))
+    spec = FAMILIES[family]
+    k = spec.floor(2)
+    e = Element(family, fr, k, spec.dofs(fr, k))
+    assert e.space is spaces.build_standard(fr, spec.shape, k)
+    assert build_element(fr, family, k).space is e.space
+
+
 def test_degenerate_test_spaces_give_zero_dofs(tet):
     # at d=3, k=2 the facet normal-normal moments need P_{-1}: no DoFs there
     e = build_element(tet, "HdivS", 2)
@@ -256,7 +271,7 @@ def test_nodal_basis_requires_unisolvence(tri):
     from femforge.exact import SingularMatrixError
 
     e = build_element(tri, "HdivS", 2)
-    crippled = Element(e.family, e.frame, e.k, e.space, e.dofs[:-1])  # the last DoF dropped
+    crippled = Element(e.family, e.frame, e.k, e.dofs[:-1])  # the last DoF dropped
     assert crippled.dof_matrix.rows == e.dim - 1
     with pytest.raises(SingularMatrixError):
         nodal_basis(crippled)
@@ -267,7 +282,7 @@ def test_unisolvence_failure_reports_kernel_witness(tri):
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     dofs = list(e.dofs)
     dofs[interior[-1]] = dofs[interior[0]]  # duplicate one functional
-    broken = Element(e.family, e.frame, e.k, e.space, dofs)
+    broken = Element(e.family, e.frame, e.k, dofs)
     res = check_unisolvence(broken)
     assert not res.passed
     assert res.got == e.dim - 1
@@ -577,9 +592,9 @@ def reference_trace_block_rank(element):
 
 
 def _with_dofs(e, edits):
-    """``e`` rebuilt on its shape space, with the DoF at each index of
-    ``edits`` replaced by the DoF it maps to."""
-    return Element(e.family, e.frame, e.k, e.space, [edits.get(i, dof) for i, dof in enumerate(e.dofs)])
+    """``e`` rebuilt with the DoF at each index of ``edits`` replaced by the
+    DoF it maps to."""
+    return Element(e.family, e.frame, e.k, [edits.get(i, dof) for i, dof in enumerate(e.dofs)])
 
 
 _SPLIT_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step, where)
@@ -597,11 +612,9 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     assert block.as_dict() == reference_trace_block_rank(e).as_dict()
     # a unisolvent element passes whatever the interior block, so check that
     # block too: the interior DoFs' Bernstein rows are the DoF rows times G_s
-    lead = el._split_memo(e)[3]
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
-    assert lead is not None
-    g = el._change_of_basis(e.space, lead)
-    rows = el._rows_times_g_s(fr, [e.dofs[i] for i in interior], e.space, lead)
+    g = el._change_of_basis(e.space, k)
+    rows = el._rows_times_g_s(fr, [e.dofs[i] for i in interior], e.space, k)
     assert rows == e.dof_matrix.take(interior).matmul(g)
 
 
@@ -623,92 +636,13 @@ def test_repr_eq_and_replace_apply_no_dof(monkeypatch, tri):
     monkeypatch.setattr(el, "apply_dof", lambda *args: applied.append(args) or apply(*args))
     e, f = build_element(tri, "HdivS", 2), build_element(tri, "HdivS", 2)
     assert "dof_matrix" not in repr(e) and e == f
-    assert not applied and e._matrix is None
+    assert not applied and "dof_matrix" not in vars(e)
     m = e.dof_matrix
     applied.clear()
     twin = dataclasses.replace(e)
-    assert twin._matrix is None and twin == e and repr(twin) == repr(e)
-    assert check_unisolvence(twin).passed and twin._split[3] == 2
+    assert "dof_matrix" not in vars(twin) and twin == e and repr(twin) == repr(e)
+    assert check_unisolvence(twin).passed and "_split" in vars(twin)
     assert not applied and twin.dof_matrix == m
-
-
-@pytest.mark.parametrize("family,k,swap", [("BDM", 2, (3, 11)), ("RT", 1, None), ("HdivS", 2, None),
-                                           ("HdivS_minus", 2, None)])
-def test_trace_block_of_another_shape_basis_matches_the_reference(tri, family, k, swap):
-    # the same shape space with its members reordered (two swapped, or all
-    # reversed): the bubble is taken against the element's own basis
-    e = build_element(tri, family, k)
-    order = list(reversed(range(e.dim)))
-    if swap is not None:
-        order = list(range(e.dim))
-        order[swap[0]], order[swap[1]] = swap[1], swap[0]
-    columns = e.space.basis.columns()
-    space = spaces.PolySpace(tri, e.space.kind, e.space.k, Matrix.from_columns([columns[j] for j in order]))
-    hand = Element(e.family, tri, e.k, space, e.dofs)
-    res = trace_block_rank(hand)
-    assert res.as_dict() == trace_block_rank(e).as_dict() == reference_trace_block_rank(hand).as_dict()
-    # two swapped members past the first keep a Bernstein block (k' = 0); reversed, none is left
-    assert (el._split_memo(hand)[3] is None) == (swap is None)
-
-
-@pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2)])
-def test_trace_block_of_the_shape_basis_at_a_higher_degree_matches_the_reference(tri, family, k):
-    # P_k written over the frame of degree k + 1: its Bernstein block is the
-    # whole basis, the verdict S_B C_B == 0 is read off it, and the basis,
-    # not the catalog's, holds the bubble by one rank
-    e = build_element(tri, family, k)
-    hand = Element(e.family, tri, e.k, e.space.with_degree(k + 1), e.dofs)
-    res = trace_block_rank(hand)
-    assert el._split_memo(hand)[3] == k
-    assert res.passed and res.as_dict() == reference_trace_block_rank(hand).as_dict() == trace_block_rank(e).as_dict()
-
-
-def test_a_shape_basis_without_a_bernstein_block_certifies_in_member_coordinates():
-    # RT k=1 on a random tetrahedron, its members reversed: no leading
-    # identity block, so S is eliminated with G_s the identity (k' None)
-    fr = random_frame(3, random.Random(61))
-    e = build_element(fr, "RT", 1)
-    columns = e.space.basis.columns()
-    space = spaces.PolySpace(fr, e.space.kind, e.space.k, Matrix.from_columns(columns[::-1]))
-    hand = Element(e.family, fr, e.k, space, e.dofs)
-    uni, block = check_unisolvence(hand), trace_block_rank(hand)
-    assert el._bernstein_lead(space) is None and el._split_memo(hand)[3] is None
-    assert uni.passed and block.passed
-    assert uni.as_dict() == reference_check_unisolvence(hand).as_dict() == check_unisolvence(e).as_dict()
-    assert block.as_dict() == reference_trace_block_rank(hand).as_dict() == trace_block_rank(e).as_dict()
-
-
-def test_bubble_outside_the_shape_space_fails_the_trace_block(tri):
-    # BDM k=2 with member 3 replaced by a cubic bubble generator: unisolvent,
-    # and ker S has the bubble's dimension, but not the bubble
-    e = build_element(tri, "BDM", 2)
-    columns = e.space.with_degree(3).basis.columns()
-    columns[3] = spaces.bubble_generator_matrix(tri, "vector", 3).column(1)
-    hand = Element(e.family, tri, e.k, spaces.PolySpace(tri, "vector", 3, Matrix.from_columns(columns)), e.dofs)
-    res = trace_block_rank(hand)
-    assert check_unisolvence(hand).passed and el._split_memo(hand)[3] is not None
-    assert (res.passed, res.expected, res.got) == (False, "kernel == bubble", 3)
-    assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
-
-
-def test_rt_bubble_outside_the_shape_space_fails_the_trace_block(tri):
-    # RT k=1 with the bubble b2 replaced by q = lambda_1 lambda_2 t_12, which
-    # has zero normal trace but lies outside RT_1: unisolvent, and ker S =
-    # span(b1, q) has the dimension of the RT bubble, but is not it
-    e = build_element(tri, "RT", 1)
-    b1, b2 = spaces.bubble_space(tri, "div_RT_minus", 1).basis.columns()
-    q = spaces.bubble_generator_matrix(tri, "vector", 2).column(2)
-    columns = [b1, b2]
-    for c in e.space.basis.columns():
-        if Matrix.from_columns(columns + [c]).rank() > len(columns):
-            columns.append(c)
-    columns = columns[2:] + [b1, q]
-    hand = Element(e.family, tri, e.k, spaces.PolySpace(tri, "vector", 2, Matrix.from_columns(columns)), e.dofs)
-    res = trace_block_rank(hand)
-    assert check_unisolvence(hand).passed
-    assert (res.passed, res.expected, res.got, res.context["bubble_dim"]) == (False, "kernel == bubble", 2, 2)
-    assert "nonzero_trace_mode" not in res.context
-    assert res.as_dict() == reference_trace_block_rank(hand).as_dict()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
@@ -718,8 +652,8 @@ def test_unisolvence_falls_back_when_the_shared_block_loses_rank(tri, family, k)
     shared = [i for i, dof in enumerate(e.dofs) if dof.shared]
     broken = _with_dofs(e, {shared[-1]: e.dofs[shared[0]]})
     res = check_unisolvence(broken)
-    _, rank_s, _, lead, _ = el._split_memo(broken)
-    assert rank_s == len(shared) - 1 and lead is not None
+    _, rank_s, _, _ = broken._split
+    assert rank_s == len(shared) - 1
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
@@ -734,8 +668,8 @@ def test_unisolvence_falls_back_when_the_interior_block_is_singular(tri, family,
     demoted = dataclasses.replace(e.dofs[shared[0]], shared=False)
     broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
-    _, rank_s, _, lead, _ = el._split_memo(broken)
-    assert rank_s == len(shared) and lead is not None
+    _, rank_s, _, _ = broken._split
+    assert rank_s == len(shared)
     assert not res.passed and res.got == e.dim - 1 and "kernel_witness" in res.context
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
@@ -752,7 +686,6 @@ def test_interior_block_is_taken_on_ker_s_in_member_coordinates(family, k):
     demoted = dataclasses.replace(e.dofs[shared[-1]], shared=False)
     broken = _with_dofs(e, {interior[0]: demoted})
     res = check_unisolvence(broken)
-    assert el._split_memo(broken)[3] is not None
     assert not res.passed and res.got == e.dim - 1
     assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
 
@@ -765,9 +698,8 @@ def test_trace_block_fails_when_the_kernel_is_a_proper_subspace_of_the_bubble(fa
     dofs = list(e.dofs)
     i = next(i for i, dof in enumerate(dofs) if not dof.shared)
     dofs[i] = dataclasses.replace(dofs[i], shared=True)
-    broken = Element(e.family, e.frame, e.k, e.space, dofs)
+    broken = Element(e.family, e.frame, e.k, dofs)
     res = trace_block_rank(broken)
-    assert el._split_memo(broken)[3] is not None
     assert not res.passed and res.expected == "kernel == bubble"
     assert res.got == res.context["kernel_dim"] == res.context["bubble_dim"] - 1
     assert "nonzero_trace_mode" not in res.context
@@ -791,9 +723,8 @@ def test_trace_block_fail_record_does_not_depend_on_the_kernel_basis(family, dem
     e = build_element(random_frame(2, random.Random(47)), family, 3)
     dofs = [dataclasses.replace(dof, shared=False) if dof.label in demoted else dof for dof in e.dofs]
     assert sum(a.shared != b.shared for a, b in zip(dofs, e.dofs)) == 2
-    broken = Element(e.family, e.frame, e.k, e.space, dofs)
+    broken = Element(e.family, e.frame, e.k, dofs)
     res = trace_block_rank(broken)
-    assert el._split_memo(broken)[3] is not None
     assert (res.passed, res.got, res.context["nonzero_trace_mode"]) == (False, mode, mode)
     assert res.as_dict() == reference_trace_block_rank(broken).as_dict()
 
@@ -813,7 +744,7 @@ def test_trace_block_fails_when_the_expected_bubble_is_wrong(monkeypatch, how, f
     # of S, in place before the split memo takes its verdict S_B C_B == 0
     fr = random_frame(2, random.Random(43))
     e = build_element(fr, family, k)
-    shared = el._split_memo(e)[0]
+    shared = e._split[0]
     bernstein_rows = el._dof_matrix(e.frame, [e.dofs[i] for i in shared], e.space.kind, deg, True)
 
     def wrong(part, s):
@@ -853,10 +784,6 @@ def test_trace_block_matches_the_reference_at_d4(family, where):
 # -- the shared block in Bernstein coordinates ------------------------------------------
 
 
-def _bernstein_change(space):
-    return el._change_of_basis(space, el._bernstein_lead(space))
-
-
 def _block_diag(g, rest):
     n = g.rows
     top = g.hstack(Matrix.zeros(n, rest))
@@ -865,41 +792,22 @@ def _block_diag(g, rest):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
-    fr = random_frame(d, random.Random(71))
-    # a P_k space is the identity: the change of basis is G itself
-    assert _bernstein_change(spaces.build_standard(fr, "P_sym", 2)) is fr.bernstein("sym", 2)
-    # diag(I_n, H) with I_n on the degree <= k frame: diag(G_k, I)
-    for tag, kind, k in [("RT_shape", "vector", 2), ("P_minus_sym", "sym", 2), ("P_sym_plus_xxT", "sym", 3)]:
-        space = spaces.build_standard(fr, tag, k)
-        rest = space.dim - len(poly.frame(kind, d, k))
-        assert rest > 0
-        assert _bernstein_change(space) == _block_diag(fr.bernstein(kind, k), rest)
-    # every family's shape space of degree parameter k leads with the identity
-    # on the degree <= k frame: the block the certificates, and the bubble of
-    # HdivS_minus written against diag(I_n, W_top), assume
-    for frame in (reference_simplex(d), fr):
+    # every family's catalog basis of degree parameter k is diag(I_n, H), n
+    # the size of the frame (kind, d, k): the first n rows are [I_n | 0] and
+    # the rows past n are zero in the first n columns.  The certificates, and
+    # the bubble of HdivS_minus written against diag(I_n, W_top), rest on it,
+    # with G_s = diag(G(kind, k), I)
+    for frame in (reference_simplex(d), random_frame(d, random.Random(71))):
         for spec in FAMILIES.values():
             for k in (spec.floor(d), spec.floor(d) + 1):
-                assert el._bernstein_lead(spaces.build_standard(frame, spec.shape, k)) == k
-
-
-def test_bernstein_change_of_basis_without_a_leading_identity_block_is_the_identity():
-    fr = random_frame(2, random.Random(71))
-    bubble = spaces.bubble_vector_generators(fr, 3)
-    assert _bernstein_change(bubble) == Matrix.identity(bubble.dim)
-    n = len(poly.frame("vector", 2, 2))
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    # the first two members swapped: no leading identity block
-    rows[0][:2], rows[1][:2] = [0, 1], [1, 0]
-    swapped = spaces.PolySpace(fr, "vector", 2, Matrix(rows))
-    assert _bernstein_change(swapped) == Matrix.identity(n)
-    # a degree-1 member with a degree-2 term: the leading block stops short of
-    # the degree <= 1 frame (6 rows), whose identity block would hold it:
-    # k' = 0, where G(kind, 0) is the identity
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows[8][5] = 1
-    mixed = spaces.PolySpace(fr, "vector", 2, Matrix(rows))
-    assert el._bernstein_lead(mixed) == 0 and _bernstein_change(mixed) == Matrix.identity(n)
+                space = spaces.build_standard(frame, spec.shape, k)
+                basis, n = space.basis, len(poly.frame(space.kind, d, k))
+                rest = basis.cols - n
+                assert rest >= 0 and (rest > 0) == (spec.shape in ("RT_shape", "P_minus_sym", "P_sym_plus_xxT"))
+                assert basis.take(range(n)) == Matrix.identity(n).hstack(Matrix.zeros(n, rest))
+                assert basis.take(range(n, basis.rows), 0, n).is_zero()
+                g = frame.bernstein(space.kind, k)
+                assert el._change_of_basis(space, k) == (g if rest == 0 else _block_diag(g, rest))
 
 
 _KERNEL_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step) for fam in sorted(FAMILIES) for step in (0, 1)]
@@ -909,8 +817,8 @@ _KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
 @pytest.mark.parametrize("family,d,k", _KERNEL_CELLS)
 def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
     e = build_element(random_frame(d, random.Random(45 + d)), family, k)
-    shared, rank_s, ker, lead, _ = el._split_memo(e)
-    g = el._change_of_basis(e.space, lead)
+    shared, rank_s, ker, _ = e._split
+    g = el._change_of_basis(e.space, k)
     monomial = e.dof_matrix.take(shared).null_space()
     assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
     assert exact.image_basis(g.matmul(ker)) == exact.image_basis(monomial)
@@ -932,7 +840,7 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     # the first read assembles the DoF matrix and keeps the memo, so nothing
     # is eliminated twice
     assert e.dof_matrix.rows == len(e.dofs)
-    assert e._split is memo and memo[3] is not None
+    assert e._split is memo
     assert check_unisolvence(e).passed and trace_block_rank(e).passed and e._split is memo
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
     # the pair of test_unisolvence_failure_reports_kernel_witness: a new
@@ -940,19 +848,19 @@ def test_shared_split_memo_belongs_to_one_dof_matrix(tri):
     # another, starts without a memo or a matrix, and is eliminated in
     # Bernstein coordinates like any element
     broken = _with_dofs(e, {interior[-1]: e.dofs[interior[0]]})
-    assert broken._split is None and broken._matrix is None
+    assert "_split" not in vars(broken) and "dof_matrix" not in vars(broken)
     assert not check_unisolvence(broken).passed
-    assert broken._split[3] == memo[3] and e._split is memo
+    assert "_split" in vars(broken) and e._split is memo
     # the memo is neither compared nor printed, and a copy starts afresh
     twin = dataclasses.replace(e)
-    assert twin._split is None and twin == e and repr(twin) == repr(e)
+    assert "_split" not in vars(twin) and twin == e and repr(twin) == repr(e)
     # the element is frozen and its DoFs are a tuple (also when built over a
     # list), so no edit can leave the memo or the matrix stale
     with pytest.raises(TypeError):
         e.dofs[interior[0]] = dataclasses.replace(e.dofs[interior[0]], shared=True)
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.dofs = broken.dofs
-    assert el._split_memo(e) is memo and isinstance(broken.dofs, tuple)
+    assert e._split is memo and isinstance(broken.dofs, tuple)
 
 
 def test_a_dof_cannot_be_edited_in_place(tri):
@@ -1008,10 +916,9 @@ def test_dof_matrix_is_assembled_when_first_read(monkeypatch, family, d):
 def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
-    shared, rank_s, ker, lead, _ = el._split_memo(e)
-    g = el._change_of_basis(e.space, lead)
-    assert lead == k and g == _bernstein_change(e.space)
-    rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, lead, True)
+    shared, rank_s, ker, _ = e._split
+    g = el._change_of_basis(e.space, k)
+    rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, k, True)
     oracle = e.dof_matrix.take(shared).matmul(g)
     assert rows.hstack(e.dof_matrix.take(shared, rows.cols)) == oracle
     assert ker == oracle.null_space() and rank_s == oracle.rank()
@@ -1019,7 +926,7 @@ def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     basis = e.space.basis.matmul(g)
     for face in fr.faces(1):
         for mode in FAMILIES[family].trace_modes:
-            got = el._split_traces(face, e.space, lead, mode)
+            got = el._split_traces(face, e.space, k, mode)
             assert got == tuple(t.matmul(basis) for t in face.traces(e.space.kind, e.space.k, mode)[1])
 
 
@@ -1047,7 +954,7 @@ def test_unisolvence_of_a_built_element_takes_no_product_with_g(monkeypatch, fam
     k = FAMILIES[family].floor(2)
     e = build_element(fr, family, k)
     kind = e.space.kind
-    g_s, g = el._change_of_basis(e.space, el._bernstein_lead(e.space)), fr.bernstein(kind, k)
+    g_s, g = el._change_of_basis(e.space, k), fr.bernstein(kind, k)
     tables = [poly.operator_table(op, kind, 2, k) for op in (("div",) if kind == "vector" else ("div_rowwise", "divdiv"))]
     lefts = []
     matmul = Matrix.matmul
@@ -1085,7 +992,7 @@ def test_certifying_a_built_element_assembles_no_monomial_dof_rows(monkeypatch, 
     monkeypatch.setattr(el, "_run_rows", spy)
     monkeypatch.setattr(el, "apply_dof", lambda *args: applied.append(args) or apply(*args))
     assert check_unisolvence(e).passed and trace_block_rank(e).passed
-    assert bernstein_rows and not applied and e._split[3] is not None
+    assert bernstein_rows and not applied
     want = {"none": [], "shared": [dof for dof in e.dofs if dof.shared], "all": e.dofs}[_MONOMIAL_ROWS[family]]
     assert sorted(map(id, built)) == sorted(map(id, want))
 
@@ -1123,9 +1030,7 @@ def test_shared_rows_not_assembled_from_their_dofs_are_eliminated_as_they_are(fa
     i = next(i for i, dof in enumerate(e.dofs) if dof.shared and dof.test is not None)
     broken = _with_dofs(e, {i: dataclasses.replace(e.dofs[i], test=e.dofs[i].test.scale(2))})
     uni, block = check_unisolvence(broken), trace_block_rank(broken)
-    assert broken._split[3] is not None
     assert uni.passed and block.passed
     assert broken.dof_matrix.row(i) == tuple(2 * x for x in e.dof_matrix.row(i))
     assert uni.as_dict() == reference_check_unisolvence(broken).as_dict() == check_unisolvence(e).as_dict()
     assert block.as_dict() == reference_trace_block_rank(broken).as_dict() == trace_block_rank(e).as_dict()
-    assert e._split[3] is not None
