@@ -10,9 +10,11 @@ a sparse sum of right rows, one per nonzero of the left row, with one gcd
 per output row; ``kron_sum`` scatters weighted blocks into component
 columns the same way.  Elimination and back-substitution work on the
 rows scaled to coprime integers, by fraction-free cross-multiplication with
-gcd reduction to keep entries small; where the pivot divides the entry it
-clears, a row is updated only where the pivot row is nonzero, so sparse
-pivot rows make cheap updates.  ``Fraction``s are created only by the
+gcd-reduced multipliers to keep entries small.  In both, where the pivot
+divides the entry it clears, a row is updated only where the pivot row is
+nonzero, so sparse pivot rows make cheap updates, and the row's content is
+taken once (when it becomes a pivot row, or after its back-reduction)
+rather than after each such update.  ``Fraction``s are created only by the
 accessors ``row``, ``column`` and ``[i, j]``.  There is no floating-point
 path anywhere in this module, and a ``float`` entry is rejected.
 """
@@ -68,7 +70,7 @@ def _reduced(den: int, ints: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     g = gcd(den, *ints)
     if g == 1:
         return den, ints
-    return den // g, tuple(v // g for v in ints)
+    return den // g, tuple([v // g for v in ints])
 
 
 def _row_of(values: Iterable) -> tuple[int, tuple[int, ...]]:
@@ -413,10 +415,14 @@ def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], lis
     """Row echelon form over Z by fraction-free cross-multiplication.
 
     Pivots are chosen among nonzero candidates by smallest bit length to slow
-    entry growth; each updated row is divided by its gcd, which keeps the
-    intermediate integers near the size Bareiss division would give.  Pivot
-    rows are made positive at their pivot; under a pivot 1 a row changes
-    only where the pivot row is nonzero, so it is updated there alone.
+    entry growth.  A row chosen as pivot row is divided by its content, then
+    made positive at its pivot p.  Each entry a under p, with g = gcd(p, a),
+    is cleared by ``(p/g) row - (a/g) pivot_row``: where p divides a the row
+    changes only where the pivot row is nonzero and is updated there alone,
+    keeping its content until it is chosen; otherwise the whole row is
+    updated and divided by its gcd at once, which keeps the intermediate
+    integers near the size Bareiss division would give.  Every returned row
+    is primitive with a positive pivot.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -437,30 +443,29 @@ def _int_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], lis
                         break
         if best < 0:
             continue
-        row = rows[best]
+        row = _primitive(rows[best])
         rows[best] = rows[r]
         if row[c] < 0:
             row = [-x for x in row]
         rows[r] = row
         p = row[c]
-        if p == 1:
-            nonzero = [(j, y) for j, y in enumerate(row) if y and j > c]
-            for i in range(r + 1, m):
-                cur = rows[i]
-                a = cur[c]
-                if a:
-                    cur[c] = 0
+        nonzero = piv_tail = None
+        for i in range(r + 1, m):
+            cur = rows[i]
+            a = cur[c]
+            if a:
+                g = gcd(p, a)
+                if g == p:
+                    if nonzero is None:
+                        nonzero = [(j, y) for j, y in enumerate(row) if y]
+                    a //= p
                     for j, y in nonzero:
                         cur[j] -= a * y
-                    rows[i] = _primitive(cur)
-        else:
-            piv_tail = row[c + 1:]
-            lead = [0] * (c + 1)
-            for i in range(r + 1, m):
-                cur = rows[i]
-                a = cur[c]
-                if a:
-                    rows[i] = lead + _primitive([p * x - a * y for x, y in zip(cur[c + 1:], piv_tail)])
+                else:
+                    if piv_tail is None:
+                        piv_tail, lead = row[c + 1:], [0] * (c + 1)
+                    q, a = p // g, a // g
+                    rows[i] = lead + _primitive([q * x - a * y for x, y in zip(cur[c + 1:], piv_tail)])
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -470,34 +475,42 @@ def _back_reduce(ech: list[list[int]], pivots: list[int]) -> list[list[int]]:
     """Clear every pivot column above its pivot, in integers and in place.
 
     Each echelon row is zero left of its pivot, so ech[i] becomes its tail
-    from column pivots[i] on.  Bottom-up, each row above pivot row r with
-    entry f in r's pivot column (pivot p > 0, g = gcd(p, f)) becomes
-    ``(p/g) row - (f/g) row_r``, divided by its content; when p divides f
-    that changes the tail only where row_r is nonzero.  Tail r over tail[0]
-    is row r of the RREF from column pivots[r] on."""
+    from column pivots[i] on.  Bottom-up, each row i is reduced by every
+    final row r > i in turn: with f its entry in r's pivot column (pivot
+    p > 0, g = gcd(p, f)) it becomes ``(p/g) row_i - (f/g) row_r``.  When p
+    divides f that changes row i only where row_r is nonzero (each final
+    row's nonzeros are listed once), and row i's content is taken once after
+    all its updates; any other update is dense and divides by the content at
+    once, to bound growth.  Tail r over tail[0] is row r of the RREF from
+    column pivots[r] on."""
     for i, pc in enumerate(pivots):
         ech[i] = ech[i][pc:]  # one row at a time: no second copy of the echelon form
-    for r in range(len(pivots) - 1, 0, -1):
-        pc = pivots[r]
-        row_r = ech[r]
-        p = row_r[0]
-        nonzero = None
-        for i in range(r):
-            row_i = ech[i]
-            off = pc - pivots[i]
+    nonzero: list = [None] * len(pivots)
+    for i in range(len(pivots) - 2, -1, -1):
+        row_i = ech[i]
+        pi = pivots[i]
+        divided = True
+        for r in range(i + 1, len(pivots)):
+            off = pivots[r] - pi
             f = row_i[off]
             if not f:
                 continue
+            row_r = ech[r]
+            p = row_r[0]
             g = gcd(p, f)
-            a, b = p // g, f // g
-            if a == 1:
-                if nonzero is None:
-                    nonzero = [(j, y) for j, y in enumerate(row_r) if y]
-                for j, y in nonzero:
-                    row_i[off + j] -= b * y
-                ech[i] = _primitive(row_i)
+            if g == p:
+                f //= p
+                nz = nonzero[r]
+                if nz is None:
+                    nz = nonzero[r] = [(j, y) for j, y in enumerate(row_r) if y]
+                for j, y in nz:
+                    row_i[off + j] -= f * y
+                divided = False
             else:
-                ech[i] = _primitive([a * x for x in row_i[:off]] + [a * x - b * y for x, y in zip(row_i[off:], row_r)])
+                a, b = p // g, f // g
+                row_i = _primitive([a * x for x in row_i[:off]] + [a * x - b * y for x, y in zip(row_i[off:], row_r)])
+                divided = True
+        ech[i] = row_i if divided else _primitive(row_i)
     return ech
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from argparse import Namespace
 from fractions import Fraction
@@ -244,6 +246,16 @@ def test_face_traces_match_polynomial_reference(kind, d, k):
             assert got == expected, (mode, face.vertex_ids)
 
 
+# sha256 of the failure record of _replay_conformity_failure on patch2, one
+# per family; each comes from the right element's whole DoF system
+# (conformity._full_solve_check)
+_FAILURE_RECORDS = {
+    "BDM": "839dba81cf3c9d52a9da23225c0ea7000146328e69023eb6b79236f6ad444ebb",
+    "HdivS": "e71793638e580d98bc5dbaf6529f5a9d9cf56b3fb6c798d5512c0dda1e081a5f",
+    "DivDiv": "9c845ab709afba6d64ba5c108e00a86c9ba19eae84a8c323a7866dc172502a9a",
+}
+
+
 def _replay_conformity_failure(patch, monkeypatch, family, k):
     # declaring the negative control conforming must fail with a witness
     spec = FAMILIES[family]
@@ -252,6 +264,9 @@ def _replay_conformity_failure(patch, monkeypatch, family, k):
     monkeypatch.setitem(FAMILIES, family, fake)
     res = conformity_check(patch, family, k)
     assert not res.passed
+    # the whole record pinned: no golden report reaches the full solve
+    record = json.dumps(res.as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(record).hexdigest() == _FAILURE_RECORDS[family]
     assert res.context["jump_mode"] == control
     jump = poly.poly_from_json(res.context["jump"])
     assert not jump.is_zero()

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -286,6 +288,10 @@ def test_unisolvence_failure_reports_kernel_witness(tri):
     res = check_unisolvence(broken)
     assert not res.passed
     assert res.got == e.dim - 1
+    # the whole record, witness included, pinned: no golden report reaches
+    # this fallback (rank and null space of the DoF matrix)
+    record = json.dumps(res.as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(record).hexdigest() == "8cf5aa9d4285060c057e3c2014c4d6d47e852470ce5fbd2150775e597f859fa9"
     witness = res.context["kernel_witness"]
     tau = poly.poly_from_json(witness)
     # the witness is a genuine nonzero shape function annihilated by all DoFs

@@ -8,6 +8,7 @@ from femforge.exact import (
     DimensionMismatchError,
     Matrix,
     SingularMatrixError,
+    _back_reduce,
     _int_echelon,
     image_basis,
     kron_sum,
@@ -579,6 +580,71 @@ def test_integer_core_matches_fraction_reference():
         else:
             with pytest.raises(SingularMatrixError):
                 sq.solve(b)
+
+    check()
+
+
+def _divisible_rows():
+    """Integer rows for ``_int_echelon`` itself (no content taken first),
+    built so that every update rule runs.  Row a = f (p, u, ...) has a common
+    factor f and a non-unit pivot p of either sign, prime to u; row c has
+    k f p (|k| >= 2) under it, so the pivot divides the entry it clears and c
+    takes a sparse update.  Row b = (0, q, q m +- 1, ...), primitive, then
+    pivots column 1, where c holds q t + 1 (|t| >= 3), not divisible by q:
+    c next takes a dense update.  Rows zero in the first two columns with
+    common factors, and multiples of combinations of all rows (scaled by
+    2^bits(q), so that a and b keep the two smallest pivots), ride along.
+    Each case is (rows, cols, the first two echelon rows: a and b, each made
+    primitive with a positive pivot)."""
+    st = pytest.importorskip("hypothesis.strategies")
+    small, sign = st.integers(-9, 9), st.sampled_from([1, -1])
+
+    @st.composite
+    def build(draw):
+        cols = draw(st.integers(3, 8))
+
+        def tail(n):
+            return draw(st.lists(small, min_size=n, max_size=n))
+
+        p = draw(st.sampled_from([2, 3, 4, 6])) * draw(sign)
+        q = draw(st.sampled_from([2, 3, 5])) * draw(sign)
+        f, k, t = draw(st.integers(1, 4)), draw(st.integers(2, 5)) * draw(sign), draw(st.integers(3, 6)) * draw(sign)
+        u = p * draw(small) + draw(sign)
+        a, b = [p, u] + tail(cols - 2), [0, q, q * draw(small) + draw(sign)] + tail(cols - 3)
+        rows = [[f * x for x in a], b, [k * f * p, q * t + 1 + k * f * u] + tail(cols - 2)]
+        for _ in range(draw(st.integers(0, 3))):
+            g = draw(st.integers(1, 6))
+            rows.append([0, 0] + [g * x for x in tail(cols - 2)])
+        scale = 2 ** abs(q).bit_length()
+        for _ in range(draw(st.integers(0, 2))):
+            w = tail(len(rows))
+            rows.append([scale * sum(x * row[j] for x, row in zip(w, rows)) for j in range(cols)])
+        first = [[x if row[c] > 0 else -x for x in row] for row, c in ((a, 0), (b, 1))]
+        return draw(st.permutations(rows)), cols, first
+
+    return build()
+
+
+def test_divided_updates_match_the_fraction_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(_divisible_rows())
+    def check(case):
+        rows, cols, first = case
+        frac = [[Fraction(v) for v in row] for row in rows]
+        red, pivots = frac_rref(frac, cols)
+        ech, got = _int_echelon(rows, cols)
+        assert tuple(got) == pivots and ech[:2] == first
+        for row, pc in zip(ech, got):
+            assert not any(row[:pc]) and row[pc] > 0 and gcd(*row) == 1
+        for tail, want, pc in zip(_back_reduce(ech, got), red, pivots):
+            assert tail[0] > 0 and gcd(*tail) == 1
+            assert [Fraction(v, tail[0]) for v in tail] == want[pc:]
+        a = Matrix(rows, cols)
+        assert a.rank() == len(pivots)
+        assert a.rref() == (Matrix(red, cols), pivots)
+        assert a.null_space() == _frac_null_space(frac, cols)
 
     check()
 
