@@ -21,7 +21,12 @@ coordinates zero) and ker(S G_s), both mapped back by G_s.  When every
 member of ker S has zero declared traces on the face, all right functions
 with these shared DoFs have the same declared traces there (the shared DoFs
 fix the trace part of the paper's split), so the jumps are taken on the
-particular solution, and they do not depend on which one it is.  The
+particular solution, and they do not depend on which one it is.  For the
+``P_minus_sym`` shape, P_k(S) plus the enrichment W of bubbles, the right
+space is P_k(S) written at degree k + 1 (``_right_space``): every shared DoF
+and every declared trace vanishes on the bubble generators that span W,
+which is checked on the right frame, so W adds only free coordinates, zero in
+the particular solution, and kernel members with zero traces.  The
 family's declared traces must then agree exactly as chart polynomials, while
 a designated non-conforming component (fixed by the first declared trace)
 must jump for at least one pair (the negative control that guards against
@@ -64,8 +69,9 @@ holds exactly for all symmetric tau and scalar v.  The left-hand side is
 assembled once as an exact bilinear form B over the shaped monomial frames
 (``green_form``): every term is a trace matrix of ``Face.trace`` (or a volume
 operator matrix) paired through a chart mass (or frame Gram) matrix with a
-trace of v, so the module only multiplies matrices.  The check evaluates B on
-random rational polynomials; B == 0 is the identity itself.
+trace of v, so the module only multiplies matrices.  B == 0 is the identity
+itself, and the check passes on it alone; a nonzero B fails with a witness,
+a seeded random pair of polynomials or else a monomial pair.
 """
 
 from __future__ import annotations
@@ -75,14 +81,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _change_of_basis, _dof_matrix, _first_nonzero_trace, _nonzero_trace_mode,
-                       _rows_times_g_s, build_element)
+from .elements import (FAMILIES, _change_of_basis, _dof_matrix, _first_nonzero_trace, _kills_generators,
+                       _nonzero_trace_mode, _rows_times_g_s, build_element)
 from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
 from .simplex import Face, SimplexFrame
-from .spaces import PolySpace, build_standard
+from .spaces import PolySpace, bubble_generator_bernstein, build_standard
 
 _ZERO = Fraction(0)
 
@@ -150,7 +156,8 @@ def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
     outcome is decided by the right element's whole DoF system."""
     spec = FAMILIES[family]
     left = build_standard(patch.left, spec.shape, k)
-    right = _shared_block_solution(patch, spec, left, build_standard(patch.right, spec.shape, k), k)
+    shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
+    right = _shared_block_solution(patch, spec, left, _right_space(patch, spec, shared, k), k, shared)
     if right is not None:
         res = _jump_check(patch, family, k, left, right)
         if res.passed:
@@ -158,20 +165,38 @@ def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
     return _full_solve_check(patch, family, k)
 
 
-def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace, k: int) -> Matrix | None:
+def _right_space(patch: Patch, spec, shared, k: int) -> PolySpace:
+    """The right shape space of the shared-block solution: the catalog space,
+    or for P_minus_sym = P_k(S) + W the space P_k(S) over the frame of degree
+    k + 1, once the right side's ``shared`` DoFs and the shared face's
+    declared traces, all of degree k + 1 in Bernstein form, are seen to
+    annihilate the bubble generators whose span holds W.  The columns of W
+    then lie in the span of the P_k(S) columns of S, so the RREF, the
+    particular solution and the declared traces of ker S are those of the
+    catalog space."""
+    if spec.shape == "P_minus_sym":
+        face = patch.shared_right
+        gens = bubble_generator_bernstein(patch.right, "sym", k + 1)
+        traces = [t for mode in spec.trace_modes for t in face.traces("sym", k + 1, mode, True)[1]]
+        if _kills_generators(patch.right, shared, "sym", k + 1, gens, *traces):
+            return build_standard(patch.right, "P_sym", k).with_degree(k + 1)
+    return build_standard(patch.right, spec.shape, k)
+
+
+def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace, k: int,
+                           shared) -> Matrix | None:
     """Right shape coefficients (over the shaped frame) that match the shared
     DoFs of every left member on the shared face, the right side's other
-    shared DoFs zero, from the right side's shared DoF rows S alone (all of
-    them face DoFs); None unless the system is consistent and ker S has zero
-    declared traces on the face, so that every such right function has the
-    same declared traces.
+    shared DoFs zero, from the rows S of the right side's ``shared`` DoFs
+    alone (all of them face DoFs); None unless the system is consistent and
+    ker S has zero declared traces on the face, so that every such right
+    function has the same declared traces.
 
     One RREF of [S G_s | rhs], G_s = ``_change_of_basis(right, k)``, gives
     both a particular solution (free Bernstein coordinates zero) and ker S,
     each mapped back by G_s.  The zero right-hand sides (left members with
     no DoF on the face) stay out of the RREF: their solution is zero."""
     d = patch.left.d
-    shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
     s = _rows_times_g_s(patch.right, shared, right, k)
     on_face = [dof for dof in shared if _on_shared_face(dof, d)]
     at = {id(dof): r for r, dof in enumerate(on_face)}
@@ -325,9 +350,16 @@ def _random_poly(rng, d: int, kind: str, k: int) -> Polynomial:
 def green_identity_check(
     frame: SimplexFrame, k_tau: int, k_v: int, samples: int = 20, seed: int = 0
 ) -> CheckResult:
-    rng = random.Random(seed)
+    """The identity holds iff the form B of ``green_form`` is zero.  A nonzero
+    B fails with a witness: the first of ``samples`` seeded random pairs
+    (tau, v) with a nonzero residual, else the first nonzero entry of B as a
+    pair of monomials.  ``samples`` and ``seed`` are the budget of that
+    search; a zero B is never sampled."""
     ctx = {"d": frame.d, "k_tau": k_tau, "k_v": k_v, "samples": samples, "seed": seed}
     form = green_form(frame, k_tau, k_v)
+    if form.is_zero():
+        return CheckResult("green-identity", True, expected=0, got=0, context=ctx)
+    rng = random.Random(seed)
     for s in range(samples):
         tau = _random_poly(rng, frame.d, "sym", k_tau)
         v = _random_poly(rng, frame.d, "scalar", k_v)
@@ -335,4 +367,8 @@ def green_identity_check(
         if r != 0:
             ctx["sample"] = s
             return CheckResult("green-identity", False, expected=0, got=r, context=ctx)
-    return CheckResult("green-identity", True, expected=0, got=0, context=ctx)
+    # no sample saw B != 0: its first nonzero entry is the residual of a monomial pair
+    i, j = next((i, j) for i in range(form.rows) for j, x in enumerate(form.int_row(i)[1]) if x)
+    for key, kind, deg, at in (("tau", "sym", k_tau, i), ("v", "scalar", k_v, j)):
+        ctx[key] = poly.poly_to_json(Polynomial(frame.d, kind, {poly.frame(kind, frame.d, deg)[at]: Fraction(1)}))
+    return CheckResult("green-identity", False, expected=0, got=form[i, j], context=ctx)

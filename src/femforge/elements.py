@@ -67,7 +67,7 @@ from itertools import groupby
 from typing import Callable, Sequence
 
 from . import exact, poly, spaces
-from .exact import Matrix, SingularMatrixError, _cleared
+from .exact import Matrix, SingularMatrixError, _cleared, rref_kernel
 from .integrate import bernstein_gram, chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
@@ -498,18 +498,21 @@ def _bubble_verdict(element: Element, dofs: Sequence[DoFDescriptor], s_g: Matrix
     gens = _bubble_generators(element, k)
     if gens is None:
         return None
-    degrees, dim = (k,), gens.rank()
+    kills, dim = s_g.take(range(s_g.rows), 0, gens.rows).matmul(gens).is_zero(), gens.rank()
     if element.family == "HdivS_minus":
         # rank [G C_B, W] = rank C_B + dim W
-        degrees, dim = (k, k + 1), dim + spaces.bubble_enrichment_sym(frame, k).dim
-    kills = True
-    for j in degrees:
-        if j == k:
-            c_b, s_b = gens, s_g.take(range(s_g.rows), 0, gens.rows)
-        else:
-            c_b, s_b = _bubble_generators(element, j), _dof_matrix(frame, dofs, space.kind, j, True)
-        kills = kills and s_b.matmul(c_b).is_zero()
+        dim += spaces.bubble_enrichment_sym(frame, k).dim
+        kills = kills and _kills_generators(frame, dofs, space.kind, k + 1, _bubble_generators(element, k + 1))
     return kills, dim
+
+
+def _kills_generators(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, j: int, c_b: Matrix,
+                      *blocks: Matrix) -> bool:
+    """S_B C_B == 0 at degree j: the Bernstein rows S_B of degree j of
+    ``dofs``, and every further block against the same Bernstein columns of
+    G(kind, j), annihilate the bubble generators C_B of degree j
+    (``spaces.bubble_generator_bernstein``)."""
+    return all(b.matmul(c_b).is_zero() for b in (_dof_matrix(frame, dofs, kind, j, True), *blocks))
 
 
 def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace, k: int) -> Matrix:
@@ -542,10 +545,11 @@ def check_unisolvence(element: Element) -> CheckResult:
         interior = [dof for dof in element.dofs if not dof.shared]
         if _rows_times_g_s(element.frame, interior, element.space, element.k).matmul(ker).rank() == ker.cols:
             return CheckResult("unisolvence", True, expected=dim, got=dim, context=ctx)
-    r = element.dof_matrix.rank()
+    red, pivots = element.dof_matrix.rref()
+    r = len(pivots)
     if r == dim:
         return CheckResult("unisolvence", True, expected=dim, got=r, context=ctx)
-    ker = element.dof_matrix.null_space()
+    ker = rref_kernel(red, pivots, dim)
     space = element.space
     witness = poly.from_coeff_vector(element.frame.d, space.kind, space.k, space.basis.matmul(ker).column(0))
     ctx["kernel_witness"] = poly.poly_to_json(witness)

@@ -164,6 +164,12 @@ _GOLDEN_REPORTS = [
                  "d7ced5b0892241de05e790e1f9a72fa5c4d4366ef399a39c3895d46e1d7ad436", id="verify-rt-k0-1"),
     pytest.param(["verify", "--d", "2..3", "--k", "0..1", "--family", "RT", "--simplex", "random", "--seed", "7"],
                  "819e828cf7354cbb193eb69a506a82684f2cb78b7513fd7c96382749f92b46bd", id="verify-rt-k0-1-random-7"),
+    # the Green cells at d=3..4, whose forms are zero, and a HdivS_minus patch
+    # check solved on P_k(S) instead of the catalog space with its enrichment
+    pytest.param(["verify", "--d", "3..4", "--k", "0..4", "--family", "green"],
+                 "97c0b46df95520dd4772d5b13b439a12e5b46655ccca784891e40c6e07de0eee", id="verify-green-d3-4"),
+    pytest.param(["verify", "--d", "3", "--k", "4", "--family", "HdivS_minus"],
+                 "bab7a845378c9b27c862f31b010aef6c4f488cc645608256abd8c61f88292732", id="verify-d3-k4-minus"),
 ]
 
 

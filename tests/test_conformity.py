@@ -337,6 +337,10 @@ from femforge.exact import DimensionMismatchError, SingularMatrixError, rref_ker
 from femforge.report import CheckResult  # noqa: E402
 
 
+def _right_shared(patch, spec, k):
+    return [dof for dof in spec.faces(patch.right, k) if dof.shared]
+
+
 def reference_conformity_check(patch, family, k):
     spec = FAMILIES[family]
     left = build_standard(patch.left, spec.shape, k)
@@ -400,7 +404,7 @@ def test_shared_block_solution_solves_the_shared_rows(family):
     spec = FAMILIES[family]
     k = spec.floor(2) + 1
     left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
-    sol = conformity._shared_block_solution(patch, spec, left, right, k)
+    sol = conformity._shared_block_solution(patch, spec, left, right, k, _right_shared(patch, spec, k))
     shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
     rows = _dof_matrix(patch.right, shared, right.kind, right.k)
     on_face = rows.take([i if conformity._on_shared_face(dof, 2) else None for i, dof in enumerate(shared)])
@@ -442,7 +446,7 @@ def test_shared_block_solution_equals_the_product_route(family, d, k):
     patch = reflected_patch(random_frame(d, random.Random(64 + d)))
     spec = FAMILIES[family]
     left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
-    sol = conformity._shared_block_solution(patch, spec, left, right, k)
+    sol = conformity._shared_block_solution(patch, spec, left, right, k, _right_shared(patch, spec, k))
     assert sol is not None
     assert sol == reference_shared_block_solution(patch, spec, left, right, k)
 
@@ -458,7 +462,7 @@ def test_zero_right_hand_sides_are_members_without_dofs_on_the_face():
                           right.kind, right.k).matmul(left.basis)
     zero = [j for j in range(left.dim) if not any(on_face.column(j))]
     assert 0 < len(zero) < left.dim
-    sol = conformity._shared_block_solution(patch, spec, left, right, 3)
+    sol = conformity._shared_block_solution(patch, spec, left, right, 3, _right_shared(patch, spec, 3))
     assert all(not any(sol.column(j)) for j in zero)
     assert sol == reference_shared_block_solution(patch, spec, left, right, 3)
 
@@ -541,7 +545,7 @@ def test_inconsistent_shared_block_falls_back(fallbacks):
     # the right frame's P_2 shape space is the degree-1 space padded to degree 2
     patch.right._space_cache[("P_vector", 2)] = build_standard(patch.right, "P_vector", 1).with_degree(2)
     left, right = build_standard(patch.left, spec.shape, 2), build_standard(patch.right, spec.shape, 2)
-    assert conformity._shared_block_solution(patch, spec, left, right, 2) is None
+    assert conformity._shared_block_solution(patch, spec, left, right, 2, _right_shared(patch, spec, 2)) is None
     res = conformity_check(patch, "BDM", 2)
     assert fallbacks == [("BDM", 2)]
     assert res.as_dict() == reference_conformity_check(patch, "BDM", 2).as_dict()
@@ -564,7 +568,7 @@ def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, family, k):
     spec = _with_spec(monkeypatch, family, faces=one_on_face_interior)
     patch = reflected_patch(random_frame(2, random.Random(8)))
     left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
-    assert conformity._shared_block_solution(patch, spec, left, right, k) is None
+    assert conformity._shared_block_solution(patch, spec, left, right, k, _right_shared(patch, spec, k)) is None
     res = conformity_check(patch, family, k)
     assert fallbacks == [(family, k)]
     assert not res.passed and "jump" in res.context
@@ -612,6 +616,71 @@ def test_singular_right_element_is_a_fail_record(monkeypatch, family, rank):
     out = _run_element_cell(family, 2, 2)
     assert [res.check_id for *_, res in out][0] == f"unisolvence-{family}"
     assert not out[0][3].passed
+
+
+# -- HdivS_minus: the patch check on P_k(S), without the right side's enrichment ---
+#
+# Every shared DoF and every declared trace vanishes on the bubble generators
+# that span the enrichment W, so the right side's shared block is solved on
+# P_k(S) written at degree k + 1; the reports are those of the catalog space.
+
+_MINUS_CELLS = [pytest.param(d, k, seed, id=f"d{d}-k{k}-{'ref' if seed is None else 'random'}")
+                for d, ks in ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2,))) for k in ks
+                for seed in (None, 90 + 10 * d + k)]
+
+
+@pytest.mark.parametrize("d,k,seed", _MINUS_CELLS)
+def test_minus_patch_without_the_right_enrichment(fallbacks, d, k, seed):
+    frame = reference_simplex(d) if seed is None else random_frame(d, random.Random(seed))
+    patch = reflected_patch(frame)
+    res = conformity_check(patch, "HdivS_minus", k)
+    assert res.passed and fallbacks == []
+    # no enrichment, and so no catalog P_minus_sym, on the right frame
+    assert ("enrichment", k) not in patch.right._space_cache
+    assert ("P_minus_sym", k) not in patch.right._space_cache
+    assert res.as_dict() == reference_conformity_check(patch, "HdivS_minus", k).as_dict()
+
+
+def test_minus_right_space_is_p_k_at_degree_k_plus_1():
+    patch = reflected_patch(random_frame(3, random.Random(95)))
+    spec = FAMILIES["HdivS_minus"]
+    right = conformity._right_space(patch, spec, _right_shared(patch, spec, 3), 3)
+    assert (right.k, right.basis) == (4, build_standard(patch.right, "P_sym", 3).with_degree(4).basis)
+    # the other families keep their catalog space
+    for family in ("HdivS", "HdivS_split", "DivDivMinus"):
+        spec = FAMILIES[family]
+        k = spec.floor(3)
+        right = conformity._right_space(patch, spec, _right_shared(patch, spec, k), k)
+        assert right is build_standard(patch.right, spec.shape, k)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2)])
+def test_minus_generator_seen_by_a_shared_dof_keeps_the_catalog_space(monkeypatch, fallbacks, d, k):
+    # a generator of degree k + 1 with a vertex value is seen by the shared
+    # DoFs: the identity fails, and the check solves on the catalog space
+    patch = reflected_patch(reference_simplex(d))
+    catalog = build_standard(patch.right, "P_minus_sym", k)
+    expected = reference_conformity_check(patch, "HdivS_minus", k).as_dict()
+    generators = conformity.bubble_generator_bernstein
+
+    def with_a_vertex_value(frame, kind, j):
+        gens = generators(frame, kind, j)
+        # every component of the last Bernstein function, a vertex power lambda_i^j
+        nc = poly.ncomp(kind, frame.d)
+        return gens.hstack(Matrix.identity(gens.rows).take(range(gens.rows), gens.rows - nc))
+
+    solved_on = []
+    solution = conformity._shared_block_solution
+
+    def recording(patch, spec, left, right, k, shared):
+        solved_on.append(right)
+        return solution(patch, spec, left, right, k, shared)
+
+    monkeypatch.setattr(conformity, "bubble_generator_bernstein", with_a_vertex_value)
+    monkeypatch.setattr(conformity, "_shared_block_solution", recording)
+    res = conformity_check(patch, "HdivS_minus", k)
+    assert solved_on == [catalog] and fallbacks == []
+    assert res.as_dict() == expected
 
 
 # -- the Green identity against its polynomial evaluation -------------------------
@@ -730,3 +799,78 @@ def test_green_trace_terms_match_reference_and_are_nonzero(d):
         assert value != 0, name
     assert ref["volume"] != 0
     assert sum(ref.values()) == 0
+
+
+# -- the Green check: B == 0 passes unsampled, a nonzero B always fails ----------
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    """The number of sampled pairings of green_identity_check."""
+    seen = []
+    pair = conformity._pair
+
+    def spy(*args):
+        seen.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(conformity, "_pair", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_zero_green_form_passes_unsampled(pairs, d):
+    fr = random_frame(d, random.Random(110 + d))
+    res = green_identity_check(fr, 2, 2, samples=20, seed=5)
+    assert res.passed and pairs == []
+    # the sample budget stays in the record
+    assert (res.context["samples"], res.context["seed"]) == (20, 5)
+
+
+def _perturbed_green_form(monkeypatch, i, j, value):
+    form = green_form
+
+    def perturbed(frame, k_tau, k_v):
+        b = form(frame, k_tau, k_v)
+        rows = [list(b.row(r)) for r in range(b.rows)]
+        rows[i][j] += value
+        return Matrix(rows, b.cols)
+
+    monkeypatch.setattr(conformity, "green_form", perturbed)
+
+
+def test_nonzero_green_form_fails_at_the_first_sample_that_sees_it(monkeypatch, pairs):
+    fr = reference_simplex(2)
+    _perturbed_green_form(monkeypatch, 3, 2, Fraction(1, 7))
+    res = green_identity_check(fr, 2, 2, samples=20, seed=4)
+    # the seeded samples as they are drawn: the first nonzero residual fails
+    rng = random.Random(4)
+    form = conformity.green_form(fr, 2, 2)
+    for s in range(20):
+        tau = conformity._random_poly(rng, 2, "sym", 2)
+        v = conformity._random_poly(rng, 2, "scalar", 2)
+        r = conformity._pair(form, tau, 2, v, 2)
+        if r:
+            break
+    assert r != 0
+    assert (res.passed, res.expected, res.got) == (False, 0, r)
+    assert res.context == {"d": 2, "k_tau": 2, "k_v": 2, "samples": 20, "seed": 4, "sample": s}
+    assert len(pairs) == 2 * (s + 1)  # the check's pairings, then the test's own
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_nonzero_green_form_unseen_by_the_samples_still_fails(monkeypatch, pairs, samples):
+    # with no sample (or none that sees B), the first nonzero entry of B is
+    # the witness: a monomial pair (tau, v) and its residual
+    fr = reference_simplex(2)
+    i, j = 7, 2
+    _perturbed_green_form(monkeypatch, i, j, Fraction(-3, 5))
+    if samples:
+        # the one sample misses the perturbed entry
+        monkeypatch.setattr(conformity, "_random_poly", lambda rng, d, kind, k: Polynomial(d, kind, {}))
+    res = green_identity_check(fr, 2, 1, samples=samples, seed=0)
+    assert (res.passed, res.expected, res.got) == (False, 0, Fraction(-3, 5))
+    assert "sample" not in res.context
+    tau, v = poly.poly_from_json(res.context["tau"]), poly.poly_from_json(res.context["v"])
+    assert list(tau.terms) == [poly.frame("sym", 2, 2)[i]] and list(v.terms) == [poly.frame("scalar", 2, 1)[j]]
+    assert conformity._pair(conformity.green_form(fr, 2, 1), tau, 2, v, 1) == Fraction(-3, 5)

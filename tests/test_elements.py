@@ -302,6 +302,27 @@ def test_unisolvence_failure_reports_kernel_witness(tri):
     assert all(apply_dof(tri, dof, tau, {}) == 0 for dof in surviving)
 
 
+def test_unisolvence_fallback_eliminates_the_dof_matrix_once(tri, monkeypatch):
+    # rank and kernel of a singular DoF matrix come from one RREF
+    from femforge import exact
+
+    e = build_element(tri, "HdivS", 2)
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    dofs = list(e.dofs)
+    dofs[interior[-1]] = dofs[interior[0]]
+    broken = Element(e.family, e.frame, e.k, dofs)
+    shapes = []
+    echelon = exact._int_echelon
+
+    def recording(rows, cols):
+        shapes.append((len(rows), cols))
+        return echelon(rows, cols)
+
+    monkeypatch.setattr(exact, "_int_echelon", recording)
+    assert not check_unisolvence(broken).passed
+    assert shapes.count((e.dim, e.dim)) == 1
+
+
 # -- differential tests against the polynomial DoF evaluator --------------------
 #
 # The reference below evaluates each DoF one polynomial at a time: restrict
