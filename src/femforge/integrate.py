@@ -156,14 +156,11 @@ def bernstein_gram(frame: SimplexFrame, kind: str, k1: int, k2: int) -> Matrix:
     alphas = _bernstein_alphas(d, k2)
     jac, scale = frame.jac_factor, frame._bary.den ** k2
     scalar = {}
-    # the weights repeat across rows: one memo per call, since a memo kept
-    # for the process would hold them past it and raise the peak RSS
-    weight = lru_cache(maxsize=None)(_dirichlet_weight)
     for e in monomials(d, k1):
         # x^e = table / den over s, and s^beta lambda^alpha = lambda^(alpha_0, beta + alpha_1..d)
         den, table = frame.powers.power(e)
         top = sum(e) + k2 + d
-        ints = [jac.numerator * scale * sum(v * weight((alpha[0], *map(add, beta, alpha[1:])), top)
+        ints = [jac.numerator * scale * sum(v * _dirichlet_weight((alpha[0], *map(add, beta, alpha[1:])), top)
                                             for beta, v in table.items())
                 for alpha in alphas]
         scalar[e] = (jac.denominator * den * factorial(top), ints)

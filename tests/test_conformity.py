@@ -24,6 +24,16 @@ from femforge.spaces import build_standard, divdiv_splits, split_bubble
 from reference import div_rowwise, divdiv, grad, hess
 
 
+def _random_poly(rng, d, kind, k):
+    terms = {}
+    for c in range(poly.ncomp(kind, d)):
+        for exps in poly.monomials(d, k):
+            coeff = rng.randint(-5, 5)
+            if coeff:
+                terms[(c, exps)] = Fraction(coeff)
+    return Polynomial(d, kind, terms)
+
+
 @pytest.fixture(scope="module")
 def patch2():
     return build_patch([(0, 0), (1, 0)], (0, 1), (Fraction(1, 2), -1))
@@ -234,7 +244,7 @@ _MODES = {
 def test_face_traces_match_polynomial_reference(kind, d, k):
     rng = random.Random(17 * d + k)
     fr = random_frame(d, rng)
-    taus = [conformity._random_poly(rng, d, kind, k) for _ in range(3)]
+    taus = [_random_poly(rng, d, kind, k) for _ in range(3)]
     coeffs = poly.coeff_matrix(taus, k)
     for face in fr.faces(1):
         for mode in _MODES[kind]:
@@ -778,8 +788,8 @@ def test_green_residual_matches_polynomial_reference(d, k_tau, k_v):
     rng = random.Random(80 + d + k_tau + k_v)
     fr = random_frame(d, rng)
     for _ in range(3):
-        tau = conformity._random_poly(rng, d, "sym", k_tau)
-        v = conformity._random_poly(rng, d, "scalar", k_v)
+        tau = _random_poly(rng, d, "sym", k_tau)
+        v = _random_poly(rng, d, "scalar", k_v)
         assert green_residual(fr, tau, v) == reference_green_residual(fr, tau, v)
 
 
@@ -790,8 +800,8 @@ def test_green_trace_terms_match_reference_and_are_nonzero(d):
     rng = random.Random(90 + d)
     fr = random_frame(d, rng)
     k_tau, k_v = 3, 2
-    tau = conformity._random_poly(rng, d, "sym", k_tau)
-    v = conformity._random_poly(rng, d, "scalar", k_v)
+    tau = _random_poly(rng, d, "sym", k_tau)
+    v = _random_poly(rng, d, "scalar", k_v)
     ref = reference_green_terms(fr, tau, v)
     got = _trace_green_terms(fr, tau, k_tau, v, k_v)
     for name, value in got.items():
@@ -806,7 +816,7 @@ def test_green_trace_terms_match_reference_and_are_nonzero(d):
 
 @pytest.fixture
 def pairs(monkeypatch):
-    """The number of sampled pairings of green_identity_check."""
+    """The pairings of a form with a polynomial pair, as they are made."""
     seen = []
     pair = conformity._pair
 
@@ -828,7 +838,7 @@ def test_zero_green_form_passes_unsampled(pairs, d):
 
 
 def _perturbed_green_form(monkeypatch, i, j, value):
-    form = green_form
+    form = conformity.green_form
 
     def perturbed(frame, k_tau, k_v):
         b = form(frame, k_tau, k_v)
@@ -839,38 +849,16 @@ def _perturbed_green_form(monkeypatch, i, j, value):
     monkeypatch.setattr(conformity, "green_form", perturbed)
 
 
-def test_nonzero_green_form_fails_at_the_first_sample_that_sees_it(monkeypatch, pairs):
+@pytest.mark.parametrize("samples,seed", [(0, 0), (20, 4)])
+def test_nonzero_green_form_fails_with_its_first_nonzero_entry(monkeypatch, pairs, samples, seed):
+    # whatever the sample budget, the witness is the first nonzero entry of B
+    # in row order: a monomial pair (tau, v) and its residual, with no pairing
     fr = reference_simplex(2)
-    _perturbed_green_form(monkeypatch, 3, 2, Fraction(1, 7))
-    res = green_identity_check(fr, 2, 2, samples=20, seed=4)
-    # the seeded samples as they are drawn: the first nonzero residual fails
-    rng = random.Random(4)
-    form = conformity.green_form(fr, 2, 2)
-    for s in range(20):
-        tau = conformity._random_poly(rng, 2, "sym", 2)
-        v = conformity._random_poly(rng, 2, "scalar", 2)
-        r = conformity._pair(form, tau, 2, v, 2)
-        if r:
-            break
-    assert r != 0
-    assert (res.passed, res.expected, res.got) == (False, 0, r)
-    assert res.context == {"d": 2, "k_tau": 2, "k_v": 2, "samples": 20, "seed": 4, "sample": s}
-    assert len(pairs) == 2 * (s + 1)  # the check's pairings, then the test's own
-
-
-@pytest.mark.parametrize("samples", [0, 1])
-def test_nonzero_green_form_unseen_by_the_samples_still_fails(monkeypatch, pairs, samples):
-    # with no sample (or none that sees B), the first nonzero entry of B is
-    # the witness: a monomial pair (tau, v) and its residual
-    fr = reference_simplex(2)
-    i, j = 7, 2
-    _perturbed_green_form(monkeypatch, i, j, Fraction(-3, 5))
-    if samples:
-        # the one sample misses the perturbed entry
-        monkeypatch.setattr(conformity, "_random_poly", lambda rng, d, kind, k: Polynomial(d, kind, {}))
-    res = green_identity_check(fr, 2, 1, samples=samples, seed=0)
-    assert (res.passed, res.expected, res.got) == (False, 0, Fraction(-3, 5))
-    assert "sample" not in res.context
+    _perturbed_green_form(monkeypatch, 9, 0, Fraction(2))
+    _perturbed_green_form(monkeypatch, 7, 2, Fraction(-3, 5))
+    res = green_identity_check(fr, 2, 1, samples=samples, seed=seed)
+    assert (res.passed, res.expected, res.got) == (False, 0, Fraction(-3, 5)) and pairs == []
+    assert (res.context["samples"], res.context["seed"]) == (samples, seed)
     tau, v = poly.poly_from_json(res.context["tau"]), poly.poly_from_json(res.context["v"])
-    assert list(tau.terms) == [poly.frame("sym", 2, 2)[i]] and list(v.terms) == [poly.frame("scalar", 2, 1)[j]]
+    assert list(tau.terms) == [poly.frame("sym", 2, 2)[7]] and list(v.terms) == [poly.frame("scalar", 2, 1)[2]]
     assert conformity._pair(conformity.green_form(fr, 2, 1), tau, 2, v, 1) == Fraction(-3, 5)
