@@ -3,43 +3,45 @@
 Patch test
 ----------
 Both simplices of a patch list the shared face's vertices first, in the same
-order, so the canonical chart of the shared face is bit-identical from
-either side.  For each left shape function, a right shape function is solved
-for that matches every right DoF living on the shared face (applied directly
-to the left function), with the right side's other shared DoFs set to zero.
-The left side is only its shape space, never a full element, and the matched
-shared DoFs of all left members are one product: the right side's shared DoF
-rows times the left shape basis, built for the DoFs on the face alone.  The
-right side needs only its shared rows S too, taken from its face DoFs (no
-interior test space is built), and eliminated in Bernstein coordinates:
-``elements._rows_times_g_s`` forms the sparse S G_s, as it does for the
-element certificates, with G_s mapping Bernstein to member coordinates; the
-monomial rows of all of S are built only for the catalog bases with columns
-past their Bernstein block.  One RREF of [S G_s | rhs], the zero
-right-hand sides left out, gives a particular solution (free Bernstein
-coordinates zero) and ker(S G_s), both mapped back by G_s.  When every
-member of ker S has zero declared traces on the face, all right functions
-with these shared DoFs have the same declared traces there (the shared DoFs
-fix the trace part of the paper's split), so the jumps are taken on the
-particular solution, and they do not depend on which one it is.  For the
-``P_minus_sym`` shape, P_k(S) plus the enrichment W of bubbles, the right
-space is P_k(S) written at degree k + 1 (``_right_space``): every shared DoF
-and every declared trace vanishes on the bubble generators that span W,
-which is checked on the right frame, so W adds only free coordinates, zero in
-the particular solution, and kernel members with zero traces.  The
-family's declared traces must then agree exactly as chart polynomials, while
-a designated non-conforming component (fixed by the first declared trace)
-must jump for at least one pair (the negative control that guards against
-vacuous passes; unlike the declared traces, it can depend on the particular
-solution).  The jumps of all members are one product per trace: the shared
-face's trace matrix times the left minus the right shape coefficients.
+order, so the canonical chart of the shared face F is bit-identical from
+either side.  The patch conforms when, for every left shape function u_L,
+the right function u_R that matches every right DoF on F (applied directly
+to u_L), every other right DoF zero, has the declared traces of u_L on F.
+A pass comes from identities on F alone (``_face_identities``), over the
+F-DoFs: the shared DoFs that lie on F.  The right side builds only its
+F-DoFs, never a shape space:
 
-Every outcome but a pass (an inconsistent system, a kernel member with a
-nonzero declared trace, a nonzero jump, a control that does not jump) is
-decided again from the right element's whole DoF system, every right DoF
-off the shared face zero.  A failure then reports the first nonzero jump of
-that unique right function as a chart polynomial, or a singular right DoF
-matrix by its rank.
+- (a) on the left frame, the rows of each declared trace on F lie in the
+  row span of the F-DoF rows D_F (rank [D_F; T_F] == rank D_F), both
+  against the catalog basis in Bernstein coordinates
+  (``elements._rows_times_g_s``, ``elements._split_traces``), P_k(S) for
+  the ``P_minus_sym`` shape;
+- (b) both cells define the same F-DoFs: their rows A and B over the global
+  monomial frame of the shape space have rank A == rank B == rank [A; B].
+
+The eight shapes other than ``P_minus_sym`` (P_k, P_k + x H_k and P_k(S) +
+x x^T H_{k-1}) are translation invariant, the same polynomial space on both
+cells, so w = u_L - u_R lies in it; B w = 0 by construction, so A w = 0 by
+(b), and w has zero declared traces on F by (a).  ``P_minus_sym`` is P_k(S)
+plus the enrichments W_L and W_R on the two cells: on both frames the F-DoFs
+and the declared traces on F, at degree k + 1 in Bernstein form, annihilate
+the bubble generators whose span holds W (``elements._kills_generators``),
+so the argument runs on the P_k(S) parts.  The negative control guards
+against vacuous passes: a designated non-conforming component (fixed by the
+first declared trace) must jump for some member, so its rows must not lie in
+the row span of D_F (a w with D_F w = 0 and a nonzero control is its own
+jump, its right function zero).  D_F need not have full row rank.
+
+Every outcome but a pass (a trace outside the span, a control inside it,
+F-DoFs that differ, an enrichment the F-DoFs see) is decided again from the
+right element's whole DoF system (``_full_solve_check``).  The jumps of all
+members are one product per trace: the shared face's trace matrix times the
+left minus the right shape coefficients.  A failure reports the first
+nonzero jump of that unique right function as a chart polynomial, or a
+singular right DoF matrix by its rank.  The identities only suffice: the full
+solve passes, for example, a divdiv family whose mixed normal-normal moment
+on an edge of F is cell-local, as each cell then takes the other edge
+moments in its own edge normal frame.
 
 All jumps are formed with one fixed covector: the left element's scaled
 normal g.  Since the right element's outward scaled normal is a negative
@@ -80,9 +82,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .elements import (FAMILIES, _change_of_basis, _dof_matrix, _first_nonzero_trace, _kills_generators,
-                       _nonzero_trace_mode, _rows_times_g_s, build_element)
-from .exact import DimensionMismatchError, Matrix, SingularMatrixError, rref_kernel
+from .elements import (FAMILIES, _dof_matrix, _first_nonzero_trace, _kills_generators, _rows_times_g_s,
+                       _split_traces, build_element)
+from .exact import DimensionMismatchError, Matrix, SingularMatrixError
 from .integrate import chart_mass, frame_gram
 from .poly import Polynomial
 from .report import CheckResult
@@ -151,69 +153,49 @@ def _on_shared_face(dof, d: int) -> bool:
 def conformity_check(patch: Patch, family: str, k: int) -> CheckResult:
     """Single-valued shared DoFs must force exactly the declared traces.
 
-    A pass comes from the right side's shared DoF block alone; every other
-    outcome is decided by the right element's whole DoF system."""
+    A pass comes from the face identities on the shared face alone; every
+    other outcome is decided by the right element's whole DoF system."""
     spec = FAMILIES[family]
     left = build_standard(patch.left, spec.shape, k)
-    shared = [dof for dof in spec.faces(patch.right, k) if dof.shared]
-    right = _shared_block_solution(patch, spec, left, _right_space(patch, spec, shared, k), k, shared)
-    if right is not None:
-        res = _jump_check(patch, family, k, left, right)
-        if res.passed:
-            return res
-    return _full_solve_check(patch, family, k)
+    control = _NEGATIVE_CONTROL[spec.trace_modes[0]]
+    if not _face_identities(patch, spec, left, k, control):
+        return _full_solve_check(patch, family, k)
+    ctx = {"family": family, "d": patch.left.d, "k": k, "members": left.dim,
+           "negative_control": control, "negative_control_jumped": True}
+    return CheckResult(f"conformity-{family}", True, context=ctx)
 
 
-def _right_space(patch: Patch, spec, shared, k: int) -> PolySpace:
-    """The right shape space of the shared-block solution: the catalog space,
-    or for P_minus_sym = P_k(S) + W the space P_k(S) over the frame of degree
-    k + 1, once the right side's ``shared`` DoFs and the shared face's
-    declared traces, all of degree k + 1 in Bernstein form, are seen to
-    annihilate the bubble generators whose span holds W.  The columns of W
-    then lie in the span of the P_k(S) columns of S, so the RREF, the
-    particular solution and the declared traces of ker S are those of the
-    catalog space."""
-    if spec.shape == "P_minus_sym":
-        face = patch.shared_right
-        gens = bubble_generator_bernstein(patch.right, "sym", k + 1)
-        traces = [t for mode in spec.trace_modes for t in face.traces("sym", k + 1, mode, True)[1]]
-        if _kills_generators(patch.right, shared, "sym", k + 1, gens, *traces):
-            return build_standard(patch.right, "P_sym", k).with_degree(k + 1)
-    return build_standard(patch.right, spec.shape, k)
+def _rank(*blocks: Matrix) -> int:
+    """The rank of the blocks stacked: rows R lie in the row span of D iff
+    rank [D; R] == rank D."""
+    return Matrix.vstack(blocks, blocks[0].cols).rank()
 
 
-def _shared_block_solution(patch: Patch, spec, left: PolySpace, right: PolySpace, k: int,
-                           shared) -> Matrix | None:
-    """Right shape coefficients (over the shaped frame) that match the shared
-    DoFs of every left member on the shared face, the right side's other
-    shared DoFs zero, from the rows S of the right side's ``shared`` DoFs
-    alone (all of them face DoFs); None unless the system is consistent and
-    ker S has zero declared traces on the face, so that every such right
-    function has the same declared traces.
-
-    One RREF of [S G_s | rhs], G_s = ``_change_of_basis(right, k)``, gives
-    both a particular solution (free Bernstein coordinates zero) and ker S,
-    each mapped back by G_s.  The zero right-hand sides (left members with
-    no DoF on the face) stay out of the RREF: their solution is zero."""
+def _face_identities(patch: Patch, spec, left: PolySpace, k: int, control: str) -> bool:
+    """The identities on the shared face F that make the patch conform: the
+    declared traces, and not the ``control`` trace, lie in the row span of
+    the left side's F-DoFs on its catalog space (P_k(S) for P_minus_sym);
+    both sides' F-DoF rows span the same space over the frame of ``left``;
+    for P_minus_sym, both sides' F-DoFs and F-traces annihilate the bubble
+    generators of degree k + 1."""
     d = patch.left.d
-    s = _rows_times_g_s(patch.right, shared, right, k)
-    on_face = [dof for dof in shared if _on_shared_face(dof, d)]
-    at = {id(dof): r for r, dof in enumerate(on_face)}
-    matched = _dof_matrix(patch.right, on_face, right.kind, right.k).matmul(left.basis)
-    rhs = matched.take([at.get(id(dof)) for dof in shared]).transpose()
-    nonzero = [j for j in range(rhs.rows) if any(rhs.int_row(j)[1])]
-    n = right.dim
-    red, pivots = s.hstack(rhs.take(nonzero).transpose()).rref()
-    if pivots and pivots[-1] >= n:
-        return None
-    ker = rref_kernel(red, pivots, n)
-    if ker.cols and _nonzero_trace_mode([patch.shared_right], spec.trace_modes, right, k, ker) is not None:
-        return None
-    row_of = {pc: r for r, pc in enumerate(pivots)}
-    sol = red.take([row_of.get(c) for c in range(n)], n).transpose()
-    col_of = {j: c for c, j in enumerate(nonzero)}
-    sol = sol.take([col_of.get(j) for j in range(rhs.rows)]).transpose()
-    return right.basis.matmul(_change_of_basis(right, k).matmul(sol))
+    sides = [(fr, face, [dof for dof in spec.faces(fr, k) if dof.shared and _on_shared_face(dof, d)])
+             for fr, face in ((patch.left, patch.shared_left), (patch.right, patch.shared_right))]
+    space = build_standard(patch.left, "P_sym", k) if spec.shape == "P_minus_sym" else left
+    # (a) and the control, on the left frame
+    d_f = _rows_times_g_s(patch.left, sides[0][2], space, k)
+    traces = [t for mode in spec.trace_modes for t in _split_traces(patch.shared_left, space, k, mode)]
+    r = _rank(d_f)
+    if _rank(d_f, *traces) != r or _rank(d_f, *_split_traces(patch.shared_left, space, k, control)) == r:
+        return False
+    if spec.shape == "P_minus_sym" and not all(
+            _kills_generators(fr, dofs, "sym", k + 1, bubble_generator_bernstein(fr, "sym", k + 1),
+                              *(t for mode in spec.trace_modes for t in face.traces("sym", k + 1, mode, True)[1]))
+            for fr, face, dofs in sides):
+        return False
+    # (b)
+    a, b = (_dof_matrix(fr, dofs, left.kind, left.k) for fr, _, dofs in sides)
+    return _rank(a) == _rank(b) == _rank(a, b)
 
 
 def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:

@@ -263,6 +263,8 @@ _FAILURE_RECORDS = {
     "BDM": "839dba81cf3c9d52a9da23225c0ea7000146328e69023eb6b79236f6ad444ebb",
     "HdivS": "e71793638e580d98bc5dbaf6529f5a9d9cf56b3fb6c798d5512c0dda1e081a5f",
     "DivDiv": "9c845ab709afba6d64ba5c108e00a86c9ba19eae84a8c323a7866dc172502a9a",
+    "HdivS_minus": "da05cb2e5f345e25ec5da0bac3a162e456eb28e961059f69a579d13a763a8b73",
+    "DivDivMinus": "5d53a1b45a2fc11c800b4e4b7a1fc5d17ec8834dfb7b958040e422f1c09c1b73",
 }
 
 
@@ -300,8 +302,9 @@ def _replay_conformity_failure(patch, monkeypatch, family, k):
 
 
 def test_conformity_failure_carries_a_replayable_jump(patch2, monkeypatch):
-    # one vector, one HdivS-type and one DivDiv-type family
-    for family, k in (("BDM", 1), ("HdivS", 2), ("DivDiv", 3)):
+    # one vector, one HdivS-type and one DivDiv-type family, and the two
+    # shapes past P_k: P_k(S) plus the enrichment, and P_k(S) + x x^T H_{k-1}
+    for family, k in (("BDM", 1), ("HdivS", 2), ("DivDiv", 3), ("HdivS_minus", 2), ("DivDivMinus", 3)):
         _replay_conformity_failure(patch2, monkeypatch, family, k)
 
 
@@ -333,22 +336,18 @@ def test_cell_checks_build_one_element_per_simplex(monkeypatch):
     assert len(built) == 1
 
 
-# -- the shared-block patch check against the full DoF solve ----------------------
+# -- the face identities against the full DoF solve -------------------------------
 #
 # The reference solves the right element's whole DoF system (the shared DoFs
-# on the face matched, every other DoF zero); the library solves the right
-# side's shared DoF block and certifies ker S_R, falling back to the full
-# solve for every outcome but a pass.
+# on the face matched, every other DoF zero); the library passes on the face
+# identities of the shared face alone, falling back to the full solve for
+# every outcome but a pass.
 
 import dataclasses  # noqa: E402
 
-from femforge.elements import _change_of_basis, _dof_matrix, _first_nonzero_trace  # noqa: E402
-from femforge.exact import DimensionMismatchError, SingularMatrixError, rref_kernel  # noqa: E402
+from femforge.elements import _dof_matrix, _first_nonzero_trace  # noqa: E402
+from femforge.exact import DimensionMismatchError, SingularMatrixError  # noqa: E402
 from femforge.report import CheckResult  # noqa: E402
-
-
-def _right_shared(patch, spec, k):
-    return [dof for dof in spec.faces(patch.right, k) if dof.shared]
 
 
 def reference_conformity_check(patch, family, k):
@@ -405,76 +404,26 @@ def test_shared_block_check_matches_full_solve(family, d, k, seed):
     assert res.as_dict() == reference_conformity_check(patch, family, k).as_dict()
 
 
+@pytest.mark.parametrize("seed", [None, 71], ids=["ref", "random"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("shape", ["P_vector", "RT_shape", "P_sym", "P_sym_plus_xxT"])
+def test_catalog_shape_is_the_same_on_both_frames(shape, d, seed):
+    # the premise of the face identities on one frame: every catalog shape
+    # space but P_minus_sym (whose P_k(S) is P_sym) is translation
+    # invariant, so both sides of a patch hold the same basis over the
+    # global monomial frame
+    frame = reference_simplex(d) if seed is None else random_frame(d, random.Random(seed + d))
+    patch = reflected_patch(frame)
+    k = max(3, d)
+    assert build_standard(patch.right, shape, k).basis == build_standard(patch.left, shape, k).basis
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_shared_block_solution_solves_the_shared_rows(family):
-    # S sol = rhs: sol matches the left members' DoFs on the shared face and
-    # zeroes the right side's other shared DoFs, and it lies in the right
-    # shape space
-    patch = reflected_patch(random_frame(2, random.Random(64)))
-    spec = FAMILIES[family]
-    k = spec.floor(2) + 1
-    left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
-    sol = conformity._shared_block_solution(patch, spec, left, right, k, _right_shared(patch, spec, k))
-    shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
-    rows = _dof_matrix(patch.right, shared, right.kind, right.k)
-    on_face = rows.take([i if conformity._on_shared_face(dof, 2) else None for i, dof in enumerate(shared)])
-    assert (sol.rows, sol.cols) == (right.basis.rows, left.dim)
-    assert rows.matmul(sol) == on_face.matmul(left.basis)
-    assert right.basis.hstack(sol).rank() == right.dim
-
-
-def reference_shared_block_solution(patch, spec, left, right, k):
-    """The shared-block solution through products with G_s: one RREF of
-    [S (basis G_s) | rhs] with every right-hand side, the zero ones too, and
-    the kernel's traces taken as monomial traces of (basis G_s) K."""
-    d = patch.left.d
-    shared = [dof for dof in spec.dofs(patch.right, k) if dof.shared]
-    rows = _dof_matrix(patch.right, shared, right.kind, right.k)
-    on_face = rows.take([i if conformity._on_shared_face(dof, d) else None for i, dof in enumerate(shared)])
-    n = right.dim
-    basis = right.basis.matmul(_change_of_basis(right, k))
-    red, pivots = rows.matmul(basis).hstack(on_face.matmul(left.basis)).rref()
-    if pivots and pivots[-1] >= n:
-        return None
-    row_of = {pc: r for r, pc in enumerate(pivots)}
-    sol = red.take([row_of.get(c) for c in range(n)], n)
-    coeffs = basis.matmul(rref_kernel(red, pivots, n))
-    if any(not t.matmul(coeffs).is_zero() for mode in spec.trace_modes
-           for t in patch.shared_left.traces(right.kind, right.k, mode)[1]):
-        return None
-    return basis.matmul(sol)
-
-
-_BLOCK_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step) for fam in sorted(FAMILIES) for step in (0, 1)]
-_BLOCK_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in ("BDM", "RT", "HdivS", "DivDiv")]
-
-
-@pytest.mark.parametrize("family,d,k", _BLOCK_CELLS)
-def test_shared_block_solution_equals_the_product_route(family, d, k):
-    # the same right coefficients without the zero right-hand sides in the
-    # RREF and without a product by G_s
-    patch = reflected_patch(random_frame(d, random.Random(64 + d)))
-    spec = FAMILIES[family]
-    left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
-    sol = conformity._shared_block_solution(patch, spec, left, right, k, _right_shared(patch, spec, k))
-    assert sol is not None
-    assert sol == reference_shared_block_solution(patch, spec, left, right, k)
-
-
-def test_zero_right_hand_sides_are_members_without_dofs_on_the_face():
-    # on the d=3 DivDiv k=3 patch some left members have no DoF on the shared
-    # face; their right function is zero
-    patch = reflected_patch(reference_simplex(3))
-    spec = FAMILIES["DivDiv"]
-    left, right = build_standard(patch.left, spec.shape, 3), build_standard(patch.right, spec.shape, 3)
-    shared = [dof for dof in spec.dofs(patch.right, 3) if dof.shared]
-    on_face = _dof_matrix(patch.right, [dof for dof in shared if conformity._on_shared_face(dof, 3)],
-                          right.kind, right.k).matmul(left.basis)
-    zero = [j for j in range(left.dim) if not any(on_face.column(j))]
-    assert 0 < len(zero) < left.dim
-    sol = conformity._shared_block_solution(patch, spec, left, right, 3, _right_shared(patch, spec, 3))
-    assert all(not any(sol.column(j)) for j in zero)
-    assert sol == reference_shared_block_solution(patch, spec, left, right, 3)
+@pytest.mark.parametrize("d", [2, 3])
+def test_passing_patch_builds_no_right_shape_space(family, d):
+    patch = reflected_patch(random_frame(d, random.Random(80 + d)))
+    assert conformity_check(patch, family, FAMILIES[family].floor(d)).passed
+    assert patch.right._space_cache == {}
 
 
 @pytest.fixture
@@ -489,6 +438,32 @@ def fallbacks(monkeypatch):
 
     monkeypatch.setattr(conformity, "_full_solve_check", spy)
     return seen
+
+
+@pytest.fixture
+def identities(monkeypatch):
+    """The verdict of every call of the face identities."""
+    seen = []
+    hold = conformity._face_identities
+
+    def spy(*args):
+        seen.append(hold(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(conformity, "_face_identities", spy)
+    return seen
+
+
+def _face_dofs(patch, spec, k):
+    """The rows of both sides' shared DoFs on the shared face over the frame
+    of the left catalog space."""
+    left, d = build_standard(patch.left, spec.shape, k), patch.left.d
+    return [_dof_matrix(fr, [dof for dof in spec.faces(fr, k) if dof.shared and conformity._on_shared_face(dof, d)],
+                        left.kind, left.k) for fr in (patch.left, patch.right)]
+
+
+def _same_span(a, b):
+    return a.rank() == b.rank() == Matrix.vstack([a, b], a.cols).rank()
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("HdivS_minus", 2), ("DivDiv", 3)])
@@ -547,23 +522,31 @@ def _with_spec(monkeypatch, family, **changes):
     return FAMILIES[family]
 
 
-def test_inconsistent_shared_block_falls_back(fallbacks):
-    # a right shape space of one degree less cannot match the left traces,
-    # and its DoF matrix is not square
+def test_inconsistent_shared_block_falls_back(monkeypatch, fallbacks, identities):
+    # the right frame alone moments its last normal DoF on the shared face
+    # against the test of the one before: the two sides' shared DoFs on the
+    # face differ, and the right DoF matrix is singular
     patch = reflected_patch(reference_simplex(2))
-    spec = FAMILIES["BDM"]
-    # the right frame's P_2 shape space is the degree-1 space padded to degree 2
-    patch.right._space_cache[("P_vector", 2)] = build_standard(patch.right, "P_vector", 1).with_degree(2)
-    left, right = build_standard(patch.left, spec.shape, 2), build_standard(patch.right, spec.shape, 2)
-    assert conformity._shared_block_solution(patch, spec, left, right, 2, _right_shared(patch, spec, 2)) is None
+    faces = FAMILIES["BDM"].faces
+
+    def right_test_changed(fr, k):
+        out = faces(fr, k)
+        if fr is patch.right:
+            on_face = [i for i, dof in enumerate(out) if conformity._on_shared_face(dof, 2)]
+            out[on_face[-1]] = dataclasses.replace(out[on_face[-1]], test=out[on_face[-2]].test)
+        return out
+
+    spec = _with_spec(monkeypatch, "BDM", faces=right_test_changed)
+    assert not _same_span(*_face_dofs(patch, spec, 2))
     res = conformity_check(patch, "BDM", 2)
-    assert fallbacks == [("BDM", 2)]
+    assert identities == [False] and fallbacks == [("BDM", 2)]
     assert res.as_dict() == reference_conformity_check(patch, "BDM", 2).as_dict()
-    assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", right.dim)
+    right = build_standard(patch.right, spec.shape, 2)
+    assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", right.dim - 1)
 
 
 @pytest.mark.parametrize("family,k", [("BDM", 2), ("HdivS", 2), ("DivDiv", 3)])
-def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, family, k):
+def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, identities, family, k):
     # one shared DoF on the shared face declared interior: ker S_R then holds
     # a function with a nonzero declared trace on the face
     faces = FAMILIES[family].faces
@@ -575,12 +558,10 @@ def test_kernel_with_a_trace_falls_back(monkeypatch, fallbacks, family, k):
         out[i] = dataclasses.replace(out[i], shared=False)
         return out
 
-    spec = _with_spec(monkeypatch, family, faces=one_on_face_interior)
+    _with_spec(monkeypatch, family, faces=one_on_face_interior)
     patch = reflected_patch(random_frame(2, random.Random(8)))
-    left, right = build_standard(patch.left, spec.shape, k), build_standard(patch.right, spec.shape, k)
-    assert conformity._shared_block_solution(patch, spec, left, right, k, _right_shared(patch, spec, k)) is None
     res = conformity_check(patch, family, k)
-    assert fallbacks == [(family, k)]
+    assert identities == [False] and fallbacks == [(family, k)]
     assert not res.passed and "jump" in res.context
     assert res.as_dict() == reference_conformity_check(patch, family, k).as_dict()
 
@@ -616,8 +597,8 @@ def test_singular_right_element_is_a_fail_record(monkeypatch, family, rank):
     res = conformity._full_solve_check(patch, family, 2)
     assert (res.passed, res.expected, res.got) == (False, "unisolvent right element", rank)
     assert res.as_dict() == reference_conformity_check(patch, family, 2).as_dict()
-    # the shared block still forces the traces; a forced fallback reports the
-    # singular system instead of raising
+    # the face identities still hold (the duplicate adds no row to the span);
+    # a forced fallback reports the singular system instead of raising
     assert conformity_check(patch, family, 2).passed
     mode = FAMILIES[family].trace_modes[0]
     monkeypatch.setitem(conformity._NEGATIVE_CONTROL, mode, mode)
@@ -630,9 +611,10 @@ def test_singular_right_element_is_a_fail_record(monkeypatch, family, rank):
 
 # -- HdivS_minus: the patch check on P_k(S), without the right side's enrichment ---
 #
-# Every shared DoF and every declared trace vanishes on the bubble generators
-# that span the enrichment W, so the right side's shared block is solved on
-# P_k(S) written at degree k + 1; the reports are those of the catalog space.
+# On both frames the shared DoFs and the declared traces on the shared face
+# vanish on the bubble generators that span the enrichments W_L and W_R, so
+# the face identities are taken on P_k(S); the reports are those of the
+# catalog space.
 
 _MINUS_CELLS = [pytest.param(d, k, seed, id=f"d{d}-k{k}-{'ref' if seed is None else 'random'}")
                 for d, ks in ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2,))) for k in ks
@@ -645,31 +627,17 @@ def test_minus_patch_without_the_right_enrichment(fallbacks, d, k, seed):
     patch = reflected_patch(frame)
     res = conformity_check(patch, "HdivS_minus", k)
     assert res.passed and fallbacks == []
-    # no enrichment, and so no catalog P_minus_sym, on the right frame
-    assert ("enrichment", k) not in patch.right._space_cache
-    assert ("P_minus_sym", k) not in patch.right._space_cache
+    # no enrichment, and no shape space at all, on the right frame
+    assert patch.right._space_cache == {}
     assert res.as_dict() == reference_conformity_check(patch, "HdivS_minus", k).as_dict()
 
 
-def test_minus_right_space_is_p_k_at_degree_k_plus_1():
-    patch = reflected_patch(random_frame(3, random.Random(95)))
-    spec = FAMILIES["HdivS_minus"]
-    right = conformity._right_space(patch, spec, _right_shared(patch, spec, 3), 3)
-    assert (right.k, right.basis) == (4, build_standard(patch.right, "P_sym", 3).with_degree(4).basis)
-    # the other families keep their catalog space
-    for family in ("HdivS", "HdivS_split", "DivDivMinus"):
-        spec = FAMILIES[family]
-        k = spec.floor(3)
-        right = conformity._right_space(patch, spec, _right_shared(patch, spec, k), k)
-        assert right is build_standard(patch.right, spec.shape, k)
-
-
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2)])
-def test_minus_generator_seen_by_a_shared_dof_keeps_the_catalog_space(monkeypatch, fallbacks, d, k):
+def test_minus_generator_seen_by_a_shared_dof_keeps_the_catalog_space(monkeypatch, fallbacks, identities, d, k):
     # a generator of degree k + 1 with a vertex value is seen by the shared
-    # DoFs: the identity fails, and the check solves on the catalog space
+    # DoFs: the generator check fails, and the full solve decides on the
+    # catalog space
     patch = reflected_patch(reference_simplex(d))
-    catalog = build_standard(patch.right, "P_minus_sym", k)
     expected = reference_conformity_check(patch, "HdivS_minus", k).as_dict()
     generators = conformity.bubble_generator_bernstein
 
@@ -679,18 +647,85 @@ def test_minus_generator_seen_by_a_shared_dof_keeps_the_catalog_space(monkeypatc
         nc = poly.ncomp(kind, frame.d)
         return gens.hstack(Matrix.identity(gens.rows).take(range(gens.rows), gens.rows - nc))
 
-    solved_on = []
-    solution = conformity._shared_block_solution
+    kills = []
+    kills_generators = conformity._kills_generators
 
-    def recording(patch, spec, left, right, k, shared):
-        solved_on.append(right)
-        return solution(patch, spec, left, right, k, shared)
+    def recording(*args):
+        kills.append(kills_generators(*args))
+        return kills[-1]
 
     monkeypatch.setattr(conformity, "bubble_generator_bernstein", with_a_vertex_value)
-    monkeypatch.setattr(conformity, "_shared_block_solution", recording)
+    monkeypatch.setattr(conformity, "_kills_generators", recording)
     res = conformity_check(patch, "HdivS_minus", k)
-    assert solved_on == [catalog] and fallbacks == []
+    assert kills == [False] and identities == [False] and fallbacks == [("HdivS_minus", k)]
     assert res.as_dict() == expected
+
+
+# -- patch-level DoF mutants: the face identities never pass what the solve fails ---
+#
+# Each mutant changes one face DoF's sharing on both sides of the patch: a
+# shared DoF on the shared face made cell-local (up to three sampled per
+# cell), or a cell-local DoF on the shared face made shared (only the
+# tangential-normal face moments of DivDiv and DivDivMinus are such DoFs;
+# the combo families take those moments as interior DoFs).  The
+# record must equal the full solve's, and wherever the face identities hold,
+# the full solve passes.
+
+from femforge.elements import FACE_NN  # noqa: E402
+
+
+def _mutant_cells():
+    for family, spec in sorted(FAMILIES.items()):
+        for d, k in ((2, spec.floor(2) + 1), (3, spec.floor(3))):
+            for seed in (None, 110 + d):
+                yield pytest.param(family, d, k, seed, id=f"{family}-d{d}-k{k}-{'ref' if seed is None else 'random'}")
+
+
+def _with_sharing(monkeypatch, spec, i, shared):
+    """``spec`` with face DoF ``i`` shared or cell-local, on every frame."""
+    def faces(fr, k):
+        out = spec.faces(fr, k)
+        out[i] = dataclasses.replace(out[i], shared=shared)
+        return out
+
+    monkeypatch.setitem(FAMILIES, spec.name, dataclasses.replace(spec, faces=faces))
+
+
+@pytest.mark.parametrize("family,d,k,seed", _mutant_cells())
+def test_face_identities_pass_no_mutant_the_full_solve_fails(monkeypatch, identities, family, d, k, seed):
+    frame = reference_simplex(d) if seed is None else random_frame(d, random.Random(seed))
+    patch = reflected_patch(frame)
+    spec = FAMILIES[family]
+    dofs = spec.faces(patch.left, k)
+    on_face = [i for i, dof in enumerate(dofs) if conformity._on_shared_face(dof, d)]
+    shared = [i for i in on_face if dofs[i].shared]
+    mutants = [(i, False) for i in sorted(random.Random(f"{family}{d}{seed}").sample(shared, min(3, len(shared))))]
+    mutants += [(i, True) for i in on_face if not dofs[i].shared][:1]
+    assert (len(mutants) > len(shared[:3])) == (family in ("DivDiv", "DivDivMinus"))
+    for i, sharing in mutants:
+        _with_sharing(monkeypatch, spec, i, sharing)
+        identities.clear()
+        res = conformity_check(patch, family, k)
+        reference = reference_conformity_check(patch, family, k)
+        assert res.as_dict() == reference.as_dict(), dofs[i].label
+        assert reference.passed or identities == [False], dofs[i].label
+
+
+def test_edge_mixed_nn_moment_made_cell_local_falls_back_and_passes(monkeypatch, fallbacks, identities):
+    # DivDiv d=3 k=4 without a shared mixed normal-normal moment (g01) on the
+    # edge (1, 2) of the shared face: each side takes the remaining g00 and
+    # g11 moments in its own edge normal frame (on the reference simplex the
+    # two frames differ on this edge alone), so the two sides' shared DoFs on
+    # the face span different rows, while the full solve still conforms
+    patch = reflected_patch(reference_simplex(3))
+    spec = FAMILIES["DivDiv"]
+    i = next(i for i, dof in enumerate(spec.faces(patch.left, 4))
+             if dof.kind == FACE_NN and dof.comp == (0, 1) and dof.face.vertex_ids == (1, 2))
+    _with_sharing(monkeypatch, spec, i, False)
+    assert not _same_span(*_face_dofs(patch, FAMILIES["DivDiv"], 4))
+    res = conformity_check(patch, "DivDiv", 4)
+    assert identities == [False] and fallbacks == [("DivDiv", 4)]
+    assert res.passed and res.as_dict() == reference_conformity_check(patch, "DivDiv", 4).as_dict()
 
 
 # -- the Green identity against its polynomial evaluation -------------------------
