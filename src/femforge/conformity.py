@@ -208,7 +208,7 @@ def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
     on_shared = [i for i, dof in enumerate(right_e.dofs) if dof.shared and _on_shared_face(dof, d)]
     # the shared DoFs of every left member as one product; the other right DoFs are zero
     shared_dofs = [right_e.dofs[i] for i in on_shared]
-    matched = _dof_matrix(patch.right, shared_dofs, left.kind, left.k).matmul(left.basis)
+    matched = left.applied(_dof_matrix(patch.right, shared_dofs, left.kind, left.k))
     row_of = {i: r for r, i in enumerate(on_shared)}
     try:
         sol = right_e.dof_matrix.solve(matched.take([row_of.get(i) for i in range(len(right_e.dofs))]))
@@ -216,7 +216,7 @@ def _full_solve_check(patch: Patch, family: str, k: int) -> CheckResult:
         ctx = {"family": family, "d": d, "k": k, "members": left.dim}
         return CheckResult(f"conformity-{family}", False, expected="unisolvent right element",
                            got=right_e.dof_matrix.rank(), context=ctx)
-    return _jump_check(patch, family, k, left, right_e.space.basis.matmul(sol))
+    return _jump_check(patch, family, k, left, right_e.space.times(sol))
 
 
 def _jump_check(patch: Patch, family: str, k: int, left: PolySpace, right: Matrix) -> CheckResult:

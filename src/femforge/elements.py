@@ -24,9 +24,10 @@ elimination runs in Bernstein coordinates, where that split is local: with G
 the integer matrix of the barycentric monomials lambda^alpha, |alpha| = k
 (``SimplexFrame.bernstein``), a face's DoFs see only the lambda^alpha that
 do not vanish on it, so S G is sparse, and K = G ker(S G).  Every catalog
-basis is diag(I_n, H), n the size of the frame (kind, d, k): the identity for
-the full polynomial spaces, a direct sum of degree k + 1 otherwise.  So G_s =
-diag(G, I), and ``_rows_times_g_s`` forms S G_s for the element
+basis is diag(I_n, H), n the size of the frame (kind, d, k), held as n and H
+(``PolySpace.lead``, ``tail``): H is empty for the full polynomial spaces, a
+direct sum of degree k + 1 otherwise.  So G_s = diag(G, I), and
+``_rows_times_g_s`` forms S G_s for the element
 certificates and for the patch check of ``conformity`` alike, from the
 faces' Bernstein traces rather than a product with G; it forms the interior
 block I G_s the same way, from the closed-form Bernstein moments of
@@ -141,7 +142,7 @@ class Element:
     @cached_property
     def _split(self) -> tuple:
         """(shared row indices, rank of the shared block S, K, verdict) with
-        ker S = G_s K, G_s = ``_change_of_basis(space, k)``, from one
+        ker S = G_s K, G_s = diag(G(kind, k), I), from one
         elimination of S G_s (``_rows_times_g_s``) per element, whether its
         DoF matrix was read or not.  K = ker(S G_s) as columns; verdict is
         ``_bubble_verdict``."""
@@ -462,25 +463,16 @@ def build_element(frame: SimplexFrame, family: str, k: int) -> Element:
     return Element(family, frame, k, spec.dofs(frame, k))
 
 
-def _change_of_basis(space: PolySpace, k: int) -> Matrix:
-    """G_s = diag(G(kind, k), I): a catalog basis of degree parameter k is
-    diag(I_n, H), n the size of the frame (kind, d, k)."""
-    cols = space.basis.cols
-    g = space.frame.bernstein(space.kind, k)
-    return g if g.cols == cols else Matrix.block_diag(g, Matrix.identity(cols - g.cols))
-
-
 def _split_traces(face: Face, space: PolySpace, k: int, mode: str) -> tuple[Matrix, ...]:
-    """The traces of ``mode`` on ``face`` against ``space.basis`` times
-    ``_change_of_basis(space, k)``: the Bernstein traces of degree k on the
-    leading block, beside the monomial traces of the basis columns past it
-    (zero rows pad the lower chart degree)."""
-    n = len(poly.frame(space.kind, space.frame.d, k))
+    """The traces of ``mode`` on ``face`` against the catalog basis
+    diag(I_n, H) of degree parameter k times G_s = diag(G(kind, k), I): the
+    Bernstein traces of degree k on the leading block, beside the monomial
+    traces past it times H (zero rows pad the lower chart degree)."""
     bernstein = face.traces(space.kind, k, mode, True)[1]
-    if n == space.basis.cols:
+    if not space.tail.cols:
         return bernstein
-    tail = space.basis.take(range(space.basis.rows), n)
-    out = [t.matmul(tail) for t in face.traces(space.kind, space.k, mode)[1]]
+    n = space.lead
+    out = [t.take(range(t.rows), n).matmul(space.tail) for t in face.traces(space.kind, space.k, mode)[1]]
     return tuple(Matrix.vstack([b, Matrix.zeros(t.rows - b.rows, n)], n).hstack(t) for b, t in zip(bernstein, out))
 
 
@@ -516,21 +508,18 @@ def _kills_generators(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: 
 
 
 def _rows_times_g_s(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], space: PolySpace, k: int) -> Matrix:
-    """The rows of ``dofs`` (face, vertex or interior DoFs) against
-    ``space.basis`` times G_s = ``_change_of_basis(space, k)``.
+    """The rows of ``dofs`` (face, vertex or interior DoFs) against the
+    catalog basis times G_s = diag(G(kind, k), I).
 
     The catalog basis of degree parameter k is diag(I_n, H), n the size of
     the frame (kind, d, k): the rows against basis G_s are the DoFs' own
     Bernstein rows of degree k beside the monomial rows times H.  No DoF row
     is multiplied by G; only a div or divdiv run's sparse stencil table is."""
-    basis = space.basis
-    n = len(poly.frame(space.kind, frame.d, k))
     block = _dof_matrix(frame, dofs, space.kind, k, True)
-    if n == basis.cols:
+    if not space.tail.cols:
         return block
     rows = _dof_matrix(frame, dofs, space.kind, space.k)
-    tail = rows.take(range(rows.rows), n).matmul(basis.take(range(n, basis.rows), n))
-    return block.hstack(tail)
+    return block.hstack(rows.take(range(rows.rows), space.lead).matmul(space.tail))
 
 
 def check_unisolvence(element: Element) -> CheckResult:
@@ -551,7 +540,7 @@ def check_unisolvence(element: Element) -> CheckResult:
         return CheckResult("unisolvence", True, expected=dim, got=r, context=ctx)
     ker = rref_kernel(red, pivots, dim)
     space = element.space
-    witness = poly.from_coeff_vector(element.frame.d, space.kind, space.k, space.basis.matmul(ker).column(0))
+    witness = poly.from_coeff_vector(element.frame.d, space.kind, space.k, space.times(ker).column(0))
     ctx["kernel_witness"] = poly.poly_to_json(witness)
     return CheckResult("unisolvence", False, expected=dim, got=r, context=ctx)
 
@@ -563,14 +552,14 @@ def nodal_basis(element: Element) -> list[Polynomial]:
         sol = element.dof_matrix.solve(Matrix.identity(n))
     except (SingularMatrixError, exact.DimensionMismatchError) as err:
         raise SingularMatrixError(f"element is not unisolvent: {err}") from None
-    coeffs = element.space.basis.matmul(sol)
+    coeffs = element.space.times(sol)
     d, kind, k = element.frame.d, element.space.kind, element.space.k
     return [poly.from_coeff_vector(d, kind, k, coeffs.column(j)) for j in range(n)]
 
 
 def _nonzero_trace_mode(faces, modes, space: PolySpace, k: int, coeffs: Matrix) -> str | None:
     """The first of ``modes`` in which a column of ``coeffs`` (coordinates
-    against ``space.basis`` times ``_change_of_basis(space, k)``) has a
+    against the catalog basis times G_s = diag(G(kind, k), I)) has a
     nonzero trace on one of ``faces``, or None.  This depends only on the
     span of the columns, not on their basis."""
     for mode in modes:

@@ -213,6 +213,8 @@ class Matrix:
             raise DimensionMismatchError("hstack needs equal row counts")
         if not other.cols:
             return self
+        if not self.cols:
+            return other
         out = []
         for da, a, db, b in zip(self._dens, self._ints, other._dens, other._ints):
             if da == db:
@@ -238,10 +240,6 @@ class Matrix:
         """
         if self.cols != other.rows:
             raise DimensionMismatchError("matmul shape mismatch")
-        if other.is_identity():
-            return self
-        if self.is_identity():
-            return other
         l = lcm(*other._dens)
         dens, ints = other._dens, other._ints
         sparse: list = [None] * other.rows
@@ -280,11 +278,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self._ints))
-
-    def is_identity(self) -> bool:
-        n = self.cols
-        return (self.rows == n and self._dens.count(1) == n
-                and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._ints)))
 
     # -- elimination core ------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Catalog of polynomial spaces, operator matrices and space decompositions.
 
-A ``PolySpace`` is a subspace of shaped polynomials of degree <= k, stored as
-a coefficient matrix over the shaped monomial frame (columns are members).
-Because frames are degree-major, a space re-expressed at a higher degree just
-pads zero rows, so subspace algebra across degrees is one matrix problem.
+A ``PolySpace`` is a subspace of shaped polynomials of degree <= k, with the
+coefficient matrix diag(I_lead, tail) over the shaped monomial frame (columns
+are members): lead = dim P_k and no tail for the P_k tags, W's rows past
+degree k as the tail of a direct sum P_k + W, lead 0 otherwise; products with
+it are taken block by block.  Because frames are degree-major, a space
+re-expressed at a higher degree just pads zero rows, so subspace algebra
+across degrees is one matrix problem.
 """
 
 from __future__ import annotations
@@ -30,20 +33,32 @@ class BadDegreeError(ValueError):
 
 
 class PolySpace:
-    __slots__ = ("frame", "kind", "k", "basis", "_members")
+    """The span of diag(I_lead, tail); ``PolySpace(frame, kind, k, m)`` spans m."""
 
-    def __init__(self, frame: SimplexFrame, kind: str, k: int, basis: Matrix):
-        self.frame = frame
-        self.kind = kind
-        self.k = k
-        self.basis = basis
+    __slots__ = ("frame", "kind", "k", "lead", "tail", "_members")
+
+    def __init__(self, frame: SimplexFrame, kind: str, k: int, tail: Matrix, lead: int = 0):
+        self.frame, self.kind, self.k, self.lead, self.tail = frame, kind, k, lead, tail
         self._members = None
-        if basis.rows != len(poly.frame(kind, frame.d, k)):
+        if lead + tail.rows != len(poly.frame(kind, frame.d, k)):
             raise ValueError("basis row count does not match the monomial frame")
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return self.lead + self.tail.cols
+
+    @property
+    def basis(self) -> Matrix:
+        """The coefficient matrix diag(I_lead, tail), built on each read."""
+        return Matrix.block_diag(Matrix.identity(self.lead), self.tail)
+
+    def times(self, m: Matrix) -> Matrix:
+        """basis x m: the first ``lead`` rows of m above tail x the rest."""
+        return Matrix.vstack([m.take(range(self.lead)), self.tail.matmul(m.take(range(self.lead, m.rows)))], m.cols)
+
+    def applied(self, t: Matrix) -> Matrix:
+        """t x basis: the first ``lead`` columns of t beside the rest x tail."""
+        return t.take(range(t.rows), 0, self.lead).hstack(t.take(range(t.rows), self.lead).matmul(self.tail))
 
     def members(self) -> list[Polynomial]:
         if self._members is None:
@@ -57,8 +72,8 @@ class PolySpace:
             return self
         if k < self.k:
             raise BadDegreeError("cannot shrink the frame below the space degree")
-        pad = Matrix.zeros(len(poly.frame(self.kind, self.frame.d, k)) - self.basis.rows, self.basis.cols)
-        return PolySpace(self.frame, self.kind, k, Matrix.vstack([self.basis, pad], self.basis.cols))
+        pad = Matrix.zeros(len(poly.frame(self.kind, self.frame.d, k)) - self.lead - self.tail.rows, self.tail.cols)
+        return PolySpace(self.frame, self.kind, k, Matrix.vstack([self.tail, pad], self.tail.cols), self.lead)
 
     def __repr__(self):
         return f"PolySpace({self.kind}, d={self.frame.d}, k={self.k}, dim={self.dim})"
@@ -202,7 +217,7 @@ def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace
         raise BadDegreeError(f"{tag} needs k >= 0")
     if tag in _P_TAGS:
         kind = _P_TAGS[tag]
-        return PolySpace(frame, kind, k, Matrix.identity(len(poly.frame(kind, frame.d, k))))
+        return PolySpace(frame, kind, k, Matrix.zeros(0, 0), len(poly.frame(kind, frame.d, k)))
     if tag == "H_scalar":
         return _homogeneous(frame, "scalar", k)
     if tag == "xxT_H":
@@ -220,12 +235,12 @@ def _build_standard_uncached(frame: SimplexFrame, tag: str, k: int) -> PolySpace
 
 
 def _direct_sum(p_k: PolySpace, w: PolySpace) -> PolySpace:
-    """P_k + W as diag(I_n, W's rows past degree k), W of degree k + 1: those
-    rows are independent where W meets P_k only in 0 (a vanishing combination
-    is a member of W in P_k).  Were it not so, dim would exceed the DoF rank
-    and unisolvence would fail; it cannot pass silently."""
-    top = w.basis.take(range(p_k.dim, w.basis.rows))
-    return PolySpace(p_k.frame, p_k.kind, w.k, Matrix.block_diag(p_k.basis, top))
+    """P_k + W as diag(I_n, W's rows past degree k), W of degree k + 1 and
+    lead 0: those rows are independent where W meets P_k only in 0 (a
+    vanishing combination is a member of W in P_k).  Were it not so, dim
+    would exceed the DoF rank and unisolvence would fail; it cannot pass
+    silently."""
+    return PolySpace(p_k.frame, p_k.kind, w.k, w.tail.take(range(p_k.dim, w.tail.rows)), p_k.dim)
 
 
 def empty_space(frame: SimplexFrame, kind: str, k: int = 0) -> PolySpace:
@@ -251,7 +266,7 @@ def operator_matrix(op: str, source: PolySpace) -> Matrix:
     the basis."""
     if op not in poly.OPERATORS:
         raise UnsupportedTagError(f"unknown operator tag {op!r}")
-    return poly.operator_table(op, source.kind, source.frame.d, source.k).matmul(source.basis)
+    return source.applied(poly.operator_table(op, source.kind, source.frame.d, source.k))
 
 
 def image_space(op: str, source: PolySpace) -> PolySpace:
@@ -262,7 +277,7 @@ def image_space(op: str, source: PolySpace) -> PolySpace:
 
 def kernel_space(op: str, source: PolySpace) -> PolySpace:
     coords = operator_matrix(op, source).null_space()
-    basis = exact.image_basis(source.basis.matmul(coords))
+    basis = exact.image_basis(source.times(coords))
     return PolySpace(source.frame, source.kind, source.k, basis)
 
 
@@ -279,8 +294,7 @@ def trace_matrix(frame: SimplexFrame, space: PolySpace, mode: str) -> Matrix:
     if mode not in _CONFORMING_TRACES:
         raise UnsupportedTagError(f"unknown trace mode {mode!r}")
     mats = [t for face in frame.faces(1) for t in face.traces(space.kind, space.k, mode)[1]]
-    stacked = Matrix.vstack(mats, space.basis.rows)
-    return stacked.matmul(space.basis)
+    return space.applied(Matrix.vstack(mats, space.lead + space.tail.rows))
 
 
 _BUBBLE_SHAPES = {
@@ -304,7 +318,7 @@ def _bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     tag, mode = _BUBBLE_SHAPES[family]
     shape = build_standard(frame, tag, k)
     coords = trace_matrix(frame, shape, mode).null_space()
-    basis = exact.image_basis(shape.basis.matmul(coords))
+    basis = exact.image_basis(shape.times(coords))
     return PolySpace(frame, shape.kind, shape.k, basis)
 
 
@@ -361,8 +375,9 @@ def orthocomplement_in(parent: PolySpace, sub: PolySpace) -> PolySpace:
     if sub.dim == 0:
         return parent
     gram = frame_gram(parent.frame, parent.kind, sub.k, parent.k)
-    coords = sub.basis.transpose().matmul(gram).matmul(parent.basis).null_space()
-    return PolySpace(parent.frame, parent.kind, parent.k, exact.image_basis(parent.basis.matmul(coords)))
+    # sub^T gram parent, as (parent^T gram^T sub)^T
+    coords = sub.applied(parent.applied(gram).transpose()).transpose().null_space()
+    return PolySpace(parent.frame, parent.kind, parent.k, exact.image_basis(parent.times(coords)))
 
 
 _BUBBLE_GENERATORS = {"div_vector": bubble_vector_generators, "div_sym": bubble_sym_generators}
@@ -462,7 +477,7 @@ def div_preimage_in(space: PolySpace, target: PolySpace) -> PolySpace:
     coords = red.take(range(n), n)
     if not m.matmul(coords) == tgt:
         raise ArithmeticError("divergence preimage fell outside the image")
-    return PolySpace(space.frame, space.kind, space.k, exact.image_basis(space.basis.matmul(coords)))
+    return PolySpace(space.frame, space.kind, space.k, exact.image_basis(space.times(coords)))
 
 
 def _div_free_coords(gens: Matrix, d: int, k: int) -> Matrix:

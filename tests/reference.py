@@ -10,7 +10,9 @@ containment and intersection tests are column-space routines over
 enrichment through L2 complements and a divergence preimage, the oracle for
 the pairing kernel of ``spaces.bubble_enrichment_sym``, and
 ``bubble_generator_products`` builds the bubble generators as products of
-polynomials, the oracle for their Bernstein columns.  The ``Fraction``
+polynomials, the oracle for their Bernstein columns.  ``change_of_basis``
+reads G_s = diag(G, I) off a catalog basis as a whole matrix, the oracle for
+the block products of the certificates.  The ``Fraction``
 polynomial routines below (affine substitution, face restriction, monomial
 moments and named face traces, one polynomial at a time) are the oracles for
 the integer power tables of ``poly.AffinePowers``; ``face_dof_rows``, the
@@ -99,6 +101,19 @@ def subspace_intersection(a: Matrix, b: Matrix) -> Matrix:
 def space_contains(a: PolySpace, b: PolySpace) -> bool:
     ma, mb = _common_frames(a, b)
     return subspace_contains(ma, mb)
+
+
+def change_of_basis(space: PolySpace, k: int) -> Matrix:
+    """G_s = diag(G(kind, k), I_r) for the materialized catalog basis
+    diag(I_n, H) of degree parameter k, n the size of the frame (kind, d, k)
+    and r the columns past it."""
+    basis = space.basis
+    n = len(poly.frame(space.kind, space.frame.d, k))
+    r = basis.cols - n
+    assert basis.take(range(n)) == Matrix.identity(n).hstack(Matrix.zeros(n, r))
+    assert basis.take(range(n, basis.rows), 0, n).is_zero()
+    g = space.frame.bernstein(space.kind, k)
+    return Matrix.vstack([g.hstack(Matrix.zeros(g.rows, r)), Matrix.zeros(r, n).hstack(Matrix.identity(r))], n + r)
 
 
 def preimage_enrichment_sym(frame: SimplexFrame, k: int) -> PolySpace:

@@ -262,6 +262,22 @@ def test_export_bytes_at_d3_on_a_random_simplex_are_pinned(tmp_path):
     assert got == _GOLDEN_D3_EXPORTS
 
 
+# sha256 of d=3 exports on the reference tetrahedron: the nodal basis of
+# HdivS_minus passes through the columns of its enrichment, that of RT k=1
+# through H_1 x, past the leading identity block of the catalog basis
+_GOLDEN_D3_REFERENCE_EXPORTS = {
+    "HdivS_minus_d3_k2.json": "28fec4c5becb63fc997a31c754c8e669b87dc7a47c2be215b0c0973ac3b9fd17",
+    "RT_d3_k1.json": "21ac034cb8f8fc2b5bc07391fdf46e46d826352888ea49778701ca09cccef219",
+}
+
+
+def test_export_bytes_of_direct_sums_at_d3_are_pinned(tmp_path):
+    for family, k in (("HdivS_minus", "2"), ("RT", "1")):
+        assert cli.main(["export", "--family", family, "--d", "3", "--k", k, "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == _GOLDEN_D3_REFERENCE_EXPORTS
+
+
 def test_repeated_family_runs_once(tmp_path, capsys):
     once, twice = tmp_path / "once.json", tmp_path / "twice.json"
     argv = ["verify", "--d", "2", "--k", "1..2", "--family", "BDM"]

@@ -302,6 +302,22 @@ def test_unisolvence_failure_reports_kernel_witness(tri):
     assert all(apply_dof(tri, dof, tau, {}) == 0 for dof in surviving)
 
 
+def test_unisolvence_witness_of_a_direct_sum_is_pinned(tri):
+    # HdivS_minus k=2, one interior DoF duplicated: the kernel vector reaches
+    # the enrichment's columns past the leading identity block, so the
+    # witness is mapped through both blocks of the catalog basis
+    e = build_element(tri, "HdivS_minus", 2)
+    interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
+    broken = _with_dofs(e, {interior[-1]: e.dofs[interior[0]]})
+    res = check_unisolvence(broken)
+    assert not res.passed and res.got == e.dim - 1
+    n = len(poly.frame("sym", 2, 2))
+    assert not broken.dof_matrix.null_space().take(range(n, e.dim)).is_zero()
+    record = json.dumps(res.as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(record).hexdigest() == "bd32b65afd7b7d59c36d5c982493e778ca8e588ecbcd71634bc9841c492ceae6"
+    assert res.as_dict() == reference_check_unisolvence(broken).as_dict()
+
+
 def test_unisolvence_fallback_eliminates_the_dof_matrix_once(tri, monkeypatch):
     # rank and kernel of a singular DoF matrix come from one RREF
     from femforge import exact
@@ -640,7 +656,7 @@ def test_split_certificates_match_direct_references(family, d, k, where):
     # a unisolvent element passes whatever the interior block, so check that
     # block too: the interior DoFs' Bernstein rows are the DoF rows times G_s
     interior = [i for i, dof in enumerate(e.dofs) if not dof.shared]
-    g = el._change_of_basis(e.space, k)
+    g = reference.change_of_basis(e.space, k)
     rows = el._rows_times_g_s(fr, [e.dofs[i] for i in interior], e.space, k)
     assert rows == e.dof_matrix.take(interior).matmul(g)
 
@@ -811,19 +827,13 @@ def test_trace_block_matches_the_reference_at_d4(family, where):
 # -- the shared block in Bernstein coordinates ------------------------------------------
 
 
-def _block_diag(g, rest):
-    n = g.rows
-    top = g.hstack(Matrix.zeros(n, rest))
-    return Matrix.vstack([top, Matrix.zeros(rest, n).hstack(Matrix.identity(rest))], n + rest)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
     # every family's catalog basis of degree parameter k is diag(I_n, H), n
     # the size of the frame (kind, d, k): the first n rows are [I_n | 0] and
-    # the rows past n are zero in the first n columns.  The certificates, and
-    # the bubble of HdivS_minus written against diag(I_n, W_top), rest on it,
-    # with G_s = diag(G(kind, k), I)
+    # the rows past n are zero in the first n columns, held as lead n and
+    # tail H.  The certificates, and the bubble of HdivS_minus written
+    # against diag(I_n, W_top), rest on it, with G_s = diag(G(kind, k), I)
     for frame in (reference_simplex(d), random_frame(d, random.Random(71))):
         for spec in FAMILIES.values():
             for k in (spec.floor(d), spec.floor(d) + 1):
@@ -833,8 +843,55 @@ def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
                 assert rest >= 0 and (rest > 0) == (spec.shape in ("RT_shape", "P_minus_sym", "P_sym_plus_xxT"))
                 assert basis.take(range(n)) == Matrix.identity(n).hstack(Matrix.zeros(n, rest))
                 assert basis.take(range(n, basis.rows), 0, n).is_zero()
-                g = frame.bernstein(space.kind, k)
-                assert el._change_of_basis(space, k) == (g if rest == 0 else _block_diag(g, rest))
+                assert (space.lead, space.tail.cols) == (n, rest)
+
+
+_DIRECT_SUMS = ("ND", "RM", "RT_shape", "P_minus_sym", "P_sym_plus_xxT")
+
+
+def _cached_spaces(frame):
+    """(key, space) for every space in the frame's memo, splits unpacked."""
+    for key, value in frame._space_cache.items():
+        for space in value if isinstance(value, tuple) else (value,):
+            yield key, space
+
+
+def _random_matrix(rng, rows, cols):
+    return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("where", ["reference", "random"])
+def test_catalog_spaces_store_no_identity(d, where):
+    # after every family's build, certificates and patch check, no space in
+    # either frame's memo holds an identity: the P_k tags are lead n with an
+    # empty tail, the direct sums lead n = dim P_k, the rest lead 0; and the
+    # block products are the products with the materialized basis.  The
+    # divdiv families start at k=4 on a 4-simplex, about 20 s on a random
+    # one, so there they run on the reference simplex alone
+    from femforge.conformity import conformity_check, reflected_patch
+
+    fr = reference_simplex(d) if where == "reference" else random_frame(d, random.Random(59 + d))
+    patch = reflected_patch(fr)
+    for family, spec in FAMILIES.items():
+        if d == 4 and where == "random" and spec.floor(d) > 2:
+            continue
+        e = build_element(fr, family, spec.floor(d))
+        assert check_unisolvence(e).passed and trace_block_rank(e).passed
+        assert conformity_check(patch, family, e.k).passed
+        for frame in (patch.left, patch.right):
+            for (tag, *rest), space in _cached_spaces(frame):
+                n = len(poly.frame(space.kind, d, rest[-1]))
+                if tag in spaces._P_TAGS:
+                    assert (space.lead, space.tail.rows, space.tail.cols) == (n, 0, 0)
+                else:
+                    assert space.lead == (n if tag in _DIRECT_SUMS else 0), tag
+    rng = random.Random(61)
+    for _, space in _cached_spaces(fr):
+        if space.dim <= 60:
+            m, t = _random_matrix(rng, space.dim, 2), _random_matrix(rng, 2, space.basis.rows)
+            assert space.times(m) == space.basis.matmul(m)
+            assert space.applied(t) == t.matmul(space.basis)
 
 
 _KERNEL_CELLS = [(fam, 2, FAMILIES[fam].floor(2) + step) for fam in sorted(FAMILIES) for step in (0, 1)]
@@ -845,7 +902,7 @@ _KERNEL_CELLS += [(fam, 3, FAMILIES[fam].floor(3)) for fam in sorted(FAMILIES)]
 def test_shared_split_kernel_equals_the_monomial_kernel(family, d, k):
     e = build_element(random_frame(d, random.Random(45 + d)), family, k)
     shared, rank_s, ker, _ = e._split
-    g = el._change_of_basis(e.space, k)
+    g = reference.change_of_basis(e.space, k)
     monomial = e.dof_matrix.take(shared).null_space()
     assert rank_s == e.dim - monomial.cols == e.dim - ker.cols
     assert exact.image_basis(g.matmul(ker)) == exact.image_basis(monomial)
@@ -944,7 +1001,7 @@ def test_bernstein_shared_rows_are_the_shared_rows_times_g_s(family, d, k):
     fr = random_frame(d, random.Random(45 + d))
     e = build_element(fr, family, k)
     shared, rank_s, ker, _ = e._split
-    g = el._change_of_basis(e.space, k)
+    g = reference.change_of_basis(e.space, k)
     rows = el._dof_matrix(fr, [e.dofs[i] for i in shared], e.space.kind, k, True)
     oracle = e.dof_matrix.take(shared).matmul(g)
     assert rows.hstack(e.dof_matrix.take(shared, rows.cols)) == oracle
@@ -981,7 +1038,7 @@ def test_unisolvence_of_a_built_element_takes_no_product_with_g(monkeypatch, fam
     k = FAMILIES[family].floor(2)
     e = build_element(fr, family, k)
     kind = e.space.kind
-    g_s, g = el._change_of_basis(e.space, k), fr.bernstein(kind, k)
+    g_s, g = reference.change_of_basis(e.space, k), fr.bernstein(kind, k)
     tables = [poly.operator_table(op, kind, 2, k) for op in (("div",) if kind == "vector" else ("div_rowwise", "divdiv"))]
     lefts = []
     matmul = Matrix.matmul

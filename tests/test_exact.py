@@ -193,16 +193,6 @@ def test_equality_and_hash_see_the_shape():
     assert Matrix.identity(2) == Matrix([[1, 0], [0, 1]])
 
 
-def test_is_identity():
-    assert all(Matrix.identity(n).is_identity() for n in (0, 1, 4))
-    assert Matrix([[1, 0], [0, Fraction(2, 2)]]).is_identity()
-    assert not Matrix([[1, 0], [0, 2]]).is_identity()
-    assert not Matrix([[1, 0], [1, 1]]).is_identity()
-    assert not Matrix([[0, 1], [1, 0]]).is_identity()
-    assert not Matrix([[1, 0]]).is_identity()
-    assert not Matrix.zeros(2, 0).is_identity()
-
-
 def test_public_constructor_converts_and_checks_internal_results_are_fractions():
     m = Matrix([[1, Fraction(1, 2)], (3, 4)])
     assert all(type(x) is Fraction for i in range(2) for x in m.row(i))
@@ -359,9 +349,9 @@ def test_identity_storage_is_the_unit_rows(n):
 
 @pytest.mark.parametrize("a", _CORPUS, ids=lambda a: f"{a.rows}x{a.cols}")
 def test_identity_factor_returns_the_other(a):
-    # A I == A == I A as the general product computes them, without a product
+    # A I == A == I A, through the general product
     right, left = Matrix.identity(a.cols), Matrix.identity(a.rows)
-    assert a.matmul(right) is a and left.matmul(a) is a
+    assert a.matmul(right) == a == left.matmul(a)
     assert a == _reference_matmul(a, right) == _reference_matmul(left, a)
     with pytest.raises(DimensionMismatchError):
         a.matmul(Matrix.identity(a.cols + 1))
