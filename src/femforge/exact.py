@@ -99,7 +99,7 @@ class Matrix:
     rows; with rows it must match their length.
     """
 
-    __slots__ = ("rows", "cols", "_dens", "_ints", "_rank", "_rref")
+    __slots__ = ("rows", "cols", "_dens", "_ints")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = [_row_of(row) for row in data]
@@ -109,8 +109,6 @@ class Matrix:
         self._dens, self._ints = zip(*rows) if rows else ((), ())
         self.rows = len(rows)
         self.cols = cols
-        self._rank = None
-        self._rref = None
 
     @classmethod
     def _of(cls, rows: list[tuple[int, tuple[int, ...]]], cols: int) -> "Matrix":
@@ -286,10 +284,8 @@ class Matrix:
         return [_primitive(list(ints)) for ints in self._ints]
 
     def rank(self) -> int:
-        if self._rank is None:
-            _, pivots = _int_echelon(self._int_rows(), self.cols)
-            self._rank = len(pivots)
-        return self._rank
+        _, pivots = _int_echelon(self._int_rows(), self.cols)
+        return len(pivots)
 
     def det(self) -> Fraction:
         """Determinant via Bareiss fraction-free elimination."""
@@ -324,15 +320,11 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (rational, leading 1s)."""
-        if self._rref is None:
-            ech, pivots = _int_echelon(self._int_rows(), self.cols)
-            # each back-reduced tail is primitive with a positive pivot, so
-            # over that pivot its row is in lowest terms
-            out = [(tail[0], (0,) * pc + tuple(tail)) for tail, pc in zip(_back_reduce(ech, pivots), pivots)]
-            self._rref = (Matrix._of(out, self.cols), tuple(pivots))
-            if self._rank is None:
-                self._rank = len(pivots)
-        return self._rref
+        ech, pivots = _int_echelon(self._int_rows(), self.cols)
+        # each back-reduced tail is primitive with a positive pivot, so over
+        # that pivot its row is in lowest terms
+        out = [(tail[0], (0,) * pc + tuple(tail)) for tail, pc in zip(_back_reduce(ech, pivots), pivots)]
+        return Matrix._of(out, self.cols), tuple(pivots)
 
     def null_space(self) -> "Matrix":
         """Columns form a basis of ``{x : Ax = 0}`` (integer, gcd-reduced,

@@ -35,11 +35,10 @@ class BadDegreeError(ValueError):
 class PolySpace:
     """The span of diag(I_lead, tail); ``PolySpace(frame, kind, k, m)`` spans m."""
 
-    __slots__ = ("frame", "kind", "k", "lead", "tail", "_members")
+    __slots__ = ("frame", "kind", "k", "lead", "tail")
 
     def __init__(self, frame: SimplexFrame, kind: str, k: int, tail: Matrix, lead: int = 0):
         self.frame, self.kind, self.k, self.lead, self.tail = frame, kind, k, lead, tail
-        self._members = None
         if lead + tail.rows != len(poly.frame(kind, frame.d, k)):
             raise ValueError("basis row count does not match the monomial frame")
 
@@ -61,10 +60,8 @@ class PolySpace:
         return t.take(range(t.rows), 0, self.lead).hstack(t.take(range(t.rows), self.lead).matmul(self.tail))
 
     def members(self) -> list[Polynomial]:
-        if self._members is None:
-            d, cols = self.frame.d, self.basis.transpose()
-            self._members = [poly.from_coeff_row(d, self.kind, self.k, cols.int_row(j)) for j in range(cols.rows)]
-        return self._members
+        d, cols = self.frame.d, self.basis.transpose()
+        return [poly.from_coeff_row(d, self.kind, self.k, cols.int_row(j)) for j in range(cols.rows)]
 
     def with_degree(self, k: int) -> "PolySpace":
         """The same space expressed over the degree <= k frame (k >= self.k)."""
@@ -197,7 +194,7 @@ def build_standard(frame: SimplexFrame, tag: str, k: int) -> PolySpace:
 
 
 def _memo(frame: SimplexFrame, key: tuple, build: Callable, *args):
-    """The space (or spaces) cached on ``frame`` under ``key``, from
+    """The space cached on ``frame`` under ``key``, from
     ``build(frame, *args)`` on a miss; nothing is stored if it raises."""
     cached = frame._space_cache.get(key)
     if cached is None:
@@ -311,10 +308,6 @@ def bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
         raise UnsupportedTagError(f"unknown bubble family {family!r}")
     if k < 0:
         raise BadDegreeError("bubble spaces need k >= 0")
-    return _memo(frame, ("bubble", family, k), _bubble_space, family, k)
-
-
-def _bubble_space(frame: SimplexFrame, family: str, k: int) -> PolySpace:
     tag, mode = _BUBBLE_SHAPES[family]
     shape = build_standard(frame, tag, k)
     coords = trace_matrix(frame, shape, mode).null_space()
@@ -390,10 +383,6 @@ def split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, P
         raise UnsupportedTagError(f"unknown bubble family {family!r}")
     if k < 0:
         raise BadDegreeError("bubble spaces need k >= 0")
-    return _memo(frame, ("split", family, k), _split_bubble, family, k)
-
-
-def _split_bubble(frame: SimplexFrame, family: str, k: int) -> tuple[PolySpace, PolySpace]:
     bubble = _BUBBLE_GENERATORS[family](frame, k)
     e0 = kernel_space("div" if bubble.kind == "vector" else "div_rowwise", bubble)
     return e0, orthocomplement_in(bubble, e0)

@@ -35,6 +35,20 @@ def test_dims_includes_sym_rows_at_k2(capsys):
     assert code == 0
 
 
+def test_dims_cell_memoizes_catalog_spaces_only():
+    # bubble spaces and div-kernel splits are built on each call: after a
+    # dims cell the reference frame's memo holds catalog spaces alone
+    from femforge import spaces
+
+    cli._fixed_frame.cache_clear()
+    try:
+        assert all(res.passed for *_, res in cli._dims_checks(2, 3))
+        keys = cli._fixed_frame(2, "ref")._space_cache.keys()
+        assert keys and all(key[0] in spaces._CATALOG_TAGS for key in keys)
+    finally:
+        cli._fixed_frame.cache_clear()
+
+
 def test_invalid_dimension_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dims", "--d", "5..5", "--k", "1..1"])

@@ -849,13 +849,6 @@ def test_bernstein_change_of_basis_follows_the_leading_identity_block(d):
 _DIRECT_SUMS = ("ND", "RM", "RT_shape", "P_minus_sym", "P_sym_plus_xxT")
 
 
-def _cached_spaces(frame):
-    """(key, space) for every space in the frame's memo, splits unpacked."""
-    for key, value in frame._space_cache.items():
-        for space in value if isinstance(value, tuple) else (value,):
-            yield key, space
-
-
 def _random_matrix(rng, rows, cols):
     return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)], cols)
 
@@ -880,14 +873,14 @@ def test_catalog_spaces_store_no_identity(d, where):
         assert check_unisolvence(e).passed and trace_block_rank(e).passed
         assert conformity_check(patch, family, e.k).passed
         for frame in (patch.left, patch.right):
-            for (tag, *rest), space in _cached_spaces(frame):
+            for (tag, *rest), space in frame._space_cache.items():
                 n = len(poly.frame(space.kind, d, rest[-1]))
                 if tag in spaces._P_TAGS:
                     assert (space.lead, space.tail.rows, space.tail.cols) == (n, 0, 0)
                 else:
                     assert space.lead == (n if tag in _DIRECT_SUMS else 0), tag
     rng = random.Random(61)
-    for _, space in _cached_spaces(fr):
+    for space in fr._space_cache.values():
         if space.dim <= 60:
             m, t = _random_matrix(rng, space.dim, 2), _random_matrix(rng, 2, space.basis.rows)
             assert space.times(m) == space.basis.matmul(m)
