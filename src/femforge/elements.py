@@ -45,11 +45,11 @@ coordinates at degree k + 1, so S_B C_B = 0 at that degree kills it too.
 Every face DoF vanishes on the RT bubble, the trace kernel of the shape
 space, which has no trace.
 
-A DoF is a row over the shaped monomial frame of the shape space (see the
-DoF rows section below); applying it to a polynomial is a sparse dot
-product with the polynomial's memoized integer terms
-(``Polynomial.int_terms``), and each row of the DoF matrix is cleared to
-integers as soon as it is applied.
+A DoF is one integer row over the shaped monomial frame (see the DoF rows
+section below); ``apply_dof`` dots it with a polynomial's memoized integer
+terms (``Polynomial.int_terms``).  The DoF matrix getter forms the rows run
+by run and hands each DoF its row, and each row of the DoF matrix is
+cleared to integers as soon as it is applied.
 
 Face functionals use the scaled normals g_i = -grad(lambda_i) and canonical
 chart measures, so every DoF equals a fixed positive multiple of its
@@ -135,8 +135,9 @@ class Element:
             # one run's rows at a time, released once applied; each DoF row of
             # the matrix is cleared to integers as soon as it is applied
             run = list(run)
-            rows = _dof_rows(frame, run, space.kind, space.k)
-            values += [_cleared([apply_dof(frame, dof, m, rows) for m in members]) for dof in run]
+            rows = _run_rows(frame, run, space.kind, space.k)
+            values += [_cleared([apply_dof(frame, dof, m, rows.int_row(i)) for m in members])
+                       for i, dof in enumerate(run)]
         return Matrix.from_int_rows(values, len(members))
 
     @cached_property
@@ -175,22 +176,6 @@ _FACE_TRACES = {
 }
 
 
-class _Row:
-    """One DoF as ``ints / den`` over the frame (kind, d, k)."""
-
-    __slots__ = ("dof", "kind", "k", "den", "ints", "index")
-
-    def __init__(self, dof: DoFDescriptor, kind: str, k: int, row: tuple[int, tuple[int, ...]], index: dict):
-        self.dof, self.kind, self.k, self.index = dof, kind, k, index
-        self.den, self.ints = row
-
-    def dot(self, tau: Polynomial) -> Fraction:
-        l, _, items = tau.int_terms()
-        ints, index = self.ints, self.index
-        s = sum(ints[index[key]] * v for key, v in items)
-        return Fraction(s, self.den * l) if s else _ZERO
-
-
 def _run_key(dof: DoFDescriptor) -> tuple:
     return (dof.kind, id(dof.face), dof.vertex, dof.comp if dof.kind == FACE_NN else None)
 
@@ -202,13 +187,6 @@ def _dof_matrix(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k
     runs = [list(run) for _, run in groupby(dofs, key=_run_key)]
     return Matrix.vstack([_run_rows(frame, run, kind, k, bernstein) for run in runs],
                          len(poly.frame(kind, frame.d, k)))
-
-
-def _dof_rows(frame: SimplexFrame, dofs: Sequence[DoFDescriptor], kind: str, k: int) -> dict[int, _Row]:
-    """The rows of ``dofs`` over the frame (kind, d, k), keyed by ``id(dof)``."""
-    index = poly._frame_index(kind, frame.d, k)
-    mat = _dof_matrix(frame, dofs, kind, k)
-    return {id(dof): _Row(dof, kind, k, mat.int_row(i), index) for i, dof in enumerate(dofs)}
 
 
 def _coeff_rows(tests: Sequence[Polynomial]) -> tuple[Matrix, int]:
@@ -268,17 +246,26 @@ def _run_rows(frame: SimplexFrame, run: list[DoFDescriptor], kind: str, k: int, 
     return exact.kron_sum(terms, poly.ncomp(kind, d))
 
 
-def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, cache: dict | None = None) -> Fraction:
+def apply_dof(frame: SimplexFrame, dof: DoFDescriptor, tau: Polynomial, row: tuple | None = None) -> Fraction:
     """Evaluate one DoF functional on any polynomial of the element's shape.
 
-    The value is the DoF's row over tau's monomial frame dotted with tau's
-    coefficients; ``cache`` may hold rows built by ``_dof_rows``, keyed by
-    ``id(dof)``, and a row that does not cover tau is built afresh."""
-    row = cache.get(id(dof)) if cache is not None else None
-    deg = tau.int_terms()[1]
-    if row is None or row.dof is not dof or row.kind != tau.kind or row.k < deg:
-        row = _dof_rows(frame, [dof], tau.kind, max(deg, 0))[id(dof)]
-    return row.dot(tau)
+    The value is the DoF's ``(den, ints)`` row over a frame (tau.kind, d, k),
+    k >= deg tau, of which tau's degree-major frame is a prefix, dotted with
+    tau's coefficients.  Without ``row``, the row is built over tau's frame,
+    and a tau of another shape than the DoF's field raises ShapeMismatchError."""
+    l, deg, items = tau.int_terms()
+    deg = max(deg, 0)
+    if row is None:
+        test = dof.test.kind if dof.test else None
+        want = {FACE_SCALAR_NORMAL: "vector", INTERIOR_PAIR: test,
+                INTERIOR_DIV: "vector" if test == "scalar" else "sym"}.get(dof.kind, "sym")
+        if tau.kind != want:
+            raise poly.ShapeMismatchError(f"{dof.kind} applies to {want} fields, not {tau.kind}")
+        row = _run_rows(frame, [dof], tau.kind, deg).int_row(0)
+    den, ints = row
+    index = poly._frame_index(tau.kind, frame.d, deg)
+    s = sum(ints[index[key]] * v for key, v in items)
+    return Fraction(s, den * l) if s else _ZERO
 
 
 # -- face DoFs ---------------------------------------------------------------------------

@@ -200,10 +200,8 @@ def test_verify_grid_assembles_no_dof_matrix(tmp_path, monkeypatch):
     from femforge import elements
 
     argv, digest = next(p.values for p in _GOLDEN_REPORTS if p.id == "verify-d2")
-    per_member = []
-    for name in ("apply_dof", "_dof_rows"):
-        fn = getattr(elements, name)
-        monkeypatch.setattr(elements, name, lambda *args, fn=fn, name=name: per_member.append(name) or fn(*args))
+    per_member, apply = [], elements.apply_dof
+    monkeypatch.setattr(elements, "apply_dof", lambda *args: per_member.append(args) or apply(*args))
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 0
     assert per_member == []

@@ -75,16 +75,15 @@ def test_nodal_duality_identity_bdm(tri):
     e = build_element(tri, "BDM", 2)
     phis = nodal_basis(e)
     for i, dof in enumerate(e.dofs):
-        cache = {}
         for j, phi in enumerate(phis):
-            assert apply_dof(tri, dof, phi, {}) == (1 if i == j else 0)
+            assert apply_dof(tri, dof, phi) == (1 if i == j else 0)
 
 
 def test_nodal_duality_identity_hdivs_30(tri):
     e = build_element(tri, "HdivS", 3)
     assert e.dim == 30
     phis = nodal_basis(e)
-    vals = Matrix([[apply_dof(tri, dof, phi, {}) for phi in phis] for dof in e.dofs])
+    vals = Matrix([[apply_dof(tri, dof, phi) for phi in phis] for dof in e.dofs])
     assert vals == Matrix.identity(30)
 
 
@@ -299,7 +298,7 @@ def test_unisolvence_failure_reports_kernel_witness(tri):
     from femforge.elements import apply_dof
 
     surviving = [dof for idx, dof in enumerate(e.dofs) if idx != interior[-1]]
-    assert all(apply_dof(tri, dof, tau, {}) == 0 for dof in surviving)
+    assert all(apply_dof(tri, dof, tau) == 0 for dof in surviving)
 
 
 def test_unisolvence_witness_of_a_direct_sum_is_pinned(tri):
@@ -493,13 +492,50 @@ def test_apply_dof_on_random_polynomials_matches_reference(family, d):
             assert apply_dof(fr, dof, tau) == reference_apply_dof(fr, dof, tau)
 
 
-def test_apply_dof_rebuilds_rows_that_do_not_cover_tau(tri):
+def test_apply_dof_takes_a_row_over_any_frame_that_covers_tau(tri):
+    # a row over the degree-3 frame serves every tau of degree 0..3, whose
+    # frames are its prefixes; without a row, the row is built over tau's frame
     e = build_element(tri, "HdivS", 2)
     dofs = [dof for dof in e.dofs if dof.kind == el.FACE_NN]
-    cache = el._dof_rows(tri, dofs, "sym", 1)
-    high = _random_shape_poly(random.Random(2), 2, "sym", 3)
-    for dof in dofs:
-        assert apply_dof(tri, dof, high, cache) == reference_apply_dof(tri, dof, high)
+    rows = el._dof_matrix(tri, dofs, "sym", 3)
+    rng = random.Random(2)
+    for deg in range(4):
+        tau = _random_shape_poly(rng, 2, "sym", deg)
+        assert tau.degree() == deg
+        for i, dof in enumerate(dofs):
+            want = reference_apply_dof(tri, dof, tau)
+            assert apply_dof(tri, dof, tau, rows.int_row(i)) == apply_dof(tri, dof, tau) == want
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_apply_dof_raises_on_a_field_of_another_shape(family):
+    # each DoF applies to one field shape: vector for normal moments, the
+    # test's own for pair moments, vector or sym for div moments against
+    # scalar or vector tests, sym for every other kind
+    fr = reference_simplex(2)
+    e = build_element(fr, family, 4)
+    rng = random.Random(len(family))
+    seen = {}
+    for dof in e.dofs:
+        seen.setdefault((dof.kind, dof.test.kind if dof.test else None), dof)
+    for (kind, test), dof in seen.items():
+        want = {el.FACE_SCALAR_NORMAL: "vector", el.INTERIOR_PAIR: test,
+                el.INTERIOR_DIV: {"scalar": "vector", "vector": "sym"}.get(test)}.get(kind, "sym")
+        assert want == e.space.kind
+        for shape in ("scalar", "vector", "sym"):
+            tau = _random_shape_poly(rng, 2, shape, 2)
+            if shape == want:
+                assert apply_dof(fr, dof, tau) == reference_apply_dof(fr, dof, tau)
+            else:
+                with pytest.raises(poly.ShapeMismatchError):
+                    apply_dof(fr, dof, tau)
+
+
+def test_apply_dof_shape_check_covers_every_dof_kind():
+    # the DoFs of the shape-check test above, at d=2 k=4
+    kinds = {dof.kind for spec in FAMILIES.values() for dof in spec.dofs(reference_simplex(2), 4)}
+    assert kinds == {el.VERTEX_EVAL, el.FACE_SCALAR_NORMAL, el.FACE_NN, el.FACE_TN, el.FACE_NORMAL_DIV,
+                     el.FACE_DIVDIV_COMBO, el.INTERIOR_PAIR, el.INTERIOR_DIV, el.INTERIOR_DIVDIV}
 
 
 @pytest.mark.parametrize(
